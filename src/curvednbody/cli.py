@@ -2,17 +2,18 @@
 
 Exit codes: 0 on success, 1 for I/O or internal failures, 2 for invalid
 input, 3 when a numerical procedure fails to converge.  All output is
-deterministic for fixed inputs, including under ``--workers``.
+deterministic for fixed inputs.  ``omega-sweep`` makes one block eigensolve
+and classifies every rate from its lambda1; ``--workers`` is accepted for
+compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import compress
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     StepFailure,
 )
 from .geometry import RingConfiguration
-from .report import ReportDocument, atomic_write_text, write_csv
+from .report import FLOAT_FMT, ChunkedText, ReportDocument, atomic_write_text, write_csv
 
 DEG_PER_RAD = 180.0 / math.pi
 
@@ -78,9 +79,7 @@ DEFAULT_TOLERANCES = {
 def _add_common(parser):
     parser.add_argument("--output", default=None, help="write the result to this path")
     parser.add_argument("--seed", type=int, default=None, help="seed for random draws")
-    parser.add_argument(
-        "--workers", type=int, default=None, help="worker threads for sweeps"
-    )
+    parser.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     parser.add_argument(
         "--tolerance-overrides",
         default=None,
@@ -226,6 +225,16 @@ def _angle_line(doc, opts, key, value):
         doc.line(key + "_deg", value * DEG_PER_RAD)
 
 
+def _region_rows(centers, values, valid, admissible):
+    """The region CSV as one chunk per m1 row; each cell centre is formatted once."""
+    cells = [FLOAT_FMT % c for c in centers.tolist()]
+    row_fmt = "%s,%s," + FLOAT_FMT + ",%d\n"
+    yield "m1,m2,value,admissible\n"
+    for m1, row, vals, flags in zip(cells, valid, values, admissible):
+        cols = zip(compress(cells, row), vals[row].tolist(), flags[row].tolist())
+        yield "".join([row_fmt % (m1, m2, v, a) for m2, v, a in cols])
+
+
 def _cmd_region_scan(opts) -> int:
     res = int(opts["resolution"])
     if res < 2:
@@ -242,25 +251,14 @@ def _cmd_region_scan(opts) -> int:
     doc.line("resolution", res)
     doc.line("simplex_cells", int(np.sum(valid)))
     doc.line("admissible_cells", int(np.sum(admissible)))
-    doc.line(
-        "admissible_fraction", float(np.sum(admissible)) / float(np.sum(valid))
-    )
+    doc.line("admissible_fraction", float(np.sum(admissible)) / float(np.sum(valid)))
     sys.stdout.write(doc.render())
 
     if opts["output"]:
-        ii, jj = np.nonzero(valid)
-        table = np.column_stack(
-            [
-                centers[ii],
-                centers[jj],
-                values[ii, jj],
-                admissible[ii, jj].astype(float),
-            ]
+        atomic_write_text(
+            opts["output"],
+            ChunkedText(lambda: _region_rows(centers, values, valid, admissible)),
         )
-        buf = io.StringIO()
-        buf.write("m1,m2,value,admissible\n")
-        np.savetxt(buf, table, fmt="%.17g", delimiter=",")
-        atomic_write_text(opts["output"], buf.getvalue())
     return 0
 
 
@@ -384,7 +382,6 @@ def _cmd_stability(opts) -> int:
 
 
 def _trajectory_rows(masses, record):
-    n = record.n
     for t, state in zip(record.times, record.states):
         row = [float(t)]
         row.extend(float(v) for v in state)
@@ -432,9 +429,7 @@ def _cmd_simulate(opts) -> int:
             doc.line("outcome", "consistent-with-stable")
             doc.line("max_deviation", exc.max_deviation)
             doc.line("amplitude", float(amplitude))
-            sys.stdout.write(doc.render())
-            if opts["output"]:
-                atomic_write_text(opts["output"], doc.render())
+            _emit(opts, doc)
             return 0
         doc.section("growth")
         doc.line("outcome", "growth-measured")
@@ -497,24 +492,12 @@ def _cmd_omega_sweep(opts) -> int:
     if hi < lo:
         raise InvalidConfiguration("omega range is empty")
     triple, shape, ring, blocks = _stability_pipeline(raw, opts)
-    omegas = np.linspace(lo, hi, count)
-
-    def classify_rate(w):
-        rep = stability.spectral_analysis(blocks, float(w))
-        return (
-            float(w),
-            rep.lambda1,
-            rep.omega_critical,
-            rep.verdict,
-            rep.unstable_exponent,
-        )
-
-    workers = max(1, int(opts["workers"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(classify_rate, omegas))
-    else:
-        rows = [classify_rate(w) for w in omegas]
+    # lambda1 does not depend on the rate: one eigensolve serves the whole grid
+    rep = stability.spectral_analysis(blocks, lo)
+    rows = []
+    for w in np.linspace(lo, hi, count).tolist():
+        verdict, exponent = stability.rate_verdict(w, rep.lambda1)
+        rows.append((w, rep.lambda1, rep.omega_critical, verdict, exponent))
 
     doc = ReportDocument()
     doc.section("sweep")

@@ -22,11 +22,11 @@ def midpoint_step(field, x, h, tol=MIDPOINT_TOL, max_inner=MIDPOINT_MAX_INNER):
     The implicit equation y = x + h f((x + y)/2) is solved by damped
     fixed-point iteration seeded with an explicit Euler predictor.  For the
     step sizes this library uses the iteration contracts rapidly; a stall
-    raises StepFailure.
+    raises StepFailure, as does a max_inner below 1.
     """
     y = x + h * field(x)
     damping = 1.0
-    prev_delta = np.inf
+    delta = prev_delta = np.inf
     for _ in range(max_inner):
         y_next = x + h * field(0.5 * (x + y))
         delta = float(np.max(np.abs(y_next - y)))

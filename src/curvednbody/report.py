@@ -61,14 +61,29 @@ class ReportDocument:
         return "\n".join(self._lines) + "\n"
 
 
-def atomic_write_text(path: str, text: str):
-    """Write text through a sibling temporary file and an atomic rename."""
+class ChunkedText:
+    """Text that ``atomic_write_text`` streams chunk by chunk from ``produce()``;
+    ``encode`` joins it like ``str.encode`` (the traced benchmark counts bytes so)."""
+
+    def __init__(self, produce):
+        self._produce = produce
+
+    def __iter__(self):
+        return iter(self._produce())
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return "".join(self).encode(encoding)
+
+
+def atomic_write_text(path: str, text):
+    """Write text, a string or an iterable of string chunks, through a sibling
+    temporary file and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines([text] if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -82,7 +97,5 @@ def atomic_write_text(path: str, text: str):
 
 def write_csv(path: str, header, rows):
     """Write rows of scalars as CSV with a header line, atomically."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -256,15 +256,15 @@ VERDICT_STABLE = "re-linearly-stable"
 BOUNDARY_TOL = 1e-9
 
 
-def _classify_rate(omega: float, lam1: float) -> str:
-    if omega == 0.0:
-        return VERDICT_FIXED_POINT
+def rate_verdict(omega: float, lam1: float) -> tuple:
+    """Verdict and unstable exponent sqrt(lambda1 - omega^2) of one rotation rate."""
     w2 = omega * omega
+    exponent = math.sqrt(lam1 - w2) if lam1 > w2 else 0.0
+    if omega == 0.0:
+        return VERDICT_FIXED_POINT, exponent
     if abs(w2 - lam1) < BOUNDARY_TOL:
-        return VERDICT_BOUNDARY
-    if w2 < lam1:
-        return VERDICT_UNSTABLE
-    return VERDICT_STABLE
+        return VERDICT_BOUNDARY, exponent
+    return (VERDICT_UNSTABLE if w2 < lam1 else VERDICT_STABLE), exponent
 
 
 def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> StabilityReport:
@@ -302,7 +302,7 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
     for lam in trest:
         s = complex(0.0, math.sqrt(-lam))
         spectrum.extend([s, -s])
-    exponent = math.sqrt(lam1 - w2) if lam1 > w2 else 0.0
+    verdict, exponent = rate_verdict(float(omega), lam1)
     return StabilityReport(
         masses=blocks.masses,
         omega=float(omega),
@@ -310,7 +310,7 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
         tangential_eigenvalues=tuple(float(x) for x in tlams),
         lambda1=lam1,
         omega_critical=math.sqrt(lam1),
-        verdict=_classify_rate(float(omega), lam1),
+        verdict=verdict,
         spectrum=tuple(spectrum),
         unstable_exponent=exponent,
     )

@@ -1,9 +1,12 @@
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from curvednbody import cli
+from curvednbody import cli, fixedpoints, stability
+from curvednbody.report import ChunkedText, atomic_write_text, fmt
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 OMEGA_CRITICAL_EQUAL = math.sqrt(LAMBDA1_EQUAL)
@@ -46,6 +49,27 @@ class TestRegionScan:
         # the center of the simplex is admissible; a lopsided cell is not
         rows = {tuple(l.split(",")[:2]): l.split(",") for l in lines[1:]}
         assert all(len(r) == 4 for r in rows.values())
+
+    @pytest.mark.parametrize("res", [2, 64, 97])
+    def test_csv_bytes_match_savetxt_table(self, capsys, tmp_path, res):
+        out_csv = tmp_path / "region.csv"
+        code, _, _ = run_cli(
+            ["region-scan", "--resolution", str(res), "--output", str(out_csv)], capsys
+        )
+        assert code == 0
+        centers = (np.arange(res) + 0.5) / res
+        m1 = centers[:, None]
+        m2 = centers[None, :]
+        values = fixedpoints.admissibility_values_on_simplex(m1, m2)
+        ii, jj = np.nonzero((m1 + m2) < 1.0)
+        cell_values = values[ii, jj]
+        table = np.column_stack(
+            [centers[ii], centers[jj], cell_values, (cell_values < 0.0).astype(float)]
+        )
+        buf = io.StringIO()
+        buf.write("m1,m2,value,admissible\n")
+        np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+        assert out_csv.read_bytes() == buf.getvalue().encode()
 
     def test_rejects_tiny_resolution(self, capsys):
         code, _, err = run_cli(["region-scan", "--resolution", "1"], capsys)
@@ -280,6 +304,66 @@ class TestOmegaSweep:
         verdicts = [l.split(",")[3] for l in lines[1:]]
         assert verdicts[0] == "fixed-point-unstable"
         assert "re-unstable" in verdicts and "re-linearly-stable" in verdicts
+
+
+def sweep_csv_one_call_per_rate(masses, omegas):
+    """The sweep CSV built from one full spectral analysis per rate."""
+    triple = fixedpoints.as_mass_triple(masses)
+    ring = fixedpoints.ring_from_shape(fixedpoints.shape_from_masses(triple))
+    blocks = stability.assemble_blocks(triple.mass_vector(), ring)
+    lines = ["omega,lambda1,omega_critical,verdict,unstable_exponent"]
+    for w in omegas:
+        rep = stability.spectral_analysis(blocks, float(w))
+        row = (float(w), rep.lambda1, rep.omega_critical, rep.verdict)
+        lines.append(",".join(fmt(v) for v in row + (rep.unstable_exponent,)))
+    return "\n".join(lines) + "\n"
+
+
+class TestOmegaSweepRows:
+    @pytest.mark.parametrize(
+        "masses, lo, hi, count",
+        [
+            ((1.0, 1.0, 1.0), 0.0, 2.0, 41),
+            ((0.3, 0.4, 0.3), -2.0, -0.5, 17),
+            ((0.2, 0.5, 0.3), -1.0, 1.0, 3),
+            ((0.3, 0.4, 0.3), 0.5, 1.5, 1),
+        ],
+    )
+    def test_rows_match_one_analysis_per_rate(
+        self, capsys, tmp_path, masses, lo, hi, count
+    ):
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["omega-sweep", "--masses", *map(repr, masses), "--count", str(count)]
+        argv += ["--omega-min", repr(lo), "--omega-max", repr(hi)]
+        argv += ["--output", str(out_csv)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        expected = sweep_csv_one_call_per_rate(masses, np.linspace(lo, hi, count))
+        assert out_csv.read_text() == expected
+
+    def test_rate_at_the_critical_rate_is_the_boundary(self, capsys, tmp_path):
+        masses = (1.0, 1.0, 1.0)
+        omega = math.sqrt(stability.classify(masses).lambda1) + 1e-11
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["omega-sweep", "--masses", "1", "1", "1", "--count", "1"]
+        argv += ["--omega-min", repr(omega), "--omega-max", repr(omega)]
+        code, out, _ = run_cli(argv + ["--output", str(out_csv)], capsys)
+        assert code == 0
+        text = out_csv.read_text()
+        assert text == sweep_csv_one_call_per_rate(masses, [omega])
+        assert text.splitlines()[1].split(",")[3] == stability.VERDICT_BOUNDARY
+        assert parse_report(out)["sweep.first_stable_omega"] == "none"
+
+
+class TestAtomicWrite:
+    def test_chunks_write_the_same_bytes_as_the_joined_string(self, tmp_path):
+        chunks = ["a,b\n", "", "1,2\n", "3,4\n"]
+        text = ChunkedText(lambda: chunks)
+        atomic_write_text(str(tmp_path / "joined.csv"), "".join(chunks))
+        atomic_write_text(str(tmp_path / "chunks.csv"), text)
+        written = (tmp_path / "chunks.csv").read_bytes()
+        assert written == (tmp_path / "joined.csv").read_bytes()
+        assert text.encode() == written
 
 
 class TestConfigAndErrors:

@@ -22,6 +22,7 @@ from curvednbody.errors import (
 )
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 from curvednbody.geometry import MassVector, force_function, kinetic_energy
+from curvednbody.integrators import midpoint_step
 
 EQUAL = as_mass_triple((1.0, 1.0, 1.0))
 MV = EQUAL.mass_vector()
@@ -184,6 +185,13 @@ class TestIntegrate:
         with pytest.raises(StepFailure) as info:
             integrate(mv, state, horizon=5.0, step=1e-3)
         assert info.value.time is not None
+
+    @pytest.mark.parametrize("max_inner", [0, -1])
+    def test_midpoint_step_without_iterations_fails_typed(self, max_inner):
+        field = make_field(MV, 1.3)
+        x = relative_equilibrium(MV, RING, 1.3).as_vector()
+        with pytest.raises(StepFailure):
+            midpoint_step(field, x, 1e-3, max_inner=max_inner)
 
     def test_invalid_inputs(self):
         state = relative_equilibrium(MV, RING, 0.0)
