@@ -69,6 +69,33 @@ DEFAULTS = {
     },
 }
 
+_MODES = ("re", "perturbed", "growth")
+_METHODS = ("midpoint", "rk45")
+
+# The conversion each option's flag applies, also applied to config values:
+# a callable, a list of one per-element callable, a tuple of choices, or
+# bool or str for flags that take the value as it is.
+_OPTION_TYPES = {
+    "output": str,
+    "degrees": bool,
+    "solve": bool,
+    "seed": int,
+    "workers": int,
+    "resolution": int,
+    "count": int,
+    "record_stride": int,
+    "omega": float,
+    "horizon": float,
+    "step": float,
+    "amplitude": float,
+    "omega_min": float,
+    "omega_max": float,
+    "masses": [float],
+    "initial": [float],
+    "mode": _MODES,
+    "method": _METHODS,
+}
+
 DEFAULT_TOLERANCES = {
     "residual": 1e-10,
     "newton": 1e-11,
@@ -136,12 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--masses", type=float, nargs=3, default=None, metavar="M")
     p.add_argument("--omega", type=float, default=None, help="rotation rate")
-    p.add_argument("--mode", choices=("re", "perturbed", "growth"), default=None)
+    p.add_argument("--mode", choices=_MODES, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--amplitude", type=float, default=None)
     p.add_argument("--record-stride", type=int, default=None)
-    p.add_argument("--method", choices=("midpoint", "rk45"), default=None)
+    p.add_argument("--method", choices=_METHODS, default=None)
 
     p = sub.add_parser("omega-sweep", help="classify a range of rotation rates")
     _add_common(p)
@@ -166,6 +193,25 @@ def _load_config(path):
     return data
 
 
+def _coerce(name, value, kind):
+    """Convert a config or override value as its flag would, or name the option."""
+    try:
+        if kind in (bool, str):
+            if isinstance(value, kind):
+                return value
+        elif isinstance(kind, tuple):
+            if value in kind:
+                return value
+        elif isinstance(kind, list):
+            if isinstance(value, list):
+                return [kind[0](v) for v in value]
+        else:
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidConfiguration("invalid value %r for option %s" % (value, name))
+
+
 def _resolve_options(args) -> dict:
     """Merge explicit flags over config-file values over built-in defaults."""
     ns = vars(args)
@@ -180,6 +226,8 @@ def _resolve_options(args) -> dict:
             for alias in (key, key.replace("_", "-")):
                 if alias in config:
                     value = config[alias]
+                    if value is not None and key in _OPTION_TYPES:
+                        value = _coerce(alias, value, _OPTION_TYPES[key])
                     break
         opts[key] = default if value is None else value
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -197,7 +245,7 @@ def _resolve_options(args) -> dict:
         for name, value in raw.items():
             if name not in tolerances:
                 raise InvalidConfiguration("unknown tolerance %r" % name)
-            tolerances[name] = float(value)
+            tolerances[name] = _coerce("tolerance " + name, value, float)
     opts["tolerances"] = tolerances
     return opts
 
@@ -402,6 +450,10 @@ def _cmd_simulate(opts) -> int:
     raw = _require_masses(opts)
     omega = float(opts["omega"])
     mode = opts["mode"]
+    if mode == "growth" and opts["method"] != "midpoint":
+        raise InvalidConfiguration(
+            "growth mode uses the midpoint rule only, not %s" % opts["method"]
+        )
     triple, shape, ring, blocks = _stability_pipeline(raw, opts)
     mv = triple.mass_vector()
 

@@ -5,6 +5,10 @@ on colatitude perturbations and one acting on longitude perturbations.  Both
 blocks are built from pairwise couplings of the ring; their null vectors
 reflect the rotational symmetries, and the signs of the remaining
 eigenvalues decide linear stability as a function of the rotation rate.
+
+Only the centrifugal shift of the vertical block depends on the rate.  A
+``LinearizationBlocks`` holds its arrays read-only and computes the block
+spectra, lambda1 and the symmetry bases once; every rate reuses them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +56,9 @@ class LinearizationBlocks:
     ``vertical`` couples colatitude perturbations, ``tangential`` couples
     longitude perturbations; both are symmetric n-by-n.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
+    The three arrays are stored as read-only float copies, so what does not
+    depend on the rotation rate (block spectra, lambda1, symmetry bases) is
+    computed once per instance and shared by every rate.
     """
 
     masses: MassVector
@@ -59,9 +67,31 @@ class LinearizationBlocks:
     tangential: np.ndarray
     mass_diagonal: np.ndarray
 
+    def __post_init__(self):
+        for name in ("vertical", "tangential", "mass_diagonal"):
+            copy = np.array(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, _frozen(copy))
+
     @property
     def n(self) -> int:
         return self.masses.n
+
+    @cached_property
+    def _vertical_eigenpairs(self):
+        return _mass_weighted_eigensolve(self.vertical, self.mass_diagonal)
+
+    @cached_property
+    def _spectra(self) -> _BlockSpectra:
+        return _block_spectra(self)
+
+    @cached_property
+    def _bases(self) -> tuple:
+        return _symmetry_bases(self)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def assemble_blocks(
@@ -267,15 +297,21 @@ def rate_verdict(omega: float, lam1: float) -> tuple:
     return (VERDICT_UNSTABLE if w2 < lam1 else VERDICT_STABLE), exponent
 
 
-def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> StabilityReport:
-    """Classify the rotating ring through the mass-weighted block spectra.
+@dataclass(frozen=True)
+class _BlockSpectra:
+    """The rate-independent part of a StabilityReport."""
 
-    The vertical block must show exactly two zero modes with the rest
-    positive, the tangential block exactly one zero mode with the rest
-    negative; any other pattern raises DegenerateSpectrum.
-    """
+    vertical_eigenvalues: tuple
+    tangential_eigenvalues: tuple
+    vertical_rest: tuple
+    tangential_pairs: tuple
+    lambda1: float
+    omega_critical: float
+
+
+def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
     m = blocks.mass_diagonal
-    vlams, _, vscale = _mass_weighted_eigensolve(blocks.vertical, m)
+    vlams, _, vscale = blocks._vertical_eigenpairs
     tlams, _, tscale = _mass_weighted_eigensolve(blocks.tangential, m)
     vzero = np.abs(vlams) <= EIG_ZERO_TOL * vscale
     tzero = np.abs(tlams) <= EIG_ZERO_TOL * tscale
@@ -294,24 +330,44 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
     if np.any(trest >= 0.0):
         raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
     lam1 = float(np.max(vrest))
+    tangential_pairs = []
+    for lam in trest.tolist():
+        s = complex(0.0, math.sqrt(-lam))
+        tangential_pairs.extend([s, -s])
+    return _BlockSpectra(
+        vertical_eigenvalues=tuple(vlams.tolist()),
+        tangential_eigenvalues=tuple(tlams.tolist()),
+        vertical_rest=tuple(vrest.tolist()),
+        tangential_pairs=tuple(tangential_pairs),
+        lambda1=lam1,
+        omega_critical=math.sqrt(lam1),
+    )
+
+
+def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> StabilityReport:
+    """Classify the rotating ring through the mass-weighted block spectra.
+
+    The vertical block must show exactly two zero modes with the rest
+    positive, the tangential block exactly one zero mode with the rest
+    negative; any other pattern raises DegenerateSpectrum.  The block
+    spectra are computed on the first call for ``blocks`` and reused.
+    """
+    spectra = blocks._spectra
     w2 = omega * omega
     spectrum = []
-    for lam in vrest:
+    for lam in spectra.vertical_rest:
         s = cmath.sqrt(complex(lam - w2))
         spectrum.extend([s, -s])
-    for lam in trest:
-        s = complex(0.0, math.sqrt(-lam))
-        spectrum.extend([s, -s])
-    verdict, exponent = rate_verdict(float(omega), lam1)
+    verdict, exponent = rate_verdict(float(omega), spectra.lambda1)
     return StabilityReport(
         masses=blocks.masses,
         omega=float(omega),
-        vertical_eigenvalues=tuple(float(x) for x in vlams),
-        tangential_eigenvalues=tuple(float(x) for x in tlams),
-        lambda1=lam1,
-        omega_critical=math.sqrt(lam1),
+        vertical_eigenvalues=spectra.vertical_eigenvalues,
+        tangential_eigenvalues=spectra.tangential_eigenvalues,
+        lambda1=spectra.lambda1,
+        omega_critical=spectra.omega_critical,
         verdict=verdict,
-        spectrum=tuple(spectrum),
+        spectrum=tuple(spectrum) + spectra.tangential_pairs,
         unstable_exponent=exponent,
     )
 
@@ -322,8 +378,7 @@ def vertical_mode(blocks: LinearizationBlocks):
     Returns (lambda1, u) with vertical @ diag(1/m) u = lambda1 u; the pair
     seeds the unstable direction of the growth experiment.
     """
-    m = blocks.mass_diagonal
-    lams, vecs, scale = _mass_weighted_eigensolve(blocks.vertical, m)
+    lams, vecs, scale = blocks._vertical_eigenpairs
     idx = int(np.argmax(lams))
     if lams[idx] <= EIG_ZERO_TOL * scale:
         raise DegenerateSpectrum("vertical block has no positive mode")
@@ -427,30 +482,21 @@ def _skew_complement(basis: np.ndarray, expected_dim: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def _restriction(L: np.ndarray, q: np.ndarray):
+def _restriction(L: np.ndarray, q: np.ndarray, denom: float):
     """Matrix of L on the span of the orthonormal columns q, with residual."""
     lq = L @ q
     coeffs = q.T @ lq
     leak = lq - q @ coeffs
-    denom = float(np.linalg.norm(L))
     return coeffs, float(np.linalg.norm(leak)) / denom
 
 
-def invariant_subspaces(
-    blocks: LinearizationBlocks, omega: float = 0.0
-) -> InvariantSplitting:
-    """Split phase space at the rotating ring into symmetry and transverse parts.
-
-    The symmetry modes are built explicitly from the null vectors; both
-    skew-complements come from an SVD null space.  The symmetry subspace is
-    invariant at every rotation rate, and at rate zero its restriction is
-    nilpotent of index two, which is reported through ``nilpotent_residual``.
-    """
+def _symmetry_bases(blocks: LinearizationBlocks) -> tuple:
+    """Read-only symmetry, rotation, orthonormal symmetry, transverse and
+    reduced bases: the rate-independent part of an InvariantSplitting."""
     n = blocks.n
     dim = 4 * n
     m = blocks.mass_diagonal
     nv = null_vectors(blocks.ring)
-    L = assemble_L_from_blocks(blocks, omega)
 
     def embed(theta=None, phi=None, ptheta=None, pphi=None):
         out = np.zeros(dim)
@@ -475,19 +521,35 @@ def invariant_subspaces(
         ]
     )
     rotation = symmetry[:, 4:6]
-
     q_sym, _ = np.linalg.qr(symmetry)
-    sym_restriction, sym_residual = _restriction(L, q_sym)
+    transverse = _skew_complement(symmetry, dim - 6)
+    reduced = _skew_complement(rotation, dim - 2)
+    return tuple(_frozen(b) for b in (symmetry, rotation, q_sym, transverse, reduced))
+
+
+def invariant_subspaces(
+    blocks: LinearizationBlocks, omega: float = 0.0
+) -> InvariantSplitting:
+    """Split phase space at the rotating ring into symmetry and transverse parts.
+
+    The symmetry modes are built explicitly from the null vectors; both
+    skew-complements come from an SVD null space.  The symmetry subspace is
+    invariant at every rotation rate, and at rate zero its restriction is
+    nilpotent of index two, which is reported through ``nilpotent_residual``.
+    The bases are built on the first call for ``blocks``, are read-only and
+    are shared by every later call.
+    """
+    symmetry, rotation, q_sym, transverse, reduced = blocks._bases
+    L = assemble_L_from_blocks(blocks, omega)
+    norm = float(np.linalg.norm(L))
+    sym_restriction, sym_residual = _restriction(L, q_sym, norm)
     nilpotent = None
     if omega == 0.0:
         nilpotent = float(
             np.linalg.norm(sym_restriction @ sym_restriction)
-        ) / max(float(np.linalg.norm(L)), 1.0)
-
-    transverse = _skew_complement(symmetry, dim - 6)
-    reduced = _skew_complement(rotation, dim - 2)
-    trans_restriction, trans_residual = _restriction(L, transverse)
-    red_restriction, red_residual = _restriction(L, reduced)
+        ) / max(norm, 1.0)
+    trans_restriction, trans_residual = _restriction(L, transverse, norm)
+    red_restriction, red_residual = _restriction(L, reduced, norm)
     return InvariantSplitting(
         symmetry_basis=symmetry,
         rotation_basis=rotation,

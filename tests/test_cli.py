@@ -444,3 +444,69 @@ class TestConfigAndErrors:
         cfg.write_text("[1, 2]")
         code, _, _ = run_cli(["stability", "--config", str(cfg)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, config, option",
+        [
+            ("omega-sweep", {"masses": [1, 1, 1], "count": "x"}, "count"),
+            ("stability", {"masses": [1, 1, 1], "omega": "fast"}, "omega"),
+            ("stability", {"masses": [1, 1, "a"]}, "masses"),
+            ("stability", {"masses": 5}, "masses"),
+            ("simulate", {"masses": [1, 1, 1], "mode": "bogus"}, "mode"),
+            ("fixed-point", {"masses": [1, 1, 1], "degrees": "no"}, "degrees"),
+            ("stability", {"masses": [1, 1, 1], "output": 7}, "output"),
+        ],
+    )
+    def test_config_values_are_type_checked(
+        self, capsys, tmp_path, command, config, option
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and option in err
+
+    def test_config_numbers_as_strings_convert_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"masses": ["1", 1, 1.0], "omega": "1.3"}))
+        from_config = run_cli(["stability", "--config", str(cfg)], capsys)
+        from_flags = run_cli(
+            ["stability", "--masses", "1", "1", "1", "--omega", "1.3"], capsys
+        )
+        assert from_config == from_flags
+
+    def test_tolerance_override_value_is_type_checked(self, capsys):
+        code, _, err = run_cli(
+            [
+                "stability",
+                "--masses",
+                "1",
+                "1",
+                "1",
+                "--tolerance-overrides",
+                '{"residual": "abc"}',
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "residual" in err
+
+    def test_growth_mode_rejects_rk45(self, capsys):
+        code, out, err = run_cli(
+            [
+                "simulate",
+                "--masses",
+                "1",
+                "1",
+                "1",
+                "--mode",
+                "growth",
+                "--method",
+                "rk45",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "rk45" in err

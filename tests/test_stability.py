@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,9 @@ class TestSpectralAnalysis:
         )
         with pytest.raises(DegenerateSpectrum):
             spectral_analysis(broken, 0.0)
+        # a failed check is not cached: the next call raises again
+        with pytest.raises(DegenerateSpectrum):
+            spectral_analysis(broken, 1.0)
 
     def test_verdict_thresholds(self):
         blocks = equal_mass_blocks()
@@ -287,3 +291,92 @@ class TestInvariantSubspaces:
         top = max(z.real for z in split.reduced_spectrum)
         rep = spectral_analysis(equal_mass_blocks(), 0.5)
         assert top == pytest.approx(rep.unstable_exponent, abs=1e-8)
+
+
+def fresh_blocks(triple):
+    mv = as_mass_triple(triple).mass_vector()
+    return assemble_blocks(mv, ring_from_shape(shape_from_masses(triple)))
+
+
+def split_fields(split):
+    bases = (
+        split.symmetry_basis,
+        split.rotation_basis,
+        split.transverse_basis,
+        split.reduced_basis,
+    )
+    return tuple(b.tobytes() for b in bases) + (
+        split.symmetry_residual,
+        split.transverse_residual,
+        split.reduced_residual,
+        split.transverse_spectrum,
+        split.reduced_spectrum,
+        split.nilpotent_residual,
+    )
+
+
+class TestRateIndependentCache:
+    """Reusing one LinearizationBlocks across rates gives the results of fresh ones."""
+
+    def test_spectral_analysis_reuse_matches_fresh(self, rng):
+        for triple in draw_admissible_triples(rng, 20):
+            shared = fresh_blocks(triple)
+            crit = spectral_analysis(shared, 0.0).omega_critical
+            rates = [0.0, crit, crit - 1e-4, crit + 1e-4, -0.7, 0.5 * crit, 2.0 * crit]
+            for om in rates:
+                got = spectral_analysis(shared, om)
+                want = spectral_analysis(fresh_blocks(triple), om)
+                for field in dataclasses.fields(want):
+                    name = field.name
+                    assert getattr(got, name) == getattr(want, name), name
+
+    def test_invariant_subspaces_reuse_matches_fresh(self, rng):
+        for triple in draw_admissible_triples(rng, 20):
+            shared = fresh_blocks(triple)
+            crit = spectral_analysis(shared, 0.0).omega_critical
+            for om in (0.0, 0.5 * crit, 1.5 * crit):
+                got = split_fields(invariant_subspaces(shared, om))
+                want = split_fields(invariant_subspaces(fresh_blocks(triple), om))
+                assert got == want
+
+    def test_arrays_are_read_only(self):
+        blocks = equal_mass_blocks()
+        for arr in (blocks.vertical, blocks.tangential, blocks.mass_diagonal):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        split = invariant_subspaces(blocks, 0.9)
+        for basis in (
+            split.symmetry_basis,
+            split.rotation_basis,
+            split.transverse_basis,
+            split.reduced_basis,
+        ):
+            assert not basis.flags.writeable
+
+    def test_constructor_copies_the_callers_arrays(self):
+        ring = ring_from_shape(shape_from_masses(EQUAL))
+        mine = np.eye(3)
+        blocks = LinearizationBlocks(
+            masses=EQUAL.mass_vector(),
+            ring=ring,
+            vertical=mine,
+            tangential=mine,
+            mass_diagonal=EQUAL.mass_vector().array(),
+        )
+        assert blocks.vertical is not mine
+        assert not blocks.vertical.flags.writeable
+        assert mine.flags.writeable
+        assert np.array_equal(mine, np.eye(3))
+
+    def test_vertical_mode_after_analysis_matches_fresh(self, rng):
+        for triple in draw_admissible_triples(rng, 5):
+            shared = fresh_blocks(triple)
+            spectral_analysis(shared, 0.3)
+            lam, u = vertical_mode(shared)
+            lam_fresh, u_fresh = vertical_mode(fresh_blocks(triple))
+            assert lam == lam_fresh
+            assert u.tobytes() == u_fresh.tobytes()
+            assert u.flags.writeable
+            u[0] = 0.0
+            assert vertical_mode(shared)[1].tobytes() == u_fresh.tobytes()
