@@ -24,12 +24,15 @@ from .errors import (
 from .fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 from .geometry import (
     POLAR_TOL,
-    SINGULAR_TOL,
     MassVector,
     RingConfiguration,
     SphereConfiguration,
+    _angle_gradient,
+    _pair_guard,
+    _pair_table,
+    _sphere_tables,
 )
-from .integrators import MIDPOINT_TOL, midpoint_step, rk45_solve
+from .integrators import MIDPOINT_TOL, midpoint_step, rk45_solve, step_count
 from .stability import assemble_blocks, vertical_mode
 
 # Integration aborts when any pair separation sine falls below this.
@@ -67,7 +70,7 @@ class PhaseState:
                 raise PolarSingularity("body %d at the polar guard" % (i + 1))
         for name, vals in fields.items():
             object.__setattr__(self, name, vals)
-        _pair_guard(fields["thetas"], fields["phis"], SINGULAR_TOL)
+        _pair_guard(fields["thetas"], fields["phis"])
 
     @property
     def n(self) -> int:
@@ -91,26 +94,6 @@ class PhaseState:
 
     def configuration(self) -> SphereConfiguration:
         return SphereConfiguration(self.thetas, self.phis)
-
-
-def _pair_guard(thetas, phis, floor):
-    """Smallest pair separation sine, raising below the given floor."""
-    n = len(thetas)
-    st = [math.sin(t) for t in thetas]
-    xs = [st[i] * math.cos(phis[i]) for i in range(n)]
-    ys = [st[i] * math.sin(phis[i]) for i in range(n)]
-    zs = [math.cos(t) for t in thetas]
-    worst = 2.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= floor:
-                raise SingularConfiguration(
-                    "bodies %d and %d at separation sine %.3g" % (i + 1, j + 1, sind)
-                )
-            worst = min(worst, sind)
-    return worst
 
 
 def relative_equilibrium(
@@ -144,34 +127,11 @@ def make_field(masses: MassVector, omega: float = 0.0):
         ph = vals[n : 2 * n]
         pt = vals[2 * n : 3 * n]
         pf = vals[3 * n : 4 * n]
-        st = [math.sin(t) for t in th]
-        ct = [math.cos(t) for t in th]
+        st, ct, sp, cp, xs, ys = _sphere_tables(th, ph)
         for i in range(n):
             if st[i] <= POLAR_TOL:
                 raise PolarSingularity("body %d at the polar guard" % (i + 1))
-        cp = [math.cos(p) for p in ph]
-        sp = [math.sin(p) for p in ph]
-        xs = [st[i] * cp[i] for i in range(n)]
-        ys = [st[i] * sp[i] for i in range(n)]
-        zs = ct
-        dth = [0.0] * n
-        dph = [0.0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-                sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-                if sind <= SINGULAR_TOL:
-                    raise SingularConfiguration(
-                        "bodies %d and %d at singular separation" % (i + 1, j + 1)
-                    )
-                f = m[i] * m[j] / (sind * sind * sind)
-                a_i = ct[i] * cp[i] * xs[j] + ct[i] * sp[i] * ys[j] - st[i] * zs[j]
-                a_j = ct[j] * cp[j] * xs[i] + ct[j] * sp[j] * ys[i] - st[j] * zs[i]
-                b = xs[i] * ys[j] - ys[i] * xs[j]
-                dth[i] += f * a_i
-                dth[j] += f * a_j
-                dph[i] += f * b
-                dph[j] -= f * b
+        dth, dph = _angle_gradient(m, st, ct, sp, cp, xs, ys)
         out = [0.0] * (4 * n)
         for i in range(n):
             s2 = st[i] * st[i]
@@ -196,25 +156,15 @@ def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     ph = vals[n : 2 * n]
     pt = vals[2 * n : 3 * n]
     pf = vals[3 * n : 4 * n]
-    st = [math.sin(t) for t in th]
+    st, ct, _, _, xs, ys = _sphere_tables(th, ph)
     total = 0.0
     for i in range(n):
         if st[i] <= POLAR_TOL:
             raise PolarSingularity("body %d at the polar guard" % (i + 1))
         s2 = st[i] * st[i]
         total += pt[i] * pt[i] / (2.0 * m[i]) + pf[i] * pf[i] / (2.0 * m[i] * s2)
-    xs = [st[i] * math.cos(ph[i]) for i in range(n)]
-    ys = [st[i] * math.sin(ph[i]) for i in range(n)]
-    zs = [math.cos(t) for t in th]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= SINGULAR_TOL:
-                raise SingularConfiguration(
-                    "bodies %d and %d at singular separation" % (i + 1, j + 1)
-                )
-            total -= m[i] * m[j] * cosd / sind
+    for i, j, cosd, sind in _pair_table(xs, ys, ct):
+        total -= m[i] * m[j] * cosd / sind
     if omega != 0.0:
         total -= omega * sum(pf)
     return total
@@ -276,11 +226,7 @@ def integrate(
     n = masses.n
     if x0.shape != (4 * n,):
         raise InvalidConfiguration("initial state length does not match mass count")
-    nsteps = int(round(horizon / step))
-    if nsteps <= 0:
-        raise InvalidConfiguration("horizon must cover at least one step")
-    if record_stride < 1:
-        raise InvalidConfiguration("record stride must be positive")
+    nsteps = step_count(horizon, step, record_stride)
     field = make_field(masses, omega)
 
     def monitors(x, t, acc):
@@ -402,7 +348,7 @@ def growth_rate_experiment(
     rest = relative_equilibrium(mv, ring, omega).as_vector()
     x = rest + amplitude * w
     field = make_field(mv, omega)
-    nsteps = int(round(horizon / step))
+    nsteps = step_count(horizon, step, record_stride)
     times = [0.0]
     devs = [float(np.max(np.abs(x - rest)))]
     for k in range(1, nsteps + 1):

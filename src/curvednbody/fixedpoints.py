@@ -17,7 +17,7 @@ from .errors import (
     NotAdmissible,
     SingularIterate,
 )
-from .geometry import SINGULAR_TOL, MassVector, RingConfiguration
+from .geometry import SINGULAR_TOL, MassVector, RingConfiguration, _pair_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,13 +82,7 @@ def admissibility_values_on_simplex(m1, m2):
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
-    m3 = 1.0 - m1 - m2
-    return (
-        m1 * m1 * m2 * m2
-        + m1 * m1 * m3 * m3
-        + m2 * m2 * m3 * m3
-        - 2.0 * m1 * m2 * m3
-    )
+    return admissibility_value(m1, m2, 1.0 - m1 - m2)
 
 
 class AdmissibilityCheck(NamedTuple):
@@ -165,22 +159,16 @@ def fixed_point_residual(masses: MassVector, config: RingConfiguration) -> np.nd
         raise InvalidConfiguration("fixed_point_residual expects a RingConfiguration")
     if masses.n != config.n:
         raise InvalidConfiguration("mass and body counts differ")
-    m = masses.masses
-    phis = config.longitudes
-    n = config.n
-    out = [0.0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = math.sin(phis[i] - phis[j])
-            cosd = math.cos(phis[i] - phis[j])
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= SINGULAR_TOL:
-                raise SingularIterate(
-                    "bodies %d and %d at singular separation" % (i + 1, j + 1)
-                )
-            t = m[i] * m[j] * s / (sind * sind * sind)
-            out[i] += t
-            out[j] -= t
+    return _ring_residual(masses.masses, config.longitudes)
+
+
+def _ring_residual(m, phis) -> np.ndarray:
+    """The fixed-point residual of masses ``m`` at longitudes ``phis``."""
+    out = [0.0] * len(phis)
+    for i, j, _, sind in _pair_table(phis=phis, error=SingularIterate):
+        t = m[i] * m[j] * math.sin(phis[i] - phis[j]) / (sind * sind * sind)
+        out[i] += t
+        out[j] -= t
     return np.array(out)
 
 
@@ -288,37 +276,13 @@ def _ring_phi_hessian(masses: MassVector, phis) -> np.ndarray:
     n = len(phis)
     m = masses.masses
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = math.cos(phis[i] - phis[j])
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= SINGULAR_TOL:
-                raise SingularIterate(
-                    "bodies %d and %d at singular separation" % (i + 1, j + 1)
-                )
-            g = -2.0 * m[i] * m[j] * cosd / (sind * sind * sind)
-            out[i, j] = g
-            out[j, i] = g
-            out[i, i] -= g
-            out[j, j] -= g
+    for i, j, cosd, sind in _pair_table(phis=phis, error=SingularIterate):
+        g = -2.0 * m[i] * m[j] * cosd / (sind * sind * sind)
+        out[i, j] = g
+        out[j, i] = g
+        out[i, i] -= g
+        out[j, j] -= g
     return out
-
-
-def _raw_residual(m, phis):
-    n = len(phis)
-    out = [0.0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = math.cos(phis[i] - phis[j])
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= SINGULAR_TOL:
-                raise SingularIterate(
-                    "iterate entered the singular set at pair (%d, %d)" % (i + 1, j + 1)
-                )
-            t = m[i] * m[j] * math.sin(phis[i] - phis[j]) / (sind * sind * sind)
-            out[i] += t
-            out[j] -= t
-    return np.array(out)
 
 
 def solve_fixed_point_numeric(
@@ -345,12 +309,13 @@ def solve_fixed_point_numeric(
         raise InvalidConfiguration("mass and body counts differ")
     m = masses.masses
     phis = np.array(initial.longitudes)
-    res = _raw_residual(m, phis)
+    # the pair sums index plain float lists much faster than arrays
+    res = _ring_residual(m, phis.tolist())
     norm = float(np.max(np.abs(res)))
     for _ in range(max_iterations):
         if norm < tol:
             break
-        jac = -_ring_phi_hessian(masses, phis)[1:, 1:]
+        jac = -_ring_phi_hessian(masses, phis.tolist())[1:, 1:]
         try:
             step = np.linalg.solve(jac, -res[1:])
         except np.linalg.LinAlgError as exc:
@@ -361,7 +326,7 @@ def solve_fixed_point_numeric(
             trial = phis.copy()
             trial[1:] += scale * step
             try:
-                trial_res = _raw_residual(m, trial)
+                trial_res = _ring_residual(m, trial.tolist())
             except SingularIterate:
                 if scale <= 2.0 ** -39:
                     raise

@@ -4,12 +4,20 @@ Bodies live on the unit sphere, parametrized by colatitude theta in (0, pi)
 and longitude phi.  The mutual potential of a pair is proportional to the
 cotangent of its geodesic separation, which blows up at collision and at
 antipodal alignment; both ends are guarded by a shared tolerance.
+
+``_pair_table`` is the one place that enumerates the pairs, computes each
+separation's cosine and sine and applies that guard; every pairwise sum of
+the package reads it.  The angle gradient alone keeps its pair loop inline:
+it is the inner loop of the vector field, and building a table first costs
+a measurable share of each evaluation.  Its singular branch raises the same
+message as the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -76,23 +84,6 @@ def _reduce_longitude(phi: float) -> float:
     return out
 
 
-def _check_pair_separations(thetas, phis):
-    """Reject configurations with a pair at or numerically at 0 or pi."""
-    n = len(thetas)
-    xs = [math.sin(t) * math.cos(p) for t, p in zip(thetas, phis)]
-    ys = [math.sin(t) * math.sin(p) for t, p in zip(thetas, phis)]
-    zs = [math.cos(t) for t in thetas]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-            sind2 = max(1.0 - cosd * cosd, 0.0)
-            if math.sqrt(sind2) <= SINGULAR_TOL:
-                kind = "collision" if cosd > 0 else "antipodal alignment"
-                raise SingularConfiguration(
-                    "bodies %d and %d at %s (cos distance %.17g)" % (i + 1, j + 1, kind, cosd)
-                )
-
-
 @dataclass(frozen=True)
 class SphereConfiguration:
     """Positions of n bodies on the unit sphere in spherical angles.
@@ -116,7 +107,7 @@ class SphereConfiguration:
                 raise PolarSingularity("colatitude %.17g outside (0, pi)" % t)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "phis", phis)
-        _check_pair_separations(thetas, phis)
+        _pair_guard(thetas, phis)
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -161,7 +152,7 @@ class RingConfiguration:
                 "total spread %.17g does not exceed pi" % (phis[-1] - phis[0])
             )
         object.__setattr__(self, "longitudes", phis)
-        _check_pair_separations(tuple(math.pi / 2 for _ in phis), phis)
+        _pair_guard([math.pi / 2] * len(phis), phis)
 
     @property
     def n(self) -> int:
@@ -223,38 +214,98 @@ def _unpack(masses: MassVector, config):
     return config
 
 
-def _trig_tables(config: SphereConfiguration):
-    st = [math.sin(t) for t in config.thetas]
-    ct = [math.cos(t) for t in config.thetas]
-    sp = [math.sin(p) for p in config.phis]
-    cp = [math.cos(p) for p in config.phis]
-    xs = [s * c for s, c in zip(st, cp)]
-    ys = [s * c for s, c in zip(st, sp)]
-    return st, ct, sp, cp, xs, ys, ct  # zs coincide with cos(theta)
+def _sphere_tables(thetas, phis):
+    """Sines and cosines of the chart angles and the x, y coordinates.
+
+    Returns (sin theta, cos theta, sin phi, cos phi, x, y) as lists; the z
+    coordinates are the cos theta list.
+    """
+    st = list(map(math.sin, thetas))
+    ct = list(map(math.cos, thetas))
+    sp = list(map(math.sin, phis))
+    cp = list(map(math.cos, phis))
+    return st, ct, sp, cp, list(map(mul, st, cp)), list(map(mul, st, sp))
 
 
-def _pair_geometry(xs, ys, zs, i, j):
-    cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-    sind2 = max(1.0 - cosd * cosd, 0.0)
-    sind = math.sqrt(sind2)
-    if sind <= SINGULAR_TOL:
-        raise SingularConfiguration(
-            "bodies %d and %d at singular separation" % (i + 1, j + 1)
-        )
-    return cosd, sind
+def _singular_pair(error, i, j, cosd, sind):
+    """The exception for bodies i and j (0-based) at a singular separation."""
+    kind = "collision" if cosd > 0 else "antipodal alignment"
+    return error(
+        "bodies %d and %d at %s (separation sine %.3g)" % (i + 1, j + 1, kind, sind)
+    )
+
+
+def _pair_table(
+    xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL, error=SingularConfiguration
+):
+    """Every pair i < j as (i, j, cos d, sin d), in order.
+
+    Bodies are given either as Cartesian unit vectors (xs, ys, zs), where
+    cos d is their dot product, or as equatorial longitudes ``phis``, where
+    cos d = cos(phi_i - phi_j).  The two forms round differently, and ring
+    results are printed to 17 digits, so neither replaces the other.  A
+    pair with sin d at or below ``floor`` raises ``error``.
+    """
+    n = len(xs) if phis is None else len(phis)
+    table = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if phis is None:
+                cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
+            else:
+                cosd = math.cos(phis[i] - phis[j])
+            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
+            if sind <= floor:
+                raise _singular_pair(error, i, j, cosd, sind)
+            table.append((i, j, cosd, sind))
+    return table
+
+
+def _pair_guard(thetas, phis, floor=SINGULAR_TOL):
+    """Smallest pair separation sine; a sine at or below ``floor`` raises."""
+    _, ct, _, _, xs, ys = _sphere_tables(thetas, phis)
+    return min(sind for _, _, _, sind in _pair_table(xs, ys, ct, floor=floor))
 
 
 def force_function(masses: MassVector, config) -> float:
     """Value of the force function: the sum over pairs of m_i m_j cot(d_ij)."""
     config = _unpack(masses, config)
     m = masses.masses
-    st, ct, sp, cp, xs, ys, zs = _trig_tables(config)
+    _, ct, _, _, xs, ys = _sphere_tables(config.thetas, config.phis)
     total = 0.0
-    for i in range(config.n):
-        for j in range(i + 1, config.n):
-            cosd, sind = _pair_geometry(xs, ys, zs, i, j)
-            total += m[i] * m[j] * cosd / sind
+    for i, j, cosd, sind in _pair_table(xs, ys, ct):
+        total += m[i] * m[j] * cosd / sind
     return total
+
+
+def _angle_gradient(m, st, ct, sp, cp, xs, ys):
+    """Partials of the force function in theta and in phi, as two lists.
+
+    The arguments after the masses are the lists of ``_sphere_tables``.  The
+    pair loop is written out here rather than read from ``_pair_table``
+    because it is the inner loop of the vector field.
+    """
+    zs = ct
+    n = len(st)
+    dtheta = [0.0] * n
+    dphi = [0.0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
+            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
+            if sind <= SINGULAR_TOL:
+                raise _singular_pair(SingularConfiguration, i, j, cosd, sind)
+            f = m[i] * m[j] / (sind * sind * sind)
+            # d q_i / d theta_i dotted with q_j, and the mirrored term
+            a_i = ct[i] * cp[i] * xs[j] + ct[i] * sp[i] * ys[j] - st[i] * zs[j]
+            a_j = ct[j] * cp[j] * xs[i] + ct[j] * sp[j] * ys[i] - st[j] * zs[i]
+            # d q_i / d phi_i is z-hat cross q_i, so the two phi terms cancel exactly
+            b = xs[i] * ys[j] - ys[i] * xs[j]
+            dtheta[i] += f * a_i
+            dtheta[j] += f * a_j
+            dphi[i] += f * b
+            dphi[j] -= f * b
+    return dtheta, dphi
 
 
 def force_gradient(masses: MassVector, config) -> np.ndarray:
@@ -274,25 +325,13 @@ def force_gradient(masses: MassVector, config) -> np.ndarray:
         sums to zero to the last bit.
     """
     config = _unpack(masses, config)
-    m = masses.masses
-    n = config.n
-    st, ct, sp, cp, xs, ys, zs = _trig_tables(config)
-    dtheta = [0.0] * n
-    dphi = [0.0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd, sind = _pair_geometry(xs, ys, zs, i, j)
-            f = m[i] * m[j] / (sind * sind * sind)
-            # d q_i / d theta_i dotted with q_j, and the mirrored term
-            a_i = ct[i] * cp[i] * xs[j] + ct[i] * sp[i] * ys[j] - st[i] * zs[j]
-            a_j = ct[j] * cp[j] * xs[i] + ct[j] * sp[j] * ys[i] - st[j] * zs[i]
-            # d q_i / d phi_i is z-hat cross q_i, so the two phi terms cancel exactly
-            b = xs[i] * ys[j] - ys[i] * xs[j]
-            dtheta[i] += f * a_i
-            dtheta[j] += f * a_j
-            dphi[i] += f * b
-            dphi[j] -= f * b
+    tables = _sphere_tables(config.thetas, config.phis)
+    dtheta, dphi = _angle_gradient(masses.masses, *tables)
     return np.array(dtheta + dphi)
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def force_hessian_blocks(masses: MassVector, config):
@@ -306,51 +345,47 @@ def force_hessian_blocks(masses: MassVector, config):
     config = _unpack(masses, config)
     m = masses.masses
     n = config.n
-    st, ct, sp, cp, xs, ys, zs = _trig_tables(config)
+    st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)
+    zs = ct
     vtt = np.zeros((n, n))
     vtp = np.zeros((n, n))
     vpp = np.zeros((n, n))
     # tangent vectors along theta and phi for each body
     tth = [(ct[i] * cp[i], ct[i] * sp[i], -st[i]) for i in range(n)]
     tph = [(-ys[i], xs[i], 0.0) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd, sind = _pair_geometry(xs, ys, zs, i, j)
-            s3 = sind * sind * sind
-            f3 = 1.0 / s3
-            f5 = 3.0 * cosd / (s3 * sind * sind)
-            mm = m[i] * m[j]
-            qi = (xs[i], ys[i], zs[i])
-            qj = (xs[j], ys[j], zs[j])
+    for i, j, cosd, sind in _pair_table(xs, ys, zs):
+        s3 = sind * sind * sind
+        f3 = 1.0 / s3
+        f5 = 3.0 * cosd / (s3 * sind * sind)
+        mm = m[i] * m[j]
+        qi = (xs[i], ys[i], zs[i])
+        qj = (xs[j], ys[j], zs[j])
 
-            def dot(a, b):
-                return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        at_i = _dot(qj, tth[i])
+        at_j = _dot(qi, tth[j])
+        ap_i = _dot(qj, tph[i])
+        ap_j = _dot(qi, tph[j])
 
-            at_i = dot(qj, tth[i])
-            at_j = dot(qi, tth[j])
-            ap_i = dot(qj, tph[i])
-            ap_j = dot(qi, tph[j])
+        vtt[i, j] = mm * (f5 * at_i * at_j + f3 * _dot(tth[j], tth[i]))
+        vtt[j, i] = vtt[i, j]
+        vpp[i, j] = mm * (f5 * ap_i * ap_j + f3 * _dot(tph[j], tph[i]))
+        vpp[j, i] = vpp[i, j]
+        vtp[i, j] = mm * (f5 * at_i * ap_j + f3 * _dot(tph[j], tth[i]))
+        vtp[j, i] = mm * (f5 * at_j * ap_i + f3 * _dot(tph[i], tth[j]))
 
-            vtt[i, j] = mm * (f5 * at_i * at_j + f3 * dot(tth[j], tth[i]))
-            vtt[j, i] = vtt[i, j]
-            vpp[i, j] = mm * (f5 * ap_i * ap_j + f3 * dot(tph[j], tph[i]))
-            vpp[j, i] = vpp[i, j]
-            vtp[i, j] = mm * (f5 * at_i * ap_j + f3 * dot(tph[j], tth[i]))
-            vtp[j, i] = mm * (f5 * at_j * ap_i + f3 * dot(tph[i], tth[j]))
-
-            # same-body second derivatives accumulate on the diagonal
-            qi2_tt = (-xs[i], -ys[i], -zs[i])
-            qj2_tt = (-xs[j], -ys[j], -zs[j])
-            qi2_pp = (-xs[i], -ys[i], 0.0)
-            qj2_pp = (-xs[j], -ys[j], 0.0)
-            qi2_tp = (-ct[i] * sp[i], ct[i] * cp[i], 0.0)
-            qj2_tp = (-ct[j] * sp[j], ct[j] * cp[j], 0.0)
-            vtt[i, i] += mm * (f5 * at_i * at_i + f3 * dot(qj, qi2_tt))
-            vtt[j, j] += mm * (f5 * at_j * at_j + f3 * dot(qi, qj2_tt))
-            vpp[i, i] += mm * (f5 * ap_i * ap_i + f3 * dot(qj, qi2_pp))
-            vpp[j, j] += mm * (f5 * ap_j * ap_j + f3 * dot(qi, qj2_pp))
-            vtp[i, i] += mm * (f5 * at_i * ap_i + f3 * dot(qj, qi2_tp))
-            vtp[j, j] += mm * (f5 * at_j * ap_j + f3 * dot(qi, qj2_tp))
+        # same-body second derivatives accumulate on the diagonal
+        qi2_tt = (-xs[i], -ys[i], -zs[i])
+        qj2_tt = (-xs[j], -ys[j], -zs[j])
+        qi2_pp = (-xs[i], -ys[i], 0.0)
+        qj2_pp = (-xs[j], -ys[j], 0.0)
+        qi2_tp = (-ct[i] * sp[i], ct[i] * cp[i], 0.0)
+        qj2_tp = (-ct[j] * sp[j], ct[j] * cp[j], 0.0)
+        vtt[i, i] += mm * (f5 * at_i * at_i + f3 * _dot(qj, qi2_tt))
+        vtt[j, j] += mm * (f5 * at_j * at_j + f3 * _dot(qi, qj2_tt))
+        vpp[i, i] += mm * (f5 * ap_i * ap_i + f3 * _dot(qj, qi2_pp))
+        vpp[j, j] += mm * (f5 * ap_j * ap_j + f3 * _dot(qi, qj2_pp))
+        vtp[i, i] += mm * (f5 * at_i * ap_i + f3 * _dot(qj, qi2_tp))
+        vtp[j, j] += mm * (f5 * at_j * ap_j + f3 * _dot(qi, qj2_tp))
     return vtt, vtp, vpp
 
 

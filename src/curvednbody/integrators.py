@@ -8,12 +8,37 @@ the natural structure-preserving choice.  An adaptive embedded Runge-Kutta
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import StepFailure
+from .errors import InvalidConfiguration, StepFailure
 
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_INNER = 50
+
+
+def step_count(horizon, step, record_stride=1) -> int:
+    """Number of fixed steps of size ``step`` that cover ``horizon``.
+
+    The step must be finite and positive, the horizon must come to a finite
+    number of at least one step, and every ``record_stride``-th step is
+    recorded, so the stride must be at least one.  Anything else raises
+    InvalidConfiguration.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidConfiguration("step must be finite and positive, got %r" % (step,))
+    count = horizon / step
+    if not math.isfinite(count):
+        raise InvalidConfiguration(
+            "horizon %r is not a finite number of steps" % (horizon,)
+        )
+    nsteps = int(round(count))
+    if nsteps <= 0:
+        raise InvalidConfiguration("horizon must cover at least one step")
+    if record_stride < 1:
+        raise InvalidConfiguration("record stride must be positive")
+    return nsteps
 
 
 def midpoint_step(field, x, h, tol=MIDPOINT_TOL, max_inner=MIDPOINT_MAX_INNER):

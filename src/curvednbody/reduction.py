@@ -23,7 +23,7 @@ from .fixedpoints import (
     shape_from_masses,
 )
 from .geometry import SINGULAR_TOL, MassVector
-from .integrators import MIDPOINT_TOL, midpoint_step
+from .integrators import MIDPOINT_TOL, midpoint_step, step_count
 
 
 @dataclass(frozen=True)
@@ -191,17 +191,26 @@ def _cot_derivative(x: float) -> float:
     return -math.copysign(1.0, s) / (s * s)
 
 
+def _gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2):
+    """Partials of the reduced force function with respect to (phi1, phi2).
+
+    The separations are those of ``ReducedState.separations``.
+    """
+    ga = _cot_derivative(phi1)
+    gb = _cot_derivative(phi2 - nu1 * phi1)
+    gc = _cot_derivative(phi2 + nu2 * phi1)
+    dv_dphi1 = m1 * m2 * ga - nu1 * m2 * m3 * gb + nu2 * m1 * m3 * gc
+    dv_dphi2 = m2 * m3 * gb + m1 * m3 * gc
+    return dv_dphi1, dv_dphi2
+
+
 def reduced_potential_gradient(state: ReducedState, masses) -> np.ndarray:
     """Partials of the reduced force function with respect to (phi1, phi2)."""
     m1, m2, m3 = _triple_values(masses)
     jc = JacobiConstants.from_masses(masses)
-    da, db, dc = state.separations(masses)
-    ga = _cot_derivative(da)
-    gb = _cot_derivative(db)
-    gc = _cot_derivative(dc)
-    dv_dphi1 = m1 * m2 * ga - jc.nu1 * m2 * m3 * gb + jc.nu2 * m1 * m3 * gc
-    dv_dphi2 = m2 * m3 * gb + m1 * m3 * gc
-    return np.array([dv_dphi1, dv_dphi2])
+    return np.array(
+        _gap_gradient(m1, m2, m3, jc.nu1, jc.nu2, state.phi1, state.phi2)
+    )
 
 
 def reduced_hamiltonian(state: ReducedState, masses, omega: float = 0.0) -> float:
@@ -340,28 +349,14 @@ def integrate_reduced(
 
     def field(x):
         phi1, phi2, p1, p2 = x
-        da = phi1
-        db = phi2 - nu1 * phi1
-        dc = phi2 + nu2 * phi1
-        ga = _cot_derivative(da)
-        gb = _cot_derivative(db)
-        gc = _cot_derivative(dc)
-        return np.array(
-            [
-                p1 * inv_nu3,
-                p2 * inv_nu4,
-                m1 * m2 * ga - nu1 * m2 * m3 * gb + nu2 * m1 * m3 * gc,
-                m2 * m3 * gb + m1 * m3 * gc,
-            ]
-        )
+        g1, g2 = _gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2)
+        return np.array([p1 * inv_nu3, p2 * inv_nu4, g1, g2])
 
     def energy(x):
         st = ReducedState.from_vector(x, initial.momentum_level)
         return reduced_hamiltonian(st, masses)
 
-    nsteps = int(round(horizon / step))
-    if nsteps <= 0:
-        raise InvalidConfiguration("horizon must cover at least one step")
+    nsteps = step_count(horizon, step, record_stride)
     x = initial.as_vector()
     times = [0.0]
     states = [x.copy()]

@@ -37,9 +37,9 @@ from .fixedpoints import (
 )
 from .geometry import (
     POLAR_TOL,
-    SINGULAR_TOL,
     MassVector,
     RingConfiguration,
+    _pair_table,
     force_hessian_blocks,
 )
 
@@ -120,27 +120,19 @@ def assemble_blocks(
             )
     n = ring.n
     m = masses.masses
-    phis = ring.longitudes
     vertical = np.zeros((n, n))
     tangential = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = math.cos(phis[i] - phis[j])
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= SINGULAR_TOL:
-                raise SingularConfiguration(
-                    "bodies %d and %d at singular separation" % (i + 1, j + 1)
-                )
-            f3 = m[i] * m[j] / (sind * sind * sind)
-            vertical[i, j] = f3
-            vertical[j, i] = f3
-            vertical[i, i] -= f3 * cosd
-            vertical[j, j] -= f3 * cosd
-            g = -2.0 * f3 * cosd
-            tangential[i, j] = g
-            tangential[j, i] = g
-            tangential[i, i] -= g
-            tangential[j, j] -= g
+    for i, j, cosd, sind in _pair_table(phis=ring.longitudes):
+        f3 = m[i] * m[j] / (sind * sind * sind)
+        vertical[i, j] = f3
+        vertical[j, i] = f3
+        vertical[i, i] -= f3 * cosd
+        vertical[j, j] -= f3 * cosd
+        g = -2.0 * f3 * cosd
+        tangential[i, j] = g
+        tangential[j, i] = g
+        tangential[i, i] -= g
+        tangential[j, j] -= g
     return LinearizationBlocks(
         masses=masses,
         ring=ring,
@@ -287,7 +279,12 @@ BOUNDARY_TOL = 1e-9
 
 
 def rate_verdict(omega: float, lam1: float) -> tuple:
-    """Verdict and unstable exponent sqrt(lambda1 - omega^2) of one rotation rate."""
+    """Verdict and unstable exponent sqrt(lambda1 - omega^2) of one rotation rate.
+
+    A rate that is not finite has no verdict and raises InvalidConfiguration.
+    """
+    if not math.isfinite(omega):
+        raise InvalidConfiguration("rotation rate %r is not finite" % (omega,))
     w2 = omega * omega
     exponent = math.sqrt(lam1 - w2) if lam1 > w2 else 0.0
     if omega == 0.0:

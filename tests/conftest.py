@@ -28,3 +28,16 @@ def triples_1000():
 @pytest.fixture
 def rng():
     return np.random.default_rng(999)
+
+
+def singular_pair(i, j, kind):
+    """Pattern of the one singular-pair message, bodies numbered from 1."""
+    return r"^bodies %d and %d at %s \(separation sine [^)]+\)$" % (i, j, kind)
+
+
+def unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without running its checks."""
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

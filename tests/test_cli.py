@@ -510,3 +510,43 @@ class TestConfigAndErrors:
         assert code == 2
         assert out == ""
         assert "rk45" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--omega", "nan"],
+            ["stability", "--omega", "inf"],
+            ["omega-sweep", "--omega-max", "nan", "--count", "3"],
+            ["omega-sweep", "--omega-min", "nan", "--count", "3"],
+        ],
+    )
+    def test_non_finite_rate_rejected(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            argv + ["--masses", "1", "1", "1", "--output", str(out_file)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--step", "0"],
+            ["--step", "-0.001"],
+            ["--step", "nan"],
+            ["--horizon", "nan"],
+            ["--horizon", "inf"],
+            ["--record-stride", "0"],
+            ["--mode", "growth", "--record-stride", "0"],
+            ["--mode", "growth", "--horizon", "0.004", "--step", "0.01"],
+        ],
+    )
+    def test_bad_step_parameters_rejected(self, capsys, tmp_path, extra):
+        out_file = tmp_path / "out.csv"
+        argv = ["simulate", "--masses", "1", "1", "1", "--output", str(out_file)]
+        code, _, err = run_cli(argv + extra, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_file.exists()

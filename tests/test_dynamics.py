@@ -21,8 +21,17 @@ from curvednbody.errors import (
     StepFailure,
 )
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
-from curvednbody.geometry import MassVector, force_function, kinetic_energy
+from curvednbody.geometry import (
+    MassVector,
+    SphereConfiguration,
+    force_function,
+    force_gradient,
+    kinetic_energy,
+)
 from curvednbody.integrators import midpoint_step
+from curvednbody.reduction import integrate_reduced, rest_point_from_shape
+
+from conftest import singular_pair
 
 EQUAL = as_mass_triple((1.0, 1.0, 1.0))
 MV = EQUAL.mass_vector()
@@ -59,8 +68,14 @@ class TestPhaseState:
             PhaseState((1e-10, 1.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
 
     def test_singular_pair_rejected(self):
-        with pytest.raises(SingularConfiguration):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
             PhaseState((1.0, 1.0), (2.0, 2.0), (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(
+            SingularConfiguration, match=singular_pair(1, 2, "antipodal alignment")
+        ):
+            PhaseState(
+                (math.pi / 2, math.pi / 2), (0.0, math.pi), (0.0, 0.0), (0.0, 0.0)
+            )
 
     def test_size_checks(self):
         with pytest.raises(InvalidConfiguration):
@@ -73,7 +88,28 @@ class TestPhaseState:
             PhaseState.from_vector(np.zeros(10))
 
 
+# equatorial bodies 1 and 2 at one point, and at opposite points
+SINGULAR_STATES = [
+    ("collision", [math.pi / 2, math.pi / 2, 1.0, 0.0, 0.0, 2.0] + [0.0] * 6),
+    ("antipodal alignment", [math.pi / 2, math.pi / 2, 1.0, 0.0, math.pi, 2.0] + [0.0] * 6),
+]
+
+
 class TestField:
+    @pytest.mark.parametrize("kind, x", SINGULAR_STATES)
+    def test_singular_pair_raises(self, kind, x):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, kind)):
+            make_field(MV, 0.3)(np.array(x))
+
+    def test_momentum_rows_at_rest_are_the_force_gradient(self, rng):
+        # the field and force_gradient share one definition of the gradient
+        for _ in range(5):
+            state = random_state(rng)
+            phis = tuple(p % (2 * math.pi) for p in state.phis)
+            x = np.array(state.thetas + phis + (0.0,) * 6)
+            config = SphereConfiguration(state.thetas, phis)
+            assert np.array_equal(make_field(MV, 0.0)(x)[6:], force_gradient(MV, config))
+
     def test_matches_hamiltonian_gradient(self, rng):
         # the field must be the symplectic gradient of the energy
         field = make_field(MV, 0.0)
@@ -107,6 +143,18 @@ class TestField:
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("kind, x", SINGULAR_STATES)
+    def test_singular_pair_raises(self, kind, x):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, kind)):
+            hamiltonian(MV, np.array(x))
+
+    def test_at_rest_is_minus_the_force_function(self, rng):
+        for _ in range(5):
+            state = random_state(rng)
+            phis = tuple(p % (2 * math.pi) for p in state.phis)
+            rest = PhaseState(state.thetas, phis, (0.0,) * 3, (0.0,) * 3)
+            assert hamiltonian(MV, rest) == -force_function(MV, rest.configuration())
+
     def test_matches_energy_pieces(self, rng):
         state = random_state(rng)
         expected = kinetic_energy(MV, state) - force_function(
@@ -186,6 +234,15 @@ class TestIntegrate:
             integrate(mv, state, horizon=5.0, step=1e-3)
         assert info.value.time is not None
 
+    def test_separation_floor_aborts_with_step_failure(self):
+        # a pair 1e-7 apart is a valid state but sits below the integration floor
+        state = PhaseState(
+            (math.pi / 2, math.pi / 2, 1.0), (0.0, 1e-7, 2.0), (0.0,) * 3, (0.0,) * 3
+        )
+        with pytest.raises(StepFailure, match=singular_pair(1, 2, "collision")) as info:
+            integrate(MV, state, horizon=1e-2, step=1e-3)
+        assert info.value.time == 0.0
+
     @pytest.mark.parametrize("max_inner", [0, -1])
     def test_midpoint_step_without_iterations_fails_typed(self, max_inner):
         field = make_field(MV, 1.3)
@@ -203,6 +260,38 @@ class TestIntegrate:
             integrate(MV, state, horizon=1.0, method="euler")
         with pytest.raises(InvalidConfiguration):
             integrate(MV, np.zeros(8), horizon=1.0)
+
+
+STEPPED_RUNS = {
+    "integrate": lambda **kw: integrate(
+        MV, relative_equilibrium(MV, RING, 1.3), **{"horizon": 1.0, **kw}
+    ),
+    "growth": lambda **kw: growth_rate_experiment(EQUAL, 0.5, **{"horizon": 1.0, **kw}),
+    "reduced": lambda **kw: integrate_reduced(
+        EQUAL,
+        rest_point_from_shape(shape_from_masses(EQUAL), EQUAL),
+        **{"horizon": 1.0, **kw},
+    ),
+}
+
+BAD_STEPPING = [
+    {"step": 0.0},
+    {"step": -1e-3},
+    {"step": math.nan},
+    {"step": math.inf},
+    {"horizon": math.nan},
+    {"horizon": math.inf},
+    {"horizon": -1.0},
+    {"horizon": 1e-4, "step": 1e-2},
+    {"record_stride": 0},
+]
+
+
+@pytest.mark.parametrize("run", sorted(STEPPED_RUNS))
+@pytest.mark.parametrize("bad", BAD_STEPPING, ids=repr)
+def test_bad_step_parameters_rejected(run, bad):
+    with pytest.raises(InvalidConfiguration):
+        STEPPED_RUNS[run](**bad)
 
 
 class TestGrowthExperiment:

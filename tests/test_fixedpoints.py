@@ -10,6 +10,7 @@ from curvednbody.errors import (
     NoConvergence,
     NonpositiveMass,
     NotAdmissible,
+    SingularIterate,
 )
 from curvednbody.fixedpoints import (
     AdmissibleMassTriple,
@@ -29,7 +30,13 @@ from curvednbody.fixedpoints import (
 )
 from curvednbody.geometry import MassVector, RingConfiguration
 
-from conftest import draw_admissible_triples
+from conftest import draw_admissible_triples, singular_pair, unchecked
+
+# rings the constructor would reject: bodies 1 and 2 together, 1 and 3 opposite
+SINGULAR_RINGS = [
+    (2, "collision", (0.0, 1e-12, 4.0)),
+    (3, "antipodal alignment", (0.0, 1.0, math.pi)),
+]
 
 
 class TestAdmissibility:
@@ -199,7 +206,20 @@ class TestResidual:
             fixed_point_residual(MassVector((1.0, 1.0)), ring_from_shape(TriangleShape(2.0, 2.0)))
 
 
+    @pytest.mark.parametrize("j, kind, longitudes", SINGULAR_RINGS)
+    def test_singular_pair_raises(self, j, kind, longitudes):
+        ring = unchecked(RingConfiguration, longitudes=longitudes)
+        with pytest.raises(SingularIterate, match=singular_pair(1, j, kind)):
+            fixed_point_residual(MassVector((1.0, 1.0, 1.0)), ring)
+
+
 class TestNewtonSolver:
+    @pytest.mark.parametrize("j, kind, longitudes", SINGULAR_RINGS)
+    def test_singular_start_raises(self, j, kind, longitudes):
+        start = unchecked(RingConfiguration, longitudes=longitudes)
+        with pytest.raises(SingularIterate, match=singular_pair(1, j, kind)):
+            solve_fixed_point_numeric(MassVector((1.0, 1.0, 1.0)), start)
+
     def test_recovers_constructed_ring(self, rng):
         for triple in draw_admissible_triples(rng, 10):
             mv = as_mass_triple(triple).mass_vector()

@@ -21,6 +21,8 @@ from curvednbody.geometry import (
     to_cartesian,
 )
 
+from conftest import singular_pair, unchecked
+
 EQUILATERAL = RingConfiguration((0.0, 2 * math.pi / 3, 4 * math.pi / 3))
 
 
@@ -83,11 +85,13 @@ class TestSphereConfiguration:
         assert c.phis[1] == pytest.approx(2 * math.pi - 0.5, abs=1e-15)
 
     def test_collision_rejected(self):
-        with pytest.raises(SingularConfiguration):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
             SphereConfiguration((1.0, 1.0), (0.3, 0.3))
 
     def test_antipodal_rejected(self):
-        with pytest.raises(SingularConfiguration):
+        with pytest.raises(
+            SingularConfiguration, match=singular_pair(1, 2, "antipodal alignment")
+        ):
             SphereConfiguration((math.pi / 2, math.pi / 2), (0.0, math.pi))
 
     def test_count_mismatch(self):
@@ -116,6 +120,14 @@ class TestRingConfiguration:
     def test_gaps(self):
         ring = RingConfiguration((0.0, 1.5, 3.5))
         assert ring.gaps() == pytest.approx((1.5, 2.0))
+
+    def test_singular_pairs_rejected(self):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
+            RingConfiguration((0.0, 1e-12, 2.0, 4.0))
+        with pytest.raises(
+            SingularConfiguration, match=singular_pair(1, 3, "antipodal alignment")
+        ):
+            RingConfiguration((0.0, 1.0, math.pi + 1e-13))
 
     def test_to_sphere_sits_on_equator(self):
         sphere = EQUILATERAL.to_sphere()
@@ -163,11 +175,19 @@ class TestForceFunction:
     def test_singular_pair_raises(self):
         mv = MassVector((1.0, 1.0))
         config = SphereConfiguration((1.0, 1.2), (0.0, 2.0))
-        near = SphereConfiguration.__new__(SphereConfiguration)
-        object.__setattr__(near, "thetas", (1.0, 1.0))
-        object.__setattr__(near, "phis", (0.0, 1e-13))
-        with pytest.raises(SingularConfiguration):
-            force_function(mv, near)
+        near = unchecked(SphereConfiguration, thetas=(1.0, 1.0), phis=(0.0, 1e-13))
+        opposite = unchecked(
+            SphereConfiguration, thetas=(math.pi / 2, math.pi / 2), phis=(0.0, math.pi)
+        )
+        for function in (force_function, force_gradient, force_hessian_blocks):
+            with pytest.raises(
+                SingularConfiguration, match=singular_pair(1, 2, "collision")
+            ):
+                function(mv, near)
+            with pytest.raises(
+                SingularConfiguration, match=singular_pair(1, 2, "antipodal alignment")
+            ):
+                function(mv, opposite)
         assert math.isfinite(force_function(mv, config))
 
 

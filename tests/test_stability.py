@@ -8,6 +8,7 @@ from curvednbody.dynamics import PhaseState, make_field, relative_equilibrium
 from curvednbody.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    InvalidConfiguration,
     NotAFixedPoint,
 )
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
@@ -27,6 +28,7 @@ from curvednbody.stability import (
     null_structure_check,
     null_vectors,
     omega_critical,
+    rate_verdict,
     skew_product,
     spectral_analysis,
     vertical_mode,
@@ -131,6 +133,13 @@ class TestSpectralAnalysis:
         assert spectral_analysis(blocks, crit + 1e-4).verdict == VERDICT_STABLE
         assert spectral_analysis(blocks, 1.2).verdict == VERDICT_UNSTABLE
         assert spectral_analysis(blocks, 1.3).verdict == VERDICT_STABLE
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_has_no_verdict(self, omega):
+        with pytest.raises(InvalidConfiguration):
+            rate_verdict(omega, LAMBDA1_EQUAL)
+        with pytest.raises(InvalidConfiguration):
+            spectral_analysis(equal_mass_blocks(), omega)
 
     def test_unstable_exponent(self):
         blocks = equal_mass_blocks()
