@@ -507,6 +507,8 @@ def _cmd_simulate(opts) -> int:
         x0 = state.as_vector()
     else:
         amplitude = opts["amplitude"] if opts["amplitude"] is not None else 1e-2
+        if not math.isfinite(amplitude):
+            raise InvalidConfiguration("amplitude %r is not finite" % (amplitude,))
         rng = np.random.default_rng(int(opts["seed"]))
         rest = dynamics.relative_equilibrium(mv, ring, omega).as_vector()
         x0 = rest + float(amplitude) * rng.uniform(-1.0, 1.0, rest.size)

@@ -32,7 +32,13 @@ from .geometry import (
     _pair_table,
     _sphere_tables,
 )
-from .integrators import MIDPOINT_TOL, midpoint_step, rk45_solve, step_count
+from .integrators import (
+    MIDPOINT_TOL,
+    fixed_steps,
+    midpoint_step,
+    rk45_solve,
+    step_count,
+)
 from .stability import assemble_blocks, vertical_mode
 
 # Integration aborts when any pair separation sine falls below this.
@@ -110,6 +116,32 @@ def relative_equilibrium(
     )
 
 
+def _field_kernel(masses: MassVector, omega: float):
+    """The vector field of ``make_field`` on lists of floats, list in, list out."""
+    m = masses.masses
+    n = masses.n
+    om = float(omega)
+
+    def field(vals):
+        st, ct, sp, cp, xs, ys = _sphere_tables(vals[0:n], vals[n : 2 * n])
+        if min(st) <= POLAR_TOL:
+            i = next(i for i, s in enumerate(st) if s <= POLAR_TOL)
+            raise PolarSingularity("body %d at the polar guard" % (i + 1))
+        dth, dph = _angle_gradient(m, st, ct, sp, cp, xs, ys)
+        out = [0.0] * (4 * n)
+        for i in range(n):
+            s = st[i]
+            p = vals[3 * n + i]
+            ms2 = m[i] * (s * s)
+            out[i] = vals[2 * n + i] / m[i]
+            out[n + i] = p / ms2 - om
+            out[2 * n + i] = p * p * ct[i] / (ms2 * s) + dth[i]
+            out[3 * n + i] = dph[i]
+        return out
+
+    return field
+
+
 def make_field(masses: MassVector, omega: float = 0.0):
     """Right-hand side of the equations of motion on flat 4n vectors.
 
@@ -117,29 +149,10 @@ def make_field(masses: MassVector, omega: float = 0.0):
     longitude velocities by a constant and nothing else.  The longitude
     momentum derivatives are accumulated as exactly opposite pairs.
     """
-    m = masses.masses
-    n = masses.n
-    om = float(omega)
+    kernel = _field_kernel(masses, omega)
 
     def field(x):
-        vals = x.tolist()
-        th = vals[0:n]
-        ph = vals[n : 2 * n]
-        pt = vals[2 * n : 3 * n]
-        pf = vals[3 * n : 4 * n]
-        st, ct, sp, cp, xs, ys = _sphere_tables(th, ph)
-        for i in range(n):
-            if st[i] <= POLAR_TOL:
-                raise PolarSingularity("body %d at the polar guard" % (i + 1))
-        dth, dph = _angle_gradient(m, st, ct, sp, cp, xs, ys)
-        out = [0.0] * (4 * n)
-        for i in range(n):
-            s2 = st[i] * st[i]
-            out[i] = pt[i] / m[i]
-            out[n + i] = pf[i] / (m[i] * s2) - om
-            out[2 * n + i] = pf[i] * pf[i] * ct[i] / (m[i] * s2 * st[i]) + dth[i]
-            out[3 * n + i] = dph[i]
-        return np.array(out)
+        return np.array(kernel(x.tolist()))
 
     return field
 
@@ -216,9 +229,10 @@ def integrate(
     """Integrate the equations of motion and collect conservation monitors.
 
     ``method`` selects the implicit midpoint reference integrator or the
-    adaptive "rk45" cross-check route.  Integration aborts with StepFailure
-    when a step stalls or a recorded sample has a pair separation sine below
-    the hard floor.
+    adaptive "rk45" cross-check route.  A non-finite initial state raises
+    InvalidConfiguration.  Integration aborts with StepFailure, carrying the
+    time and the step index, when a step fails or a recorded sample has a
+    pair separation sine below the hard floor.
     """
     x0 = initial.as_vector() if isinstance(initial, PhaseState) else np.asarray(
         initial, float
@@ -226,64 +240,60 @@ def integrate(
     n = masses.n
     if x0.shape != (4 * n,):
         raise InvalidConfiguration("initial state length does not match mass count")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidConfiguration("initial state contains a non-finite entry")
+    if method not in ("midpoint", "rk45"):
+        raise InvalidConfiguration("unknown integration method %r" % method)
     nsteps = step_count(horizon, step, record_stride)
-    field = make_field(masses, omega)
-
-    def monitors(x, t, acc):
-        vals = x.tolist()
-        th = vals[0:n]
-        ph = vals[n : 2 * n]
-        try:
-            sep = _pair_guard(th, ph, SEPARATION_FLOOR)
-        except SingularConfiguration as exc:
-            raise StepFailure(str(exc), time=t) from None
-        acc["min_sep"] = min(acc["min_sep"], sep)
-        acc["max_eq"] = max(acc["max_eq"], max(abs(t_ - EQUATOR) for t_ in th))
-        h = hamiltonian(masses, x, omega)
-        j = float(sum(vals[3 * n :]))
-        if "h0" not in acc:
-            acc["h0"] = h
-            acc["j0"] = j
-        acc["h_drift"] = max(acc["h_drift"], abs(h - acc["h0"]))
-        acc["j_drift"] = max(acc["j_drift"], abs(j - acc["j0"]))
-
-    acc = {"min_sep": 2.0, "max_eq": 0.0, "h_drift": 0.0, "j_drift": 0.0}
-    times = [0.0]
-    states = [x0.copy()]
-    monitors(x0, 0.0, acc)
 
     if method == "rk45":
         t_record = [k * step for k in range(record_stride, nsteps + 1, record_stride)]
         if not t_record or t_record[-1] < nsteps * step:
             t_record.append(nsteps * step)
-        ts, xs = rk45_solve(field, x0, nsteps * step, t_eval=np.array(t_record))
-        for t, x in zip(ts, xs):
-            times.append(float(t))
-            states.append(np.asarray(x))
-            monitors(states[-1], float(t), acc)
-    elif method == "midpoint":
-        x = x0
-        for k in range(1, nsteps + 1):
-            t = k * step
-            try:
-                x = midpoint_step(field, x, step, tol=inner_tol)
-            except (StepFailure, SingularConfiguration, PolarSingularity) as exc:
-                raise StepFailure(str(exc), time=t) from None
-            if k % record_stride == 0 or k == nsteps:
-                times.append(t)
-                states.append(x.copy())
-                monitors(x, t, acc)
+        ts, xs = rk45_solve(
+            make_field(masses, omega), x0, nsteps * step, t_eval=np.array(t_record)
+        )
+        samples = [(0.0, x0.tolist())]
+        samples.extend((float(t), x.tolist()) for t, x in zip(ts, xs))
     else:
-        raise InvalidConfiguration("unknown integration method %r" % method)
+        field = _field_kernel(masses, omega)
+        samples = fixed_steps(
+            lambda x: midpoint_step(field, x, step, inner_tol),
+            x0.tolist(),
+            step,
+            nsteps,
+            record_stride,
+        )
+
+    times = []
+    states = []
+    min_sep = 2.0
+    max_eq = h_drift = j_drift = 0.0
+    for t, vals in samples:
+        th = vals[0:n]
+        try:
+            sep = _pair_guard(th, vals[n : 2 * n], SEPARATION_FLOOR)
+        except SingularConfiguration as exc:
+            raise StepFailure(str(exc), time=t, step=round(t / step)) from None
+        min_sep = min(min_sep, sep)
+        max_eq = max(max_eq, max(abs(t_ - EQUATOR) for t_ in th))
+        h = hamiltonian(masses, vals, omega)
+        j = float(sum(vals[3 * n :]))
+        if not states:
+            h0, j0 = h, j
+        h_drift = max(h_drift, abs(h - h0))
+        j_drift = max(j_drift, abs(j - j0))
+        times.append(t)
+        states.append(vals)
 
     return TrajectoryRecord(
         times=np.array(times),
         states=np.array(states),
         omega=float(omega),
-        energy_drift=acc["h_drift"],
-        momentum_drift=acc["j_drift"],
-        max_equator_deviation=acc["max_eq"],
-        min_separation_sine=acc["min_sep"],
+        energy_drift=h_drift,
+        momentum_drift=j_drift,
+        max_equator_deviation=max_eq,
+        min_separation_sine=min_sep,
     )
 
 
@@ -329,8 +339,11 @@ def growth_rate_experiment(
     ``fit_floor_factor`` times the amplitude but stay below ``fit_ceiling``,
     where growth is linear before nonlinear saturation.  Fewer than
     ``min_points`` samples in the window raises NoGrowthWindow, the expected
-    outcome at supercritical rates.
+    outcome at supercritical rates.  A non-finite amplitude raises
+    InvalidConfiguration.
     """
+    if not math.isfinite(amplitude):
+        raise InvalidConfiguration("amplitude %r is not finite" % (amplitude,))
     triple = as_mass_triple(masses)
     mv = triple.mass_vector()
     ring = ring_from_shape(shape_from_masses(triple))
@@ -346,23 +359,24 @@ def growth_rate_experiment(
     w /= np.max(np.abs(w))
 
     rest = relative_equilibrium(mv, ring, omega).as_vector()
-    x = rest + amplitude * w
-    field = make_field(mv, omega)
+    field = _field_kernel(mv, omega)
     nsteps = step_count(horizon, step, record_stride)
-    times = [0.0]
-    devs = [float(np.max(np.abs(x - rest)))]
-    for k in range(1, nsteps + 1):
-        t = k * step
-        try:
-            x = midpoint_step(field, x, step, tol=inner_tol)
-        except (StepFailure, SingularConfiguration, PolarSingularity) as exc:
-            raise StepFailure(str(exc), time=t) from None
-        if k % record_stride == 0 or k == nsteps:
-            dev = float(np.max(np.abs(x - rest)))
-            times.append(t)
-            devs.append(dev)
-            if dev > 2.0 * fit_ceiling:
-                break
+    samples = fixed_steps(
+        lambda x: midpoint_step(field, x, step, inner_tol),
+        (rest + amplitude * w).tolist(),
+        step,
+        nsteps,
+        record_stride,
+    )
+    rest = rest.tolist()
+    times = []
+    devs = []
+    for t, x in samples:
+        dev = max([abs(a - b) for a, b in zip(x, rest)])
+        times.append(t)
+        devs.append(dev)
+        if t > 0.0 and dev > 2.0 * fit_ceiling:
+            break
     times_arr = np.array(times)
     devs_arr = np.array(devs)
     floor = fit_floor_factor * amplitude

@@ -60,12 +60,15 @@ class DegenerateBasis(CurvedNBodyError):
 class StepFailure(CurvedNBodyError):
     """A time step could not be completed.
 
-    Carries the time at which stepping failed in ``time`` when known.
+    Carries the time at which stepping failed in ``time`` and the index of
+    the failing step (counted from 1; 0 for the initial state) in ``step``,
+    when known.
     """
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time=None, step=None):
         super().__init__(message)
         self.time = time
+        self.step = step
 
 
 class NoGrowthWindow(CurvedNBodyError):

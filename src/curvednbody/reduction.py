@@ -5,7 +5,10 @@ momentum; on a fixed momentum level the remaining two degrees of freedom
 carry a reduced Hamiltonian whose rest points are the ring fixed points.
 The Hessian of the force function in the gap variables certifies those rest
 points as strict minima, giving nonlinear stability of the circular motions
-within the equatorial subsystem.
+within the equatorial subsystem.  The reduced Hamiltonian is separable, so
+``integrate_reduced`` follows its flow with the explicit fourth-order
+Yoshida composition of leapfrog by default, and with the implicit midpoint
+rule of the full system as the cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfiguration, SingularConfiguration
+from .errors import InvalidConfiguration, SingularConfiguration, StepFailure
 from .fixedpoints import (
     TriangleShape,
     as_mass_triple,
@@ -23,7 +26,13 @@ from .fixedpoints import (
     shape_from_masses,
 )
 from .geometry import SINGULAR_TOL, MassVector
-from .integrators import MIDPOINT_TOL, midpoint_step, step_count
+from .integrators import (
+    MIDPOINT_TOL,
+    fixed_steps,
+    midpoint_step,
+    step_count,
+    yoshida4_step,
+)
 
 
 @dataclass(frozen=True)
@@ -335,39 +344,62 @@ def integrate_reduced(
     step: float = 1e-3,
     record_stride: int = 10,
     inner_tol: float = MIDPOINT_TOL,
+    method: str = "yoshida4",
 ) -> ReducedTrajectory:
-    """Implicit midpoint integration of the reduced system.
+    """Fixed-step integration of the reduced system.
 
-    Records every ``record_stride``-th step (plus the endpoints) and reports
-    the largest deviation of the reduced energy from its initial value over
-    the recorded samples.
+    The reduced Hamiltonian is separable, so the default ``method``
+    "yoshida4" is the explicit fourth-order symplectic composition of
+    leapfrog; "midpoint" is the implicit midpoint rule of the full system,
+    kept as the cross-check (``inner_tol`` applies to it only).  Records
+    every ``record_stride``-th step (plus the endpoints) and reports the
+    largest deviation of the reduced energy from its initial value over the
+    recorded samples.  A step that fails or reaches a singular separation
+    raises StepFailure with its time and step index.
     """
     jc = JacobiConstants.from_masses(masses)
     m1, m2, m3 = _triple_values(masses)
     nu1, nu2 = jc.nu1, jc.nu2
     inv_nu3, inv_nu4 = 1.0 / jc.nu3, 1.0 / jc.nu4
 
-    def field(x):
-        phi1, phi2, p1, p2 = x
-        g1, g2 = _gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2)
-        return np.array([p1 * inv_nu3, p2 * inv_nu4, g1, g2])
+    def force(q):
+        return _gap_gradient(m1, m2, m3, nu1, nu2, q[0], q[1])
 
-    def energy(x):
-        st = ReducedState.from_vector(x, initial.momentum_level)
-        return reduced_hamiltonian(st, masses)
+    if method == "yoshida4":
+        inv_mass = (inv_nu3, inv_nu4)
+
+        def advance(x):
+            return yoshida4_step(force, inv_mass, x, step)
+
+    elif method == "midpoint":
+
+        def field(x):
+            g1, g2 = force(x)
+            return [x[2] * inv_nu3, x[3] * inv_nu4, g1, g2]
+
+        def advance(x):
+            return midpoint_step(field, x, step, inner_tol)
+
+    else:
+        raise InvalidConfiguration("unknown integration method %r" % method)
 
     nsteps = step_count(horizon, step, record_stride)
-    x = initial.as_vector()
-    times = [0.0]
-    states = [x.copy()]
-    e0 = energy(x)
+    x0 = initial.as_vector().tolist()
+    times = []
+    states = []
     drift = 0.0
-    for k in range(1, nsteps + 1):
-        x = midpoint_step(field, x, step, tol=inner_tol)
-        if k % record_stride == 0 or k == nsteps:
-            times.append(k * step)
-            states.append(x.copy())
-            drift = max(drift, abs(energy(x) - e0))
+    for t, x in fixed_steps(advance, x0, step, nsteps, record_stride):
+        try:
+            energy = reduced_hamiltonian(
+                ReducedState.from_vector(x, initial.momentum_level), masses
+            )
+        except SingularConfiguration as exc:
+            raise StepFailure(str(exc), time=t, step=round(t / step)) from None
+        if not states:
+            e0 = energy
+        drift = max(drift, abs(energy - e0))
+        times.append(t)
+        states.append(x)
     return ReducedTrajectory(
         times=np.array(times),
         states=np.array(states),

@@ -518,6 +518,8 @@ class TestConfigAndErrors:
             ["stability", "--omega", "inf"],
             ["omega-sweep", "--omega-max", "nan", "--count", "3"],
             ["omega-sweep", "--omega-min", "nan", "--count", "3"],
+            ["stability", "--omega", "1e200"],
+            ["omega-sweep", "--omega-max", "1e200"],
         ],
     )
     def test_non_finite_rate_rejected(self, capsys, tmp_path, argv):
@@ -528,6 +530,20 @@ class TestConfigAndErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("mode", ["perturbed", "growth"])
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_rejected(self, capsys, tmp_path, mode, amplitude):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            ["simulate", "--masses", "1", "1", "1", "--mode", mode, "--amplitude",
+             amplitude, "--horizon", "0.1", "--output", str(out_file)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: amplitude %s is not finite\n" % amplitude
         assert not out_file.exists()
 
     @pytest.mark.parametrize(

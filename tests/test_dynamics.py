@@ -28,6 +28,7 @@ from curvednbody.geometry import (
     force_gradient,
     kinetic_energy,
 )
+from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
 from curvednbody.reduction import integrate_reduced, rest_point_from_shape
 
@@ -243,12 +244,47 @@ class TestIntegrate:
             integrate(MV, state, horizon=1e-2, step=1e-3)
         assert info.value.time == 0.0
 
+    def test_midpoint_step_serves_numpy_callers(self):
+        field = make_field(MV, 1.3)
+        x = relative_equilibrium(MV, RING, 1.3).as_vector()
+        x[0:3] += 1e-3
+        y = midpoint_step(field, x, 1e-3)
+        assert isinstance(y, np.ndarray) and y.shape == x.shape
+        kernel = dynamics._field_kernel(MV, 1.3)
+        assert y.tolist() == midpoint_step(kernel, x.tolist(), 1e-3)
+
+    def test_midpoint_step_rejects_a_non_finite_iterate(self):
+        # the update of the finite entry converges, the other entry is nan
+        with pytest.raises(StepFailure):
+            midpoint_step(lambda v: [0.0, math.nan], [0.0, 1.0], 1e-3)
+
+    def test_one_midpoint_step_for_every_flow(self):
+        assert dynamics.midpoint_step is integrators.midpoint_step
+        assert reduction.midpoint_step is integrators.midpoint_step
+
     @pytest.mark.parametrize("max_inner", [0, -1])
     def test_midpoint_step_without_iterations_fails_typed(self, max_inner):
         field = make_field(MV, 1.3)
         x = relative_equilibrium(MV, RING, 1.3).as_vector()
         with pytest.raises(StepFailure):
             midpoint_step(field, x, 1e-3, max_inner=max_inner)
+
+    def test_step_failure_names_the_failing_step(self):
+        mv = MassVector((1.0, 1.0))
+        state = PhaseState(
+            (math.pi / 2, math.pi / 2), (0.0, 0.5), (0.0, 0.0), (0.4, -0.4)
+        )
+        with pytest.raises(StepFailure) as info:
+            integrate(mv, state, horizon=5.0, step=1e-3)
+        assert info.value.step >= 1
+        assert info.value.time == info.value.step * 1e-3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, bad):
+        x0 = relative_equilibrium(MV, RING, 1.3).as_vector()
+        x0[7] = bad
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            integrate(MV, x0, horizon=1.0)
 
     def test_invalid_inputs(self):
         state = relative_equilibrium(MV, RING, 0.0)
@@ -308,7 +344,53 @@ class TestGrowthExperiment:
             growth_rate_experiment(EQUAL, 1.3, horizon=30.0)
         assert info.value.max_deviation < 1e-5
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(InvalidConfiguration, match="amplitude"):
+            growth_rate_experiment(EQUAL, 0.5, amplitude=amplitude, horizon=1.0)
+
     def test_deviation_series_recorded(self):
         fit = growth_rate_experiment(EQUAL, 0.0, horizon=30.0)
         assert fit.times.shape == fit.deviations.shape
         assert fit.deviations[0] == pytest.approx(fit.amplitude, rel=1e-9)
+
+
+class TestPinnedBits:
+    """Full-system results pinned bit for bit: stepping on float lists must
+    reproduce the numpy iteration it replaced."""
+
+    def test_integrate(self):
+        x0 = relative_equilibrium(MV, RING, 1.3).as_vector()
+        x0 += 1e-3 * np.linspace(-1.0, 1.0, 12)
+        record = integrate(MV, x0, horizon=0.2, step=1e-3, omega=1.3)
+        assert record.states.shape == (21, 12)
+        assert record.states[-1].tolist() == [
+            1.5698606074128842,
+            1.5701441630181325,
+            1.5704277418254866,
+            -6.580598348976036e-05,
+            2.094613437487296,
+            4.189292674643427,
+            0.00012499347416004944,
+            0.00028037562590411914,
+            0.0004358369596072838,
+            0.4339937014491775,
+            0.43415155568473124,
+            0.4343092883206368,
+        ]
+        assert record.energy_drift == 4.440892098500626e-16
+        assert record.momentum_drift == 2.220446049250313e-16
+        assert record.max_equator_deviation == 0.0009999999999998899
+        assert record.min_separation_sine == 0.8658835214110875
+
+    def test_growth_fit(self):
+        triple = as_mass_triple((0.25, 0.45, 0.30))
+        fit = growth_rate_experiment(triple, 1.0, amplitude=1e-5, horizon=40.0)
+        assert fit.rate == 0.8980074309184528
+        assert fit.expected_rate == 0.8980113781961803
+        assert fit.n_points == 51
+        assert fit.window == (2.6, 7.6000000000000005)
+        assert fit.log_residual == 5.521603322566904e-05
+        assert fit.max_deviation == 0.020645959381771384
+        assert fit.deviations[-1] == fit.max_deviation
+        assert fit.times.size == 86

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from curvednbody.errors import InconsistentPair, InvalidConfiguration, SingularConfiguration
+from curvednbody.errors import (
+    InconsistentPair,
+    InvalidConfiguration,
+    SingularConfiguration,
+    StepFailure,
+)
 from curvednbody.fixedpoints import TriangleShape, as_mass_triple, shape_from_masses
 from curvednbody.geometry import MassVector, SphereConfiguration, force_function
 from curvednbody.reduction import (
@@ -237,3 +242,70 @@ class TestReducedIntegration:
         rest = rest_point_from_shape(shape, MV)
         with pytest.raises(InvalidConfiguration):
             integrate_reduced(MV, rest, horizon=0.0)
+
+
+def flow_start(triple):
+    """The rest point of the triple's ring with its first gap opened by 1e-2."""
+    rest = rest_point_from_shape(shape_from_masses(triple), triple)
+    return ReducedState(
+        rest.phi1 + 1e-2, rest.phi2, rest.p1, rest.p2, rest.momentum_level
+    )
+
+
+class TestYoshida4:
+    def test_default_is_yoshida4(self):
+        start = flow_start(TRIPLE)
+        default = integrate_reduced(MV, start, horizon=0.1)
+        explicit = integrate_reduced(MV, start, horizon=0.1, method="yoshida4")
+        assert np.array_equal(default.states, explicit.states)
+
+    @pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (0.25, 0.45, 0.30)])
+    def test_fourth_order(self, masses):
+        triple = as_mass_triple(masses)
+        start = flow_start(triple)
+
+        def final(h):
+            run = integrate_reduced(
+                triple, start, horizon=4.0, step=h, record_stride=10**6
+            )
+            return run.states[-1]
+
+        h = 0.04
+        reference = final(h / 64)
+        ratio = np.max(np.abs(final(h) - reference)) / np.max(
+            np.abs(final(h / 2) - reference)
+        )
+        assert 12.0 < ratio < 20.0
+
+    @pytest.mark.parametrize(
+        "masses", [(1.0, 1.0, 1.0), (0.25, 0.45, 0.30), (0.2, 0.5, 0.3)]
+    )
+    def test_agrees_with_midpoint(self, masses):
+        triple = as_mass_triple(masses)
+        start = flow_start(triple)
+        explicit = integrate_reduced(triple, start, horizon=1.0)
+        implicit = integrate_reduced(triple, start, horizon=1.0, method="midpoint")
+        assert np.array_equal(explicit.times, implicit.times)
+        assert np.max(np.abs(explicit.states - implicit.states)) < 1e-7
+        assert explicit.energy_drift < 1e-14
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidConfiguration):
+            integrate_reduced(MV, flow_start(TRIPLE), horizon=1.0, method="euler")
+
+    @pytest.mark.parametrize("method", ["yoshida4", "midpoint"])
+    def test_singular_state_is_a_step_failure(self, method):
+        rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
+        start = ReducedState(0.0, rest.phi2, 0.0, 0.0, rest.momentum_level)
+        with pytest.raises(StepFailure, match="singular") as info:
+            integrate_reduced(MV, start, horizon=0.1, method=method)
+        assert (info.value.time, info.value.step) == (0.0, 0)
+
+    def test_failed_step_names_its_time_and_index(self):
+        # headlong into a collision: the implicit solve cannot follow
+        rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
+        start = ReducedState(0.01, rest.phi2, -2.0, 0.0, rest.momentum_level)
+        with pytest.raises(StepFailure) as info:
+            integrate_reduced(MV, start, horizon=0.1, method="midpoint")
+        assert info.value.step >= 1
+        assert info.value.time == info.value.step * 1e-3

@@ -141,6 +141,13 @@ class TestSpectralAnalysis:
         with pytest.raises(InvalidConfiguration):
             spectral_analysis(equal_mass_blocks(), omega)
 
+    @pytest.mark.parametrize("omega", [1e200, -1e155])
+    def test_rate_whose_square_overflows_has_no_verdict(self, omega):
+        with pytest.raises(InvalidConfiguration, match="square"):
+            rate_verdict(omega, LAMBDA1_EQUAL)
+        with pytest.raises(InvalidConfiguration):
+            spectral_analysis(equal_mass_blocks(), omega)
+
     def test_unstable_exponent(self):
         blocks = equal_mass_blocks()
         rep = spectral_analysis(blocks, 1.2)
