@@ -34,15 +34,13 @@ from .geometry import (
 )
 from .integrators import (
     MIDPOINT_TOL,
+    SEPARATION_FLOOR,
     fixed_steps,
     midpoint_step,
     rk45_solve,
     step_count,
 )
 from .stability import assemble_blocks, vertical_mode
-
-# Integration aborts when any pair separation sine falls below this.
-SEPARATION_FLOOR = 1e-6
 
 EQUATOR = math.pi / 2.0
 

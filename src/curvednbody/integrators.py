@@ -27,6 +27,9 @@ from .errors import (
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_INNER = 50
 
+# Integration aborts when a pair separation sine falls below this.
+SEPARATION_FLOOR = 1e-6
+
 
 def step_count(horizon, step, record_stride=1) -> int:
     """Number of fixed steps of size ``step`` that cover ``horizon``.
@@ -51,21 +54,25 @@ def step_count(horizon, step, record_stride=1) -> int:
     return nsteps
 
 
-def fixed_steps(advance, x0, h, nsteps, record_stride=1):
+def fixed_steps(advance, x0, h, nsteps, record_stride=1, check=None):
     """Take ``nsteps`` steps of size ``h`` from ``x0`` and yield the samples.
 
     ``advance`` maps a state, a list of floats, to the state one step later.
     The generator yields ``(t, x)`` at t = 0, after every
     ``record_stride``-th step and after the last step, so a caller that has
-    seen enough can stop early.  A StepFailure, SingularConfiguration or
-    PolarSingularity raised by a step becomes a StepFailure that carries
-    the time and the index of the failing step.
+    seen enough can stop early.  ``check``, if given, is called on the
+    initial state and on the state after every step, and raises to end the
+    run.  A StepFailure, SingularConfiguration or PolarSingularity raised by
+    a step or by the check becomes a StepFailure that carries the time and
+    the index of the step (0 for the initial state).
     """
-    yield 0.0, x0
     x = x0
-    for k in range(1, nsteps + 1):
+    for k in range(nsteps + 1):
         try:
-            x = advance(x)
+            if k:
+                x = advance(x)
+            if check is not None:
+                check(x)
         except (StepFailure, SingularConfiguration, PolarSingularity) as exc:
             raise StepFailure(str(exc), time=k * h, step=k) from None
         if k % record_stride == 0 or k == nsteps:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfiguration, SingularConfiguration, StepFailure
+from .errors import InvalidConfiguration, SingularConfiguration
 from .fixedpoints import (
     TriangleShape,
     as_mass_triple,
@@ -28,6 +28,7 @@ from .fixedpoints import (
 from .geometry import SINGULAR_TOL, MassVector
 from .integrators import (
     MIDPOINT_TOL,
+    SEPARATION_FLOOR,
     fixed_steps,
     midpoint_step,
     step_count,
@@ -354,8 +355,12 @@ def integrate_reduced(
     kept as the cross-check (``inner_tol`` applies to it only).  Records
     every ``record_stride``-th step (plus the endpoints) and reports the
     largest deviation of the reduced energy from its initial value over the
-    recorded samples.  A step that fails or reaches a singular separation
-    raises StepFailure with its time and step index.
+    recorded samples.  A non-finite initial state raises
+    InvalidConfiguration.  After every step each of the three separation
+    sines must keep the sign it started with and stay above
+    SEPARATION_FLOOR, so a step that jumps across a collision is caught; a
+    step that fails or breaks this raises StepFailure with its time and step
+    index (0 for an initial state at the floor).
     """
     jc = JacobiConstants.from_masses(masses)
     m1, m2, m3 = _triple_values(masses)
@@ -385,16 +390,16 @@ def integrate_reduced(
 
     nsteps = step_count(horizon, step, record_stride)
     x0 = initial.as_vector().tolist()
+    if not all(map(math.isfinite, x0)):
+        raise InvalidConfiguration("initial state contains a non-finite entry")
+    check = _separation_check(nu1, nu2, x0)
     times = []
     states = []
     drift = 0.0
-    for t, x in fixed_steps(advance, x0, step, nsteps, record_stride):
-        try:
-            energy = reduced_hamiltonian(
-                ReducedState.from_vector(x, initial.momentum_level), masses
-            )
-        except SingularConfiguration as exc:
-            raise StepFailure(str(exc), time=t, step=round(t / step)) from None
+    for t, x in fixed_steps(advance, x0, step, nsteps, record_stride, check):
+        energy = reduced_hamiltonian(
+            ReducedState.from_vector(x, initial.momentum_level), masses
+        )
         if not states:
             e0 = energy
         drift = max(drift, abs(energy - e0))
@@ -406,3 +411,35 @@ def integrate_reduced(
         energy_drift=drift,
         momentum_level=initial.momentum_level,
     )
+
+
+def _separation_check(nu1, nu2, x0):
+    """Check that the separations of a reduced state stay where they started.
+
+    The separations are those of ``ReducedState.separations``.  A sine can
+    change sign only through a collision or an antipodal alignment, so the
+    returned check raises SingularConfiguration when a sine, taken with the
+    sign it has at ``x0``, is at or below SEPARATION_FLOOR.
+    """
+
+    def sines(x):
+        phi1, phi2 = x[0], x[1]
+        return (
+            math.sin(phi1),
+            math.sin(phi2 - nu1 * phi1),
+            math.sin(phi2 + nu2 * phi1),
+        )
+
+    start = sines(x0)
+    signs = [math.copysign(1.0, s) for s in start]
+
+    def check(x):
+        for k, s in enumerate(sines(x)):
+            if not s * signs[k] > SEPARATION_FLOOR:
+                raise SingularConfiguration(
+                    "reduced separation %d is at or past a singular configuration "
+                    "(sine %.3g, %.3g at the start, floor %.3g)"
+                    % (k + 1, s, start[k], SEPARATION_FLOOR)
+                )
+
+    return check

@@ -217,15 +217,20 @@ class TestCertificate:
         )
 
 
+def energy_drift_over_twenty(**kw):
+    rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
+    start = ReducedState(
+        rest.phi1 + 1e-2, rest.phi2 - 5e-3, 1e-3, -2e-3, rest.momentum_level
+    )
+    return integrate_reduced(MV, start, horizon=20.0, step=1e-3, **kw).energy_drift
+
+
 class TestReducedIntegration:
     def test_energy_conserved(self):
-        shape = shape_from_masses(TRIPLE)
-        rest = rest_point_from_shape(shape, MV)
-        start = ReducedState(
-            rest.phi1 + 1e-2, rest.phi2 - 5e-3, 1e-3, -2e-3, rest.momentum_level
-        )
-        record = integrate_reduced(MV, start, horizon=20.0, step=1e-3)
-        assert record.energy_drift < 1e-12
+        assert energy_drift_over_twenty() < 1e-12
+
+    def test_energy_conserved_by_midpoint(self):
+        assert energy_drift_over_twenty(method="midpoint") < 1e-12
 
     def test_small_perturbations_stay_near_rest(self):
         shape = shape_from_masses(TRIPLE)
@@ -294,12 +299,32 @@ class TestYoshida4:
             integrate_reduced(MV, flow_start(TRIPLE), horizon=1.0, method="euler")
 
     @pytest.mark.parametrize("method", ["yoshida4", "midpoint"])
-    def test_singular_state_is_a_step_failure(self, method):
+    @pytest.mark.parametrize("gap", [0.0, 1e-7], ids=["singular", "below-floor"])
+    def test_singular_state_is_a_step_failure(self, method, gap):
         rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
-        start = ReducedState(0.0, rest.phi2, 0.0, 0.0, rest.momentum_level)
+        start = ReducedState(gap, rest.phi2, 0.0, 0.0, rest.momentum_level)
         with pytest.raises(StepFailure, match="singular") as info:
             integrate_reduced(MV, start, horizon=0.1, method=method)
         assert (info.value.time, info.value.step) == (0.0, 0)
+
+    @pytest.mark.parametrize("method", ["yoshida4", "midpoint"])
+    def test_step_across_a_collision_is_a_step_failure(self, method):
+        # one step carries the first gap from 0.01 across zero; the explicit
+        # step takes it, so only the separation check can stop the run
+        equal = as_mass_triple((1.0, 1.0, 1.0))
+        rest = rest_point_from_shape(shape_from_masses(equal), equal)
+        start = ReducedState(0.01, rest.phi2, -0.5, 0.0, rest.momentum_level)
+        with pytest.raises(StepFailure) as info:
+            integrate_reduced(equal, start, horizon=0.1, step=1e-3, method=method)
+        assert info.value.step >= 1
+        assert info.value.time == info.value.step * 1e-3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
+        start = ReducedState(rest.phi1, rest.phi2, bad, 0.0, rest.momentum_level)
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            integrate_reduced(MV, start, horizon=0.1)
 
     def test_failed_step_names_its_time_and_index(self):
         # headlong into a collision: the implicit solve cannot follow
