@@ -5,6 +5,8 @@ implicit midpoint rule as the reference integrator and an adaptive
 Runge-Kutta route for cross-checks.  Pair contributions to the longitude
 momenta cancel in exactly opposite floating-point pairs, so the total
 angular momentum about the polar axis is conserved to the iteration floor.
+The vector field of three bodies is straight-line code; a loop serves other
+n and is the bit-for-bit reference for it.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .errors import (
 from .fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 from .geometry import (
     POLAR_TOL,
+    SINE_RECHECK,
     MassVector,
     RingConfiguration,
     SphereConfiguration,
     _angle_gradient,
     _pair_guard,
     _pair_table,
+    _recheck_sine,
     _sphere_tables,
 )
 from .integrators import (
@@ -114,8 +118,17 @@ def relative_equilibrium(
     )
 
 
-def _field_kernel(masses: MassVector, omega: float):
-    """The vector field of ``make_field`` on lists of floats, list in, list out."""
+def _polar_error(st):
+    """The PolarSingularity for the first body whose sin(theta) is at the guard."""
+    i = next(i for i, s in enumerate(st) if s <= POLAR_TOL)
+    return PolarSingularity("body %d at the polar guard" % (i + 1))
+
+
+def _field_loop(masses: MassVector, omega: float):
+    """The vector field of ``make_field`` on lists of floats, for any n.
+
+    It is the reference that ``_field_three`` matches bit for bit.
+    """
     m = masses.masses
     n = masses.n
     om = float(omega)
@@ -123,8 +136,7 @@ def _field_kernel(masses: MassVector, omega: float):
     def field(vals):
         st, ct, sp, cp, xs, ys = _sphere_tables(vals[0:n], vals[n : 2 * n])
         if min(st) <= POLAR_TOL:
-            i = next(i for i, s in enumerate(st) if s <= POLAR_TOL)
-            raise PolarSingularity("body %d at the polar guard" % (i + 1))
+            raise _polar_error(st)
         dth, dph = _angle_gradient(m, st, ct, sp, cp, xs, ys)
         out = [0.0] * (4 * n)
         for i in range(n):
@@ -138,6 +150,81 @@ def _field_kernel(masses: MassVector, omega: float):
         return out
 
     return field
+
+
+def _field_three(masses: MassVector, omega: float):
+    """``_field_loop`` for three bodies as straight-line code.
+
+    Every floating-point expression is the loop's, the pair blocks come in
+    the loop's order (1,2), (1,3), (2,3), and each sum starts from 0.0 as the
+    loop's accumulators do, so the output and the errors are the same bits.
+    """
+    m1, m2, m3 = masses.masses
+    m12, m13, m23 = m1 * m2, m1 * m3, m2 * m3
+    om = float(omega)
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+
+    def field(vals):
+        th1, th2, th3, ph1, ph2, ph3, pt1, pt2, pt3, pp1, pp2, pp3 = vals
+        s1, s2, s3 = sin(th1), sin(th2), sin(th3)
+        c1, c2, c3 = cos(th1), cos(th2), cos(th3)
+        sp1, sp2, sp3 = sin(ph1), sin(ph2), sin(ph3)
+        cp1, cp2, cp3 = cos(ph1), cos(ph2), cos(ph3)
+        if min(s1, s2, s3) <= POLAR_TOL:
+            raise _polar_error((s1, s2, s3))
+        x1, x2, x3 = s1 * cp1, s2 * cp2, s3 * cp3
+        y1, y2, y3 = s1 * sp1, s2 * sp2, s3 * sp3
+        u1, u2, u3 = c1 * cp1, c2 * cp2, c3 * cp3
+        v1, v2, v3 = c1 * sp1, c2 * sp2, c3 * sp3
+        # pairs (1,2), (1,3), (2,3): g sums the theta partials, h the phi ones
+        c = x1 * x2 + y1 * y2 + c1 * c2
+        s = sqrt(max(1.0 - c * c, 0.0))
+        if s < SINE_RECHECK:
+            s = _recheck_sine(0, 1, c, (x1, x2, x3), (y1, y2, y3), (c1, c2, c3))
+        f = m12 / (s * s * s)
+        b = f * (x1 * y2 - y1 * x2)
+        g1 = 0.0 + f * (u1 * x2 + v1 * y2 - s1 * c2)
+        g2 = 0.0 + f * (u2 * x1 + v2 * y1 - s2 * c1)
+        h1, h2 = 0.0 + b, 0.0 - b
+
+        c = x1 * x3 + y1 * y3 + c1 * c3
+        s = sqrt(max(1.0 - c * c, 0.0))
+        if s < SINE_RECHECK:
+            s = _recheck_sine(0, 2, c, (x1, x2, x3), (y1, y2, y3), (c1, c2, c3))
+        f = m13 / (s * s * s)
+        b = f * (x1 * y3 - y1 * x3)
+        g1 += f * (u1 * x3 + v1 * y3 - s1 * c3)
+        g3 = 0.0 + f * (u3 * x1 + v3 * y1 - s3 * c1)
+        h1, h3 = h1 + b, 0.0 - b
+
+        c = x2 * x3 + y2 * y3 + c2 * c3
+        s = sqrt(max(1.0 - c * c, 0.0))
+        if s < SINE_RECHECK:
+            s = _recheck_sine(1, 2, c, (x1, x2, x3), (y1, y2, y3), (c1, c2, c3))
+        f = m23 / (s * s * s)
+        b = f * (x2 * y3 - y2 * x3)
+        g2 += f * (u2 * x3 + v2 * y3 - s2 * c3)
+        g3 += f * (u3 * x2 + v3 * y2 - s3 * c2)
+        h2, h3 = h2 + b, h3 - b
+
+        q1, q2, q3 = m1 * (s1 * s1), m2 * (s2 * s2), m3 * (s3 * s3)
+        return [
+            pt1 / m1, pt2 / m2, pt3 / m3,
+            pp1 / q1 - om, pp2 / q2 - om, pp3 / q3 - om,
+            pp1 * pp1 * c1 / (q1 * s1) + g1,
+            pp2 * pp2 * c2 / (q2 * s2) + g2,
+            pp3 * pp3 * c3 / (q3 * s3) + g3,
+            h1, h2, h3,
+        ]
+
+    return field
+
+
+def _field_kernel(masses: MassVector, omega: float):
+    """The vector field of ``make_field`` on lists of floats, list in, list out."""
+    if masses.n == 3:
+        return _field_three(masses, omega)
+    return _field_loop(masses, omega)
 
 
 def make_field(masses: MassVector, omega: float = 0.0):
@@ -157,12 +244,17 @@ def make_field(masses: MassVector, omega: float = 0.0):
 
 def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     """Energy in a frame rotating at rate omega: kinetic + potential - omega J."""
-    x = state.as_vector() if isinstance(state, PhaseState) else np.asarray(state, float)
     n = masses.n
-    if x.shape != (4 * n,):
+    if isinstance(state, list):
+        vals = state  # a list of floats, as ``integrate`` samples are, is read as is
+    else:
+        if isinstance(state, PhaseState):
+            state = state.as_vector()
+        x = np.asarray(state, float)
+        vals = x.tolist() if x.ndim == 1 else []  # other shapes fail the check
+    if len(vals) != 4 * n:
         raise InvalidConfiguration("state length does not match mass count")
     m = masses.masses
-    vals = x.tolist()
     th = vals[0:n]
     ph = vals[n : 2 * n]
     pt = vals[2 * n : 3 * n]

@@ -7,10 +7,11 @@ antipodal alignment; both ends are guarded by a shared tolerance.
 
 ``_pair_table`` is the one place that enumerates the pairs, computes each
 separation's cosine and sine and applies that guard; every pairwise sum of
-the package reads it.  The angle gradient alone keeps its pair loop inline:
-it is the inner loop of the vector field, and building a table first costs
-a measurable share of each evaluation.  Its singular branch raises the same
-message as the table.
+the package reads it.  The angle gradient and the three-body vector field
+of ``dynamics`` keep their pairs inline: they are the inner loop of the
+flow, and building a table first costs a measurable share of each
+evaluation.  All three compute sin d as sqrt(1 - cos^2 d) and hand a small
+one to ``_recheck_sine``, which recomputes it and raises the one message.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ SINGULAR_TOL = 1e-10
 
 # Colatitudes with sin(theta) at or below this value leave the chart.
 POLAR_TOL = 1e-8
+
+# A separation sine read as sqrt(1 - cos^2 d) below this is taken again by
+# ``_recheck_sine``: the cheap form cancels near 0 and pi, and reads 1.5e-8
+# for some exact collisions.  It exceeds SINGULAR_TOL, so a pair whose cheap
+# sine is not rechecked cannot be singular.
+SINE_RECHECK = 1e-4
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,6 +242,24 @@ def _singular_pair(error, i, j, cosd, sind):
     )
 
 
+def _recheck_sine(
+    i, j, cosd, xs, ys, zs, phis=None, floor=SINGULAR_TOL, error=SingularConfiguration
+):
+    """Separation sine of bodies i and j as |sin(phi_i - phi_j)|, or as
+    |q_i x q_j| if no ``phis`` are given; at or below ``floor`` it raises."""
+    if phis is None:
+        sind = math.hypot(
+            ys[i] * zs[j] - zs[i] * ys[j],
+            zs[i] * xs[j] - xs[i] * zs[j],
+            xs[i] * ys[j] - ys[i] * xs[j],
+        )
+    else:
+        sind = abs(math.sin(phis[i] - phis[j]))
+    if sind <= floor:
+        raise _singular_pair(error, i, j, cosd, sind)
+    return sind
+
+
 def _pair_table(
     xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL, error=SingularConfiguration
 ):
@@ -255,7 +280,9 @@ def _pair_table(
             else:
                 cosd = math.cos(phis[i] - phis[j])
             sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= floor:
+            if sind < SINE_RECHECK:
+                sind = _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor, error)
+            elif sind <= floor:
                 raise _singular_pair(error, i, j, cosd, sind)
             table.append((i, j, cosd, sind))
     return table
@@ -293,8 +320,8 @@ def _angle_gradient(m, st, ct, sp, cp, xs, ys):
         for j in range(i + 1, n):
             cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
             sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind <= SINGULAR_TOL:
-                raise _singular_pair(SingularConfiguration, i, j, cosd, sind)
+            if sind < SINE_RECHECK:
+                sind = _recheck_sine(i, j, cosd, xs, ys, zs)
             f = m[i] * m[j] / (sind * sind * sind)
             # d q_i / d theta_i dotted with q_j, and the mirrored term
             a_i = ct[i] * cp[i] * xs[j] + ct[i] * sp[i] * ys[j] - st[i] * zs[j]

@@ -149,6 +149,15 @@ class TestHamiltonian:
         with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, kind)):
             hamiltonian(MV, np.array(x))
 
+    def test_list_state_read_as_is(self, rng):
+        x = random_state(rng).as_vector()
+        value = hamiltonian(MV, x.tolist(), 0.4)
+        assert value.hex() == hamiltonian(MV, x, 0.4).hex()
+        assert value.hex() == hamiltonian(MV, PhaseState.from_vector(x), 0.4).hex()
+        for bad in (x.tolist()[:-1], x.tolist() + [0.0], x.reshape(3, 4)):
+            with pytest.raises(InvalidConfiguration):
+                hamiltonian(MV, bad)
+
     def test_at_rest_is_minus_the_force_function(self, rng):
         for _ in range(5):
             state = random_state(rng)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from curvednbody.geometry import (
     MassVector,
     RingConfiguration,
     SphereConfiguration,
+    _pair_guard,
+    _pair_table,
     force_function,
     force_gradient,
     force_hessian_blocks,
@@ -87,6 +90,31 @@ class TestSphereConfiguration:
     def test_collision_rejected(self):
         with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
             SphereConfiguration((1.0, 1.0), (0.3, 0.3))
+
+    def test_every_exact_collision_rejected(self):
+        # sqrt(1 - cos^2 d) reads 1.49e-8 for about a fifth of these, above
+        # the guard; the recomputed sine |q_i x q_j| is exactly zero
+        rng = np.random.default_rng(20261018)
+        accepted = []
+        for t, p in rng.uniform((0.0, 0.0), (math.pi, 2 * math.pi), (10000, 2)):
+            try:
+                SphereConfiguration((t, t, 2.0), (p, p, 1.0))
+                accepted.append((t, p))
+            except SingularConfiguration as exc:
+                assert re.match(singular_pair(1, 2, "collision"), str(exc))
+        assert accepted == []
+
+    def test_small_separation_sine_is_recomputed(self):
+        # the cheap form reads a 1e-9 separation as 0 or 1.49e-8
+        sine = _pair_guard((1.0, 1.0 + 1e-9, 2.0), (0.5, 0.5, 1.0))
+        assert sine == pytest.approx(1e-9, rel=1e-6)
+        phis = (0.3, 0.3 + 1e-9, 2.0)
+        table = _pair_table(phis=phis)
+        assert table[0][3] == pytest.approx(1e-9, rel=1e-6)
+        # pairs above the recheck threshold keep the cheap form's bits
+        for i, j, cosd, sind in table[1:]:
+            assert cosd == math.cos(phis[i] - phis[j])
+            assert sind == math.sqrt(1.0 - cosd * cosd)
 
     def test_antipodal_rejected(self):
         with pytest.raises(
