@@ -449,6 +449,9 @@ def _trajectory_header(n):
 def _cmd_simulate(opts) -> int:
     raw = _require_masses(opts)
     omega = float(opts["omega"])
+    if math.isfinite(omega) and not math.isfinite(omega * omega):
+        # a rate that is not finite is rejected by the phase state it gives
+        raise InvalidConfiguration("square of rotation rate %r is not finite" % (omega,))
     mode = opts["mode"]
     if mode == "growth" and opts["method"] != "midpoint":
         raise InvalidConfiguration(

@@ -232,11 +232,15 @@ def make_field(masses: MassVector, omega: float = 0.0):
 
     ``omega`` is the rotation rate of the observing frame; it shifts the
     longitude velocities by a constant and nothing else.  The longitude
-    momentum derivatives are accumulated as exactly opposite pairs.
+    momentum derivatives are accumulated as exactly opposite pairs.  A
+    vector of any shape other than (4n,) raises InvalidConfiguration.
     """
     kernel = _field_kernel(masses, omega)
+    shape = (4 * masses.n,)
 
     def field(x):
+        if x.shape != shape:
+            raise InvalidConfiguration("state length does not match mass count")
         return np.array(kernel(x.tolist()))
 
     return field

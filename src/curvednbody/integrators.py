@@ -3,9 +3,12 @@
 Every fixed-step trajectory runs through ``fixed_steps``, which advances a
 state held as a list of floats and yields the recorded samples.  The full
 Hamiltonian is not separable, so its reference step is the implicit
-midpoint rule.  The reduced Hamiltonian is separable, and its flow defaults
-to ``yoshida4_step``, an explicit fourth-order composition of leapfrog
-(Yoshida 1990); the midpoint rule stays available there as the cross-check.
+midpoint rule, ``midpoint_step``; for the 12 floats of a three-body state
+its iteration is straight-line code, bit-identical to the list loop that
+serves other lengths.  The reduced Hamiltonian is separable, and its flow
+defaults to an explicit fourth-order composition of leapfrog (Yoshida
+1990), whose coefficients are kept here and whose step ``reduction``
+writes out; the midpoint rule stays available there as the cross-check.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
 independent cross-check route for the full system.
 """
@@ -88,38 +91,117 @@ def midpoint_step(field, x, h, tol=MIDPOINT_TOL, max_inner=MIDPOINT_MAX_INNER):
     a non-finite iterate or a max_inner below 1 raises StepFailure.
 
     The iteration runs on lists of floats: ``field`` maps a list to a list.
-    A numpy vector ``x`` is served too, with a ``field`` on numpy vectors,
-    and the step then returns a numpy vector; the arithmetic is the same.
+    A list of 12 floats, the three-body state, takes ``_midpoint_twelve``,
+    the same iteration written out entry by entry; other lengths take the
+    loop.  A numpy vector ``x`` is served too, with a ``field`` on numpy
+    vectors, and the step then returns a numpy vector; the arithmetic is
+    the same.
     """
-    array_in = isinstance(x, np.ndarray)
-    if array_in:
-        array_field = field
+    if isinstance(x, np.ndarray):
 
-        def field(v):
-            return np.asarray(array_field(np.array(v)), dtype=float).tolist()
+        def list_field(v):
+            return np.asarray(field(np.array(v)), dtype=float).tolist()
 
-        x = x.tolist()
-    y = [a + h * b for a, b in zip(x, field(x))]
-    damping = 1.0
-    delta = prev_delta = math.inf
-    for _ in range(max_inner):
-        mid = [0.5 * (a + b) for a, b in zip(x, y)]
-        y_next = [a + h * b for a, b in zip(x, field(mid))]
-        delta = max(map(abs, map(sub, y_next, y)))
-        if delta <= tol and math.isfinite(sum(y_next)):
-            return np.array(y_next) if array_in else y_next
-        if delta >= prev_delta:
-            # diverging; fall back to averaging with the previous iterate
-            damping *= 0.5
-            if damping < 2.0 ** -20:
-                break
-            y = [a + damping * (b - a) for a, b in zip(y, y_next)]
-        else:
-            y = y_next
-        prev_delta = delta
-    raise StepFailure(
+        return np.array(_midpoint_loop(list_field, x.tolist(), h, tol, max_inner))
+    if len(x) == 12:
+        return _midpoint_twelve(field, x, h, tol, max_inner)
+    return _midpoint_loop(field, x, h, tol, max_inner)
+
+
+def _stall(delta, tol):
+    return StepFailure(
         "implicit midpoint solve stalled (last update %.3g, tol %.3g)" % (delta, tol)
     )
+
+
+def _midpoint_loop(field, x, h, tol, max_inner):
+    """``midpoint_step`` on a list of any length; the reference for
+    ``_midpoint_twelve``."""
+    mid = x
+    try:
+        y = [a + h * b for a, b in zip(x, field(x))]
+        damping = 1.0
+        delta = prev_delta = math.inf
+        for _ in range(max_inner):
+            mid = [0.5 * (a + b) for a, b in zip(x, y)]
+            y_next = [a + h * b for a, b in zip(x, field(mid))]
+            delta = max(map(abs, map(sub, y_next, y)))
+            if delta <= tol and math.isfinite(sum(y_next)):
+                return y_next
+            if delta >= prev_delta:
+                # diverging; fall back to averaging with the previous iterate
+                damping *= 0.5
+                if damping < 2.0 ** -20:
+                    break
+                y = [a + damping * (b - a) for a, b in zip(y, y_next)]
+            else:
+                y = y_next
+            prev_delta = delta
+    except ValueError:
+        # a field meets a non-finite iterate with, say, math.sin(inf)
+        if all(map(math.isfinite, mid)):
+            raise
+        raise StepFailure("implicit midpoint iterate is not finite") from None
+    raise _stall(delta, tol)
+
+
+def _midpoint_twelve(field, x, h, tol, max_inner):
+    """``_midpoint_loop`` for 12 entries as straight-line code over floats.
+
+    Every floating-point expression is the loop's and the update norm is
+    builtin ``max`` over the entries in order, which keeps the loop's first
+    of equal (or nan) values, so the result and the errors are the same bits.
+    """
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 = x
+    mid = x
+    try:
+        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11 = field(x)
+        y0, y1, y2, y3 = x0 + h * f0, x1 + h * f1, x2 + h * f2, x3 + h * f3
+        y4, y5, y6, y7 = x4 + h * f4, x5 + h * f5, x6 + h * f6, x7 + h * f7
+        y8, y9, y10, y11 = x8 + h * f8, x9 + h * f9, x10 + h * f10, x11 + h * f11
+        damping = 1.0
+        delta = prev_delta = math.inf
+        for _ in range(max_inner):
+            mid = [
+                0.5 * (x0 + y0), 0.5 * (x1 + y1), 0.5 * (x2 + y2),
+                0.5 * (x3 + y3), 0.5 * (x4 + y4), 0.5 * (x5 + y5),
+                0.5 * (x6 + y6), 0.5 * (x7 + y7), 0.5 * (x8 + y8),
+                0.5 * (x9 + y9), 0.5 * (x10 + y10), 0.5 * (x11 + y11),
+            ]
+            f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11 = field(mid)
+            n0, n1, n2, n3 = x0 + h * f0, x1 + h * f1, x2 + h * f2, x3 + h * f3
+            n4, n5, n6, n7 = x4 + h * f4, x5 + h * f5, x6 + h * f6, x7 + h * f7
+            n8, n9, n10, n11 = x8 + h * f8, x9 + h * f9, x10 + h * f10, x11 + h * f11
+            delta = max(
+                abs(n0 - y0), abs(n1 - y1), abs(n2 - y2), abs(n3 - y3),
+                abs(n4 - y4), abs(n5 - y5), abs(n6 - y6), abs(n7 - y7),
+                abs(n8 - y8), abs(n9 - y9), abs(n10 - y10), abs(n11 - y11),
+            )
+            if delta <= tol:
+                y_next = [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11]
+                if math.isfinite(sum(y_next)):
+                    return y_next
+            if delta >= prev_delta:
+                # diverging; fall back to averaging with the previous iterate
+                damping *= 0.5
+                if damping < 2.0 ** -20:
+                    break
+                y0, y1 = y0 + damping * (n0 - y0), y1 + damping * (n1 - y1)
+                y2, y3 = y2 + damping * (n2 - y2), y3 + damping * (n3 - y3)
+                y4, y5 = y4 + damping * (n4 - y4), y5 + damping * (n5 - y5)
+                y6, y7 = y6 + damping * (n6 - y6), y7 + damping * (n7 - y7)
+                y8, y9 = y8 + damping * (n8 - y8), y9 + damping * (n9 - y9)
+                y10, y11 = y10 + damping * (n10 - y10), y11 + damping * (n11 - y11)
+            else:
+                y0, y1, y2, y3, y4, y5 = n0, n1, n2, n3, n4, n5
+                y6, y7, y8, y9, y10, y11 = n6, n7, n8, n9, n10, n11
+            prev_delta = delta
+    except ValueError:
+        # a field meets a non-finite iterate with, say, math.sin(inf)
+        if all(map(math.isfinite, mid)):
+            raise
+        raise StepFailure("implicit midpoint iterate is not finite") from None
+    raise _stall(delta, tol)
 
 
 # Yoshida's fourth-order composition of three leapfrog steps of relative
@@ -129,31 +211,6 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 _YOSHIDA_KICKS = (_W1, _W0, _W1)
 _YOSHIDA_DRIFTS = (_W1 / 2, (_W0 + _W1) / 2, (_W0 + _W1) / 2, _W1 / 2)
-
-
-def yoshida4_step(force, inv_mass, x, h):
-    """Advance one explicit fourth-order symplectic step of size h.
-
-    The Hamiltonian is separable, sum(p_i^2 inv_mass_i) / 2 + V(q), on the
-    list ``x = q + p`` whose halves have the length of ``inv_mass``;
-    ``force(q)`` returns -dV/dq as a sequence.  Each step evaluates the
-    force three times.
-    """
-    n = len(inv_mass)
-    q = x[:n]
-    p = x[n:]
-    for c, d in zip(_YOSHIDA_DRIFTS, _YOSHIDA_KICKS):
-        ch = c * h
-        for i in range(n):
-            q[i] += ch * (p[i] * inv_mass[i])
-        f = force(q)
-        dh = d * h
-        for i in range(n):
-            p[i] += dh * f[i]
-    ch = _YOSHIDA_DRIFTS[-1] * h
-    for i in range(n):
-        q[i] += ch * (p[i] * inv_mass[i])
-    return q + p
 
 
 def rk45_solve(field, x0, t_final, rtol=1e-10, atol=1e-12, t_eval=None):

@@ -7,7 +7,8 @@ The Hessian of the force function in the gap variables certifies those rest
 points as strict minima, giving nonlinear stability of the circular motions
 within the equatorial subsystem.  The reduced Hamiltonian is separable, so
 ``integrate_reduced`` follows its flow with the explicit fourth-order
-Yoshida composition of leapfrog by default, and with the implicit midpoint
+Yoshida composition of leapfrog by default, one step of it written out over
+float locals with the gap gradient inline, and with the implicit midpoint
 rule of the full system as the cross-check.
 """
 
@@ -27,12 +28,13 @@ from .fixedpoints import (
 )
 from .geometry import SINGULAR_TOL, MassVector
 from .integrators import (
+    _YOSHIDA_DRIFTS,
+    _YOSHIDA_KICKS,
     MIDPOINT_TOL,
     SEPARATION_FLOOR,
     fixed_steps,
     midpoint_step,
     step_count,
-    yoshida4_step,
 )
 
 
@@ -367,19 +369,12 @@ def integrate_reduced(
     nu1, nu2 = jc.nu1, jc.nu2
     inv_nu3, inv_nu4 = 1.0 / jc.nu3, 1.0 / jc.nu4
 
-    def force(q):
-        return _gap_gradient(m1, m2, m3, nu1, nu2, q[0], q[1])
-
     if method == "yoshida4":
-        inv_mass = (inv_nu3, inv_nu4)
-
-        def advance(x):
-            return yoshida4_step(force, inv_mass, x, step)
-
+        advance = _yoshida4_advance(m1, m2, m3, nu1, nu2, inv_nu3, inv_nu4, step)
     elif method == "midpoint":
 
         def field(x):
-            g1, g2 = force(x)
+            g1, g2 = _gap_gradient(m1, m2, m3, nu1, nu2, x[0], x[1])
             return [x[2] * inv_nu3, x[3] * inv_nu4, g1, g2]
 
         def advance(x):
@@ -411,6 +406,42 @@ def integrate_reduced(
         energy_drift=drift,
         momentum_level=initial.momentum_level,
     )
+
+
+def _yoshida4_advance(m1, m2, m3, nu1, nu2, inv_nu3, inv_nu4, h):
+    """The reduced flow's step of size h on a list (phi1, phi2, p1, p2): the
+    Yoshida-4 composition of ``integrators``, drift, kick, ..., drift.
+
+    Each of the three kicks is ``_gap_gradient`` written out, with the same
+    products and the same SingularConfiguration, so the step gives the bits
+    of the composition's loop over a force function.
+    """
+    k12, k23, k13 = m1 * m2, m2 * m3, m1 * m3
+    kb, kc = nu1 * m2 * m3, nu2 * m1 * m3
+    stages = tuple((c * h, d * h) for c, d in zip(_YOSHIDA_DRIFTS, _YOSHIDA_KICKS))
+    last = _YOSHIDA_DRIFTS[-1] * h
+    sin, copysign, tol = math.sin, math.copysign, SINGULAR_TOL
+
+    def advance(x):
+        q1, q2, p1, p2 = x
+        for ch, dh in stages:
+            q1 += ch * (p1 * inv_nu3)
+            q2 += ch * (p2 * inv_nu4)
+            db, dc = q2 - nu1 * q1, q2 + nu2 * q1
+            sa, sb, sc = sin(q1), sin(db), sin(dc)
+            if abs(sa) <= tol or abs(sb) <= tol or abs(sc) <= tol:
+                d = next(d for d, s in ((q1, sa), (db, sb), (dc, sc)) if abs(s) <= tol)
+                raise SingularConfiguration("reduced separation %.17g is singular" % d)
+            ga = -copysign(1.0, sa) / (sa * sa)
+            gb = -copysign(1.0, sb) / (sb * sb)
+            gc = -copysign(1.0, sc) / (sc * sc)
+            p1 += dh * (k12 * ga - kb * gb + kc * gc)
+            p2 += dh * (k23 * gb + k13 * gc)
+        q1 += last * (p1 * inv_nu3)
+        q2 += last * (p2 * inv_nu4)
+        return [q1, q2, p1, p2]
+
+    return advance
 
 
 def _separation_check(nu1, nu2, x0):

@@ -520,6 +520,9 @@ class TestConfigAndErrors:
             ["omega-sweep", "--omega-min", "nan", "--count", "3"],
             ["stability", "--omega", "1e200"],
             ["omega-sweep", "--omega-max", "1e200"],
+            ["simulate", "--omega", "1e200", "--mode", "re"],
+            ["simulate", "--omega=-1e200", "--mode", "perturbed"],
+            ["simulate", "--omega", "1e200", "--mode", "growth"],
         ],
     )
     def test_non_finite_rate_rejected(self, capsys, tmp_path, argv):

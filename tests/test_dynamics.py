@@ -30,7 +30,7 @@ from curvednbody.geometry import (
 )
 from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
-from curvednbody.reduction import integrate_reduced, rest_point_from_shape
+from curvednbody.reduction import ReducedState, integrate_reduced, rest_point_from_shape
 
 from conftest import singular_pair
 
@@ -141,6 +141,15 @@ class TestField:
         state = relative_equilibrium(MV, RING, 1.1)
         rhs = make_field(MV, 1.1)(state.as_vector())
         assert np.max(np.abs(rhs)) < 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("shape", ["4n-1", "4n+1", "2x2n"])
+    def test_wrong_state_shape_rejected(self, n, shape):
+        # for four bodies a 17-vector once gave 16 derivatives
+        field = make_field(MassVector((1.0,) * n), 0.3)
+        dims = {"4n-1": (4 * n - 1,), "4n+1": (4 * n + 1,), "2x2n": (2, 2 * n)}
+        with pytest.raises(InvalidConfiguration, match="state length"):
+            field(np.full(dims[shape], 0.5))
 
 
 class TestHamiltonian:
@@ -278,6 +287,13 @@ class TestIntegrate:
         with pytest.raises(StepFailure):
             midpoint_step(field, x, 1e-3, max_inner=max_inner)
 
+    def test_overflowing_rate_is_a_step_failure(self):
+        # the momenta overflow inside the first step; sin(inf) is not a traceback
+        state = relative_equilibrium(MV, RING, 1e200)
+        with pytest.raises(StepFailure, match="iterate is not finite") as info:
+            integrate(MV, state, horizon=0.01, step=1e-3, omega=1e200)
+        assert info.value.step == 1
+
     def test_step_failure_names_the_failing_step(self):
         mv = MassVector((1.0, 1.0))
         state = PhaseState(
@@ -403,3 +419,38 @@ class TestPinnedBits:
         assert fit.max_deviation == 0.020645959381771384
         assert fit.deviations[-1] == fit.max_deviation
         assert fit.times.size == 86
+
+
+class TestReducedPinnedBits:
+    """Reduced-flow results pinned bit for bit: the straight-line Yoshida-4
+    step and the midpoint cross-check must reproduce their loop forms."""
+
+    def run(self, method):
+        triple = as_mass_triple((0.25, 0.45, 0.30))
+        rest = rest_point_from_shape(shape_from_masses(triple), triple, 0.7)
+        start = ReducedState(
+            rest.phi1 + 1e-2, rest.phi2 - 5e-3, 2e-3, -1e-3, rest.momentum_level
+        )
+        run = integrate_reduced(triple, start, horizon=2.0, step=1e-3, method=method)
+        assert run.states.shape == (201, 4)
+        return run
+
+    def test_yoshida4(self):
+        run = self.run("yoshida4")
+        assert run.states[-1].tolist() == [
+            2.079157641028234,
+            2.595359432578949,
+            -0.0021769246319853306,
+            0.0013985169075490852,
+        ]
+        assert run.energy_drift == 1.1102230246251565e-16
+
+    def test_midpoint(self):
+        run = self.run("midpoint")
+        assert run.states[-1].tolist() == [
+            2.0791576441578474,
+            2.595359432275248,
+            -0.002176925000087048,
+            0.0013985162029001353,
+        ]
+        assert run.energy_drift == 1.684763439868675e-14

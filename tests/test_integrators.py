@@ -1,0 +1,267 @@
+"""The straight-line steppers against the loops they replace.
+
+``integrators._midpoint_twelve`` must give ``integrators._midpoint_loop``'s
+result bit for bit and raise what the loop raises, with the same message:
+on ordinary and near-polar three-body states, on fields that force the
+damping branch, on stalls, on non-finite iterates and for ``max_inner`` at
+or below zero.  The reduced flow's Yoshida-4 step must do the same against
+the loop form of the composition kept here as the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvednbody import dynamics, integrators, reduction
+from curvednbody.errors import SingularConfiguration
+from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
+
+from test_field_three import MASSES, OMEGAS, states
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+steps = st.sampled_from((1e-3, 1e-2, 0.1, 1.0))
+tols = st.sampled_from((integrators.MIDPOINT_TOL, 0.0, 1e-6))
+inner = st.sampled_from((-1, 0, 1, 2, 3, integrators.MIDPOINT_MAX_INNER))
+
+
+def outcome(call):
+    """The result as float.hex strings, or the type and message raised."""
+    try:
+        return [v.hex() for v in call()]
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
+
+
+def assert_same_step(field, x, h, tol=integrators.MIDPOINT_TOL, max_inner=50):
+    def run(step):
+        return outcome(lambda: step(field, list(x), h, tol, max_inner))
+
+    assert run(integrators._midpoint_twelve) == run(integrators._midpoint_loop)
+
+
+@st.composite
+def rest_states(draw):
+    """A rotating ring of an admissible triple of MASSES, perturbed."""
+    mv = draw(st.sampled_from(MASSES[:2]))
+    triple = as_mass_triple(mv.masses)
+    omega = draw(OMEGAS)
+    x = dynamics.relative_equilibrium(
+        mv, ring_from_shape(shape_from_masses(triple)), omega
+    ).as_vector()
+    x += draw(st.sampled_from((0.3, 1e-2, 1e-6, 0.0))) * np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+    )
+    return dynamics._field_kernel(mv, omega), x.tolist()
+
+
+def stiff_field(k, bad):
+    """A nonlinear field whose plain iteration diverges for large k h, so the
+    step takes its damping branch (down to its floor for k = 1e7); ``bad``
+    puts a nan or inf into one entry of the output, which the field itself
+    takes without raising."""
+
+    def field(v):
+        out = [-k * a - 0.1 * math.atan(b) for a, b in zip(v, v[1:] + v[:1])]
+        if bad is not None:
+            out[bad[0]] = bad[1]
+        return out
+
+    return field
+
+
+@st.composite
+def stiff_cases(draw):
+    field = stiff_field(
+        draw(st.sampled_from((0.0, 0.5, 5.0, 40.0, 1e7))),
+        draw(st.sampled_from((None, (0, math.nan), (5, math.inf), (11, -math.inf)))),
+    )
+    start = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((-2.5, 0.3, 1.7)))
+    return field, draw(st.lists(start, min_size=12, max_size=12))
+
+
+# a field and a start: perturbed rings (stepped with h up to 1, these reach
+# the damping branch and the polar guard), stiff fields with nan and inf
+# outputs, and the three-body field on arbitrary floats
+cases = st.one_of(
+    rest_states(),
+    stiff_cases(),
+    st.builds(
+        lambda x: (dynamics._field_kernel(MASSES[1], 0.7), x),
+        st.lists(st.floats(), min_size=12, max_size=12),
+    ),
+)
+
+
+@PROPERTY
+@given(cases, steps, tols, inner)
+def test_midpoint_matches_loop(case, h, tol, max_inner):
+    field, x = case
+    assert_same_step(field, x, h, tol, max_inner)
+
+
+@PROPERTY
+@given(rest_states())
+def test_midpoint_matches_loop_on_long_steps_near_rings(case):
+    # with h = 1 a perturbed ring often damps before it converges or stalls
+    field, x = case
+    assert_same_step(field, x, 1.0)
+
+
+@PROPERTY
+@given(st.sampled_from(MASSES), OMEGAS, states(), steps)
+def test_midpoint_matches_loop_on_random_and_polar_states(mv, omega, x, h):
+    assert_same_step(dynamics._field_kernel(mv, omega), x, h)
+
+
+def traced_loop(field, x, h, tol, max_inner):
+    """The loop's outcome, and whether it damped: an iterate that lies well
+    short of the plain update from the one before it."""
+    calls = []
+
+    def recorded(v):
+        out = field(v)
+        calls.append((v, out))
+        return out
+
+    got = outcome(lambda: integrators._midpoint_loop(recorded, x, h, tol, max_inner))
+    damped = False
+    for (m0, f0), (m1, _) in zip(calls[1:], calls[2:]):
+        plain = [a + h * b for a, b in zip(x, f0)]
+        y0 = [2.0 * a - b for a, b in zip(m0, x)]
+        y1 = [2.0 * a - b for a, b in zip(m1, x)]
+        short = max(abs(a - b) for a, b in zip(y1, plain))
+        damped |= short > 0.25 * max(abs(a - b) for a, b in zip(plain, y0))
+    return got, damped
+
+
+def test_strategies_reach_every_branch():
+    # the property tests above are only as good as the inputs they draw
+    seen = set()
+
+    def record(case, h, tol, max_inner):
+        field, x = case
+        got, damped = traced_loop(field, x, h, tol, max_inner)
+        kind = "ok" if isinstance(got, list) else got[1].split(" (")[0]
+        seen.add(kind + (" after damping" if damped else ""))
+        if max_inner <= 0:
+            seen.add("no iterations: " + kind)
+
+    PROPERTY(given(cases, steps, tols, inner)(record))()
+    PROPERTY(given(rest_states(), st.just(1.0), tols, st.just(50))(record))()
+    assert {
+        "ok",
+        "ok after damping",
+        "implicit midpoint solve stalled",
+        "implicit midpoint solve stalled after damping",
+        "implicit midpoint iterate is not finite",
+        "no iterations: implicit midpoint solve stalled",
+    } <= seen
+
+
+def test_twelve_floats_take_the_straight_line_step(monkeypatch):
+    taken = []
+    monkeypatch.setattr(
+        integrators, "_midpoint_twelve", lambda *args: taken.append(args) or [0.0]
+    )
+    integrators.midpoint_step(lambda v: v, [0.0] * 12, 1e-3)
+    integrators.midpoint_step(lambda v: v, [0.0] * 4, 1e-3)
+    integrators.midpoint_step(lambda v: v, np.zeros(12), 1e-3)
+    assert len(taken) == 1
+
+
+def test_value_error_on_a_finite_iterate_propagates():
+    def field(v):
+        raise ValueError("not a midpoint failure")
+
+    for x in ([0.5] * 12, [0.5] * 4):
+        with pytest.raises(ValueError, match="not a midpoint failure"):
+            integrators.midpoint_step(field, x, 1e-3)
+
+
+def yoshida4_reference(force, inv_mass, x, h):
+    """Yoshida's composition as the loop it was first written as: drift,
+    kick, ..., drift over the halves q, p of ``x``."""
+    n = len(inv_mass)
+    q = x[:n]
+    p = x[n:]
+    for c, d in zip(integrators._YOSHIDA_DRIFTS, integrators._YOSHIDA_KICKS):
+        ch = c * h
+        for i in range(n):
+            q[i] += ch * (p[i] * inv_mass[i])
+        f = force(q)
+        dh = d * h
+        for i in range(n):
+            p[i] += dh * f[i]
+    ch = integrators._YOSHIDA_DRIFTS[-1] * h
+    for i in range(n):
+        q[i] += ch * (p[i] * inv_mass[i])
+    return q + p
+
+
+def reduced_steps(masses, h):
+    """The reduced Yoshida-4 step and its loop-form reference."""
+    m1, m2, m3 = masses
+    jc = reduction.JacobiConstants.from_masses(masses)
+    inv = (1.0 / jc.nu3, 1.0 / jc.nu4)
+    fast = reduction._yoshida4_advance(m1, m2, m3, jc.nu1, jc.nu2, *inv, h)
+
+    def force(q):
+        return reduction._gap_gradient(m1, m2, m3, jc.nu1, jc.nu2, q[0], q[1])
+
+    return fast, lambda x: yoshida4_reference(force, inv, x, h)
+
+
+gap_offsets = st.one_of(
+    st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-1e-3, 1e-3), st.floats(-3.0, 3.0)
+)
+
+
+@st.composite
+def reduced_states(draw):
+    """(phi1, phi2, p1, p2) with any one of the three gaps near 0 or pi."""
+    masses = draw(st.sampled_from([mv.masses for mv in MASSES]))
+    jc = reduction.JacobiConstants.from_masses(masses)
+    gap = draw(st.sampled_from((0, 1, 2)))
+    near = draw(st.sampled_from((0.0, math.pi, -math.pi, 2.0 * math.pi)))
+    d = near + draw(gap_offsets)
+    other = draw(st.floats(-7.0, 7.0))
+    if gap == 0:
+        phi1, phi2 = d, other
+    elif gap == 1:  # phi2 - nu1 phi1 = d
+        phi1, phi2 = other, d + jc.nu1 * other
+    else:  # phi2 + nu2 phi1 = d
+        phi1, phi2 = other, d - jc.nu2 * other
+    momenta = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e3, 1e3))
+    return masses, [phi1, phi2, draw(momenta), draw(momenta)]
+
+
+@PROPERTY
+@given(reduced_states(), steps)
+def test_reduced_step_matches_loop_reference(case, h):
+    masses, x = case
+    fast, loop = reduced_steps(masses, h)
+    assert outcome(lambda: fast(list(x))) == outcome(lambda: loop(list(x)))
+
+
+@PROPERTY
+@given(st.lists(st.floats(), min_size=4, max_size=4), steps)
+def test_reduced_step_matches_loop_reference_on_any_floats(x, h):
+    fast, loop = reduced_steps(MASSES[1].masses, h)
+    assert outcome(lambda: fast(list(x))) == outcome(lambda: loop(list(x)))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_reduced_step_raises_the_singular_gap_error(which):
+    masses = MASSES[1].masses
+    jc = reduction.JacobiConstants.from_masses(masses)
+    # the first drift is what puts the chosen gap at exactly zero
+    x = [[0.0, 1.0], [1.0, jc.nu1], [1.0, -jc.nu2]][which] + [0.0, 0.0]
+    fast, loop = reduced_steps(masses, 1e-3)
+    got = outcome(lambda: fast(list(x)))
+    assert got == outcome(lambda: loop(list(x)))
+    assert got[0] is SingularConfiguration
+    assert got[1].startswith("reduced separation ") and got[1].endswith(" is singular")
