@@ -278,19 +278,22 @@ VERDICT_STABLE = "re-linearly-stable"
 BOUNDARY_TOL = 1e-9
 
 
-def rate_verdict(omega: float, lam1: float) -> tuple:
-    """Verdict and unstable exponent sqrt(lambda1 - omega^2) of one rotation rate.
-
-    A rate that is not finite, or whose square overflows, has no verdict and
-    raises InvalidConfiguration.
-    """
+def rate_square(omega: float) -> float:
+    """omega^2, or InvalidConfiguration if the rate or its square is not finite."""
     if not math.isfinite(omega):
         raise InvalidConfiguration("rotation rate %r is not finite" % (omega,))
     w2 = omega * omega
     if not math.isfinite(w2):
-        raise InvalidConfiguration(
-            "square of rotation rate %r is not finite" % (omega,)
-        )
+        raise InvalidConfiguration("square of rotation rate %r is not finite" % (omega,))
+    return w2
+
+
+def rate_verdict(omega: float, lam1: float) -> tuple:
+    """Verdict and unstable exponent sqrt(lambda1 - omega^2) of one rotation rate.
+
+    A rate that ``rate_square`` rejects raises InvalidConfiguration.
+    """
+    w2 = rate_square(omega)
     exponent = math.sqrt(lam1 - w2) if lam1 > w2 else 0.0
     if omega == 0.0:
         return VERDICT_FIXED_POINT, exponent

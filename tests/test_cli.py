@@ -1,6 +1,10 @@
+import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import shlex
 
 import numpy as np
 import pytest
@@ -355,6 +359,60 @@ class TestOmegaSweepRows:
         assert parse_report(out)["sweep.first_stable_omega"] == "none"
 
 
+class TestOptionTable:
+    FLAGS = {
+        "region-scan": {"--resolution"},
+        "fixed-point": {"--masses", "--solve", "--initial"},
+        "stability": {"--masses", "--omega"},
+        "simulate": {
+            "--masses",
+            "--omega",
+            "--mode",
+            "--horizon",
+            "--step",
+            "--amplitude",
+            "--record-stride",
+            "--method",
+        },
+        "omega-sweep": {"--masses", "--omega-min", "--omega-max", "--count"},
+    }
+    COMMON = {
+        "-h",
+        "--help",
+        "--output",
+        "--seed",
+        "--workers",
+        "--tolerance-overrides",
+        "--config",
+        "--degrees",
+    }
+
+    def test_each_command_takes_its_flags(self):
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(self.FLAGS)
+        for command, parser in subparsers.items():
+            flags = {flag for action in parser._actions for flag in action.option_strings}
+            assert flags == self.COMMON | self.FLAGS[command], command
+
+    @pytest.mark.parametrize("argv", [[], *([c] for c in cli.COMMANDS)])
+    def test_help_renders(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: curvednbody")
+        assert "--workers" not in out
+
+    def test_workers_hidden_but_accepted(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["omega-sweep", "--help"])
+        assert "--workers" not in capsys.readouterr().out
+        argv = ["omega-sweep", "--masses", "1", "1", "1", "--count", "3", "--workers", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert "workers" not in cli._resolve_options(cli.build_parser().parse_args(argv))
+
+
 class TestAtomicWrite:
     def test_chunks_write_the_same_bytes_as_the_joined_string(self, tmp_path):
         chunks = ["a,b\n", "", "1,2\n", "3,4\n"]
@@ -475,6 +533,44 @@ class TestConfigAndErrors:
             ["stability", "--masses", "1", "1", "1", "--omega", "1.3"], capsys
         )
         assert from_config == from_flags
+        # one config value per option, against the flag that gives the same value
+        cases = {
+            "output": ("out.txt", ["--output", "out.txt"]),
+            "seed": ("3", ["--seed", "3"]),
+            "tolerance_overrides": (
+                {"newton": "1e-9"},
+                ["--tolerance-overrides", '{"newton": 1e-9}'],
+            ),
+            "degrees": (True, ["--degrees"]),
+            "resolution": ("64", ["--resolution", "64"]),
+            "masses": (["1", 2, 1.5], ["--masses", "1", "2", "1.5"]),
+            "solve": (True, ["--solve"]),
+            "initial": (["0", 2, 4.5], ["--initial", "0", "2", "4.5"]),
+            "omega": ("1.3", ["--omega", "1.3"]),
+            "mode": ("growth", ["--mode", "growth"]),
+            "horizon": ("2.5", ["--horizon", "2.5"]),
+            "step": ("0.01", ["--step", "0.01"]),
+            "amplitude": ("1e-3", ["--amplitude", "1e-3"]),
+            "record_stride": ("5", ["--record-stride", "5"]),
+            "method": ("rk45", ["--method", "rk45"]),
+            "count": ("7", ["--count", "7"]),
+            "omega_min": ("0.5", ["--omega-min", "0.5"]),
+            "omega_max": ("1.5", ["--omega-max", "1.5"]),
+        }
+        assert list(cases) == [option.name for option in cli.OPTIONS]
+        parser = cli.build_parser()
+        for option in cli.OPTIONS:
+            value, flag = cases[option.name]
+            command = option.commands[-1]
+            base = [command]
+            if command != "region-scan" and option.name != "masses":
+                base += ["--masses", "1", "1", "1"]
+            cfg.write_text(json.dumps({option.name: value}))
+            argv = base + ["--config", str(cfg)]
+            from_config = cli._resolve_options(parser.parse_args(argv))
+            from_flag = cli._resolve_options(parser.parse_args(base + flag))
+            assert repr(from_config) == repr(from_flag), option.name
+            assert from_flag[option.name] != option.default, option.name
 
     def test_tolerance_override_value_is_type_checked(self, capsys):
         code, _, err = run_cli(
@@ -523,6 +619,10 @@ class TestConfigAndErrors:
             ["simulate", "--omega", "1e200", "--mode", "re"],
             ["simulate", "--omega=-1e200", "--mode", "perturbed"],
             ["simulate", "--omega", "1e200", "--mode", "growth"],
+            ["simulate", "--omega", "nan", "--mode", "re"],
+            ["simulate", "--omega", "inf", "--mode", "re"],
+            ["simulate", "--omega", "nan", "--mode", "growth"],
+            ["simulate", "--omega", "inf", "--mode", "growth"],
         ],
     )
     def test_non_finite_rate_rejected(self, capsys, tmp_path, argv):
@@ -569,3 +669,374 @@ class TestConfigAndErrors:
         assert code == 2
         assert err.startswith("error:")
         assert not out_file.exists()
+
+
+# Config files the pinned commands read: a JSON object, or raw text.
+PINNED_CONFIGS = {
+    "rates.json": {"masses": [0.2, 0.5, 0.3], "omega": 0.77},
+    "count.json": {"masses": [1, 1, 1], "count": "x"},
+    "omega.json": {"masses": [1, 1, 1], "omega": "fast"},
+    "mass_text.json": {"masses": [1, 1, "a"]},
+    "mass_number.json": {"masses": 5},
+    "mode.json": {"masses": [1, 1, 1], "mode": "bogus"},
+    "degrees.json": {"masses": [1, 1, 1], "degrees": "no"},
+    "output.json": {"masses": [1, 1, 1], "output": 7},  # the --output flag wins
+    "broken.json": "[1, 2",
+    "list.json": "[1, 2]",
+}
+
+# Each command runs with "--output out" appended, in a directory holding the
+# PINNED_CONFIGS files.  The values are the exit code and the sha256 of
+# stdout, stderr and the output file (None when no file is written).  They
+# pin the bytes of the CLI for the numpy and scipy versions CI installs.
+PINNED = {
+    # the commands of the benchmark's cli workload, on fixed masses
+    "region-scan --resolution 512": (
+        0,
+        "b5b26322f8fe5358cc6b7fe96edc0855d8980cf013f0300931d6012ad46dc5f7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7afcc9e5ef2dc050beac78c11153d816e6d89844414531963a4459c71c86ef26",
+    ),
+    "fixed-point --masses 0.2 0.5 0.3 --solve --degrees": (
+        0,
+        "13236356e8b0b890ceded2c2f410caadd1509c7862679c81977c4ff1a4c62cfe",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "13236356e8b0b890ceded2c2f410caadd1509c7862679c81977c4ff1a4c62cfe",
+    ),
+    "stability --masses 0.2 0.5 0.3 --omega 2.3": (
+        0,
+        "d75cc6a6ddbcfcc906abe2100d8bb4421e986d1d4a3d40df025fd71439d7db5c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d75cc6a6ddbcfcc906abe2100d8bb4421e986d1d4a3d40df025fd71439d7db5c",
+    ),
+    "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode re --horizon 1.0": (
+        0,
+        "e1aa528d681ed824e81e716fc3475e7366392695d9977e602d1f0ac320fa27e9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "195928865c641eb2fa093d879844a63c67a38046290bc04aa0ae42cf2dde1959",
+    ),
+    "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode perturbed --horizon 1.0 --seed 12345": (
+        0,
+        "98eac8ba66b7e84d3dfe8a1f84587eed5bbc5310cd3f6e2ef6f2c77f0706b64d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "522eb6dc4cc99e918c036ddf22c46a41036a67b8b8ca0d485bcf9942c12ac49c",
+    ),
+    "simulate --masses 0.2 0.5 0.3 --omega 0.77 --mode growth --horizon 200 --step 0.01": (
+        0,
+        "f8c593b54a289a9d883c020d7f8476f876a953c41f6154b2b6740e77068eda9b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5269cb713f533f5597dca9582d170512d3dded6c5c3385d4b3fb6826b1ce37f3",
+    ),
+    "omega-sweep --masses 0.2 0.5 0.3 --omega-min 0 --omega-max 3.0634 --count 2001 --workers 2": (
+        0,
+        "d22c817dfcad6d408dea8c045211c96c62c07d98feb291725a91c78c21b519e5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bb9d356faad4e85da146953faf24601a0f2be4d7d7f1f5603e7373e17d19fb5a",
+    ),
+    "stability --config rates.json": (
+        0,
+        "bd0bf9ad9cc789edf8239b7051fc260b25b957bc301e6809b476bb63e4a87ac7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bd0bf9ad9cc789edf8239b7051fc260b25b957bc301e6809b476bb63e4a87ac7",
+    ),
+    # the error exits of this file's tests
+    "region-scan --resolution 1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bbba632f7c00e5e65c7e4b67751e262b9ebcbe4ef81650d222ec085fd5903555",
+        None,
+    ),
+    "omega-sweep --config count.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "44c83f93b8817892145bab209ae317923bda83660c8a48e2d2186d01e2deb765",
+        None,
+    ),
+    "stability --config omega.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "feb3848b471f91f576d49b18936fab1ff5e93e0a8fd5b1abd60563d2bad2c01e",
+        None,
+    ),
+    "stability --config mass_text.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4a154e16641b102f1a4533269b98da6d53e6e5ca3fef9185478c7f1cc920c284",
+        None,
+    ),
+    "stability --config mass_number.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b7138e05abea572ea62971413170baec50c27ece014476a42499fe8b33900999",
+        None,
+    ),
+    "simulate --config mode.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "266477b165790b0548dd386dc6c7a168a4a8f3ff03bf8d1f9cc021b71ab9e243",
+        None,
+    ),
+    "fixed-point --config degrees.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5d1bb7c15b511d7ae15cb3f8f6a44c819c9fb0596d4428e31ae635de23cbea6d",
+        None,
+    ),
+    "stability --config output.json": (
+        0,
+        "b73e0fd34de510ef999b54969a77f8c7f51f4a83b4b7693438f699c16c2c1e22",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b73e0fd34de510ef999b54969a77f8c7f51f4a83b4b7693438f699c16c2c1e22",
+    ),
+    "stability": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ca60ad36947a31f00544b2d55f68d00635d7484f0326dd705b6abdfdc3cd9948",
+        None,
+    ),
+    "stability --masses 0.5 0.49 0.01": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4838c177924900ab30de888af7bcd763ca2f27b586be6f821889e98ef420c6af",
+        None,
+    ),
+    "stability --masses 1 1 1 --tolerance-overrides '{oops'": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7b887aecf564780207957d1bc29443c63507ebe8f72db1e26ecc1fa375a02221",
+        None,
+    ),
+    """stability --masses 1 1 1 --tolerance-overrides '{"bogus": 0.1}'""": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "33c0ae37cc6fd23513bde528cdf220282a95584ffe45665a4164848ae2a6459b",
+        None,
+    ),
+    """stability --masses 1 1 1 --tolerance-overrides '{"residual": "abc"}'""": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6d4b5b0f1a16717bc470f2f53e49a364514e5af9781f3e05ae8fa4dde86ce0d6",
+        None,
+    ),
+    "stability --config absent.json": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cb5a65d83d11e5c01a0e8a33fe7fbdbb3bda5f04a9d4fc7cda05df7ade3f48fa",
+        None,
+    ),
+    "stability --config broken.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1969a37e2fff379584398283f061dc5acd7a0c46dd3c5360abf894c54602344b",
+        None,
+    ),
+    "stability --config list.json": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3de5446e87c4b12ba56f1853388503fe0b8a364932a48518cd01f2f5bd05d52e",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode growth --method rk45": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68cc4fc94ffd06581a4147d3b2420c4e1e0e127d236ffd9b789343a6c6a84b95",
+        None,
+    ),
+    "stability --masses 1 1 1 --omega nan": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e6ad11aabe744293fda0da8cc0478466f68de8bd656892dfd36a9ff4081ba",
+        None,
+    ),
+    "stability --masses 1 1 1 --omega inf": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6474f4c774d3896e7d902434e25a053b8166f7c6bd47412a13a58b60e87cad51",
+        None,
+    ),
+    "omega-sweep --masses 1 1 1 --omega-max nan --count 3": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e6ad11aabe744293fda0da8cc0478466f68de8bd656892dfd36a9ff4081ba",
+        None,
+    ),
+    "omega-sweep --masses 1 1 1 --omega-min nan --count 3": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e6ad11aabe744293fda0da8cc0478466f68de8bd656892dfd36a9ff4081ba",
+        None,
+    ),
+    "stability --masses 1 1 1 --omega 1e200": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0206a875715fb659d363ef745e38e4aa7497e70195d1864134d15d201c2a323d",
+        None,
+    ),
+    "omega-sweep --masses 1 1 1 --omega-max 1e200": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0206a875715fb659d363ef745e38e4aa7497e70195d1864134d15d201c2a323d",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega 1e200 --mode re": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0206a875715fb659d363ef745e38e4aa7497e70195d1864134d15d201c2a323d",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega=-1e200 --mode perturbed": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a38add7af797c07265b813d8c10e0fc9e93ecd44e4ed855a0bf51c534f4e6cf3",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega 1e200 --mode growth": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0206a875715fb659d363ef745e38e4aa7497e70195d1864134d15d201c2a323d",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega nan --mode re": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e6ad11aabe744293fda0da8cc0478466f68de8bd656892dfd36a9ff4081ba",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega inf --mode re": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6474f4c774d3896e7d902434e25a053b8166f7c6bd47412a13a58b60e87cad51",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega nan --mode growth": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e6ad11aabe744293fda0da8cc0478466f68de8bd656892dfd36a9ff4081ba",
+        None,
+    ),
+    "simulate --masses 1 1 1 --omega inf --mode growth": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6474f4c774d3896e7d902434e25a053b8166f7c6bd47412a13a58b60e87cad51",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode perturbed --amplitude nan --horizon 0.1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "556deff1b568a3033088843bb8c9b6b5900530863a4340f8a03553fea6fc4e7b",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode perturbed --amplitude inf --horizon 0.1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "597d2d5abe0bd799ace3a17118d4d2e7200f5bce6183c19cf2d8955c42b590b9",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode growth --amplitude nan --horizon 0.1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "556deff1b568a3033088843bb8c9b6b5900530863a4340f8a03553fea6fc4e7b",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode growth --amplitude inf --horizon 0.1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "597d2d5abe0bd799ace3a17118d4d2e7200f5bce6183c19cf2d8955c42b590b9",
+        None,
+    ),
+    "simulate --masses 1 1 1 --step 0": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "62a47e05c3837d84c6d6922e48f8c01ee4868405b49d92d24ab410eb93148dcb",
+        None,
+    ),
+    "simulate --masses 1 1 1 --step -0.001": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d79dd6b31c30109b9e1ec3dac61232854d3cc5ae828d2defd8c96324c6a086a5",
+        None,
+    ),
+    "simulate --masses 1 1 1 --step nan": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4897684a5692ef0c369d63098463fcb87235334ccda29479e2f4c5641960a338",
+        None,
+    ),
+    "simulate --masses 1 1 1 --horizon nan": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f71461655561251927108ad2fd7b0a73d2b770682da10dc972d31ca906ebd55e",
+        None,
+    ),
+    "simulate --masses 1 1 1 --horizon inf": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4037fdc474bfba24fca9f31bff6f663234ed5758ecaf256c5b53def765ced038",
+        None,
+    ),
+    "simulate --masses 1 1 1 --record-stride 0": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "38527a5aa878b5d2a06425a63f3a3196f143faf5b598cf4dcb16ff1a5135c98e",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode growth --record-stride 0": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "38527a5aa878b5d2a06425a63f3a3196f143faf5b598cf4dcb16ff1a5135c98e",
+        None,
+    ),
+    "simulate --masses 1 1 1 --mode growth --horizon 0.004 --step 0.01": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e33e2822761bfe4674d1df9d72c83a120d8207a5c3682c8ecea3bffb0a0ff62d",
+        None,
+    ),
+    # the range checks of the option table
+    "omega-sweep --masses 1 1 1 --count 0": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7a3939a0705fb15bf1b2f683bd5772b7cf9b071d9a0032b650400b67939a6853",
+        None,
+    ),
+    "omega-sweep --masses 1 1 1 --omega-min 2 --omega-max 1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ede8854de0eef049ca1928ceb236e68ea1e48e099f757d0cf54b910a6e6d545c",
+        None,
+    ),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_pinned(command):
+    """Exit code and digests of one pinned command, run in the current directory."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(shlex.split(command) + ["--output", "out"])
+    written = None
+    if os.path.exists("out"):
+        with open("out", "rb") as fh:
+            written = _sha(fh.read())
+    return (
+        code,
+        _sha(stdout.getvalue().encode()),
+        _sha(stderr.getvalue().encode()),
+        written,
+    )
+
+
+def write_pinned_configs():
+    for name, content in PINNED_CONFIGS.items():
+        with open(name, "w") as fh:
+            fh.write(content if isinstance(content, str) else json.dumps(content))
+
+
+@pytest.mark.parametrize("command", sorted(PINNED), ids=lambda c: c.replace(" ", "_"))
+def test_pinned_bytes(monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    write_pinned_configs()
+    assert run_pinned(command) == PINNED[command]
