@@ -47,7 +47,11 @@ from .report import FLOAT_FMT, ChunkedText, ReportDocument, atomic_write_text, w
 
 DEG_PER_RAD = 180.0 / math.pi
 
-DEFAULT_TOLERANCES = {"residual": 1e-10, "newton": 1e-11, "consistency": 1e-8}
+DEFAULT_TOLERANCES = {
+    "residual": stability.FIXED_POINT_TOL,
+    "newton": fixedpoints.NEWTON_TOL,
+    "consistency": fixedpoints.CONSISTENCY_TOL,
+}
 
 COMMANDS = {
     "region-scan": "scan the admissible mass region",
@@ -158,10 +162,11 @@ _FP, _SIM, _SWEEP = ("fixed-point",), ("simulate",), ("omega-sweep",)
 # When several values are wrong, the first row's check reports.
 OPTIONS = (
     Option("output", str, None, "write the result to this path", _ALL),
-    Option("seed", int, 0, "seed for random draws", _ALL),
+    Option("seed", int, 0, "seed for random draws", _SIM),
     Option("tolerance_overrides", _tolerances, DEFAULT_TOLERANCES,
-           "JSON object overriding named tolerances", _ALL, metavar="JSON"),
-    Option("degrees", bool, False, "also print angles in degrees (display only)", _ALL),
+           "JSON object overriding named tolerances", _ALL[1:], metavar="JSON"),
+    Option("degrees", bool, False, "also print angles in degrees (display only)",
+           ("fixed-point", "stability")),
     Option("resolution", int, 512, "grid cells per axis", ("region-scan",),
            _at_least(2, "resolution must be at least 2")),
     Option("masses", float, None, "the three masses", _ALL[1:], _three_masses, 3, "M"),
@@ -448,7 +453,7 @@ def _cmd_simulate(opts) -> int:
         amplitude = opts["amplitude"] if opts["amplitude"] is not None else 1e-6
         try:
             fit = dynamics.growth_rate_experiment(
-                triple,
+                blocks,
                 omega,
                 amplitude=amplitude,
                 horizon=opts["horizon"],

@@ -37,16 +37,20 @@ from .geometry import (
     _sphere_tables,
 )
 from .integrators import (
-    MIDPOINT_TOL,
     SEPARATION_FLOOR,
     fixed_steps,
     midpoint_step,
     rk45_solve,
     step_count,
 )
-from .stability import assemble_blocks, vertical_mode
+from .stability import LinearizationBlocks, assemble_blocks, vertical_mode
 
 EQUATOR = math.pi / 2.0
+
+# the window of the growth fit; see growth_rate_experiment
+GROWTH_FLOOR_FACTOR = 10.0
+GROWTH_CEILING = 1e-2
+GROWTH_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -306,9 +310,6 @@ class TrajectoryRecord:
     def n(self) -> int:
         return self.states.shape[1] // 4
 
-    def final_state(self) -> PhaseState:
-        return PhaseState.from_vector(self.states[-1])
-
 
 def integrate(
     masses: MassVector,
@@ -317,7 +318,6 @@ def integrate(
     step: float = 1e-3,
     omega: float = 0.0,
     record_stride: int = 10,
-    inner_tol: float = MIDPOINT_TOL,
     method: str = "midpoint",
 ) -> TrajectoryRecord:
     """Integrate the equations of motion and collect conservation monitors.
@@ -352,7 +352,7 @@ def integrate(
     else:
         field = _field_kernel(masses, omega)
         samples = fixed_steps(
-            lambda x: midpoint_step(field, x, step, inner_tol),
+            lambda x: midpoint_step(field, x, step),
             x0.tolist(),
             step,
             nsteps,
@@ -420,28 +420,31 @@ def growth_rate_experiment(
     horizon: float = 200.0,
     step: float = 0.01,
     record_stride: int = 10,
-    fit_floor_factor: float = 10.0,
-    fit_ceiling: float = 1e-2,
-    min_points: int = 8,
-    inner_tol: float = MIDPOINT_TOL,
 ) -> GrowthFit:
     """Measure the growth rate of a seeded perturbation in the rotating frame.
 
+    ``masses`` is a mass triple, whose canonical ring is checked and
+    linearized here, or the ``LinearizationBlocks`` a caller has already
+    assembled at a ring, whose masses and ring are then used as they are.
     The ring is perturbed along the vertical mode: the exact unstable
     eigenvector when the rate is subcritical, otherwise the same shape used
     as a neutral probe.  Deviations are fit on the window where they exceed
-    ``fit_floor_factor`` times the amplitude but stay below ``fit_ceiling``,
-    where growth is linear before nonlinear saturation.  Fewer than
-    ``min_points`` samples in the window raises NoGrowthWindow, the expected
-    outcome at supercritical rates.  A non-finite amplitude raises
+    ``GROWTH_FLOOR_FACTOR`` times the amplitude but stay below
+    ``GROWTH_CEILING``, where growth is linear before nonlinear saturation;
+    the run stops once a deviation passes twice the ceiling.  Fewer than
+    ``GROWTH_MIN_POINTS`` samples in the window raises NoGrowthWindow, the
+    expected outcome at supercritical rates.  A non-finite amplitude raises
     InvalidConfiguration.
     """
     if not math.isfinite(amplitude):
         raise InvalidConfiguration("amplitude %r is not finite" % (amplitude,))
-    triple = as_mass_triple(masses)
-    mv = triple.mass_vector()
-    ring = ring_from_shape(shape_from_masses(triple))
-    blocks = assemble_blocks(mv, ring)
+    if isinstance(masses, LinearizationBlocks):
+        blocks = masses
+    else:
+        triple = as_mass_triple(masses)
+        ring = ring_from_shape(shape_from_masses(triple))
+        blocks = assemble_blocks(triple.mass_vector(), ring)
+    mv, ring = blocks.masses, blocks.ring
     lam1, u = vertical_mode(blocks)
     mu = lam1 - omega * omega
     scale = math.sqrt(mu) if mu > 0.0 else math.sqrt(lam1)
@@ -456,7 +459,7 @@ def growth_rate_experiment(
     field = _field_kernel(mv, omega)
     nsteps = step_count(horizon, step, record_stride)
     samples = fixed_steps(
-        lambda x: midpoint_step(field, x, step, inner_tol),
+        lambda x: midpoint_step(field, x, step),
         (rest + amplitude * w).tolist(),
         step,
         nsteps,
@@ -469,17 +472,17 @@ def growth_rate_experiment(
         dev = max([abs(a - b) for a, b in zip(x, rest)])
         times.append(t)
         devs.append(dev)
-        if t > 0.0 and dev > 2.0 * fit_ceiling:
+        if t > 0.0 and dev > 2.0 * GROWTH_CEILING:
             break
     times_arr = np.array(times)
     devs_arr = np.array(devs)
-    floor = fit_floor_factor * amplitude
-    mask = (devs_arr >= floor) & (devs_arr <= fit_ceiling)
+    floor = GROWTH_FLOOR_FACTOR * amplitude
+    mask = (devs_arr >= floor) & (devs_arr <= GROWTH_CEILING)
     count = int(np.sum(mask))
     max_dev = float(np.max(devs_arr))
-    if count < min_points:
+    if count < GROWTH_MIN_POINTS:
         raise NoGrowthWindow(
-            "only %d samples between %.3g and %.3g" % (count, floor, fit_ceiling),
+            "only %d samples between %.3g and %.3g" % (count, floor, GROWTH_CEILING),
             max_deviation=max_dev,
         )
     tw = times_arr[mask]

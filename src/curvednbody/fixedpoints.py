@@ -25,6 +25,12 @@ TWO_PI = 2.0 * math.pi
 # genuine domain violation rather than rounding.
 ACOS_CLAMP_TOL = 1e-14
 
+# Newton stops once the residual max-norm falls below NEWTON_TOL; a mass-shape
+# pair is consistent while its relations' relative defect stays within
+# CONSISTENCY_TOL.
+NEWTON_TOL = 1e-11
+CONSISTENCY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TriangleShape:
@@ -226,7 +232,7 @@ def shape_mass_defect(shape: TriangleShape, masses) -> float:
     return worst
 
 
-def check_shape_mass_pair(shape: TriangleShape, masses, tol: float = 1e-8):
+def check_shape_mass_pair(shape: TriangleShape, masses, tol: float = CONSISTENCY_TOL):
     """Raise InconsistentPair unless masses and shape satisfy the criterion relations."""
     defect = shape_mass_defect(shape, masses)
     if defect > tol:
@@ -288,7 +294,7 @@ def _ring_phi_hessian(masses: MassVector, phis) -> np.ndarray:
 def solve_fixed_point_numeric(
     masses: MassVector,
     initial: RingConfiguration,
-    tol: float = 1e-11,
+    tol: float = NEWTON_TOL,
     max_iterations: int = 100,
 ) -> RingConfiguration:
     """Newton solve of the fixed-point criterion with the first longitude pinned.

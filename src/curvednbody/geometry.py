@@ -116,12 +116,6 @@ class SphereConfiguration:
         object.__setattr__(self, "phis", phis)
         _pair_guard(thetas, phis)
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        thetas = tuple(p[0] for p in pairs)
-        phis = tuple(p[1] for p in pairs)
-        return cls(thetas, phis)
-
     @property
     def n(self) -> int:
         return len(self.thetas)

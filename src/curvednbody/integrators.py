@@ -29,6 +29,8 @@ from .errors import (
 
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_INNER = 50
+RK45_RTOL = 1e-10
+RK45_ATOL = 1e-12
 
 # Integration aborts when a pair separation sine falls below this.
 SEPARATION_FLOOR = 1e-6
@@ -213,7 +215,7 @@ _YOSHIDA_KICKS = (_W1, _W0, _W1)
 _YOSHIDA_DRIFTS = (_W1 / 2, (_W0 + _W1) / 2, (_W0 + _W1) / 2, _W1 / 2)
 
 
-def rk45_solve(field, x0, t_final, rtol=1e-10, atol=1e-12, t_eval=None):
+def rk45_solve(field, x0, t_final, t_eval=None):
     """Adaptive Dormand-Prince 5(4) integration via scipy, as a cross-check.
 
     Returns (times, states) with states stacked row-wise.
@@ -225,8 +227,8 @@ def rk45_solve(field, x0, t_final, rtol=1e-10, atol=1e-12, t_eval=None):
         (0.0, t_final),
         np.asarray(x0, dtype=float),
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=RK45_RTOL,
+        atol=RK45_ATOL,
         t_eval=t_eval,
         dense_output=False,
     )

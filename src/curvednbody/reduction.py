@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfiguration, SingularConfiguration
 from .fixedpoints import (
+    CONSISTENCY_TOL,
     TriangleShape,
     as_mass_triple,
     check_shape_mass_pair,
@@ -30,7 +31,6 @@ from .geometry import SINGULAR_TOL, MassVector
 from .integrators import (
     _YOSHIDA_DRIFTS,
     _YOSHIDA_KICKS,
-    MIDPOINT_TOL,
     SEPARATION_FLOOR,
     fixed_steps,
     midpoint_step,
@@ -254,7 +254,9 @@ def rest_point_from_shape(shape: TriangleShape, masses, omega: float = 0.0) -> R
     )
 
 
-def hessian_alpha_beta(shape: TriangleShape, masses, tol: float = 1e-8) -> np.ndarray:
+def hessian_alpha_beta(
+    shape: TriangleShape, masses, tol: float = CONSISTENCY_TOL
+) -> np.ndarray:
     """Hessian of the force function in the gap variables at a consistent pair.
 
     The pair must satisfy the fixed-point proportionality relations to the
@@ -301,7 +303,7 @@ class LyapunovCertificate:
     certified: bool
 
 
-def lyapunov_certificate(masses, tol: float = 1e-8) -> LyapunovCertificate:
+def lyapunov_certificate(masses, tol: float = CONSISTENCY_TOL) -> LyapunovCertificate:
     """Build the stability certificate for the ring fixed point of a triple."""
     triple = as_mass_triple(masses)
     shape = shape_from_masses(triple)
@@ -346,7 +348,6 @@ def integrate_reduced(
     horizon: float,
     step: float = 1e-3,
     record_stride: int = 10,
-    inner_tol: float = MIDPOINT_TOL,
     method: str = "yoshida4",
 ) -> ReducedTrajectory:
     """Fixed-step integration of the reduced system.
@@ -354,12 +355,11 @@ def integrate_reduced(
     The reduced Hamiltonian is separable, so the default ``method``
     "yoshida4" is the explicit fourth-order symplectic composition of
     leapfrog; "midpoint" is the implicit midpoint rule of the full system,
-    kept as the cross-check (``inner_tol`` applies to it only).  Records
-    every ``record_stride``-th step (plus the endpoints) and reports the
-    largest deviation of the reduced energy from its initial value over the
-    recorded samples.  A non-finite initial state raises
-    InvalidConfiguration.  After every step each of the three separation
-    sines must keep the sign it started with and stay above
+    kept as the cross-check.  Records every ``record_stride``-th step (plus
+    the endpoints) and reports the largest deviation of the reduced energy
+    from its initial value over the recorded samples.  A non-finite initial
+    state raises InvalidConfiguration.  After every step each of the three
+    separation sines must keep the sign it started with and stay above
     SEPARATION_FLOOR, so a step that jumps across a collision is caught; a
     step that fails or breaks this raises StepFailure with its time and step
     index (0 for an initial state at the floor).
@@ -378,7 +378,7 @@ def integrate_reduced(
             return [x[2] * inv_nu3, x[3] * inv_nu4, g1, g2]
 
         def advance(x):
-            return midpoint_step(field, x, step, inner_tol)
+            return midpoint_step(field, x, step)
 
     else:
         raise InvalidConfiguration("unknown integration method %r" % method)

@@ -33,8 +33,8 @@ def fmt(value) -> str:
     return str(value)
 
 
-def fmt_seq(values, sep: str = " ") -> str:
-    return sep.join(fmt(v) for v in values)
+def fmt_seq(values) -> str:
+    return " ".join(fmt(v) for v in values)
 
 
 class ReportDocument:

@@ -46,6 +46,7 @@ from .geometry import (
 # Eigenvalues below this fraction of the matrix scale count as zero modes.
 EIG_ZERO_TOL = 1e-9
 
+# A ring whose fixed-point residual max-norm reaches this is not a fixed point.
 FIXED_POINT_TOL = 1e-10
 
 
@@ -97,27 +98,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def assemble_blocks(
     masses: MassVector,
     ring: RingConfiguration,
-    verify_fixed_point: bool = True,
     residual_tol: float = FIXED_POINT_TOL,
 ) -> LinearizationBlocks:
     """Build the coupling blocks of the linearization at a ring fixed point.
 
     Off the diagonal the vertical block carries m_i m_j / sin^3(d_ij) and the
     tangential block -2 m_i m_j cos(d_ij) / sin^3(d_ij); the diagonals are
-    fixed by the null vectors of the rotational symmetries.  By default the
-    ring is checked to actually be a fixed point first.
+    fixed by the null vectors of the rotational symmetries.  The ring is
+    checked to be a fixed point first: a residual max-norm at or above
+    ``residual_tol`` raises NotAFixedPoint.
     """
     if masses.n != ring.n:
         raise InvalidConfiguration(
             "mass count %d does not match ring size %d" % (masses.n, ring.n)
         )
-    if verify_fixed_point:
-        res = fixed_point_residual(masses, ring)
-        worst = float(np.max(np.abs(res)))
-        if worst >= residual_tol:
-            raise NotAFixedPoint(
-                "ring misses the fixed-point equations by %.3g" % worst
-            )
+    res = fixed_point_residual(masses, ring)
+    worst = float(np.max(np.abs(res)))
+    if worst >= residual_tol:
+        raise NotAFixedPoint("ring misses the fixed-point equations by %.3g" % worst)
     n = ring.n
     m = masses.masses
     vertical = np.zeros((n, n))

@@ -9,7 +9,7 @@ import shlex
 import numpy as np
 import pytest
 
-from curvednbody import cli, fixedpoints, stability
+from curvednbody import cli, dynamics, fixedpoints, stability
 from curvednbody.report import ChunkedText, atomic_write_text, fmt
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
@@ -250,6 +250,25 @@ class TestSimulate:
         assert float(report["growth.max_deviation"]) < 1e-4
         assert "[growth]" in out_file.read_text()
 
+    def test_growth_mode_assembles_once_with_the_residual_override(
+        self, capsys, monkeypatch
+    ):
+        tolerances = []
+        assemble = stability.assemble_blocks
+
+        def spy(masses, ring, residual_tol=stability.FIXED_POINT_TOL):
+            tolerances.append(residual_tol)
+            return assemble(masses, ring, residual_tol=residual_tol)
+
+        monkeypatch.setattr(stability, "assemble_blocks", spy)
+        monkeypatch.setattr(dynamics, "assemble_blocks", spy)
+        argv = ["simulate", "--masses", "1", "1", "1", "--mode", "growth",
+                "--horizon", "1", "--step", "0.01",
+                "--tolerance-overrides", '{"residual": 1e-3}']
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert tolerances == [1e-3]
+
     def test_perturbed_runs_are_deterministic(self, capsys, tmp_path):
         argv = [
             "simulate",
@@ -362,8 +381,14 @@ class TestOmegaSweepRows:
 class TestOptionTable:
     FLAGS = {
         "region-scan": {"--resolution"},
-        "fixed-point": {"--masses", "--solve", "--initial"},
-        "stability": {"--masses", "--omega"},
+        "fixed-point": {
+            "--masses",
+            "--solve",
+            "--initial",
+            "--degrees",
+            "--tolerance-overrides",
+        },
+        "stability": {"--masses", "--omega", "--degrees", "--tolerance-overrides"},
         "simulate": {
             "--masses",
             "--omega",
@@ -373,19 +398,18 @@ class TestOptionTable:
             "--amplitude",
             "--record-stride",
             "--method",
+            "--seed",
+            "--tolerance-overrides",
         },
-        "omega-sweep": {"--masses", "--omega-min", "--omega-max", "--count"},
+        "omega-sweep": {
+            "--masses",
+            "--omega-min",
+            "--omega-max",
+            "--count",
+            "--tolerance-overrides",
+        },
     }
-    COMMON = {
-        "-h",
-        "--help",
-        "--output",
-        "--seed",
-        "--workers",
-        "--tolerance-overrides",
-        "--config",
-        "--degrees",
-    }
+    COMMON = {"-h", "--help", "--output", "--workers", "--config"}
 
     def test_each_command_takes_its_flags(self):
         subparsers = cli.build_parser()._subparsers._group_actions[0].choices

@@ -31,6 +31,7 @@ from curvednbody.geometry import (
 from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
 from curvednbody.reduction import ReducedState, integrate_reduced, rest_point_from_shape
+from curvednbody.stability import assemble_blocks
 
 from conftest import singular_pair
 
@@ -411,6 +412,13 @@ class TestPinnedBits:
     def test_growth_fit(self):
         triple = as_mass_triple((0.25, 0.45, 0.30))
         fit = growth_rate_experiment(triple, 1.0, amplitude=1e-5, horizon=40.0)
+        # the blocks a caller already assembled give the same run
+        ring = ring_from_shape(shape_from_masses(triple))
+        blocks = assemble_blocks(triple.mass_vector(), ring)
+        again = growth_rate_experiment(blocks, 1.0, amplitude=1e-5, horizon=40.0)
+        assert again.rate == fit.rate
+        assert again.times.tolist() == fit.times.tolist()
+        assert again.deviations.tolist() == fit.deviations.tolist()
         assert fit.rate == 0.8980074309184528
         assert fit.expected_rate == 0.8980113781961803
         assert fit.n_points == 51

@@ -63,7 +63,7 @@ class TestAssembleBlocks:
         ring = RingConfiguration((0.0, 2.1, 4.2))
         with pytest.raises(NotAFixedPoint):
             assemble_blocks(mv, ring)
-        blocks = assemble_blocks(mv, ring, verify_fixed_point=False)
+        blocks = assemble_blocks(mv, ring, residual_tol=math.inf)
         assert blocks.vertical.shape == (3, 3)
 
     def test_equal_mass_frozen_entries(self):
