@@ -5,8 +5,10 @@ defaults, the coercion of ``--config`` values and the value checks.  A flag
 wins over a config value (keyed by the option name, dashed or underscored;
 other keys are ignored), which wins over the default.  A rotation rate that
 is not finite, or whose square is not, is rejected before any work, with
-the message of ``stability.rate_square``.  ``--workers`` is accepted, hidden
-and ignored: ``omega-sweep`` classifies every rate from one eigensolve.
+the message of ``stability.rate_square``.  ``simulate`` rejects ``--seed``
+and ``--amplitude`` where its mode does not read them.  ``--workers`` is
+accepted, hidden and ignored: ``omega-sweep`` classifies every rate from one
+eigensolve.
 
 Exit codes: 0 on success, 1 for I/O or internal failures, 2 for invalid
 input, 3 when a numerical procedure fails to converge.  All output is
@@ -19,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,7 @@ from .geometry import RingConfiguration
 from .report import FLOAT_FMT, ChunkedText, ReportDocument, atomic_write_text, write_csv
 
 DEG_PER_RAD = 180.0 / math.pi
+_FLAG_TEXT = (",0\n", ",1\n")  # the admissible column, by flag
 
 DEFAULT_TOLERANCES = {
     "residual": stability.FIXED_POINT_TOL,
@@ -151,8 +153,17 @@ def _midpoint_for_growth(method, opts):
         )
 
 
-def _finite_amplitude(amplitude, opts):
-    if amplitude is not None and not math.isfinite(amplitude):
+def _perturbed_seed(seed, opts):
+    if seed is not None and opts["mode"] != "perturbed":
+        raise InvalidConfiguration("--mode %s does not read --seed" % opts["mode"])
+
+
+def _amplitude(amplitude, opts):
+    if amplitude is None:
+        return
+    if opts["mode"] == "re":
+        raise InvalidConfiguration("--mode re does not read --amplitude")
+    if not math.isfinite(amplitude):
         raise InvalidConfiguration("amplitude %r is not finite" % (amplitude,))
 
 
@@ -162,7 +173,7 @@ _FP, _SIM, _SWEEP = ("fixed-point",), ("simulate",), ("omega-sweep",)
 # When several values are wrong, the first row's check reports.
 OPTIONS = (
     Option("output", str, None, "write the result to this path", _ALL),
-    Option("seed", int, 0, "seed for random draws", _SIM),
+    Option("seed", int, None, "seed of the perturbed mode; default 0", _SIM, _perturbed_seed),
     Option("tolerance_overrides", _tolerances, DEFAULT_TOLERANCES,
            "JSON object overriding named tolerances", _ALL[1:], metavar="JSON"),
     Option("degrees", bool, False, "also print angles in degrees (display only)",
@@ -179,7 +190,7 @@ OPTIONS = (
     Option("horizon", float, 10.0, "integration time", _SIM),
     Option("step", float, 1e-3, "time step", _SIM),
     Option("amplitude", float, None, "perturbation size; default 1e-2, in growth mode 1e-6",
-           _SIM, _finite_amplitude),
+           _SIM, _amplitude),
     Option("record_stride", int, 10, "steps between recorded samples", _SIM),
     Option("method", ("midpoint", "rk45"), "midpoint", "integration method", _SIM,
            _midpoint_for_growth),
@@ -268,13 +279,31 @@ def _angle_line(doc, opts, key, value):
 
 
 def _region_rows(centers, values, valid, admissible):
-    """The region CSV as one chunk per m1 row; each cell centre is formatted once."""
-    cells = [FLOAT_FMT % c for c in centers.tolist()]
-    row_fmt = "%s,%s," + FLOAT_FMT + ",%d\n"
+    """The region CSV as one chunk per m1 row.
+
+    The grid is the same on both axes, so ``valid`` is symmetric and each of
+    its rows is a prefix.  A cell below the diagonal reuses the text of its
+    mirror cell when the two values have the same bits (so 0.0 and -0.0 keep
+    their own); every other value, and each cell centre, is formatted once.
+    """
+    centres = [FLOAT_FMT % c + "," for c in centers.tolist()]  # as m1 or as m2
+    bits = values.view(np.int64)
+    # pending[i] collects, in row order, the texts of the cells (j, i), j < i
+    pending = [[] for _ in centres]
     yield "m1,m2,value,admissible\n"
-    for m1, row, vals, flags in zip(cells, valid, values, admissible):
-        cols = zip(compress(cells, row), vals[row].tolist(), flags[row].tolist())
-        yield "".join([row_fmt % (m1, m2, v, a) for m2, v, a in cols])
+    for i, (m1, n) in enumerate(zip(centres, valid.sum(axis=1).tolist())):
+        texts = pending[i]
+        pending[i] = None
+        vals = values[i, :n].tolist()
+        low = len(texts)
+        for j in np.flatnonzero(bits[i, :low] != bits[:low, i]).tolist():
+            texts[j] = FLOAT_FMT % vals[j]
+        fresh = [FLOAT_FMT % v for v in vals[low:]]
+        for mirror, text in zip(pending[i + 1 : n], fresh[1:]):
+            mirror.append(text)
+        texts += fresh
+        cells = zip(centres, texts, admissible[i, :n].tolist())
+        yield "".join([m1 + m2 + t + _FLAG_TEXT[a] for m2, t, a in cells])
 
 
 def _cmd_region_scan(opts) -> int:
@@ -436,6 +465,21 @@ def _trajectory_header(n):
 
 
 def _cmd_simulate(opts) -> int:
+    """Run ``_simulate``; a midpoint step that fails at omega*h >= 1 says so."""
+    try:
+        return _simulate(opts)
+    except StepFailure as exc:
+        omega_h = abs(opts["omega"]) * opts["step"]
+        if opts["method"] != "midpoint" or omega_h < 1.0:
+            raise
+        raise StepFailure(
+            "%s; omega*h = %g is at least 1, try a smaller --step" % (exc, omega_h),
+            time=exc.time,
+            step=exc.step,
+        ) from exc
+
+
+def _simulate(opts) -> int:
     omega = opts["omega"]
     mode = opts["mode"]
     triple, shape, ring, blocks = _stability_pipeline(opts)
@@ -485,7 +529,7 @@ def _cmd_simulate(opts) -> int:
         x0 = state.as_vector()
     else:
         amplitude = opts["amplitude"] if opts["amplitude"] is not None else 1e-2
-        rng = np.random.default_rng(opts["seed"])
+        rng = np.random.default_rng(opts["seed"] if opts["seed"] is not None else 0)
         rest = dynamics.relative_equilibrium(mv, ring, omega).as_vector()
         x0 = rest + amplitude * rng.uniform(-1.0, 1.0, rest.size)
     record = dynamics.integrate(

@@ -18,6 +18,8 @@ FLOAT_FMT = "%.17g"
 
 def fmt(value) -> str:
     """Render a scalar for reports and CSV cells."""
+    if type(value) is float:  # the common case; numpy scalars take the branches below
+        return FLOAT_FMT % value
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "yes" if value else "no"
     if isinstance(value, (int, np.integer)):

@@ -5,12 +5,13 @@ import json
 import math
 import os
 import shlex
+from itertools import compress
 
 import numpy as np
 import pytest
 
 from curvednbody import cli, dynamics, fixedpoints, stability
-from curvednbody.report import ChunkedText, atomic_write_text, fmt
+from curvednbody.report import FLOAT_FMT, ChunkedText, atomic_write_text, fmt
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 OMEGA_CRITICAL_EQUAL = math.sqrt(LAMBDA1_EQUAL)
@@ -32,6 +33,26 @@ def parse_report(text):
             key, _, val = line.partition(": ")
             values["%s.%s" % (section, key)] = val
     return values
+
+
+def region_grid(res):
+    """The arguments region-scan hands to ``cli._region_rows``."""
+    centers = (np.arange(res) + 0.5) / res
+    m1 = centers[:, None]
+    m2 = centers[None, :]
+    values = fixedpoints.admissibility_values_on_simplex(m1, m2)
+    valid = (m1 + m2) < 1.0
+    return centers, values, valid, valid & (values < 0.0)
+
+
+def region_rows_per_cell(centers, values, valid, admissible):
+    """The region CSV chunks with every cell formatted on its own: the reference."""
+    cells = [FLOAT_FMT % c for c in centers.tolist()]
+    row_fmt = "%s,%s," + FLOAT_FMT + ",%d\n"
+    yield "m1,m2,value,admissible\n"
+    for m1, row, vals, flags in zip(cells, valid, values, admissible):
+        cols = zip(compress(cells, row), vals[row].tolist(), flags[row].tolist())
+        yield "".join([row_fmt % (m1, m2, v, a) for m2, v, a in cols])
 
 
 class TestRegionScan:
@@ -61,11 +82,8 @@ class TestRegionScan:
             ["region-scan", "--resolution", str(res), "--output", str(out_csv)], capsys
         )
         assert code == 0
-        centers = (np.arange(res) + 0.5) / res
-        m1 = centers[:, None]
-        m2 = centers[None, :]
-        values = fixedpoints.admissibility_values_on_simplex(m1, m2)
-        ii, jj = np.nonzero((m1 + m2) < 1.0)
+        centers, values, valid, _ = region_grid(res)
+        ii, jj = np.nonzero(valid)
         cell_values = values[ii, jj]
         table = np.column_stack(
             [centers[ii], centers[jj], cell_values, (cell_values < 0.0).astype(float)]
@@ -74,6 +92,35 @@ class TestRegionScan:
         buf.write("m1,m2,value,admissible\n")
         np.savetxt(buf, table, fmt="%.17g", delimiter=",")
         assert out_csv.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("res", [2, 3, 7, 97, 333, 512])
+    def test_rows_match_per_cell_formatting(self, res):
+        grid = region_grid(res)
+        bits = grid[1].view(np.int64)
+        # at 512 every centre is dyadic and the grid is bitwise symmetric
+        assert np.any(grid[2] & (bits != bits.T)) == (res in (7, 97, 333))
+        want = list(region_rows_per_cell(*grid))
+        assert list(cli._region_rows(*grid)) == want
+        # a traced write iterates the text twice: each pass starts clean
+        text = ChunkedText(lambda: cli._region_rows(*grid))
+        assert "".join(text) == "".join(text) == "".join(want)
+
+    def test_mirror_pairs_with_other_bits_keep_their_own_text(self):
+        centers = np.array([0.1, 0.2, 0.3, 0.4])
+        values = np.array(
+            [
+                [0.5, -0.25, 0.0, -0.1],
+                [-0.25, 1.5, 2.0, 3.0],
+                [-0.0, 2.0, -7.0, 0.125],
+                [-0.1, np.nextafter(3.0, 4.0), 0.125, 9.0],
+            ]
+        )
+        valid = np.ones((4, 4), dtype=bool)
+        grid = (centers, values, valid, valid & (values < 0.0))
+        rows = list(cli._region_rows(*grid))
+        assert rows == list(region_rows_per_cell(*grid))
+        assert "0.29999999999999999,0.10000000000000001,-0,0\n" in rows[3]
+        assert "0.40000000000000002,0.20000000000000001,3.0000000000000004,0\n" in rows[4]
 
     def test_rejects_tiny_resolution(self, capsys):
         code, _, err = run_cli(["region-scan", "--resolution", "1"], capsys)
@@ -291,6 +338,63 @@ class TestSimulate:
         assert first[1] == second[1]
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_perturbed_seed_defaults_to_zero(self, capsys, tmp_path):
+        argv = ["simulate", "--masses", "1", "1", "1", "--mode", "perturbed",
+                "--horizon", "0.1"]
+        default = run_cli(argv + ["--output", str(tmp_path / "a.csv")], capsys)
+        zero = run_cli(argv + ["--seed", "0", "--output", str(tmp_path / "b.csv")], capsys)
+        assert default[0] == 0 and default == zero
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--seed", "9"], "--seed"),
+            (["--mode", "growth", "--seed", "9"], "--seed"),
+            (["--amplitude", "5"], "--amplitude"),
+            (["--mode", "re", "--amplitude", "nan"], "--amplitude"),
+            (["--seed", "9", "--amplitude", "5"], "--seed"),
+        ],
+    )
+    def test_flag_the_mode_does_not_read_is_rejected(self, capsys, tmp_path, extra, flag):
+        out_file = tmp_path / "out.csv"
+        argv = ["simulate", "--masses", "1", "1", "1", "--horizon", "0.05",
+                "--output", str(out_file)]
+        code, out, err = run_cli(argv + extra, capsys)
+        mode = extra[1] if extra[0] == "--mode" else "re"
+        assert (code, out) == (2, "")
+        assert err == "error: --mode %s does not read %s\n" % (mode, flag)
+        assert not out_file.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: 9}))
+        code, _, err = run_cli(argv + ["--mode", mode, "--config", str(cfg)], capsys)
+        assert code == 2 and flag in err
+
+    @pytest.mark.parametrize(
+        "extra, cause",
+        [
+            (["--omega", "1e6", "--horizon", "0.1"], "body 1 at the polar guard"),
+            (["--omega", "1e100", "--mode", "growth"],
+             "bodies 1 and 2 at collision (separation sine 0)"),
+        ],
+    )
+    def test_step_failure_at_large_rate_names_omega_h(self, capsys, extra, cause):
+        argv = ["simulate", "--masses", "1", "1", "1"]
+        code, out, err = run_cli(argv + extra, capsys)
+        omega_h = float(extra[1]) * 1e-3
+        assert (code, out) == (3, "")
+        assert err == "error: %s; omega*h = %g is at least 1, try a smaller --step\n" % (
+            cause,
+            omega_h,
+        )
+
+    def test_step_failure_below_unit_omega_h_keeps_its_message(self, capsys):
+        argv = ["simulate", "--masses", "1", "1", "1", "--mode", "perturbed",
+                "--amplitude", "1", "--horizon", "1", "--omega", "500"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3
+        assert err == "error: implicit midpoint solve stalled (last update 1.02e-05, tol 1e-13)\n"
+
 
 class TestOmegaSweep:
     def test_sweep_and_worker_determinism(self, capsys, tmp_path):
@@ -448,6 +552,26 @@ class TestAtomicWrite:
         assert text.encode() == written
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.1, "0.10000000000000001"),
+        (-0.0, "-0"),
+        (float("inf"), "inf"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (True, "yes"),
+        (np.bool_(False), "no"),
+        (3, "3"),
+        (np.int64(-2), "-2"),
+        (1 - 2j, "1-2j"),
+        ("none", "none"),
+    ],
+)
+def test_fmt_renders_each_kind_of_scalar(value, text):
+    assert fmt(value) == text
+
+
 class TestConfigAndErrors:
     def test_config_supplies_defaults_and_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -589,6 +713,8 @@ class TestConfigAndErrors:
             base = [command]
             if command != "region-scan" and option.name != "masses":
                 base += ["--masses", "1", "1", "1"]
+            if option.name in ("seed", "amplitude"):
+                base += ["--mode", "perturbed"]  # --mode re reads neither
             cfg.write_text(json.dumps({option.name: value}))
             argv = base + ["--config", str(cfg)]
             from_config = cli._resolve_options(parser.parse_args(argv))
@@ -762,6 +888,13 @@ PINNED = {
         "bd0bf9ad9cc789edf8239b7051fc260b25b957bc301e6809b476bb63e4a87ac7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "bd0bf9ad9cc789edf8239b7051fc260b25b957bc301e6809b476bb63e4a87ac7",
+    ),
+    # a grid whose mirrored values differ in bits in many cells
+    "region-scan --resolution 333": (
+        0,
+        "2dcb0476171558879dd8facc5a21f5236771b354593b400010dcc7b0e04b5795",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c8427e230fd3b31ac2a0436da4f379220923df006d63ece55aa671115343b2f5",
     ),
     # the error exits of this file's tests
     "region-scan --resolution 1": (
