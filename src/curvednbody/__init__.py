@@ -5,7 +5,6 @@ from .errors import (
     DegenerateBasis,
     DegenerateShape,
     DegenerateSpectrum,
-    DimensionMismatch,
     InconsistentPair,
     InvalidConfiguration,
     IOFailure,
@@ -27,7 +26,6 @@ from .geometry import (
     force_gradient,
     force_hessian_blocks,
     geodesic_distance,
-    kinetic_energy,
     to_cartesian,
 )
 from .fixedpoints import (
@@ -48,11 +46,9 @@ from .reduction import (
     JacobiConstants,
     LyapunovCertificate,
     ReducedState,
-    from_jacobi,
     hessian_alpha_beta,
     integrate_reduced,
     lyapunov_certificate,
-    reduced_eom,
     reduced_force_function,
     reduced_hamiltonian,
     rest_point_from_shape,
@@ -69,7 +65,6 @@ from .stability import (
     lambda1_closed_form,
     null_structure_check,
     omega_critical,
-    skew_product,
     spectral_analysis,
 )
 from .dynamics import (

@@ -529,9 +529,17 @@ def _simulate(opts) -> int:
         x0 = state.as_vector()
     else:
         amplitude = opts["amplitude"] if opts["amplitude"] is not None else 1e-2
-        rng = np.random.default_rng(opts["seed"] if opts["seed"] is not None else 0)
+        seed = opts["seed"] if opts["seed"] is not None else 0
+        rng = np.random.default_rng(seed)
         rest = dynamics.relative_equilibrium(mv, ring, omega).as_vector()
         x0 = rest + amplitude * rng.uniform(-1.0, 1.0, rest.size)
+        try:
+            dynamics.PhaseState.from_vector(x0)
+        except (InvalidConfiguration, PolarSingularity, SingularConfiguration) as exc:
+            # a large amplitude can push the start off the chart: say so
+            raise type(exc)(
+                "perturbed start (amplitude %g, seed %d): %s" % (amplitude, seed, exc)
+            ) from exc
     record = dynamics.integrate(
         mv,
         x0,

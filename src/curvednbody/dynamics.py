@@ -29,7 +29,6 @@ from .geometry import (
     SINE_RECHECK,
     MassVector,
     RingConfiguration,
-    SphereConfiguration,
     _angle_gradient,
     _pair_guard,
     _pair_table,
@@ -103,9 +102,6 @@ class PhaseState:
             tuple(v[2 * n : 3 * n]),
             tuple(v[3 * n : 4 * n]),
         )
-
-    def configuration(self) -> SphereConfiguration:
-        return SphereConfiguration(self.thetas, self.phis)
 
 
 def relative_equilibrium(

@@ -49,10 +49,6 @@ class DegenerateSpectrum(CurvedNBodyError):
     """An eigenvalue pattern required for classification did not separate cleanly."""
 
 
-class DimensionMismatch(CurvedNBodyError):
-    """Vector or matrix dimensions are incompatible with the requested operation."""
-
-
 class DegenerateBasis(CurvedNBodyError):
     """A requested subspace basis is numerically rank deficient."""
 

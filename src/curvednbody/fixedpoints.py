@@ -57,14 +57,6 @@ class TriangleShape:
             )
 
     @property
-    def d12(self) -> float:
-        return self.alpha
-
-    @property
-    def d23(self) -> float:
-        return self.beta
-
-    @property
     def d13(self) -> float:
         return TWO_PI - (self.alpha + self.beta)
 

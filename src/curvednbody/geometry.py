@@ -64,21 +64,9 @@ class MassVector:
                 "normalized flag set but masses sum to %.17g" % sum(values)
             )
 
-    @classmethod
-    def unit_sum(cls, values):
-        """Scale ``values`` to total mass one and return the normalized vector."""
-        total = float(sum(values))
-        if not (total > 0.0):
-            raise NonpositiveMass("total mass must be positive")
-        return cls(tuple(float(v) / total for v in values), normalized=True)
-
     @property
     def n(self) -> int:
         return len(self.masses)
-
-    @property
-    def total(self) -> float:
-        return sum(self.masses)
 
     def array(self) -> np.ndarray:
         return np.array(self.masses, dtype=float)
@@ -120,10 +108,6 @@ class SphereConfiguration:
     def n(self) -> int:
         return len(self.thetas)
 
-    @property
-    def angles(self):
-        return tuple(zip(self.thetas, self.phis))
-
 
 @dataclass(frozen=True)
 class RingConfiguration:
@@ -158,11 +142,6 @@ class RingConfiguration:
     @property
     def n(self) -> int:
         return len(self.longitudes)
-
-    def gaps(self) -> tuple:
-        return tuple(
-            self.longitudes[i + 1] - self.longitudes[i] for i in range(self.n - 1)
-        )
 
     def to_sphere(self) -> SphereConfiguration:
         return SphereConfiguration(
@@ -408,24 +387,3 @@ def force_hessian_blocks(masses: MassVector, config):
         vtp[i, i] += mm * (f5 * at_i * ap_i + f3 * _dot(qj, qi2_tp))
         vtp[j, j] += mm * (f5 * at_j * ap_j + f3 * _dot(qi, qj2_tp))
     return vtt, vtp, vpp
-
-
-def kinetic_energy(masses: MassVector, state) -> float:
-    """Kinetic energy of a phase state in the spherical chart.
-
-    ``state`` needs ``thetas``, ``pthetas`` and ``pphis`` attributes; the
-    chart requires sin(theta) above the polar guard for every body.
-    """
-    m = masses.masses
-    thetas = state.thetas
-    if len(thetas) != masses.n:
-        raise InvalidConfiguration("state and mass sizes differ")
-    total = 0.0
-    for i in range(masses.n):
-        st = math.sin(float(thetas[i]))
-        if st <= POLAR_TOL:
-            raise PolarSingularity("body %d at sin(theta) = %.3g" % (i + 1, st))
-        pt = float(state.pthetas[i])
-        pp = float(state.pphis[i])
-        total += pt * pt / (2.0 * m[i]) + pp * pp / (2.0 * m[i] * st * st)
-    return total

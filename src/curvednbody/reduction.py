@@ -136,9 +136,6 @@ class ReducedState:
             self.phi2 + jc.nu2 * self.phi1,
         )
 
-    def is_singular(self, masses, tol: float = SINGULAR_TOL) -> bool:
-        return any(abs(math.sin(d)) <= tol for d in self.separations(masses))
-
 
 def to_jacobi(longitudes, momenta, masses):
     """Transform raw equatorial angles and momenta to the reduced chart.
@@ -164,16 +161,6 @@ def to_jacobi(longitudes, momenta, masses):
         momentum_level=p_total,
     )
     return float(new_phi[0]), state, p_total
-
-
-def from_jacobi(mean_angle: float, state: ReducedState, masses):
-    """Invert the reduced chart back to raw longitudes and momenta."""
-    a = angle_transform_matrix(masses)
-    new_phi = np.array([float(mean_angle), state.phi1, state.phi2])
-    new_p = np.array([state.momentum_level, state.p1, state.p2])
-    phis = np.linalg.solve(a, new_phi)
-    ps = a.T @ new_p
-    return phis, ps
 
 
 def _cot_from_angle(x: float) -> float:
@@ -216,30 +203,12 @@ def _gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2):
     return dv_dphi1, dv_dphi2
 
 
-def reduced_potential_gradient(state: ReducedState, masses) -> np.ndarray:
-    """Partials of the reduced force function with respect to (phi1, phi2)."""
-    m1, m2, m3 = _triple_values(masses)
-    jc = JacobiConstants.from_masses(masses)
-    return np.array(
-        _gap_gradient(m1, m2, m3, jc.nu1, jc.nu2, state.phi1, state.phi2)
-    )
-
-
 def reduced_hamiltonian(state: ReducedState, masses, omega: float = 0.0) -> float:
     """Reduced energy on the momentum level of a rigid rotation with rate omega."""
     jc = JacobiConstants.from_masses(masses)
     kinetic = 0.5 * (state.p1 ** 2 / jc.nu3 + state.p2 ** 2 / jc.nu4)
     level_term = 0.5 * jc.mbar * omega * omega
     return kinetic - reduced_force_function(state, masses) + level_term
-
-
-def reduced_eom(state: ReducedState, masses) -> np.ndarray:
-    """Hamiltonian vector field of the reduced system, as (dphi1, dphi2, dp1, dp2)."""
-    jc = JacobiConstants.from_masses(masses)
-    grad = reduced_potential_gradient(state, masses)
-    return np.array(
-        [state.p1 / jc.nu3, state.p2 / jc.nu4, grad[0], grad[1]]
-    )
 
 
 def rest_point_from_shape(shape: TriangleShape, masses, omega: float = 0.0) -> ReducedState:

@@ -23,10 +23,9 @@ import numpy as np
 from .errors import (
     DegenerateBasis,
     DegenerateSpectrum,
-    DimensionMismatch,
     InvalidConfiguration,
     NotAFixedPoint,
-    SingularConfiguration,
+    PolarSingularity,
 )
 from .fixedpoints import (
     TriangleShape,
@@ -197,11 +196,13 @@ def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndar
 def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     """Linearized Hamiltonian flow at an arbitrary phase state.
 
-    ``state`` needs ``thetas``, ``phis``, ``pthetas`` and ``pphis``; the
-    coordinate order of the output matches assemble_L_from_blocks.  A frame
-    rotating at constant rate shifts the flow by a constant, so the same
-    matrix is the Jacobian in every such frame.  At an equatorial fixed
-    point with the rigid-rotation momenta this reduces to the block form.
+    ``state`` needs ``n``, ``thetas``, ``phis``, ``pthetas`` and ``pphis``,
+    as a PhaseState has; a colatitude at the polar guard raises
+    PolarSingularity.  The coordinate order of the output matches
+    assemble_L_from_blocks.  A frame rotating at constant rate shifts the
+    flow by a constant, so the same matrix is the Jacobian in every such
+    frame.  At an equatorial fixed point with the rigid-rotation momenta
+    this reduces to the block form.
     """
     n = masses.n
     m = masses.masses
@@ -215,7 +216,7 @@ def assemble_L_general(masses: MassVector, state) -> np.ndarray:
         st = math.sin(thetas[i])
         ct = math.cos(thetas[i])
         if st <= POLAR_TOL:
-            raise SingularConfiguration("body %d at the polar guard" % (i + 1))
+            raise PolarSingularity("body %d at the polar guard" % (i + 1))
         s2 = st * st
         k = -2.0 * pphis[i] * ct / (m[i] * s2 * st)
         ncent = -pphis[i] * pphis[i] * (1.0 + 2.0 * ct * ct) / (m[i] * s2 * s2)
@@ -418,23 +419,6 @@ def lambda1_closed_form(shape: TriangleShape, masses) -> float:
 def omega_critical(masses) -> float:
     """Smallest rotation rate at which the vertical instability switches off."""
     return classify(masses, 0.0).omega_critical
-
-
-def skew_product(v, w) -> float:
-    """Canonical symplectic pairing of two phase-space vectors.
-
-    Both vectors must have length 4n; positions occupy the first half and
-    momenta the second.  The pairing of the first position coordinate with
-    the first momentum coordinate is -1.
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape or v.ndim != 1 or v.size % 4 != 0:
-        raise DimensionMismatch(
-            "skew product needs two equal-length vectors of length 4n"
-        )
-    half = v.size // 2
-    return float(w[:half] @ v[half:] - v[:half] @ w[half:])
 
 
 def _skew_matrix(dim4n: int) -> np.ndarray:

@@ -388,6 +388,15 @@ class TestSimulate:
             omega_h,
         )
 
+    @pytest.mark.parametrize(
+        "amplitude, horizon, body", [("5", "0.1", 2), ("3", "2", 3)]
+    )
+    def test_rejected_perturbed_start_is_named(self, capsys, amplitude, horizon, body):
+        argv = ["simulate", "--masses", "1", "1", "1", "--mode", "perturbed",
+                "--amplitude", amplitude, "--horizon", horizon]
+        err = "error: perturbed start (amplitude %s, seed 0): body %d at the polar guard\n"
+        assert run_cli(argv, capsys) == (2, "", err % (amplitude, body))
+
     def test_step_failure_below_unit_omega_h_keeps_its_message(self, capsys):
         argv = ["simulate", "--masses", "1", "1", "1", "--mode", "perturbed",
                 "--amplitude", "1", "--horizon", "1", "--omega", "500"]
@@ -1087,6 +1096,13 @@ PINNED = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "597d2d5abe0bd799ace3a17118d4d2e7200f5bce6183c19cf2d8955c42b590b9",
+        None,
+    ),
+    # a finite amplitude that pushes the seeded start off the chart
+    "simulate --masses 1 1 1 --mode perturbed --amplitude 5 --horizon 0.1": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "beddb99cc6a2f2cc79b03f370bbf6acd9cee15f295650f6048e641e6b92ec0a7",
         None,
     ),
     "simulate --masses 1 1 1 --mode growth --amplitude nan --horizon 0.1": (

@@ -26,7 +26,6 @@ from curvednbody.geometry import (
     SphereConfiguration,
     force_function,
     force_gradient,
-    kinetic_energy,
 )
 from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
@@ -173,14 +172,36 @@ class TestHamiltonian:
             state = random_state(rng)
             phis = tuple(p % (2 * math.pi) for p in state.phis)
             rest = PhaseState(state.thetas, phis, (0.0,) * 3, (0.0,) * 3)
-            assert hamiltonian(MV, rest) == -force_function(MV, rest.configuration())
+            config = SphereConfiguration(rest.thetas, rest.phis)
+            assert hamiltonian(MV, rest) == -force_function(MV, config)
 
     def test_matches_energy_pieces(self, rng):
-        state = random_state(rng)
-        expected = kinetic_energy(MV, state) - force_function(
-            MV, state.configuration()
+        # kinetic energy p_theta^2 / 2m + p_phi^2 / (2m sin^2 theta), written out
+        mv = MassVector((2.0, 0.5))
+        x = [math.pi / 2, math.pi / 3, 0.0, 2.0, 0.3, -0.2, 0.1, 0.4]
+        st = math.sin(math.pi / 3)
+        kinetic = (
+            0.3 ** 2 / 4.0 + 0.1 ** 2 / 4.0 + 0.2 ** 2 / 1.0 + 0.4 ** 2 / (1.0 * st * st)
         )
-        assert hamiltonian(MV, state) == pytest.approx(expected, rel=1e-13)
+        config = SphereConfiguration(x[0:2], x[2:4])
+        assert hamiltonian(mv, x) + force_function(mv, config) == pytest.approx(
+            kinetic, rel=1e-14
+        )
+        state = random_state(rng)
+        m, th, pt, pf = MV.masses, state.thetas, state.pthetas, state.pphis
+        kinetic = sum(
+            pt[i] ** 2 / (2.0 * m[i]) + pf[i] ** 2 / (2.0 * m[i] * math.sin(th[i]) ** 2)
+            for i in range(3)
+        )
+        config = SphereConfiguration(state.thetas, state.phis)
+        assert hamiltonian(MV, state) + force_function(MV, config) == pytest.approx(
+            kinetic, rel=1e-13
+        )
+
+    def test_polar_guard(self):
+        mv = MassVector((1.0, 1.0))
+        with pytest.raises(PolarSingularity, match="body 1 at the polar guard"):
+            hamiltonian(mv, [1e-12, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_rotating_frame_subtracts_momentum(self, rng):
         state = random_state(rng)

@@ -19,7 +19,7 @@ from curvednbody.geometry import MassVector
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
 MASSES = (
-    MassVector.unit_sum((1.0, 1.0, 1.0)),
+    MassVector((1 / 3, 1 / 3, 1 / 3)),
     MassVector((0.25, 0.45, 0.30)),
     MassVector((1e-3, 7.0, 0.02)),
 )

@@ -88,8 +88,7 @@ class TestTriangleShape:
 
     def test_separations(self):
         shape = TriangleShape(2.0, 1.8)
-        assert shape.d12 == 2.0
-        assert shape.d23 == 1.8
+        assert (shape.alpha, shape.beta) == (2.0, 1.8)
         assert shape.d13 == pytest.approx(2 * math.pi - 3.8, abs=1e-15)
 
 

@@ -1,0 +1,97 @@
+"""The package root's public names and the README's library quick tour."""
+
+import pathlib
+import re
+import types
+
+import curvednbody
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# Every public name of the package root that is not a submodule.  Adding or
+# removing one is a change to the documented API and updates this set.
+ROOT_NAMES = {
+    "AdmissibleMassTriple",
+    "CurvedNBodyError",
+    "DegenerateBasis",
+    "DegenerateShape",
+    "DegenerateSpectrum",
+    "GrowthFit",
+    "IOFailure",
+    "InconsistentPair",
+    "InvalidConfiguration",
+    "JacobiConstants",
+    "LinearizationBlocks",
+    "LyapunovCertificate",
+    "MassVector",
+    "NoConvergence",
+    "NoGrowthWindow",
+    "NonpositiveMass",
+    "NotAFixedPoint",
+    "NotAdmissible",
+    "PhaseState",
+    "PolarSingularity",
+    "ReducedState",
+    "RingConfiguration",
+    "SingularConfiguration",
+    "SingularIterate",
+    "SphereConfiguration",
+    "StabilityReport",
+    "StepFailure",
+    "TrajectoryRecord",
+    "TriangleShape",
+    "admissibility_value",
+    "as_mass_triple",
+    "assemble_L_from_blocks",
+    "assemble_L_general",
+    "assemble_blocks",
+    "classify",
+    "fixed_point_residual",
+    "force_function",
+    "force_gradient",
+    "force_hessian_blocks",
+    "geodesic_distance",
+    "growth_rate_experiment",
+    "hamiltonian",
+    "hessian_alpha_beta",
+    "integrate",
+    "integrate_reduced",
+    "invariant_subspaces",
+    "is_admissible",
+    "isosceles_bound_check",
+    "lambda1_closed_form",
+    "lyapunov_certificate",
+    "make_field",
+    "masses_from_shape",
+    "null_structure_check",
+    "omega_critical",
+    "reduced_force_function",
+    "reduced_hamiltonian",
+    "relative_equilibrium",
+    "rest_point_from_shape",
+    "ring_from_shape",
+    "shape_from_masses",
+    "shape_mass_defect",
+    "solve_fixed_point_numeric",
+    "spectral_analysis",
+    "to_cartesian",
+    "to_jacobi",
+}
+
+
+def test_root_names_are_pinned():
+    names = {
+        name
+        for name, value in vars(curvednbody).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == ROOT_NAMES
+
+
+def test_readme_quick_tour_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].split()[0] == curvednbody.classify((1.0, 1.0, 1.0), 1.3).verdict

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from curvednbody.dynamics import PhaseState, make_field, relative_equilibrium
 from curvednbody.errors import (
     DegenerateSpectrum,
-    DimensionMismatch,
     InvalidConfiguration,
     NotAFixedPoint,
+    PolarSingularity,
 )
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 from curvednbody.geometry import MassVector, RingConfiguration
@@ -19,6 +20,7 @@ from curvednbody.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     LinearizationBlocks,
+    _skew_matrix,
     assemble_L_from_blocks,
     assemble_L_general,
     assemble_blocks,
@@ -29,7 +31,6 @@ from curvednbody.stability import (
     null_vectors,
     omega_critical,
     rate_verdict,
-    skew_product,
     spectral_analysis,
     vertical_mode,
 )
@@ -209,12 +210,11 @@ class TestFlowMatrix:
     def test_hamiltonian_antisymmetry(self, rng):
         blocks = equal_mass_blocks()
         L = assemble_L_from_blocks(blocks, 1.1)
+        J = _skew_matrix(12)
         for _ in range(10):
             v = rng.normal(size=12)
             w = rng.normal(size=12)
-            assert skew_product(v, L @ w) == pytest.approx(
-                -skew_product(L @ v, w), abs=1e-12
-            )
+            assert v @ J @ (L @ w) == pytest.approx(-(L @ v) @ J @ w, abs=1e-12)
 
     def test_general_matches_blocks_at_rest(self, rng):
         for triple in draw_admissible_triples(rng, 10):
@@ -249,19 +249,28 @@ class TestFlowMatrix:
                 fd[:, k] = (field(x + d) - field(x - d)) / (2 * eps)
             assert np.max(np.abs(fd - L)) / np.max(np.abs(L)) < 1e-6
 
+    def test_general_polar_guard(self):
+        # a PhaseState cannot hold this colatitude, so the state is duck-typed
+        state = types.SimpleNamespace(
+            n=3,
+            thetas=(1e-12, 1.5, 1.6),
+            phis=(0.0, 2.1, 4.2),
+            pthetas=(0.0, 0.0, 0.0),
+            pphis=(0.1, 0.2, 0.3),
+        )
+        with pytest.raises(PolarSingularity, match="body 1 at the polar guard"):
+            assemble_L_general(MassVector((1.0, 1.0, 1.0)), state)
+
 
 class TestSkewProduct:
     def test_canonical_pairing(self):
+        # v @ J @ w pairs each position with its momentum: positions first
+        J = _skew_matrix(12)
         e = np.eye(12)
-        assert skew_product(e[0], e[6]) == -1.0
-        assert skew_product(e[6], e[0]) == 1.0
-        assert skew_product(e[0], e[1]) == 0.0
-
-    def test_dimension_checks(self):
-        with pytest.raises(DimensionMismatch):
-            skew_product(np.zeros(12), np.zeros(8))
-        with pytest.raises(DimensionMismatch):
-            skew_product(np.zeros(6), np.zeros(6))
+        assert e[0] @ J @ e[6] == -1.0
+        assert e[6] @ J @ e[0] == 1.0
+        assert e[0] @ J @ e[1] == 0.0
+        assert np.array_equal(J.T, -J) and np.array_equal(J @ J, -np.eye(12))
 
 
 class TestInvariantSubspaces:
