@@ -22,6 +22,7 @@ from curvednbody.geometry import (
     geodesic_distance,
     to_cartesian,
 )
+from curvednbody.dynamics import hamiltonian
 
 from conftest import singular_pair, unchecked
 
@@ -285,3 +286,21 @@ class TestForceHessian:
         vtt, vtp, vpp = force_hessian_blocks(mv, random_config(rng))
         assert np.max(np.abs(vtt - vtt.T)) == 0.0
         assert np.max(np.abs(vpp - vpp.T)) == 0.0
+
+
+class TestKineticEnergy:
+    def test_formula(self):
+        # H + U is the kinetic energy p_theta^2 / 2m + p_phi^2 / (2m sin^2 theta)
+        mv = MassVector((2.0, 0.5))
+        x = [math.pi / 2, math.pi / 3, 0.0, 2.0, 0.3, -0.2, 0.1, 0.4]
+        st = math.sin(math.pi / 3)
+        expected = (
+            0.3 ** 2 / 4.0
+            + 0.1 ** 2 / 4.0
+            + 0.2 ** 2 / 1.0
+            + 0.4 ** 2 / (1.0 * st * st)
+        )
+        config = SphereConfiguration(x[0:2], x[2:4])
+        assert hamiltonian(mv, x) + force_function(mv, config) == pytest.approx(
+            expected, rel=1e-14
+        )
