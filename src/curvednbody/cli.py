@@ -8,7 +8,8 @@ is not finite, or whose square is not, is rejected before any work, with
 the message of ``stability.rate_square``.  ``simulate`` rejects ``--seed``
 and ``--amplitude`` where its mode does not read them.  ``--workers`` is
 accepted, hidden and ignored: ``omega-sweep`` classifies every rate from one
-eigensolve.
+eigensolve.  The parser is built once per process; parsing does not change
+it, so each call of ``main`` parses as a fresh parser would.
 
 Exit codes: 0 on success, 1 for I/O or internal failures, 2 for invalid
 input, 3 when a numerical procedure fails to converge.  All output is
@@ -18,6 +19,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,6 +214,11 @@ def _flag(option) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and its ``OPTIONS`` rows.
+
+    ``main`` builds it once per process and parses every call with it;
+    parsing does not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="curvednbody",
         description="Ring fixed points and rotating rings of the curved "
@@ -228,6 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
                 flag = "--" + option.name.replace("_", "-")
                 p.add_argument(flag, default=None, help=option.help, **_flag(option))
     return parser
+
+
+_parser = functools.cache(build_parser)
 
 
 def _load_config(path):
@@ -285,6 +295,7 @@ def _region_rows(centers, values, valid, admissible):
     its rows is a prefix.  A cell below the diagonal reuses the text of its
     mirror cell when the two values have the same bits (so 0.0 and -0.0 keep
     their own); every other value, and each cell centre, is formatted once.
+    A row's new values are formatted by one ``%`` and its cells joined once.
     """
     centres = [FLOAT_FMT % c + "," for c in centers.tolist()]  # as m1 or as m2
     bits = values.view(np.int64)
@@ -298,12 +309,15 @@ def _region_rows(centers, values, valid, admissible):
         low = len(texts)
         for j in np.flatnonzero(bits[i, :low] != bits[:low, i]).tolist():
             texts[j] = FLOAT_FMT % vals[j]
-        fresh = [FLOAT_FMT % v for v in vals[low:]]
+        fresh = ((FLOAT_FMT + "\n") * (n - low) % tuple(vals[low:])).split()
         for mirror, text in zip(pending[i + 1 : n], fresh[1:]):
             mirror.append(text)
         texts += fresh
-        cells = zip(centres, texts, admissible[i, :n].tolist())
-        yield "".join([m1 + m2 + t + _FLAG_TEXT[a] for m2, t, a in cells])
+        cells = [m1] * (4 * n)
+        cells[1::4] = centres[:n]
+        cells[2::4] = texts
+        cells[3::4] = map(_FLAG_TEXT.__getitem__, admissible[i, :n].tolist())
+        yield "".join(cells)
 
 
 def _cmd_region_scan(opts) -> int:
@@ -600,7 +614,7 @@ def _fail(code: int, exc) -> int:
 def main(argv=None) -> int:
     try:
         # a bad --tolerance-overrides text raises while the flags are parsed
-        opts = _resolve_options(build_parser().parse_args(argv))
+        opts = _resolve_options(_parser().parse_args(argv))
         return HANDLERS[opts["command"]](opts)
     except IOFailure as exc:
         return _fail(1, exc)

@@ -99,5 +99,5 @@ def atomic_write_text(path: str, text):
 
 def write_csv(path: str, header, rows):
     """Write rows of scalars as CSV with a header line, atomically."""
-    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")

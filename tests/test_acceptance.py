@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import SAMPLE_SEED, draw_admissible_triples
-
 from curvednbody import dynamics, fixedpoints, geometry, reduction, stability
 from curvednbody.errors import NoGrowthWindow
 

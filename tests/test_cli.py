@@ -5,13 +5,15 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from itertools import compress
 
 import numpy as np
 import pytest
 
 from curvednbody import cli, dynamics, fixedpoints, stability
-from curvednbody.report import FLOAT_FMT, ChunkedText, atomic_write_text, fmt
+from curvednbody.report import FLOAT_FMT, ChunkedText, atomic_write_text, fmt, write_csv
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 OMEGA_CRITICAL_EQUAL = math.sqrt(LAMBDA1_EQUAL)
@@ -21,6 +23,26 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_alone(argv):
+    """The same, from ``python -m curvednbody`` in a process of its own."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "curvednbody", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def parse_report(text):
@@ -121,6 +143,17 @@ class TestRegionScan:
         assert rows == list(region_rows_per_cell(*grid))
         assert "0.29999999999999999,0.10000000000000001,-0,0\n" in rows[3]
         assert "0.40000000000000002,0.20000000000000001,3.0000000000000004,0\n" in rows[4]
+
+    def test_streams_one_chunk_per_m1_row(self):
+        grid = region_grid(512)
+        centers, valid = grid[0], grid[2]
+        chunks = list(cli._region_rows(*grid))
+        assert chunks[0] == "m1,m2,value,admissible\n"
+        assert len(chunks) == 1 + 512
+        for m1, n, chunk in zip(centers.tolist(), valid.sum(axis=1).tolist(), chunks[1:]):
+            lines = chunk.splitlines()
+            assert len(lines) == n
+            assert all(line.startswith(FLOAT_FMT % m1 + ",") for line in lines)
 
     def test_rejects_tiny_resolution(self, capsys):
         code, _, err = run_cli(["region-scan", "--resolution", "1"], capsys)
@@ -549,6 +582,20 @@ class TestOptionTable:
         assert code == 0 and err == ""
         assert "workers" not in cli._resolve_options(cli.build_parser().parse_args(argv))
 
+    def test_shared_parser_keeps_no_state(self, monkeypatch):
+        # usage lines wrap at the terminal width: fix it in and out of process
+        monkeypatch.setenv("COLUMNS", "80")
+        good = ["stability", "--masses", "1", "1", "1", "--omega", "1.3"]
+        script = [
+            good,
+            ["stability", "--masses", "1", "1", "1", "--tolerance-overrides", "{x"],
+            ["stability", "--masses", "1", "1"],
+            good,
+        ]
+        in_turn = [run_in_process(argv) for argv in script]
+        assert [code for code, _, _ in in_turn] == [0, 2, 2, 0]
+        assert in_turn == [run_alone(argv) for argv in script]
+
 
 class TestAtomicWrite:
     def test_chunks_write_the_same_bytes_as_the_joined_string(self, tmp_path):
@@ -559,6 +606,19 @@ class TestAtomicWrite:
         written = (tmp_path / "chunks.csv").read_bytes()
         assert written == (tmp_path / "joined.csv").read_bytes()
         assert text.encode() == written
+
+    def test_write_csv_bytes(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        rows = [
+            (0.1, np.float64(-0.0), np.int64(-2), True, np.bool_(False), "re-unstable", 1 - 2j),
+            (1e300, np.float64(2.5), np.int64(7), False, np.bool_(True), "none", -0.5 + 0.25j),
+        ]
+        write_csv(str(path), list("abcdefg"), iter(rows))
+        assert path.read_bytes() == (
+            b"a,b,c,d,e,f,g\n"
+            b"0.10000000000000001,-0,-2,yes,no,re-unstable,1-2j\n"
+            b"1.0000000000000001e+300,2.5,7,no,yes,none,-0.5+0.25j\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ from curvednbody.errors import (
     SingularConfiguration,
     StepFailure,
 )
-from curvednbody.fixedpoints import TriangleShape, as_mass_triple, shape_from_masses
-from curvednbody.geometry import MassVector, SphereConfiguration, force_function
+from curvednbody.fixedpoints import as_mass_triple, shape_from_masses
+from curvednbody.geometry import SphereConfiguration, force_function
 from curvednbody.reduction import (
     JacobiConstants,
     ReducedState,
