@@ -347,16 +347,15 @@ def _cmd_region_scan(opts) -> int:
 
 def _cmd_fixed_point(opts) -> int:
     raw = opts["masses"]
-    check = fixedpoints.is_admissible(*raw)
+    iso = fixedpoints.isosceles_bound_check(*raw)
     doc = ReportDocument()
-    total = sum(raw)
     doc.section("masses")
-    for i, m in enumerate(raw):
-        doc.line("m_%d" % (i + 1), m / total)
+    for i, m in enumerate(iso.masses):
+        doc.line("m_%d" % (i + 1), m)
     doc.section("admissibility")
-    doc.line("value", check.value)
-    doc.line("admissible", check.admissible)
-    if not check.admissible:
+    doc.line("value", iso.value)
+    doc.line("admissible", iso.admissible)
+    if not iso.admissible:
         _emit(opts, doc)
         return 0
 
@@ -373,7 +372,6 @@ def _cmd_fixed_point(opts) -> int:
     doc.line("residual_max", float(np.max(np.abs(residual))))
     doc.line("relation_defect", fixedpoints.shape_mass_defect(shape, triple))
 
-    iso = fixedpoints.isosceles_bound_check(*raw)
     doc.section("isosceles")
     doc.line("isosceles", iso.isosceles)
     doc.line("bound_margin", iso.bound_margin)
@@ -407,13 +405,8 @@ def _cmd_fixed_point(opts) -> int:
 
 
 def _stability_pipeline(opts):
-    triple = fixedpoints.as_mass_triple(opts["masses"])
-    shape = fixedpoints.shape_from_masses(triple)
-    ring = fixedpoints.ring_from_shape(shape)
-    blocks = stability.assemble_blocks(
-        triple.mass_vector(), ring, residual_tol=opts["tolerance_overrides"]["residual"]
-    )
-    return triple, shape, ring, blocks
+    residual = opts["tolerance_overrides"]["residual"]
+    return stability.ring_pipeline(opts["masses"], residual)
 
 
 def _cmd_stability(opts) -> int:

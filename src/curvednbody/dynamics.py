@@ -19,19 +19,19 @@ import numpy as np
 from .errors import (
     InvalidConfiguration,
     NoGrowthWindow,
-    PolarSingularity,
     SingularConfiguration,
     StepFailure,
 )
-from .fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 from .geometry import (
     POLAR_TOL,
     SINE_RECHECK,
     MassVector,
     RingConfiguration,
     _angle_gradient,
+    _check_count,
     _pair_guard,
     _pair_table,
+    _polar_error,
     _recheck_sine,
     _sphere_tables,
 )
@@ -42,7 +42,8 @@ from .integrators import (
     rk45_solve,
     step_count,
 )
-from .stability import LinearizationBlocks, assemble_blocks, vertical_mode
+from .stability import LinearizationBlocks, ring_pipeline, vertical_mode
+from .stability import assemble_blocks  # noqa: F401  perfbench's tracer test wraps it here
 
 EQUATOR = math.pi / 2.0
 
@@ -76,9 +77,9 @@ class PhaseState:
         n = len(fields["thetas"])
         if any(len(v) != n for v in fields.values()) or n < 2:
             raise InvalidConfiguration("phase state blocks must share a length >= 2")
-        for i, t in enumerate(fields["thetas"]):
-            if math.sin(t) <= POLAR_TOL:
-                raise PolarSingularity("body %d at the polar guard" % (i + 1))
+        st = [math.sin(t) for t in fields["thetas"]]
+        if min(st) <= POLAR_TOL:
+            raise _polar_error(st)
         for name, vals in fields.items():
             object.__setattr__(self, name, vals)
         _pair_guard(fields["thetas"], fields["phis"])
@@ -108,20 +109,13 @@ def relative_equilibrium(
     masses: MassVector, ring: RingConfiguration, omega: float
 ) -> PhaseState:
     """Phase state of the ring rotating rigidly at the given rate."""
-    if masses.n != ring.n:
-        raise InvalidConfiguration("mass count does not match ring size")
+    _check_count(masses, ring.n)
     return PhaseState(
         thetas=tuple(EQUATOR for _ in range(ring.n)),
         phis=ring.longitudes,
         pthetas=tuple(0.0 for _ in range(ring.n)),
         pphis=tuple(m * omega for m in masses.masses),
     )
-
-
-def _polar_error(st):
-    """The PolarSingularity for the first body whose sin(theta) is at the guard."""
-    i = next(i for i, s in enumerate(st) if s <= POLAR_TOL)
-    return PolarSingularity("body %d at the polar guard" % (i + 1))
 
 
 def _field_loop(masses: MassVector, omega: float):
@@ -264,10 +258,10 @@ def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     pt = vals[2 * n : 3 * n]
     pf = vals[3 * n : 4 * n]
     st, ct, _, _, xs, ys = _sphere_tables(th, ph)
+    if any(s <= POLAR_TOL for s in st):
+        raise _polar_error(st)
     total = 0.0
     for i in range(n):
-        if st[i] <= POLAR_TOL:
-            raise PolarSingularity("body %d at the polar guard" % (i + 1))
         s2 = st[i] * st[i]
         total += pt[i] * pt[i] / (2.0 * m[i]) + pf[i] * pf[i] / (2.0 * m[i] * s2)
     for i, j, cosd, sind in _pair_table(xs, ys, ct):
@@ -437,9 +431,7 @@ def growth_rate_experiment(
     if isinstance(masses, LinearizationBlocks):
         blocks = masses
     else:
-        triple = as_mass_triple(masses)
-        ring = ring_from_shape(shape_from_masses(triple))
-        blocks = assemble_blocks(triple.mass_vector(), ring)
+        blocks = ring_pipeline(masses)[3]
     mv, ring = blocks.masses, blocks.ring
     lam1, u = vertical_mode(blocks)
     mu = lam1 - omega * omega

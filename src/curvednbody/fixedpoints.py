@@ -13,11 +13,16 @@ from .errors import (
     InconsistentPair,
     InvalidConfiguration,
     NoConvergence,
-    NonpositiveMass,
     NotAdmissible,
     SingularIterate,
 )
-from .geometry import SINGULAR_TOL, MassVector, RingConfiguration, _pair_table
+from .geometry import (
+    SINGULAR_TOL,
+    MassVector,
+    RingConfiguration,
+    _check_count,
+    _pair_table,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,13 +93,24 @@ class AdmissibilityCheck(NamedTuple):
     value: float
 
 
+def _unit_sum(m1, m2, m3) -> tuple:
+    """The raw triple scaled to total mass one; MassVector checks the masses.
+
+    A triple whose float sum overflows is divided by its largest mass first;
+    every other triple is divided by its sum alone, so it keeps its bits.
+    """
+    raw = MassVector((m1, m2, m3)).masses
+    total = sum(raw)
+    if math.isinf(total):
+        top = max(raw)
+        raw = tuple(m / top for m in raw)
+        total = sum(raw)
+    return tuple(m / total for m in raw)
+
+
 def is_admissible(m1: float, m2: float, m3: float) -> AdmissibilityCheck:
     """Check whether a raw positive triple (normalized internally) admits a fixed point."""
-    for m in (m1, m2, m3):
-        if not (float(m) > 0.0) or not math.isfinite(float(m)):
-            raise NonpositiveMass("masses must be positive, got %r" % (m,))
-    total = float(m1) + float(m2) + float(m3)
-    value = admissibility_value(m1 / total, m2 / total, m3 / total)
+    value = admissibility_value(*_unit_sum(m1, m2, m3))
     return AdmissibilityCheck(value < 0.0, value)
 
 
@@ -111,12 +127,7 @@ class AdmissibleMassTriple:
     m3: float
 
     def __post_init__(self):
-        raw = (float(self.m1), float(self.m2), float(self.m3))
-        for m in raw:
-            if not (m > 0.0) or not math.isfinite(m):
-                raise NonpositiveMass("masses must be positive, got %r" % (m,))
-        total = sum(raw)
-        m1, m2, m3 = (m / total for m in raw)
+        m1, m2, m3 = _unit_sum(self.m1, self.m2, self.m3)
         value = admissibility_value(m1, m2, m3)
         if not (value < 0.0):
             raise NotAdmissible(
@@ -131,7 +142,7 @@ class AdmissibleMassTriple:
         return (self.m1, self.m2, self.m3)
 
     def mass_vector(self) -> MassVector:
-        return MassVector(self.as_tuple(), normalized=True)
+        return MassVector(self.as_tuple())
 
 
 def as_mass_triple(masses) -> AdmissibleMassTriple:
@@ -155,8 +166,7 @@ def fixed_point_residual(masses: MassVector, config: RingConfiguration) -> np.nd
     """
     if not isinstance(config, RingConfiguration):
         raise InvalidConfiguration("fixed_point_residual expects a RingConfiguration")
-    if masses.n != config.n:
-        raise InvalidConfiguration("mass and body counts differ")
+    _check_count(masses, config.n)
     return _ring_residual(masses.masses, config.longitudes)
 
 
@@ -248,23 +258,20 @@ class IsoscelesVerdict:
 
 def isosceles_bound_check(m1: float, m2: float, m3: float) -> IsoscelesVerdict:
     """Test the equal-outer-mass criterion: admissible iff m1 = m3 and m1 < 4 m2."""
-    check = is_admissible(m1, m2, m3)
-    total = float(m1) + float(m2) + float(m3)
-    t = (float(m1) / total, float(m2) / total, float(m3) / total)
-    isosceles = abs(t[0] - t[2]) <= 1e-12
+    t = _unit_sum(m1, m2, m3)
+    value = admissibility_value(*t)
     margin = 4.0 * t[1] - t[0]
-    bound_holds = margin > 0.0
     gap = None
-    if check.admissible:
+    if value < 0.0:
         shape = shape_from_masses(AdmissibleMassTriple(*t))
         gap = abs(shape.alpha - shape.beta)
     return IsoscelesVerdict(
         masses=t,
-        isosceles=isosceles,
+        isosceles=abs(t[0] - t[2]) <= 1e-12,
         bound_margin=margin,
-        bound_holds=bound_holds,
-        admissible=check.admissible,
-        value=check.value,
+        bound_holds=margin > 0.0,
+        admissible=value < 0.0,
+        value=value,
         alpha_beta_gap=gap,
     )
 
@@ -303,8 +310,7 @@ def solve_fixed_point_numeric(
     max_iterations : int
         Newton iteration cap; exceeding it raises NoConvergence.
     """
-    if masses.n != initial.n:
-        raise InvalidConfiguration("mass and body counts differ")
+    _check_count(masses, initial.n)
     m = masses.masses
     phis = np.array(initial.longitudes)
     # the pair sums index plain float lists much faster than arrays

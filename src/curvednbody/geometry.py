@@ -7,11 +7,11 @@ antipodal alignment; both ends are guarded by a shared tolerance.
 
 ``_pair_table`` is the one place that enumerates the pairs, computes each
 separation's cosine and sine and applies that guard; every pairwise sum of
-the package reads it.  The angle gradient and the three-body vector field
-of ``dynamics`` keep their pairs inline: they are the inner loop of the
-flow, and building a table first costs a measurable share of each
-evaluation.  All three compute sin d as sqrt(1 - cos^2 d) and hand a small
-one to ``_recheck_sine``, which recomputes it and raises the one message.
+the package reads it.  The only pair code outside it is the three-body
+vector field of ``dynamics``, ``_field_three``, which writes its three
+pairs out as straight-line code because it is the inner loop of the flow.
+Both compute sin d as sqrt(1 - cos^2 d) and hand a small one to
+``_recheck_sine``, which recomputes it and raises the one message.
 """
 
 from __future__ import annotations
@@ -44,12 +44,25 @@ SINE_RECHECK = 1e-4
 TWO_PI = 2.0 * math.pi
 
 
+def _polar_error(st):
+    """The PolarSingularity for the first body whose sin(theta) is at the guard."""
+    i = next(i for i, s in enumerate(st) if s <= POLAR_TOL)
+    return PolarSingularity("body %d at the polar guard" % (i + 1))
+
+
+def _check_count(masses, n):
+    """Raise InvalidConfiguration unless ``masses`` holds ``n`` bodies."""
+    if masses.n != n:
+        raise InvalidConfiguration(
+            "mass count %d does not match body count %d" % (masses.n, n)
+        )
+
+
 @dataclass(frozen=True)
 class MassVector:
-    """Positive masses of n >= 2 bodies, optionally flagged as summing to one."""
+    """Positive finite masses of n >= 2 bodies."""
 
     masses: tuple
-    normalized: bool = False
 
     def __post_init__(self):
         values = tuple(float(m) for m in self.masses)
@@ -59,10 +72,6 @@ class MassVector:
         for m in values:
             if not (m > 0.0) or not math.isfinite(m):
                 raise NonpositiveMass("masses must be positive, got %r" % (m,))
-        if self.normalized and abs(sum(values) - 1.0) > 1e-12:
-            raise InvalidConfiguration(
-                "normalized flag set but masses sum to %.17g" % sum(values)
-            )
 
     @property
     def n(self) -> int:
@@ -187,10 +196,7 @@ def geodesic_distance(qi, qj) -> float:
 def _unpack(masses: MassVector, config):
     if isinstance(config, RingConfiguration):
         config = config.to_sphere()
-    if masses.n != config.n:
-        raise InvalidConfiguration(
-            "mass count %d does not match body count %d" % (masses.n, config.n)
-        )
+    _check_count(masses, config.n)
     return config
 
 
@@ -281,30 +287,23 @@ def force_function(masses: MassVector, config) -> float:
 def _angle_gradient(m, st, ct, sp, cp, xs, ys):
     """Partials of the force function in theta and in phi, as two lists.
 
-    The arguments after the masses are the lists of ``_sphere_tables``.  The
-    pair loop is written out here rather than read from ``_pair_table``
-    because it is the inner loop of the vector field.
+    The arguments after the masses are the lists of ``_sphere_tables``.
     """
     zs = ct
     n = len(st)
     dtheta = [0.0] * n
     dphi = [0.0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind < SINE_RECHECK:
-                sind = _recheck_sine(i, j, cosd, xs, ys, zs)
-            f = m[i] * m[j] / (sind * sind * sind)
-            # d q_i / d theta_i dotted with q_j, and the mirrored term
-            a_i = ct[i] * cp[i] * xs[j] + ct[i] * sp[i] * ys[j] - st[i] * zs[j]
-            a_j = ct[j] * cp[j] * xs[i] + ct[j] * sp[j] * ys[i] - st[j] * zs[i]
-            # d q_i / d phi_i is z-hat cross q_i, so the two phi terms cancel exactly
-            b = xs[i] * ys[j] - ys[i] * xs[j]
-            dtheta[i] += f * a_i
-            dtheta[j] += f * a_j
-            dphi[i] += f * b
-            dphi[j] -= f * b
+    for i, j, _, sind in _pair_table(xs, ys, zs):
+        f = m[i] * m[j] / (sind * sind * sind)
+        # d q_i / d theta_i dotted with q_j, and the mirrored term
+        a_i = ct[i] * cp[i] * xs[j] + ct[i] * sp[i] * ys[j] - st[i] * zs[j]
+        a_j = ct[j] * cp[j] * xs[i] + ct[j] * sp[j] * ys[i] - st[j] * zs[i]
+        # d q_i / d phi_i is z-hat cross q_i, so the two phi terms cancel exactly
+        b = xs[i] * ys[j] - ys[i] * xs[j]
+        dtheta[i] += f * a_i
+        dtheta[j] += f * a_j
+        dphi[i] += f * b
+        dphi[j] -= f * b
     return dtheta, dphi
 
 

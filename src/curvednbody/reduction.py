@@ -233,7 +233,7 @@ def hessian_alpha_beta(
     the ring shape a strict maximum of the force function on the level.
     """
     check_shape_mass_pair(shape, masses, tol)
-    m1, m2, m3 = _triple_values(as_mass_triple(masses).as_tuple())
+    m1, m2, m3 = as_mass_triple(masses).as_tuple()
     sa, ca = math.sin(shape.alpha), math.cos(shape.alpha)
     sb, cb = math.sin(shape.beta), math.cos(shape.beta)
     sab = math.sin(shape.alpha + shape.beta)
@@ -246,7 +246,7 @@ def hessian_alpha_beta(
 
 def hessian_determinant_closed_form(shape: TriangleShape, masses) -> float:
     """Closed form for the determinant of half the gap Hessian."""
-    m1, m2, m3 = _triple_values(as_mass_triple(masses).as_tuple())
+    m1, m2, m3 = as_mass_triple(masses).as_tuple()
     sa = math.sin(shape.alpha)
     sb = math.sin(shape.beta)
     return m1 * m3 * m2 ** 2 / (sa ** 2 * sb ** 2)

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateSpectrum,
     InvalidConfiguration,
     NotAFixedPoint,
-    PolarSingularity,
 )
 from .fixedpoints import (
     TriangleShape,
@@ -38,7 +37,9 @@ from .geometry import (
     POLAR_TOL,
     MassVector,
     RingConfiguration,
+    _check_count,
     _pair_table,
+    _polar_error,
     force_hessian_blocks,
 )
 
@@ -107,10 +108,7 @@ def assemble_blocks(
     checked to be a fixed point first: a residual max-norm at or above
     ``residual_tol`` raises NotAFixedPoint.
     """
-    if masses.n != ring.n:
-        raise InvalidConfiguration(
-            "mass count %d does not match ring size %d" % (masses.n, ring.n)
-        )
+    _check_count(masses, ring.n)
     res = fixed_point_residual(masses, ring)
     worst = float(np.max(np.abs(res)))
     if worst >= residual_tol:
@@ -211,12 +209,13 @@ def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     if len(thetas) != n or len(pphis) != n:
         raise InvalidConfiguration("state size does not match mass count")
     vtt, vtp, vpp = force_hessian_blocks(masses, state)
+    sines = [math.sin(t) for t in thetas]
+    if any(s <= POLAR_TOL for s in sines):
+        raise _polar_error(sines)
     L = np.zeros((4 * n, 4 * n))
     for i in range(n):
-        st = math.sin(thetas[i])
+        st = sines[i]
         ct = math.cos(thetas[i])
-        if st <= POLAR_TOL:
-            raise PolarSingularity("body %d at the polar guard" % (i + 1))
         s2 = st * st
         k = -2.0 * pphis[i] * ct / (m[i] * s2 * st)
         ncent = -pphis[i] * pphis[i] * (1.0 + 2.0 * ct * ct) / (m[i] * s2 * s2)
@@ -389,13 +388,23 @@ def vertical_mode(blocks: LinearizationBlocks):
     return float(lams[idx]), vecs[:, idx].copy()
 
 
-def classify(masses, omega: float = 0.0) -> StabilityReport:
-    """Stability report for the ring fixed point of an admissible mass triple."""
+def ring_pipeline(masses, residual_tol: float = FIXED_POINT_TOL) -> tuple:
+    """(triple, shape, ring, blocks) of the ring fixed point of a mass triple.
+
+    The triple is checked and normalized, its shape and canonical ring are
+    constructed, and the blocks are assembled with ``residual_tol`` as the
+    fixed-point gate of ``assemble_blocks``.
+    """
     triple = as_mass_triple(masses)
     shape = shape_from_masses(triple)
     ring = ring_from_shape(shape)
-    blocks = assemble_blocks(triple.mass_vector(), ring)
-    return spectral_analysis(blocks, omega)
+    blocks = assemble_blocks(triple.mass_vector(), ring, residual_tol)
+    return triple, shape, ring, blocks
+
+
+def classify(masses, omega: float = 0.0) -> StabilityReport:
+    """Stability report for the ring fixed point of an admissible mass triple."""
+    return spectral_analysis(ring_pipeline(masses)[3], omega)
 
 
 def lambda1_closed_form(shape: TriangleShape, masses) -> float:

@@ -207,6 +207,14 @@ class TestFixedPoint:
         assert code == 0
         assert out_file.read_text() == out
 
+    @pytest.mark.parametrize(
+        "command, flags", [("fixed-point", ["--solve"]), ("stability", ["--omega", "1.3"])]
+    )
+    def test_masses_whose_sum_overflows_report_as_equal_masses(self, command, flags):
+        huge = run_in_process([command, "--masses", "1e308", "1e308", "1e308", *flags])
+        assert huge == run_in_process([command, "--masses", "1", "1", "1", *flags])
+        assert huge[0] == 0
+
 
 class TestStability:
     def test_stable_verdict(self, capsys):

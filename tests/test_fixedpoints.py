@@ -67,6 +67,17 @@ class TestAdmissibility:
         with pytest.raises(NonpositiveMass):
             is_admissible(1.0, -1.0, 1.0)
 
+    def test_overflowing_sum_divides_by_the_largest_mass_first(self):
+        # the float sum of each triple is inf
+        assert isosceles_bound_check(1e308, 1e308, 1e308) == isosceles_bound_check(1, 1, 1)
+        assert AdmissibleMassTriple(1e308, 1e308, 1e308).as_tuple() == (1 / 3,) * 3
+        v = isosceles_bound_check(1e308, 1e308, 2e307)
+        assert v.masses == pytest.approx((5 / 11, 5 / 11, 1 / 11), rel=1e-15)
+        assert not v.admissible
+        assert is_admissible(1e308, 1e308, 2e307) == (False, v.value)
+        with pytest.raises(NotAdmissible):
+            AdmissibleMassTriple(1e308, 1e308, 2e307)
+
     def test_vectorized_matches_scalar(self, rng):
         m1 = rng.uniform(0.05, 0.9, 50)
         m2 = rng.uniform(0.05, 0.9, 50)

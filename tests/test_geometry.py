@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from curvednbody.geometry import (
     geodesic_distance,
     to_cartesian,
 )
-from curvednbody.dynamics import hamiltonian
+from curvednbody.dynamics import PhaseState, hamiltonian, make_field, relative_equilibrium
+from curvednbody.fixedpoints import fixed_point_residual, solve_fixed_point_numeric
+from curvednbody.stability import assemble_L_general, assemble_blocks
 
 from conftest import singular_pair, unchecked
 
@@ -60,13 +63,6 @@ class TestMassVector:
             MassVector((1.0, -2.0, 1.0))
         with pytest.raises(NonpositiveMass):
             MassVector((1.0, math.nan))
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(InvalidConfiguration):
-            MassVector((1.0, 1.0, 1.0), normalized=True)
-        mv = MassVector((0.2, 0.3, 0.5), normalized=True)
-        assert mv.normalized
-        assert mv.masses == (0.2, 0.3, 0.5)
 
     def test_array_and_n(self):
         mv = MassVector((1.0, 2.0))
@@ -304,3 +300,48 @@ class TestKineticEnergy:
         assert hamiltonian(mv, x) + force_function(mv, config) == pytest.approx(
             expected, rel=1e-14
         )
+
+
+def guard_state(n):
+    """A state of n bodies whose body 2 sits at the polar guard, duck-typed as
+    a PhaseState (which cannot hold it), and its flat vector."""
+    blocks = [(1.0, 1e-9, 1.2, 2.0), (0.0, 2.0, 4.0, 5.0), (0.1, 0.2, 0.3, 0.4),
+              (0.3, -0.1, 0.2, 0.5)]
+    thetas, phis, pthetas, pphis = (b[:n] for b in blocks)
+    state = types.SimpleNamespace(n=n, thetas=thetas, phis=phis, pthetas=pthetas,
+                                  pphis=pphis)
+    return state, [v for b in (thetas, phis, pthetas, pphis) for v in b]
+
+
+POLAR_SITES = {
+    "PhaseState": (3, lambda mv, st, x: PhaseState(st.thetas, st.phis, st.pthetas, st.pphis)),
+    "make_field n=3": (3, lambda mv, st, x: make_field(mv)(np.array(x))),
+    "make_field n=4": (4, lambda mv, st, x: make_field(mv)(np.array(x))),
+    "hamiltonian": (3, lambda mv, st, x: hamiltonian(mv, x)),
+    "assemble_L_general": (3, lambda mv, st, x: assemble_L_general(mv, st)),
+}
+
+
+@pytest.mark.parametrize("site", POLAR_SITES)
+def test_polar_guard_has_one_message(site):
+    n, call = POLAR_SITES[site]
+    state, x = guard_state(n)
+    with pytest.raises(PolarSingularity) as info:
+        call(MassVector((1.0, 2.0, 3.0, 4.0)[:n]), state, x)
+    assert str(info.value) == "body 2 at the polar guard"
+
+
+COUNT_SITES = {
+    "_unpack": force_function,
+    "relative_equilibrium": lambda mv, ring: relative_equilibrium(mv, ring, 1.0),
+    "fixed_point_residual": fixed_point_residual,
+    "solve_fixed_point_numeric": solve_fixed_point_numeric,
+    "assemble_blocks": assemble_blocks,
+}
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_body_count_has_one_message(site):
+    with pytest.raises(InvalidConfiguration) as info:
+        COUNT_SITES[site](MassVector((1.0, 1.0, 1.0, 1.0)), EQUILATERAL)
+    assert str(info.value) == "mass count 4 does not match body count 3"
