@@ -360,7 +360,10 @@ def _cmd_fixed_point(opts) -> int:
         return 0
 
     triple = fixedpoints.as_mass_triple(raw)
-    shape = fixedpoints.shape_from_masses(triple)
+    tolerances = opts["tolerance_overrides"]
+    # the certificate builds the ring shape; the report prints it first
+    cert = reduction.lyapunov_certificate(triple, tol=tolerances["consistency"])
+    shape = cert.shape
     ring = fixedpoints.ring_from_shape(shape)
     residual = fixedpoints.fixed_point_residual(triple.mass_vector(), ring)
     doc.section("shape")
@@ -377,8 +380,6 @@ def _cmd_fixed_point(opts) -> int:
     doc.line("bound_margin", iso.bound_margin)
     doc.line("bound_holds", iso.bound_holds)
 
-    tolerances = opts["tolerance_overrides"]
-    cert = reduction.lyapunov_certificate(triple, tol=tolerances["consistency"])
     doc.section("certificate")
     doc.line("hessian_eigenvalues", cert.eigenvalues)
     doc.line("hessian_trace", cert.trace)
@@ -454,13 +455,11 @@ def _cmd_stability(opts) -> int:
     return 0
 
 
-def _trajectory_rows(masses, record):
-    for t, state in zip(record.times, record.states):
-        row = [float(t)]
-        row.extend(float(v) for v in state)
-        row.append(dynamics.hamiltonian(masses, state, record.omega))
-        row.append(dynamics.angular_momentum(state))
-        yield row
+def _trajectory_rows(record):
+    """Each sample as t, the state, and the energy and momentum ``integrate`` took."""
+    columns = (record.times, record.states, record.energies, record.momenta)
+    for t, state, h, j in zip(*(c.tolist() for c in columns)):
+        yield [t, *state, h, j]
 
 
 def _trajectory_header(n):
@@ -561,7 +560,7 @@ def _simulate(opts) -> int:
     doc.line("momentum_drift", record.momentum_drift)
     doc.line("max_equator_deviation", record.max_equator_deviation)
     doc.line("min_separation_sine", record.min_separation_sine)
-    _emit(opts, doc, _trajectory_header(mv.n), _trajectory_rows(mv, record))
+    _emit(opts, doc, _trajectory_header(mv.n), _trajectory_rows(record))
     return 0
 
 

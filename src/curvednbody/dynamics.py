@@ -29,6 +29,7 @@ from .geometry import (
     RingConfiguration,
     _angle_gradient,
     _check_count,
+    _check_finite,
     _pair_guard,
     _pair_table,
     _polar_error,
@@ -70,9 +71,7 @@ class PhaseState:
         fields = {}
         for name in ("thetas", "phis", "pthetas", "pphis"):
             vals = tuple(float(v) for v in getattr(self, name))
-            for v in vals:
-                if not math.isfinite(v):
-                    raise InvalidConfiguration("%s contains a non-finite entry" % name)
+            _check_finite(name, vals)
             fields[name] = vals
         n = len(fields["thetas"])
         if any(len(v) != n for v in fields.values()) or n < 2:
@@ -271,25 +270,19 @@ def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     return total
 
 
-def angular_momentum(state) -> float:
-    """Total momentum conjugate to a rigid rotation about the polar axis."""
-    if isinstance(state, PhaseState):
-        return sum(state.pphis)
-    x = np.asarray(state, float)
-    n = x.size // 4
-    return float(np.sum(x[3 * n :]))
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Sampled trajectory with its conservation and proximity monitors.
 
-    Drifts are the largest deviations of the frame energy and the total
-    longitude momentum from their initial values over the recorded samples.
+    ``energies`` and ``momenta`` hold the frame energy and the total
+    longitude momentum of each recorded sample; the drifts are their largest
+    deviations from their initial values.
     """
 
     times: np.ndarray
     states: np.ndarray
+    energies: np.ndarray
+    momenta: np.ndarray
     omega: float
     energy_drift: float
     momentum_drift: float
@@ -324,8 +317,7 @@ def integrate(
     n = masses.n
     if x0.shape != (4 * n,):
         raise InvalidConfiguration("initial state length does not match mass count")
-    if not np.all(np.isfinite(x0)):
-        raise InvalidConfiguration("initial state contains a non-finite entry")
+    _check_finite("initial state", x0.tolist())
     if method not in ("midpoint", "rk45"):
         raise InvalidConfiguration("unknown integration method %r" % method)
     nsteps = step_count(horizon, step, record_stride)
@@ -351,6 +343,8 @@ def integrate(
 
     times = []
     states = []
+    energies = []
+    momenta = []
     min_sep = 2.0
     max_eq = h_drift = j_drift = 0.0
     for t, vals in samples:
@@ -369,10 +363,14 @@ def integrate(
         j_drift = max(j_drift, abs(j - j0))
         times.append(t)
         states.append(vals)
+        energies.append(h)
+        momenta.append(j)
 
     return TrajectoryRecord(
         times=np.array(times),
         states=np.array(states),
+        energies=np.array(energies),
+        momenta=np.array(momenta),
         omega=float(omega),
         energy_drift=h_drift,
         momentum_drift=j_drift,

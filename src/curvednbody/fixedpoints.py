@@ -30,10 +30,11 @@ TWO_PI = 2.0 * math.pi
 # genuine domain violation rather than rounding.
 ACOS_CLAMP_TOL = 1e-14
 
-# Newton stops once the residual max-norm falls below NEWTON_TOL; a mass-shape
-# pair is consistent while its relations' relative defect stays within
-# CONSISTENCY_TOL.
+# Newton stops once the residual max-norm falls below NEWTON_TOL, and fails
+# after NEWTON_MAX_ITERATIONS iterations; a mass-shape pair is consistent
+# while its relations' relative defect stays within CONSISTENCY_TOL.
 NEWTON_TOL = 1e-11
+NEWTON_MAX_ITERATIONS = 100
 CONSISTENCY_TOL = 1e-8
 
 
@@ -253,7 +254,14 @@ class IsoscelesVerdict:
     bound_holds: bool
     admissible: bool
     value: float
-    alpha_beta_gap: float | None
+
+    @property
+    def alpha_beta_gap(self) -> float | None:
+        """|alpha - beta| of the ring shape, or None if the triple is not admissible."""
+        if not self.admissible:
+            return None
+        shape = shape_from_masses(AdmissibleMassTriple(*self.masses))
+        return abs(shape.alpha - shape.beta)
 
 
 def isosceles_bound_check(m1: float, m2: float, m3: float) -> IsoscelesVerdict:
@@ -261,10 +269,6 @@ def isosceles_bound_check(m1: float, m2: float, m3: float) -> IsoscelesVerdict:
     t = _unit_sum(m1, m2, m3)
     value = admissibility_value(*t)
     margin = 4.0 * t[1] - t[0]
-    gap = None
-    if value < 0.0:
-        shape = shape_from_masses(AdmissibleMassTriple(*t))
-        gap = abs(shape.alpha - shape.beta)
     return IsoscelesVerdict(
         masses=t,
         isosceles=abs(t[0] - t[2]) <= 1e-12,
@@ -272,7 +276,6 @@ def isosceles_bound_check(m1: float, m2: float, m3: float) -> IsoscelesVerdict:
         bound_holds=margin > 0.0,
         admissible=value < 0.0,
         value=value,
-        alpha_beta_gap=gap,
     )
 
 
@@ -294,7 +297,6 @@ def solve_fixed_point_numeric(
     masses: MassVector,
     initial: RingConfiguration,
     tol: float = NEWTON_TOL,
-    max_iterations: int = 100,
 ) -> RingConfiguration:
     """Newton solve of the fixed-point criterion with the first longitude pinned.
 
@@ -306,9 +308,8 @@ def solve_fixed_point_numeric(
         Starting guess; the returned configuration keeps its first body at
         longitude zero.
     tol : float
-        Convergence threshold on the residual max-norm.
-    max_iterations : int
-        Newton iteration cap; exceeding it raises NoConvergence.
+        Convergence threshold on the residual max-norm; NoConvergence is
+        raised if it is not met within NEWTON_MAX_ITERATIONS iterations.
     """
     _check_count(masses, initial.n)
     m = masses.masses
@@ -316,7 +317,7 @@ def solve_fixed_point_numeric(
     # the pair sums index plain float lists much faster than arrays
     res = _ring_residual(m, phis.tolist())
     norm = float(np.max(np.abs(res)))
-    for _ in range(max_iterations):
+    for _ in range(NEWTON_MAX_ITERATIONS):
         if norm < tol:
             break
         jac = -_ring_phi_hessian(masses, phis.tolist())[1:, 1:]
@@ -343,7 +344,8 @@ def solve_fixed_point_numeric(
         phis, res, norm = trial, trial_res, trial_norm
     else:
         raise NoConvergence(
-            "residual %.3g above %.3g after %d iterations" % (norm, tol, max_iterations)
+            "residual %.3g above %.3g after %d iterations"
+            % (norm, tol, NEWTON_MAX_ITERATIONS)
         )
     try:
         return RingConfiguration(tuple(phis))

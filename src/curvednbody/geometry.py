@@ -50,6 +50,12 @@ def _polar_error(st):
     return PolarSingularity("body %d at the polar guard" % (i + 1))
 
 
+def _check_finite(name, values):
+    """Raise InvalidConfiguration if an entry of ``values`` is nan or infinite."""
+    if not all(map(math.isfinite, values)):
+        raise InvalidConfiguration("%s contains a non-finite entry" % name)
+
+
 def _check_count(masses, n):
     """Raise InvalidConfiguration unless ``masses`` holds ``n`` bodies."""
     if masses.n != n:
@@ -93,7 +99,8 @@ class SphereConfiguration:
     """Positions of n bodies on the unit sphere in spherical angles.
 
     Longitudes are reduced mod 2*pi on construction.  Construction fails if
-    any colatitude leaves (0, pi) or any pair separation is singular.
+    an angle is not finite, any colatitude leaves (0, pi) or any pair
+    separation is singular.
     """
 
     thetas: tuple
@@ -101,7 +108,10 @@ class SphereConfiguration:
 
     def __post_init__(self):
         thetas = tuple(float(t) for t in self.thetas)
-        phis = tuple(_reduce_longitude(p) for p in self.phis)
+        phis = tuple(float(p) for p in self.phis)
+        _check_finite("thetas", thetas)
+        _check_finite("phis", phis)
+        phis = tuple(map(_reduce_longitude, phis))
         if len(thetas) != len(phis):
             raise InvalidConfiguration("theta and phi counts differ")
         if len(thetas) < 2:
@@ -123,8 +133,9 @@ class RingConfiguration:
     """Bodies on the equator in canonical ring order.
 
     The first longitude is rotated to zero and all angles reduced mod 2*pi.
-    The canonical order requires strictly increasing longitudes, consecutive
-    gaps in (0, pi), and a wrap-around gap exceeding pi, which forces n >= 3.
+    The longitudes must be finite.  The canonical order requires strictly
+    increasing longitudes, consecutive gaps in (0, pi), and a wrap-around gap
+    exceeding pi, which forces n >= 3.
     """
 
     longitudes: tuple
@@ -133,6 +144,7 @@ class RingConfiguration:
         raw = tuple(float(p) for p in self.longitudes)
         if len(raw) < 3:
             raise InvalidConfiguration("a ring needs at least three bodies")
+        _check_finite("longitudes", raw)
         base = raw[0]
         phis = tuple(_reduce_longitude(p - base) for p in raw)
         for i in range(len(phis) - 1):

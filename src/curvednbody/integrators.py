@@ -84,13 +84,14 @@ def fixed_steps(advance, x0, h, nsteps, record_stride=1, check=None):
             yield k * h, x
 
 
-def midpoint_step(field, x, h, tol=MIDPOINT_TOL, max_inner=MIDPOINT_MAX_INNER):
+def midpoint_step(field, x, h):
     """Advance one implicit midpoint step of size h.
 
     The implicit equation y = x + h f((x + y)/2) is solved by damped
-    fixed-point iteration seeded with an explicit Euler predictor.  For the
-    step sizes this library uses the iteration contracts rapidly; a stall,
-    a non-finite iterate or a max_inner below 1 raises StepFailure.
+    fixed-point iteration seeded with an explicit Euler predictor, to an
+    update of at most MIDPOINT_TOL within MIDPOINT_MAX_INNER iterations.
+    For the step sizes this library uses the iteration contracts rapidly; a
+    stall or a non-finite iterate raises StepFailure.
 
     The iteration runs on lists of floats: ``field`` maps a list to a list.
     A list of 12 floats, the three-body state, takes ``_midpoint_twelve``,
@@ -104,10 +105,11 @@ def midpoint_step(field, x, h, tol=MIDPOINT_TOL, max_inner=MIDPOINT_MAX_INNER):
         def list_field(v):
             return np.asarray(field(np.array(v)), dtype=float).tolist()
 
-        return np.array(_midpoint_loop(list_field, x.tolist(), h, tol, max_inner))
+        y = _midpoint_loop(list_field, x.tolist(), h, MIDPOINT_TOL, MIDPOINT_MAX_INNER)
+        return np.array(y)
     if len(x) == 12:
-        return _midpoint_twelve(field, x, h, tol, max_inner)
-    return _midpoint_loop(field, x, h, tol, max_inner)
+        return _midpoint_twelve(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER)
+    return _midpoint_loop(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER)
 
 
 def _stall(delta, tol):

@@ -9,7 +9,10 @@ within the equatorial subsystem.  The reduced Hamiltonian is separable, so
 ``integrate_reduced`` follows its flow with the explicit fourth-order
 Yoshida composition of leapfrog by default, one step of it written out over
 float locals with the gap gradient inline, and with the implicit midpoint
-rule of the full system as the cross-check.
+rule of the full system as the cross-check.  Each rule of the chart is
+written once: the mass check of ``JacobiConstants.from_masses``, the gaps of
+``_gaps`` (the Yoshida-4 step writes them out again), the singular-gap guard
+``_gap_sine`` and the reduced energy ``_reduced_energy``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .fixedpoints import (
     check_shape_mass_pair,
     shape_from_masses,
 )
-from .geometry import SINGULAR_TOL, MassVector
+from .geometry import SINGULAR_TOL, MassVector, _check_count, _check_finite
 from .integrators import (
     _YOSHIDA_DRIFTS,
     _YOSHIDA_KICKS,
@@ -40,8 +43,11 @@ from .integrators import (
 
 @dataclass(frozen=True)
 class JacobiConstants:
-    """Mass combinations entering the symmetry-adapted angle coordinates."""
+    """The three masses and the combinations of them entering the
+    symmetry-adapted angle coordinates; ``from_masses`` checks the masses as
+    MassVector does, and that there are three."""
 
+    masses: tuple
     mbar: float
     nu1: float
     nu2: float
@@ -50,10 +56,14 @@ class JacobiConstants:
 
     @classmethod
     def from_masses(cls, masses) -> "JacobiConstants":
-        m1, m2, m3 = _triple_values(masses)
+        masses = masses.as_tuple() if hasattr(masses, "as_tuple") else masses
+        masses = masses if isinstance(masses, MassVector) else MassVector(masses)
+        _check_count(masses, 3)
+        m1, m2, m3 = masses.masses
         mbar = m1 + m2 + m3
         m12 = m1 + m2
         return cls(
+            masses=masses.masses,
             mbar=mbar,
             nu1=m1 / m12,
             nu2=m2 / m12,
@@ -62,22 +72,10 @@ class JacobiConstants:
         )
 
 
-def _triple_values(masses):
-    if isinstance(masses, MassVector):
-        values = masses.masses
-    elif hasattr(masses, "as_tuple"):
-        values = masses.as_tuple()
-    else:
-        values = tuple(float(m) for m in masses)
-    if len(values) != 3:
-        raise InvalidConfiguration("reduction requires exactly three bodies")
-    return values
-
-
 def angle_transform_matrix(masses) -> np.ndarray:
     """Matrix sending raw longitudes to (mean angle, first gap, second combination)."""
-    m1, m2, m3 = _triple_values(masses)
     jc = JacobiConstants.from_masses(masses)
+    m1, m2, m3 = jc.masses
     return np.array(
         [
             [m1 / jc.mbar, m2 / jc.mbar, m3 / jc.mbar],
@@ -94,11 +92,10 @@ def momentum_transform_matrix(masses) -> np.ndarray:
     diagonal, the momentum map is B = D' A D^-1; the congruence A^T B = I
     encodes that the pairing of angles and momenta is preserved.
     """
-    m1, m2, m3 = _triple_values(masses)
     jc = JacobiConstants.from_masses(masses)
-    a = angle_transform_matrix(masses)
+    a = angle_transform_matrix(jc.masses)
     dprime = np.diag([jc.mbar, jc.nu3, jc.nu4])
-    dinv = np.diag([1.0 / m1, 1.0 / m2, 1.0 / m3])
+    dinv = np.diag([1.0 / m for m in jc.masses])
     return dprime @ a @ dinv
 
 
@@ -130,11 +127,12 @@ class ReducedState:
     def separations(self, masses) -> tuple:
         """The three pair separation angles (signed) determined by this state."""
         jc = JacobiConstants.from_masses(masses)
-        return (
-            self.phi1,
-            self.phi2 - jc.nu1 * self.phi1,
-            self.phi2 + jc.nu2 * self.phi1,
-        )
+        return _gaps(jc.nu1, jc.nu2, self.phi1, self.phi2)
+
+
+def _gaps(nu1, nu2, phi1, phi2):
+    """The three signed pair gaps of the reduced angles (phi1, phi2)."""
+    return phi1, phi2 - nu1 * phi1, phi2 + nu2 * phi1
 
 
 def to_jacobi(longitudes, momenta, masses):
@@ -153,51 +151,43 @@ def to_jacobi(longitudes, momenta, masses):
     new_phi = a @ phis
     new_p = b @ ps
     p_total = float(ps[0] + ps[1] + ps[2])
-    state = ReducedState(
-        phi1=float(new_phi[1]),
-        phi2=float(new_phi[2]),
-        p1=float(new_p[1]),
-        p2=float(new_p[2]),
-        momentum_level=p_total,
-    )
-    return float(new_phi[0]), state, p_total
+    mean, phi1, phi2 = new_phi.tolist()
+    state = ReducedState(phi1, phi2, *new_p.tolist()[1:], p_total)
+    return mean, state, p_total
 
 
-def _cot_from_angle(x: float) -> float:
-    """Cotangent of the geodesic separation for a signed gap angle."""
-    s = abs(math.sin(x))
-    if s <= SINGULAR_TOL:
+def _gap_sine(x: float) -> float:
+    """sin x of a signed gap x; at or below SINGULAR_TOL in size it raises."""
+    s = math.sin(x)
+    if abs(s) <= SINGULAR_TOL:
         raise SingularConfiguration("reduced separation %.17g is singular" % x)
-    return math.cos(x) / s
+    return s
+
+
+def _force_value(jc: JacobiConstants, phi1: float, phi2: float) -> float:
+    """The force function at the reduced angles; a gap d has cotangent cos d / |sin d|."""
+    m1, m2, m3 = jc.masses
+    gaps = _gaps(jc.nu1, jc.nu2, phi1, phi2)
+    ca, cb, cc = (math.cos(d) / abs(_gap_sine(d)) for d in gaps)
+    return m1 * m2 * ca + m2 * m3 * cb + m1 * m3 * cc
+
+
+def _reduced_energy(jc: JacobiConstants, phi1, phi2, p1, p2, omega=0.0) -> float:
+    """Reduced energy at (phi1, phi2, p1, p2) on the level of rate omega."""
+    kinetic = 0.5 * (p1 ** 2 / jc.nu3 + p2 ** 2 / jc.nu4)
+    return kinetic - _force_value(jc, phi1, phi2) + 0.5 * jc.mbar * omega * omega
 
 
 def reduced_force_function(state: ReducedState, masses) -> float:
     """Force function evaluated through the reduced angles."""
-    m1, m2, m3 = _triple_values(masses)
-    da, db, dc = state.separations(masses)
-    return (
-        m1 * m2 * _cot_from_angle(da)
-        + m2 * m3 * _cot_from_angle(db)
-        + m1 * m3 * _cot_from_angle(dc)
-    )
-
-
-def _cot_derivative(x: float) -> float:
-    """Derivative of the separation cotangent with respect to the signed gap."""
-    s = math.sin(x)
-    if abs(s) <= SINGULAR_TOL:
-        raise SingularConfiguration("reduced separation %.17g is singular" % x)
-    return -math.copysign(1.0, s) / (s * s)
+    return _force_value(JacobiConstants.from_masses(masses), state.phi1, state.phi2)
 
 
 def _gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2):
-    """Partials of the reduced force function with respect to (phi1, phi2).
-
-    The separations are those of ``ReducedState.separations``.
-    """
-    ga = _cot_derivative(phi1)
-    gb = _cot_derivative(phi2 - nu1 * phi1)
-    gc = _cot_derivative(phi2 + nu2 * phi1)
+    """Partials of the reduced force function with respect to (phi1, phi2); the
+    cotangent of a gap d has derivative -sign(sin d) / sin^2 d."""
+    sines = map(_gap_sine, _gaps(nu1, nu2, phi1, phi2))
+    ga, gb, gc = (-math.copysign(1.0, s) / (s * s) for s in sines)
     dv_dphi1 = m1 * m2 * ga - nu1 * m2 * m3 * gb + nu2 * m1 * m3 * gc
     dv_dphi2 = m2 * m3 * gb + m1 * m3 * gc
     return dv_dphi1, dv_dphi2
@@ -206,9 +196,7 @@ def _gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2):
 def reduced_hamiltonian(state: ReducedState, masses, omega: float = 0.0) -> float:
     """Reduced energy on the momentum level of a rigid rotation with rate omega."""
     jc = JacobiConstants.from_masses(masses)
-    kinetic = 0.5 * (state.p1 ** 2 / jc.nu3 + state.p2 ** 2 / jc.nu4)
-    level_term = 0.5 * jc.mbar * omega * omega
-    return kinetic - reduced_force_function(state, masses) + level_term
+    return _reduced_energy(jc, state.phi1, state.phi2, state.p1, state.p2, omega)
 
 
 def rest_point_from_shape(shape: TriangleShape, masses, omega: float = 0.0) -> ReducedState:
@@ -326,7 +314,8 @@ def integrate_reduced(
     leapfrog; "midpoint" is the implicit midpoint rule of the full system,
     kept as the cross-check.  Records every ``record_stride``-th step (plus
     the endpoints) and reports the largest deviation of the reduced energy
-    from its initial value over the recorded samples.  A non-finite initial
+    from its initial value over the recorded samples.  The masses are
+    checked by ``JacobiConstants.from_masses``, and a non-finite initial
     state raises InvalidConfiguration.  After every step each of the three
     separation sines must keep the sign it started with and stay above
     SEPARATION_FLOOR, so a step that jumps across a collision is caught; a
@@ -334,7 +323,7 @@ def integrate_reduced(
     index (0 for an initial state at the floor).
     """
     jc = JacobiConstants.from_masses(masses)
-    m1, m2, m3 = _triple_values(masses)
+    m1, m2, m3 = jc.masses
     nu1, nu2 = jc.nu1, jc.nu2
     inv_nu3, inv_nu4 = 1.0 / jc.nu3, 1.0 / jc.nu4
 
@@ -354,16 +343,13 @@ def integrate_reduced(
 
     nsteps = step_count(horizon, step, record_stride)
     x0 = initial.as_vector().tolist()
-    if not all(map(math.isfinite, x0)):
-        raise InvalidConfiguration("initial state contains a non-finite entry")
+    _check_finite("initial state", x0)
     check = _separation_check(nu1, nu2, x0)
     times = []
     states = []
     drift = 0.0
     for t, x in fixed_steps(advance, x0, step, nsteps, record_stride, check):
-        energy = reduced_hamiltonian(
-            ReducedState.from_vector(x, initial.momentum_level), masses
-        )
+        energy = _reduced_energy(jc, *x)
         if not states:
             e0 = energy
         drift = max(drift, abs(energy - e0))
@@ -382,8 +368,9 @@ def _yoshida4_advance(m1, m2, m3, nu1, nu2, inv_nu3, inv_nu4, h):
     Yoshida-4 composition of ``integrators``, drift, kick, ..., drift.
 
     Each of the three kicks is ``_gap_gradient`` written out, with the same
-    products and the same SingularConfiguration, so the step gives the bits
-    of the composition's loop over a force function.
+    gaps and products; a singular gap raises through
+    ``_gap_sine``, so the step gives the bits and the errors of the
+    composition's loop over a force function.
     """
     k12, k23, k13 = m1 * m2, m2 * m3, m1 * m3
     kb, kc = nu1 * m2 * m3, nu2 * m1 * m3
@@ -399,8 +386,8 @@ def _yoshida4_advance(m1, m2, m3, nu1, nu2, inv_nu3, inv_nu4, h):
             db, dc = q2 - nu1 * q1, q2 + nu2 * q1
             sa, sb, sc = sin(q1), sin(db), sin(dc)
             if abs(sa) <= tol or abs(sb) <= tol or abs(sc) <= tol:
-                d = next(d for d, s in ((q1, sa), (db, sb), (dc, sc)) if abs(s) <= tol)
-                raise SingularConfiguration("reduced separation %.17g is singular" % d)
+                for d in (q1, db, dc):
+                    _gap_sine(d)
             ga = -copysign(1.0, sa) / (sa * sa)
             gb = -copysign(1.0, sb) / (sb * sb)
             gc = -copysign(1.0, sc) / (sc * sc)
@@ -416,19 +403,14 @@ def _yoshida4_advance(m1, m2, m3, nu1, nu2, inv_nu3, inv_nu4, h):
 def _separation_check(nu1, nu2, x0):
     """Check that the separations of a reduced state stay where they started.
 
-    The separations are those of ``ReducedState.separations``.  A sine can
-    change sign only through a collision or an antipodal alignment, so the
-    returned check raises SingularConfiguration when a sine, taken with the
-    sign it has at ``x0``, is at or below SEPARATION_FLOOR.
+    The separations are the gaps of ``_gaps``.  A sine can change sign only
+    through a collision or an antipodal alignment, so the returned check
+    raises SingularConfiguration when a sine, taken with the sign it has at
+    ``x0``, is at or below SEPARATION_FLOOR.
     """
 
     def sines(x):
-        phi1, phi2 = x[0], x[1]
-        return (
-            math.sin(phi1),
-            math.sin(phi2 - nu1 * phi1),
-            math.sin(phi2 + nu2 * phi1),
-        )
+        return list(map(math.sin, _gaps(nu1, nu2, x[0], x[1])))
 
     start = sines(x0)
     signs = [math.copysign(1.0, s) for s in start]

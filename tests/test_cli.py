@@ -12,7 +12,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from curvednbody import cli, dynamics, fixedpoints, stability
+from curvednbody import cli, dynamics, fixedpoints, reduction, stability
 from curvednbody.report import FLOAT_FMT, ChunkedText, atomic_write_text, fmt, write_csv
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
@@ -206,6 +206,28 @@ class TestFixedPoint:
         )
         assert code == 0
         assert out_file.read_text() == out
+
+    def test_builds_the_ring_shape_once(self, monkeypatch):
+        calls = []
+
+        def spy(masses):
+            calls.append(masses)
+            return shape(masses)
+
+        shape = fixedpoints.shape_from_masses
+        monkeypatch.setattr(fixedpoints, "shape_from_masses", spy)
+        monkeypatch.setattr(reduction, "shape_from_masses", spy)
+        argv = ["fixed-point", "--masses", "0.2", "0.5", "0.3", "--solve"]
+        code, out, _ = run_in_process(argv)
+        assert code == 0 and "[solver]" in out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_start_exits_2(self, bad):
+        code, out, err = run_in_process(
+            ["fixed-point", "--masses", "1", "1", "1", "--solve", "--initial", "0", bad, "4"]
+        )
+        assert (code, out, err) == (2, "", "error: longitudes contains a non-finite entry\n")
 
     @pytest.mark.parametrize(
         "command, flags", [("fixed-point", ["--solve"]), ("stability", ["--omega", "1.3"])]

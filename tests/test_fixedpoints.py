@@ -29,6 +29,7 @@ from curvednbody.fixedpoints import (
     solve_fixed_point_numeric,
 )
 from curvednbody.geometry import MassVector, RingConfiguration
+from curvednbody import fixedpoints
 
 from conftest import draw_admissible_triples, singular_pair, unchecked
 
@@ -257,8 +258,9 @@ class TestNewtonSolver:
         solved = solve_fixed_point_numeric(mv, start)
         assert max(abs(a - b) for a, b in zip(solved.longitudes, regular)) < 1e-9
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(fixedpoints, "NEWTON_MAX_ITERATIONS", 0)
         mv = MassVector((1.0, 1.0, 1.0))
         start = RingConfiguration((0.0, 1.8, 4.2))
-        with pytest.raises(NoConvergence):
-            solve_fixed_point_numeric(mv, start, max_iterations=0)
+        with pytest.raises(NoConvergence, match="after 0 iterations"):
+            solve_fixed_point_numeric(mv, start)

@@ -121,6 +121,20 @@ class TestSphereConfiguration:
         with pytest.raises(InvalidConfiguration):
             SphereConfiguration((1.0, 1.0), (0.0,))
 
+    @pytest.mark.parametrize(
+        "thetas, phis, name",
+        [
+            ((1.0, 1.0, 1.0), (0.0, math.inf, 2.0), "phis"),
+            ((1.0, 1.0, 1.0), (0.0, math.nan, 2.0), "phis"),
+            ((1.0, math.nan, 1.0), (0.0, 1.0, 2.0), "thetas"),
+            ((1.0, -math.inf, 1.0), (0.0, 1.0, 2.0), "thetas"),
+        ],
+    )
+    def test_non_finite_angle_rejected(self, thetas, phis, name):
+        with pytest.raises(InvalidConfiguration) as info:
+            SphereConfiguration(thetas, phis)
+        assert str(info.value) == "%s contains a non-finite entry" % name
+
 
 class TestRingConfiguration:
     def test_first_longitude_zeroed(self):
@@ -139,6 +153,12 @@ class TestRingConfiguration:
     def test_two_bodies_rejected(self):
         with pytest.raises(InvalidConfiguration):
             RingConfiguration((0.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_longitude_rejected(self, bad):
+        with pytest.raises(InvalidConfiguration) as info:
+            RingConfiguration((0.0, bad, 4.0))
+        assert str(info.value) == "longitudes contains a non-finite entry"
 
     def test_gaps(self):
         ring = RingConfiguration((1.0, 2.5, 4.5))

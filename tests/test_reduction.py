@@ -6,6 +6,7 @@ import pytest
 from curvednbody.errors import (
     InconsistentPair,
     InvalidConfiguration,
+    NonpositiveMass,
     SingularConfiguration,
     StepFailure,
 )
@@ -15,6 +16,7 @@ from curvednbody.reduction import (
     JacobiConstants,
     ReducedState,
     _gap_gradient,
+    _yoshida4_advance,
     angle_transform_matrix,
     hessian_alpha_beta,
     hessian_determinant_closed_form,
@@ -84,8 +86,63 @@ class TestTransforms:
     def test_input_validation(self):
         with pytest.raises(InvalidConfiguration):
             to_jacobi((0.0, 1.0), (0.0, 0.0), MV)
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(InvalidConfiguration) as info:
             JacobiConstants.from_masses((1.0, 1.0))
+        assert str(info.value) == "mass count 2 does not match body count 3"
+
+
+BAD_MASSES = [(1.0, -1.0, 1.0), (1.0, -0.5, 1.0), (0.0, 1.0, 1.0), (1.0, math.nan, 1.0),
+              (1.0, 1.0, math.inf)]
+REDUCED_SITES = {
+    "JacobiConstants.from_masses": JacobiConstants.from_masses,
+    "to_jacobi": lambda m: to_jacobi((0.0, 2.0, 4.0), (0.0, 0.0, 0.0), m),
+    "integrate_reduced": lambda m: integrate_reduced(
+        m, ReducedState(2.0, 3.0, 0.0, 0.0), horizon=0.01
+    ),
+}
+
+
+@pytest.mark.parametrize("site", REDUCED_SITES)
+@pytest.mark.parametrize("masses", BAD_MASSES)
+def test_reduced_chart_checks_masses_as_mass_vector(site, masses):
+    with pytest.raises(NonpositiveMass, match="masses must be positive"):
+        REDUCED_SITES[site](masses)
+
+
+def test_singular_gap_has_one_message():
+    jc = JacobiConstants.from_masses(MV)
+    inv = (1.0 / jc.nu3, 1.0 / jc.nu4)
+    state = ReducedState(math.pi, 2.0, 0.0, 0.0)
+    calls = {
+        "reduced_force_function": lambda: reduced_force_function(state, MV),
+        "reduced_hamiltonian": lambda: reduced_hamiltonian(state, MV),
+        "_gap_gradient": lambda: gap_gradient(state, MV),
+        # a zero step leaves the first gap at pi for the first kick
+        "_yoshida4_advance": lambda: _yoshida4_advance(*MV.masses, jc.nu1, jc.nu2, *inv, 0.0)(
+            [math.pi, 2.0, 0.0, 0.0]
+        ),
+    }
+    for call in calls.values():
+        with pytest.raises(SingularConfiguration) as info:
+            call()
+        assert str(info.value) == "reduced separation 3.1415926535897931 is singular"
+
+
+def test_integrate_reduced_reads_the_masses_once(monkeypatch):
+    calls = []
+    from_masses = JacobiConstants.from_masses.__func__
+
+    def spy(cls, masses):
+        calls.append(masses)
+        return from_masses(cls, masses)
+
+    start = flow_start(TRIPLE)
+    monkeypatch.setattr(JacobiConstants, "from_masses", classmethod(spy))
+    for method in ("yoshida4", "midpoint"):
+        calls.clear()
+        run = integrate_reduced(MV, start, horizon=1.0, method=method)
+        assert len(run.times) == 101
+        assert len(calls) == 1
 
 
 class TestReducedPotential:
