@@ -41,6 +41,7 @@ from .integrators import (
     fixed_steps,
     midpoint_step,
     rk45_solve,
+    seeded_advance,
     step_count,
 )
 from .stability import LinearizationBlocks, ring_pipeline, vertical_mode
@@ -334,7 +335,7 @@ def integrate(
     else:
         field = _field_kernel(masses, omega)
         samples = fixed_steps(
-            lambda x: midpoint_step(field, x, step),
+            seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess)),
             x0.tolist(),
             step,
             nsteps,
@@ -445,7 +446,7 @@ def growth_rate_experiment(
     field = _field_kernel(mv, omega)
     nsteps = step_count(horizon, step, record_stride)
     samples = fixed_steps(
-        lambda x: midpoint_step(field, x, step),
+        seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess)),
         (rest + amplitude * w).tolist(),
         step,
         nsteps,

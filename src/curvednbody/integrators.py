@@ -5,10 +5,13 @@ state held as a list of floats and yields the recorded samples.  The full
 Hamiltonian is not separable, so its reference step is the implicit
 midpoint rule, ``midpoint_step``; for the 12 floats of a three-body state
 its iteration is straight-line code, bit-identical to the list loop that
-serves other lengths.  The reduced Hamiltonian is separable, and its flow
-defaults to an explicit fourth-order composition of leapfrog (Yoshida
-1990), whose coefficients are kept here and whose step ``reduction``
-writes out; the midpoint rule stays available there as the cross-check.
+serves other lengths.  A run seeds each solve from its third step on with
+the quadratic extrapolation of its last three states (``seeded_advance``),
+which costs no field evaluation and lands O(h^3) from the solution.  The
+reduced Hamiltonian is separable, and its flow defaults to an explicit
+fourth-order composition of leapfrog (Yoshida 1990), whose coefficients are
+kept here and whose step ``reduction`` writes out; the midpoint rule stays
+available there as the cross-check.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
 independent cross-check route for the full system.
 """
@@ -84,14 +87,39 @@ def fixed_steps(advance, x0, h, nsteps, record_stride=1, check=None):
             yield k * h, x
 
 
-def midpoint_step(field, x, h):
+def seeded_advance(step):
+    """An ``advance`` for one run of ``fixed_steps`` from ``step(x, guess)``.
+
+    The guess is None (the Euler predictor) on the first two steps, then the
+    quadratic through the last three states one step on, x[-2] + 3 (x - x[-1]),
+    which costs no field evaluation and lies O(h^3) from the next state.  The
+    function keeps the last two states it was handed, so it serves one run.
+    """
+    past = []
+
+    def advance(x):
+        guess = None
+        if len(past) == 2:
+            older, old = past
+            guess = [a + 3.0 * (c - b) for a, b, c in zip(older, old, x)]
+            del past[0]
+        past.append(x)
+        return step(x, guess)
+
+    return advance
+
+
+def midpoint_step(field, x, h, guess=None):
     """Advance one implicit midpoint step of size h.
 
     The implicit equation y = x + h f((x + y)/2) is solved by damped
-    fixed-point iteration seeded with an explicit Euler predictor, to an
-    update of at most MIDPOINT_TOL within MIDPOINT_MAX_INNER iterations.
-    For the step sizes this library uses the iteration contracts rapidly; a
-    stall or a non-finite iterate raises StepFailure.
+    fixed-point iteration to an update of at most MIDPOINT_TOL within
+    MIDPOINT_MAX_INNER iterations.  The first iterate is ``guess``, a list
+    of floats as long as ``x`` (another length raises InvalidConfiguration),
+    or when it is None the explicit Euler predictor x + h f(x), which costs
+    one field evaluation.  For the step sizes this library uses the
+    iteration contracts rapidly; a stall or a non-finite iterate raises
+    StepFailure.
 
     The iteration runs on lists of floats: ``field`` maps a list to a list.
     A list of 12 floats, the three-body state, takes ``_midpoint_twelve``,
@@ -100,16 +128,22 @@ def midpoint_step(field, x, h):
     vectors, and the step then returns a numpy vector; the arithmetic is
     the same.
     """
+    if guess is not None and len(guess) != len(x):
+        raise InvalidConfiguration(
+            "guess has %d entries, the state %d" % (len(guess), len(x))
+        )
     if isinstance(x, np.ndarray):
 
         def list_field(v):
             return np.asarray(field(np.array(v)), dtype=float).tolist()
 
-        y = _midpoint_loop(list_field, x.tolist(), h, MIDPOINT_TOL, MIDPOINT_MAX_INNER)
+        y = _midpoint_loop(
+            list_field, x.tolist(), h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess
+        )
         return np.array(y)
     if len(x) == 12:
-        return _midpoint_twelve(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER)
-    return _midpoint_loop(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER)
+        return _midpoint_twelve(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess)
+    return _midpoint_loop(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess)
 
 
 def _stall(delta, tol):
@@ -118,12 +152,12 @@ def _stall(delta, tol):
     )
 
 
-def _midpoint_loop(field, x, h, tol, max_inner):
+def _midpoint_loop(field, x, h, tol, max_inner, guess=None):
     """``midpoint_step`` on a list of any length; the reference for
     ``_midpoint_twelve``."""
     mid = x
     try:
-        y = [a + h * b for a, b in zip(x, field(x))]
+        y = [a + h * b for a, b in zip(x, field(x))] if guess is None else guess
         damping = 1.0
         delta = prev_delta = math.inf
         for _ in range(max_inner):
@@ -149,7 +183,7 @@ def _midpoint_loop(field, x, h, tol, max_inner):
     raise _stall(delta, tol)
 
 
-def _midpoint_twelve(field, x, h, tol, max_inner):
+def _midpoint_twelve(field, x, h, tol, max_inner, guess=None):
     """``_midpoint_loop`` for 12 entries as straight-line code over floats.
 
     Every floating-point expression is the loop's and the update norm is
@@ -159,10 +193,13 @@ def _midpoint_twelve(field, x, h, tol, max_inner):
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 = x
     mid = x
     try:
-        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11 = field(x)
-        y0, y1, y2, y3 = x0 + h * f0, x1 + h * f1, x2 + h * f2, x3 + h * f3
-        y4, y5, y6, y7 = x4 + h * f4, x5 + h * f5, x6 + h * f6, x7 + h * f7
-        y8, y9, y10, y11 = x8 + h * f8, x9 + h * f9, x10 + h * f10, x11 + h * f11
+        if guess is None:
+            f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11 = field(x)
+            y0, y1, y2, y3 = x0 + h * f0, x1 + h * f1, x2 + h * f2, x3 + h * f3
+            y4, y5, y6, y7 = x4 + h * f4, x5 + h * f5, x6 + h * f6, x7 + h * f7
+            y8, y9, y10, y11 = x8 + h * f8, x9 + h * f9, x10 + h * f10, x11 + h * f11
+        else:
+            y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11 = guess
         damping = 1.0
         delta = prev_delta = math.inf
         for _ in range(max_inner):

@@ -37,6 +37,7 @@ from .integrators import (
     SEPARATION_FLOOR,
     fixed_steps,
     midpoint_step,
+    seeded_advance,
     step_count,
 )
 
@@ -74,7 +75,10 @@ class JacobiConstants:
 
 def angle_transform_matrix(masses) -> np.ndarray:
     """Matrix sending raw longitudes to (mean angle, first gap, second combination)."""
-    jc = JacobiConstants.from_masses(masses)
+    return _angle_matrix(JacobiConstants.from_masses(masses))
+
+
+def _angle_matrix(jc: JacobiConstants) -> np.ndarray:
     m1, m2, m3 = jc.masses
     return np.array(
         [
@@ -92,8 +96,11 @@ def momentum_transform_matrix(masses) -> np.ndarray:
     diagonal, the momentum map is B = D' A D^-1; the congruence A^T B = I
     encodes that the pairing of angles and momenta is preserved.
     """
-    jc = JacobiConstants.from_masses(masses)
-    a = angle_transform_matrix(jc.masses)
+    return _momentum_matrix(JacobiConstants.from_masses(masses))
+
+
+def _momentum_matrix(jc: JacobiConstants) -> np.ndarray:
+    a = _angle_matrix(jc)
     dprime = np.diag([jc.mbar, jc.nu3, jc.nu4])
     dinv = np.diag([1.0 / m for m in jc.masses])
     return dprime @ a @ dinv
@@ -146,10 +153,9 @@ def to_jacobi(longitudes, momenta, masses):
     ps = np.array([float(p) for p in momenta])
     if phis.shape != (3,) or ps.shape != (3,):
         raise InvalidConfiguration("to_jacobi expects three angles and three momenta")
-    a = angle_transform_matrix(masses)
-    b = momentum_transform_matrix(masses)
-    new_phi = a @ phis
-    new_p = b @ ps
+    jc = JacobiConstants.from_masses(masses)
+    new_phi = _angle_matrix(jc) @ phis
+    new_p = _momentum_matrix(jc) @ ps
     p_total = float(ps[0] + ps[1] + ps[2])
     mean, phi1, phi2 = new_phi.tolist()
     state = ReducedState(phi1, phi2, *new_p.tolist()[1:], p_total)
@@ -173,8 +179,16 @@ def _force_value(jc: JacobiConstants, phi1: float, phi2: float) -> float:
 
 
 def _reduced_energy(jc: JacobiConstants, phi1, phi2, p1, p2, omega=0.0) -> float:
-    """Reduced energy at (phi1, phi2, p1, p2) on the level of rate omega."""
-    kinetic = 0.5 * (p1 ** 2 / jc.nu3 + p2 ** 2 / jc.nu4)
+    """Reduced energy at (phi1, phi2, p1, p2) on the level of rate omega.
+
+    Momenta whose squares overflow a float raise InvalidConfiguration.
+    """
+    try:
+        kinetic = 0.5 * (p1 ** 2 / jc.nu3 + p2 ** 2 / jc.nu4)
+    except OverflowError:
+        raise InvalidConfiguration(
+            "reduced kinetic energy overflows at momenta (%r, %r)" % (p1, p2)
+        ) from None
     return kinetic - _force_value(jc, phi1, phi2) + 0.5 * jc.mbar * omega * omega
 
 
@@ -335,9 +349,7 @@ def integrate_reduced(
             g1, g2 = _gap_gradient(m1, m2, m3, nu1, nu2, x[0], x[1])
             return [x[2] * inv_nu3, x[3] * inv_nu4, g1, g2]
 
-        def advance(x):
-            return midpoint_step(field, x, step)
-
+        advance = seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess))
     else:
         raise InvalidConfiguration("unknown integration method %r" % method)
 

@@ -966,15 +966,15 @@ PINNED = {
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode perturbed --horizon 1.0 --seed 12345": (
         0,
-        "98eac8ba66b7e84d3dfe8a1f84587eed5bbc5310cd3f6e2ef6f2c77f0706b64d",
+        "853ddc8dd14b2e9d9f18e51cc6aabf0265fd4001465a6cc593d3651c971cdc57",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "522eb6dc4cc99e918c036ddf22c46a41036a67b8b8ca0d485bcf9942c12ac49c",
+        "b5d9cb950ea4c284cf51d27a8a7e56d323f78fc540df6b7d681e85929f70af8c",
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 0.77 --mode growth --horizon 200 --step 0.01": (
         0,
-        "f8c593b54a289a9d883c020d7f8476f876a953c41f6154b2b6740e77068eda9b",
+        "d064344fd34e6c14b4828b5cc0faf57b29f6feb5ed7d48055bd5d33dce589690",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "5269cb713f533f5597dca9582d170512d3dded6c5c3385d4b3fb6826b1ce37f3",
+        "5a8a49d473ac3dc21632b40418269902de6fa758a3220e1d5a067441e8ad4d28",
     ),
     "omega-sweep --masses 0.2 0.5 0.3 --omega-min 0 --omega-max 3.0634 --count 2001 --workers 2": (
         0,

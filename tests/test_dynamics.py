@@ -29,7 +29,7 @@ from curvednbody.geometry import (
 from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
 from curvednbody.reduction import ReducedState, integrate_reduced, rest_point_from_shape
-from curvednbody.stability import assemble_blocks
+from curvednbody.stability import assemble_blocks, ring_pipeline, vertical_mode
 
 from conftest import singular_pair
 
@@ -293,6 +293,16 @@ class TestIntegrate:
         assert isinstance(y, np.ndarray) and y.shape == x.shape
         kernel = dynamics._field_kernel(MV, 1.3)
         assert y.tolist() == midpoint_step(kernel, x.tolist(), 1e-3)
+        guess = x + 1e-6
+        y = midpoint_step(field, x, 1e-3, guess)
+        assert y.tolist() == midpoint_step(kernel, x.tolist(), 1e-3, guess.tolist())
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_midpoint_step_rejects_a_guess_of_another_length(self, n):
+        # the list loop would zip the state with a short guess and drop entries
+        message = "guess has 3 entries, the state %d" % n
+        with pytest.raises(InvalidConfiguration, match=message):
+            midpoint_step(lambda v: v, [0.5] * n, 1e-3, [0.5] * 3)
 
     def test_midpoint_step_rejects_a_non_finite_iterate(self):
         # the update of the finite entry converges, the other entry is nan
@@ -396,6 +406,86 @@ class TestGrowthExperiment:
         assert fit.deviations[0] == pytest.approx(fit.amplitude, rel=1e-9)
 
 
+# interior triples of the seeded-midpoint checks
+INTERIOR = [
+    (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+    (0.2, 0.5, 0.3),
+    (0.25, 0.45, 0.30),
+    (0.3, 0.4, 0.3),
+    (0.4, 0.35, 0.25),
+    (0.15, 0.45, 0.4),
+    (0.45, 0.3, 0.25),
+    (0.35, 0.25, 0.4),
+]
+
+
+def flow_run(masses):
+    """The masses, rate and start of a 1000-step run at h = 1e-3 above the
+    critical rate, colatitudes displaced by up to 1e-3."""
+    triple = as_mass_triple(masses)
+    blocks = ring_pipeline(triple)[3]
+    omega = 1.5 * math.sqrt(vertical_mode(blocks)[0])
+    x0 = relative_equilibrium(blocks.masses, blocks.ring, omega).as_vector()
+    x0[0:3] += 1e-3 * np.array([1.0, -0.5, 0.25])
+    return blocks.masses, omega, x0
+
+
+def counting_step(counts):
+    """``midpoint_step`` that counts its steps and field evaluations."""
+
+    def step(field, x, h, guess=None):
+        def counted(v):
+            counts["evals"] += 1
+            return field(v)
+
+        counts["steps"] += 1
+        return midpoint_step(counted, x, h, guess)
+
+    return step
+
+
+class TestSeededMidpoint:
+    """From its third step a run seeds each midpoint solve with the quadratic
+    extrapolation of its last three states."""
+
+    def test_two_field_evaluations_per_step(self, monkeypatch):
+        # the Euler predictor took 4.0 evaluations per step on both runs
+        counts = {"steps": 0, "evals": 0}
+        monkeypatch.setattr(dynamics, "midpoint_step", counting_step(counts))
+        monkeypatch.setattr(reduction, "midpoint_step", counting_step(counts))
+        mv, omega, x0 = flow_run((0.2, 0.5, 0.3))
+        integrate(mv, x0, horizon=1.0, step=1e-3, omega=omega)
+        assert counts["steps"] == 1000
+        assert counts["evals"] <= 2.1 * 1000
+        counts.update(steps=0, evals=0)
+        triple = as_mass_triple((0.2, 0.5, 0.3))
+        rest = rest_point_from_shape(shape_from_masses(triple), triple)
+        start = ReducedState(rest.phi1 + 1e-2, rest.phi2, 0.0, 0.0)
+        integrate_reduced(triple, start, horizon=1.0, step=1e-3, method="midpoint")
+        assert counts["steps"] == 1000
+        assert counts["evals"] <= 2.1 * 1000
+
+    @pytest.mark.parametrize("masses", INTERIOR)
+    def test_stays_at_the_tight_tolerance_reference(self, masses):
+        # the reference solves every step from the Euler predictor to 1e-15;
+        # 1000 steps at MIDPOINT_TOL allow 1e-10, and on these triples the
+        # seeded runs stay within 1.3e-13 of it (the Euler-seeded 3.1e-14)
+        mv, omega, x0 = flow_run(masses)
+        record = integrate(mv, x0, horizon=1.0, step=1e-3, omega=omega)
+        field = dynamics._field_kernel(mv, omega)
+        reference = [
+            x
+            for _, x in integrators.fixed_steps(
+                lambda x: integrators._midpoint_loop(field, x, 1e-3, 1e-15, 50),
+                x0.tolist(),
+                1e-3,
+                1000,
+                10,
+            )
+        ]
+        assert np.max(np.abs(record.states - np.array(reference))) < 1e-12
+
+
 class TestPinnedBits:
     """Full-system results pinned bit for bit: stepping on float lists must
     reproduce the numpy iteration it replaced."""
@@ -409,15 +499,15 @@ class TestPinnedBits:
             1.5698606074128842,
             1.5701441630181325,
             1.5704277418254866,
-            -6.580598348976036e-05,
+            -6.580598348971425e-05,
             2.094613437487296,
             4.189292674643427,
-            0.00012499347416004944,
-            0.00028037562590411914,
-            0.0004358369596072838,
+            0.00012499347416003537,
+            0.0002803756259041199,
+            0.00043583695960729715,
             0.4339937014491775,
             0.43415155568473124,
-            0.4343092883206368,
+            0.43430928832063687,
         ]
         assert record.energy_drift == 4.440892098500626e-16
         assert record.momentum_drift == 2.220446049250313e-16
@@ -434,12 +524,12 @@ class TestPinnedBits:
         assert again.rate == fit.rate
         assert again.times.tolist() == fit.times.tolist()
         assert again.deviations.tolist() == fit.deviations.tolist()
-        assert fit.rate == 0.8980074309184528
+        assert fit.rate == 0.8980074309179878
         assert fit.expected_rate == 0.8980113781961803
         assert fit.n_points == 51
         assert fit.window == (2.6, 7.6000000000000005)
-        assert fit.log_residual == 5.521603322566904e-05
-        assert fit.max_deviation == 0.020645959381771384
+        assert fit.log_residual == 5.521603759195415e-05
+        assert fit.max_deviation == 0.020645959364573807
         assert fit.deviations[-1] == fit.max_deviation
         assert fit.times.size == 86
 
@@ -471,9 +561,9 @@ class TestReducedPinnedBits:
     def test_midpoint(self):
         run = self.run("midpoint")
         assert run.states[-1].tolist() == [
-            2.0791576441578474,
-            2.595359432275248,
-            -0.002176925000087048,
-            0.0013985162029001353,
+            2.0791576441578608,
+            2.595359432275251,
+            -0.002176925000089833,
+            0.001398516202896288,
         ]
-        assert run.energy_drift == 1.684763439868675e-14
+        assert run.energy_drift == 1.6958656701149266e-14

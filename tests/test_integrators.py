@@ -4,8 +4,9 @@
 result bit for bit and raise what the loop raises, with the same message:
 on ordinary and near-polar three-body states, on fields that force the
 damping branch, on stalls, on non-finite iterates and for ``max_inner`` at
-or below zero.  The reduced flow's Yoshida-4 step must do the same against
-the loop form of the composition kept here as the reference.
+or below zero, from the Euler predictor and from a given first iterate.
+The reduced flow's Yoshida-4 step must do the same against the loop form of
+the composition kept here as the reference.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvednbody import dynamics, integrators, reduction
-from curvednbody.errors import SingularConfiguration
+from curvednbody.errors import SingularConfiguration, StepFailure
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 
 from test_field_three import MASSES, OMEGAS, states
@@ -36,11 +37,14 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def assert_same_step(field, x, h, tol=integrators.MIDPOINT_TOL, max_inner=50):
+def assert_same_step(field, x, h, tol=integrators.MIDPOINT_TOL, max_inner=50, guess=None):
     def run(step):
-        return outcome(lambda: step(field, list(x), h, tol, max_inner))
+        first = None if guess is None else list(guess)
+        return outcome(lambda: step(field, list(x), h, tol, max_inner, first))
 
-    assert run(integrators._midpoint_twelve) == run(integrators._midpoint_loop)
+    got = run(integrators._midpoint_twelve)
+    assert got == run(integrators._midpoint_loop)
+    return got
 
 
 @st.composite
@@ -115,6 +119,61 @@ def test_midpoint_matches_loop_on_long_steps_near_rings(case):
 @given(st.sampled_from(MASSES), OMEGAS, states(), steps)
 def test_midpoint_matches_loop_on_random_and_polar_states(mv, omega, x, h):
     assert_same_step(dynamics._field_kernel(mv, omega), x, h)
+
+
+@st.composite
+def guesses(draw, x):
+    """A first iterate for a step from ``x``: ``x`` moved by up to 1, or ``x``
+    with a nan or an infinity in one entry."""
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+    scale = draw(st.sampled_from((0.0, 1e-12, 1e-6, 1e-3, 1.0)))
+    return [a + scale * d for a, d in zip(x, offsets)]
+
+
+@st.composite
+def non_finite(draw, x):
+    guess = list(x)
+    guess[draw(st.integers(0, 11))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    return guess
+
+
+@PROPERTY
+@given(cases, steps, tols, inner, st.data())
+def test_midpoint_matches_loop_from_a_guess(case, h, tol, max_inner, data):
+    field, x = case
+    guess = data.draw(st.one_of(guesses(x), non_finite(x)))
+    assert_same_step(field, x, h, tol, max_inner, guess)
+
+
+@PROPERTY
+@given(st.one_of(rest_states(), stiff_cases()), st.sampled_from((1e-3, 1e-2)), st.data())
+def test_non_finite_guess_is_a_step_failure(case, h, data):
+    # the fields here carry a nan or an infinity in any entry of their input
+    # into their output, so no iterate from such a guess becomes finite
+    field, x = case
+    got = assert_same_step(field, x, h, guess=data.draw(non_finite(x)))
+    assert got[0] is StepFailure
+
+
+def test_seeded_advance_extrapolates_from_the_third_step():
+    guesses_seen = []
+
+    def step(x, guess):
+        guesses_seen.append(guess)
+        return [2.0 * x[0] + 1.0]
+
+    advance = integrators.seeded_advance(step)
+    x = [0.0]
+    for _ in range(5):
+        x = advance(x)
+    # states 0, 1, 3, 7, 15: each guess is x[-2] + 3 (x - x[-1])
+    assert guesses_seen == [
+        None,
+        None,
+        [0.0 + 3.0 * (3.0 - 1.0)],
+        [1.0 + 3.0 * (7.0 - 3.0)],
+        [3.0 + 3.0 * (15.0 - 7.0)],
+    ]
 
 
 def traced_loop(field, x, h, tol, max_inner):

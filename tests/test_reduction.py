@@ -128,7 +128,8 @@ def test_singular_gap_has_one_message():
         assert str(info.value) == "reduced separation 3.1415926535897931 is singular"
 
 
-def test_integrate_reduced_reads_the_masses_once(monkeypatch):
+def spy_from_masses(monkeypatch):
+    """The list that records the masses of every JacobiConstants.from_masses call."""
     calls = []
     from_masses = JacobiConstants.from_masses.__func__
 
@@ -136,13 +137,42 @@ def test_integrate_reduced_reads_the_masses_once(monkeypatch):
         calls.append(masses)
         return from_masses(cls, masses)
 
-    start = flow_start(TRIPLE)
     monkeypatch.setattr(JacobiConstants, "from_masses", classmethod(spy))
+    return calls
+
+
+def test_integrate_reduced_reads_the_masses_once(monkeypatch):
+    start = flow_start(TRIPLE)
+    calls = spy_from_masses(monkeypatch)
     for method in ("yoshida4", "midpoint"):
         calls.clear()
         run = integrate_reduced(MV, start, horizon=1.0, method=method)
         assert len(run.times) == 101
         assert len(calls) == 1
+
+
+def test_to_jacobi_reads_the_masses_once(monkeypatch):
+    calls = spy_from_masses(monkeypatch)
+    to_jacobi((0.0, 2.0, 4.0), (0.1, -0.2, 0.3), MV)
+    assert len(calls) == 1
+
+
+OVERFLOWING = ReducedState(2.0, 3.0, 1e200, 0.0)
+OVERFLOW_SITES = {
+    "reduced_hamiltonian": lambda: reduced_hamiltonian(OVERFLOWING, (1, 1, 1)),
+    "integrate_reduced": lambda: integrate_reduced((1, 1, 1), OVERFLOWING, 0.01),
+    "integrate_reduced midpoint": lambda: integrate_reduced(
+        (1, 1, 1), OVERFLOWING, 0.01, method="midpoint"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", OVERFLOW_SITES)
+def test_overflowing_reduced_energy_is_typed(site):
+    # the square of a momentum above about 1.3e154 overflows a float
+    with pytest.raises(InvalidConfiguration) as info:
+        OVERFLOW_SITES[site]()
+    assert str(info.value) == "reduced kinetic energy overflows at momenta (1e+200, 0.0)"
 
 
 class TestReducedPotential:
