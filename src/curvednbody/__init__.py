@@ -6,6 +6,7 @@ from .errors import (
     DegenerateShape,
     DegenerateSpectrum,
     InconsistentPair,
+    InputError,
     InvalidConfiguration,
     IOFailure,
     NoConvergence,
@@ -13,6 +14,7 @@ from .errors import (
     NonpositiveMass,
     NotAdmissible,
     NotAFixedPoint,
+    NumericalFailure,
     PolarSingularity,
     SingularConfiguration,
     SingularIterate,

@@ -12,8 +12,8 @@ eigensolve.  The parser is built once per process; parsing does not change
 it, so each call of ``main`` parses as a fresh parser would.
 
 Exit codes: 0 on success, 1 for I/O or internal failures, 2 for invalid
-input, 3 when a numerical procedure fails to converge.  All output is
-deterministic for fixed inputs.
+input (``InputError``), 3 when a numerical procedure fails
+(``NumericalFailure``).  All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -30,19 +30,11 @@ import numpy as np
 from . import dynamics, fixedpoints, reduction, stability
 from .errors import (
     CurvedNBodyError,
-    DegenerateBasis,
-    DegenerateShape,
-    DegenerateSpectrum,
-    InconsistentPair,
+    InputError,
     InvalidConfiguration,
     IOFailure,
-    NoConvergence,
     NoGrowthWindow,
-    NonpositiveMass,
-    NotAdmissible,
-    NotAFixedPoint,
-    PolarSingularity,
-    SingularConfiguration,
+    NumericalFailure,
     StepFailure,
 )
 from .geometry import RingConfiguration
@@ -541,7 +533,7 @@ def _simulate(opts) -> int:
         x0 = rest + amplitude * rng.uniform(-1.0, 1.0, rest.size)
         try:
             dynamics.PhaseState.from_vector(x0)
-        except (InvalidConfiguration, PolarSingularity, SingularConfiguration) as exc:
+        except InputError as exc:
             # a large amplitude can push the start off the chart: say so
             raise type(exc)(
                 "perturbed start (amplitude %g, seed %d): %s" % (amplitude, seed, exc)
@@ -608,26 +600,9 @@ def main(argv=None) -> int:
         # a bad --tolerance-overrides text raises while the flags are parsed
         opts = _resolve_options(_parser().parse_args(argv))
         return HANDLERS[opts["command"]](opts)
-    except IOFailure as exc:
-        return _fail(1, exc)
-    except (
-        InvalidConfiguration,
-        NonpositiveMass,
-        NotAdmissible,
-        DegenerateShape,
-        InconsistentPair,
-        SingularConfiguration,
-        PolarSingularity,
-    ) as exc:
+    except InputError as exc:
         return _fail(2, exc)
-    except (
-        NoConvergence,
-        StepFailure,
-        NotAFixedPoint,
-        DegenerateSpectrum,
-        DegenerateBasis,
-        NoGrowthWindow,
-    ) as exc:
+    except NumericalFailure as exc:
         return _fail(3, exc)
     except CurvedNBodyError as exc:
         return _fail(1, exc)

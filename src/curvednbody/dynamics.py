@@ -290,10 +290,6 @@ class TrajectoryRecord:
     max_equator_deviation: float
     min_separation_sine: float
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1] // 4
-
 
 def integrate(
     masses: MassVector,

@@ -1,15 +1,29 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every error type except ``IOFailure`` belongs to one of two categories:
+``InputError`` (the input is invalid, so the CLI exits 2) or
+``NumericalFailure`` (a numerical procedure failed on valid input, exit 3).
+``IOFailure`` exits 1.
+"""
 
 
 class CurvedNBodyError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidConfiguration(CurvedNBodyError):
+class InputError(CurvedNBodyError):
+    """The input is invalid: no computation can succeed on it."""
+
+
+class NumericalFailure(CurvedNBodyError):
+    """A numerical procedure failed on valid input."""
+
+
+class InvalidConfiguration(InputError):
     """A structural invariant of an input record is violated."""
 
 
-class SingularConfiguration(CurvedNBodyError):
+class SingularConfiguration(InputError):
     """Two bodies sit at (or numerically at) zero or antipodal separation."""
 
 
@@ -17,43 +31,43 @@ class SingularIterate(SingularConfiguration):
     """A solver iterate entered the singular set."""
 
 
-class PolarSingularity(CurvedNBodyError):
+class PolarSingularity(InputError):
     """The spherical chart degenerates: sin(theta) is numerically zero."""
 
 
-class NonpositiveMass(CurvedNBodyError):
+class NonpositiveMass(InputError):
     """A mass value is zero or negative."""
 
 
-class NotAdmissible(CurvedNBodyError):
+class NotAdmissible(InputError):
     """The mass triple lies outside the region that admits a fixed point."""
 
 
-class DegenerateShape(CurvedNBodyError):
+class DegenerateShape(InputError):
     """A triangle shape sits on (or past) the boundary of the admissible wedge."""
 
 
-class NoConvergence(CurvedNBodyError):
+class NoConvergence(NumericalFailure):
     """An iterative solver exhausted its iteration budget."""
 
 
-class InconsistentPair(CurvedNBodyError):
+class InconsistentPair(InputError):
     """Masses and shape do not satisfy the fixed-point proportionality relations."""
 
 
-class NotAFixedPoint(CurvedNBodyError):
+class NotAFixedPoint(NumericalFailure):
     """The configuration fails the fixed-point residual test."""
 
 
-class DegenerateSpectrum(CurvedNBodyError):
+class DegenerateSpectrum(NumericalFailure):
     """An eigenvalue pattern required for classification did not separate cleanly."""
 
 
-class DegenerateBasis(CurvedNBodyError):
+class DegenerateBasis(NumericalFailure):
     """A requested subspace basis is numerically rank deficient."""
 
 
-class StepFailure(CurvedNBodyError):
+class StepFailure(NumericalFailure):
     """A time step could not be completed.
 
     Carries the time at which stepping failed in ``time`` and the index of
@@ -67,7 +81,7 @@ class StepFailure(CurvedNBodyError):
         self.step = step
 
 
-class NoGrowthWindow(CurvedNBodyError):
+class NoGrowthWindow(NumericalFailure):
     """The deviation never reached the growth-fit window (consistent with stability).
 
     ``max_deviation`` records the largest deviation seen over the horizon.

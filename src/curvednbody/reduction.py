@@ -112,7 +112,8 @@ class ReducedState:
 
     phi1 is the gap from body 1 to body 2; phi2 combines body 3 with the
     mass-weighted pair angle.  momentum_level records the conserved total
-    angular momentum of the underlying full state.
+    angular momentum of the underlying full state.  A non-finite entry
+    raises InvalidConfiguration.
     """
 
     phi1: float
@@ -120,6 +121,11 @@ class ReducedState:
     p1: float
     p2: float
     momentum_level: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(
+            "reduced state", (self.phi1, self.phi2, self.p1, self.p2, self.momentum_level)
+        )
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.phi1, self.phi2, self.p1, self.p2])
@@ -329,8 +335,8 @@ def integrate_reduced(
     kept as the cross-check.  Records every ``record_stride``-th step (plus
     the endpoints) and reports the largest deviation of the reduced energy
     from its initial value over the recorded samples.  The masses are
-    checked by ``JacobiConstants.from_masses``, and a non-finite initial
-    state raises InvalidConfiguration.  After every step each of the three
+    checked by ``JacobiConstants.from_masses``; ``ReducedState`` checks
+    that the initial state is finite.  After every step each of the three
     separation sines must keep the sign it started with and stay above
     SEPARATION_FLOOR, so a step that jumps across a collision is caught; a
     step that fails or breaks this raises StepFailure with its time and step
@@ -355,7 +361,6 @@ def integrate_reduced(
 
     nsteps = step_count(horizon, step, record_stride)
     x0 = initial.as_vector().tolist()
-    _check_finite("initial state", x0)
     check = _separation_check(nu1, nu2, x0)
     times = []
     states = []

@@ -178,7 +178,8 @@ def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndar
     """Full 4n-by-4n linearized flow matrix at the rotating ring.
 
     Coordinate order is (theta, phi, p_theta, p_phi).  The rotation enters
-    only through the centrifugal shift of the vertical block.
+    only through the centrifugal shift of the vertical block.  A rate that
+    ``rate_square`` rejects raises InvalidConfiguration.
     """
     n = blocks.n
     m = blocks.mass_diagonal
@@ -186,7 +187,7 @@ def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndar
     minv = np.diag(1.0 / m)
     L[0:n, 2 * n : 3 * n] = minv
     L[n : 2 * n, 3 * n : 4 * n] = minv
-    L[2 * n : 3 * n, 0:n] = blocks.vertical - omega * omega * np.diag(m)
+    L[2 * n : 3 * n, 0:n] = blocks.vertical - rate_square(omega) * np.diag(m)
     L[3 * n : 4 * n, n : 2 * n] = blocks.tangential
     return L
 
@@ -494,28 +495,13 @@ def _symmetry_bases(blocks: LinearizationBlocks) -> tuple:
     m = blocks.mass_diagonal
     nv = null_vectors(blocks.ring)
 
-    def embed(theta=None, phi=None, ptheta=None, pphi=None):
-        out = np.zeros(dim)
-        if theta is not None:
-            out[0:n] = theta
-        if phi is not None:
-            out[n : 2 * n] = phi
-        if ptheta is not None:
-            out[2 * n : 3 * n] = ptheta
-        if pphi is not None:
-            out[3 * n : 4 * n] = pphi
-        return out
-
-    symmetry = np.column_stack(
-        [
-            embed(theta=nv.radial),
-            embed(ptheta=m * nv.radial),
-            embed(theta=nv.transverse),
-            embed(ptheta=m * nv.transverse),
-            embed(phi=nv.uniform),
-            embed(pphi=m * nv.uniform),
-        ]
-    )
+    symmetry = np.zeros((dim, 6))
+    symmetry[0:n, 0] = nv.radial
+    symmetry[2 * n : 3 * n, 1] = m * nv.radial
+    symmetry[0:n, 2] = nv.transverse
+    symmetry[2 * n : 3 * n, 3] = m * nv.transverse
+    symmetry[n : 2 * n, 4] = nv.uniform
+    symmetry[3 * n : 4 * n, 5] = m * nv.uniform
     rotation = symmetry[:, 4:6]
     q_sym, _ = np.linalg.qr(symmetry)
     transverse = _skew_complement(symmetry, dim - 6)

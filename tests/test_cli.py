@@ -12,7 +12,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from curvednbody import cli, dynamics, fixedpoints, reduction, stability
+from curvednbody import cli, dynamics, errors, fixedpoints, reduction, stability
 from curvednbody.report import FLOAT_FMT, ChunkedText, atomic_write_text, fmt, write_csv
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
@@ -669,6 +669,50 @@ class TestAtomicWrite:
 )
 def test_fmt_renders_each_kind_of_scalar(value, text):
     assert fmt(value) == text
+
+
+# Every error type of curvednbody.errors with the exit code of its category:
+# 2 for an InputError, 3 for a NumericalFailure, 1 otherwise.  A new error
+# type must join this table with the code of the category it subclasses.
+EXIT_CODES = {
+    "CurvedNBodyError": 1,
+    "IOFailure": 1,
+    "InputError": 2,
+    "InvalidConfiguration": 2,
+    "SingularConfiguration": 2,
+    "SingularIterate": 2,
+    "PolarSingularity": 2,
+    "NonpositiveMass": 2,
+    "NotAdmissible": 2,
+    "DegenerateShape": 2,
+    "InconsistentPair": 2,
+    "NumericalFailure": 3,
+    "NoConvergence": 3,
+    "NotAFixedPoint": 3,
+    "DegenerateSpectrum": 3,
+    "DegenerateBasis": 3,
+    "StepFailure": 3,
+    "NoGrowthWindow": 3,
+}
+
+
+def test_exit_code_table_lists_every_error_type():
+    names = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.CurvedNBodyError)
+    }
+    assert names == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_error_type_exits_with_its_category_code(monkeypatch, name):
+    def fail(opts):
+        raise getattr(errors, name)("forced %s" % name)
+
+    monkeypatch.setitem(cli.HANDLERS, "stability", fail)
+    code, out, err = run_in_process(["stability", "--masses", "1", "1", "1"])
+    assert (code, out, err) == (EXIT_CODES[name], "", "error: forced %s\n" % name)
 
 
 class TestConfigAndErrors:

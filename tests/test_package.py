@@ -19,6 +19,7 @@ ROOT_NAMES = {
     "GrowthFit",
     "IOFailure",
     "InconsistentPair",
+    "InputError",
     "InvalidConfiguration",
     "JacobiConstants",
     "LinearizationBlocks",
@@ -29,6 +30,7 @@ ROOT_NAMES = {
     "NonpositiveMass",
     "NotAFixedPoint",
     "NotAdmissible",
+    "NumericalFailure",
     "PhaseState",
     "PolarSingularity",
     "ReducedState",

@@ -175,6 +175,15 @@ def test_overflowing_reduced_energy_is_typed(site):
     assert str(info.value) == "reduced kinetic energy overflows at momenta (1e+200, 0.0)"
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(2.0, 3.0, math.inf, 0.0), (2.0, 3.0, math.nan, 0.0), (2.0, 3.0, 0.0, 0.0, math.nan)],
+)
+def test_non_finite_reduced_state_is_typed(entries):
+    with pytest.raises(InvalidConfiguration, match="non-finite"):
+        reduced_hamiltonian(ReducedState(*entries), (1, 1, 1))
+
+
 class TestReducedPotential:
     def test_matches_full_force_function(self, rng):
         # dual route: the same configuration through the full equatorial
@@ -416,8 +425,8 @@ class TestYoshida4:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, bad):
         rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
-        start = ReducedState(rest.phi1, rest.phi2, bad, 0.0, rest.momentum_level)
         with pytest.raises(InvalidConfiguration, match="non-finite"):
+            start = ReducedState(rest.phi1, rest.phi2, bad, 0.0, rest.momentum_level)
             integrate_reduced(MV, start, horizon=0.1)
 
     def test_failed_step_names_its_time_and_index(self):

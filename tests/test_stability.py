@@ -141,6 +141,10 @@ class TestSpectralAnalysis:
             rate_verdict(omega, LAMBDA1_EQUAL)
         with pytest.raises(InvalidConfiguration):
             spectral_analysis(equal_mass_blocks(), omega)
+        with pytest.raises(InvalidConfiguration):
+            assemble_L_from_blocks(equal_mass_blocks(), omega)
+        with pytest.raises(InvalidConfiguration):
+            invariant_subspaces(equal_mass_blocks(), omega)
 
     @pytest.mark.parametrize("omega", [1e200, -1e155])
     def test_rate_whose_square_overflows_has_no_verdict(self, omega):
@@ -148,6 +152,10 @@ class TestSpectralAnalysis:
             rate_verdict(omega, LAMBDA1_EQUAL)
         with pytest.raises(InvalidConfiguration):
             spectral_analysis(equal_mass_blocks(), omega)
+        with pytest.raises(InvalidConfiguration):
+            assemble_L_from_blocks(equal_mass_blocks(), omega)
+        with pytest.raises(InvalidConfiguration):
+            invariant_subspaces(equal_mass_blocks(), omega)
 
     def test_unstable_exponent(self):
         blocks = equal_mass_blocks()
