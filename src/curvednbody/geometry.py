@@ -36,10 +36,13 @@ SINGULAR_TOL = 1e-10
 POLAR_TOL = 1e-8
 
 # A separation sine read as sqrt(1 - cos^2 d) below this is taken again by
-# ``_recheck_sine``: the cheap form cancels near 0 and pi, and reads 1.5e-8
-# for some exact collisions.  It exceeds SINGULAR_TOL, so a pair whose cheap
-# sine is not rechecked cannot be singular.
-SINE_RECHECK = 1e-4
+# ``_recheck_sine``: the cheap form cancels near 0 and pi, where its relative
+# error grows like eps / sin^2 d (1e-10 at sin d = 1e-3, which the 1/sin^3 d
+# pair forces carry into the spectra near the admissibility boundary), and
+# reads 1.5e-8 for some exact collisions.  Above 0.1 that error stays below
+# 3e-14.  It exceeds SINGULAR_TOL, so a pair whose cheap sine is not
+# rechecked cannot be singular.
+SINE_RECHECK = 0.1
 
 TWO_PI = 2.0 * math.pi
 

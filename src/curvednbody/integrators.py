@@ -5,13 +5,15 @@ state held as a list of floats and yields the recorded samples.  The full
 Hamiltonian is not separable, so its reference step is the implicit
 midpoint rule, ``midpoint_step``; for the 12 floats of a three-body state
 its iteration is straight-line code, bit-identical to the list loop that
-serves other lengths.  A run seeds each solve from its third step on with
-the quadratic extrapolation of its last three states (``seeded_advance``),
-which costs no field evaluation and lands O(h^3) from the solution.  The
-reduced Hamiltonian is separable, and its flow defaults to an explicit
-fourth-order composition of leapfrog (Yoshida 1990), whose coefficients are
-kept here and whose step ``reduction`` writes out; the midpoint rule stays
-available there as the cross-check.
+serves other lengths.  A run seeds each solve from its sixth step on with
+the quintic extrapolation of its last six states (``seeded_advance``),
+which costs no field evaluation and lands O(h^6) from the solution: at the
+steps this library takes that is inside the solve's tolerance, so one
+field evaluation usually ends the solve.  The reduced Hamiltonian is
+separable, and its flow defaults to an explicit fourth-order composition of
+leapfrog (Yoshida 1990), whose coefficients are kept here and whose step
+``reduction`` writes out; the midpoint rule stays available there as the
+cross-check.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
 independent cross-check route for the full system.
 """
@@ -37,6 +39,9 @@ RK45_ATOL = 1e-12
 
 # Integration aborts when a pair separation sine falls below this.
 SEPARATION_FLOOR = 1e-6
+
+# The failures of one step that end a run as a StepFailure.
+_STEP_ERRORS = (StepFailure, SingularConfiguration, PolarSingularity)
 
 
 def step_count(horizon, step, record_stride=1) -> int:
@@ -81,7 +86,7 @@ def fixed_steps(advance, x0, h, nsteps, record_stride=1, check=None):
                 x = advance(x)
             if check is not None:
                 check(x)
-        except (StepFailure, SingularConfiguration, PolarSingularity) as exc:
+        except _STEP_ERRORS as exc:
             raise StepFailure(str(exc), time=k * h, step=k) from None
         if k % record_stride == 0 or k == nsteps:
             yield k * h, x
@@ -90,21 +95,38 @@ def fixed_steps(advance, x0, h, nsteps, record_stride=1, check=None):
 def seeded_advance(step):
     """An ``advance`` for one run of ``fixed_steps`` from ``step(x, guess)``.
 
-    The guess is None (the Euler predictor) on the first two steps, then the
-    quadratic through the last three states one step on, x[-2] + 3 (x - x[-1]),
-    which costs no field evaluation and lies O(h^3) from the next state.  The
-    function keeps the last two states it was handed, so it serves one run.
+    The guess is None (the Euler predictor) on the first five steps, then the
+    quintic through the last six states one step on,
+    6x - 15x[-1] + 20x[-2] - 15x[-3] + 6x[-4] - x[-5], which costs no field
+    evaluation and lies O(h^6) from the next state.  It is summed as offsets
+    from x, so its rounding scales with the motion over the last five steps
+    and not with |x| (longitudes wind).  At steps too large for the
+    extrapolation a guess can lead the damped iteration astray, so a seeded
+    solve that fails is taken again from the Euler predictor, and a run
+    fails only at a step that fails from the predictor too.  The function
+    keeps the last five states it was handed, so it serves one run.
     """
     past = []
 
     def advance(x):
-        guess = None
-        if len(past) == 2:
-            older, old = past
-            guess = [a + 3.0 * (c - b) for a, b, c in zip(older, old, x)]
-            del past[0]
         past.append(x)
-        return step(x, guess)
+        if len(past) < 6:
+            return step(x, None)
+        guess = [
+            c
+            + (
+                20.0 * (b2 - c)
+                + 6.0 * (b4 - c)
+                - 15.0 * ((b1 - c) + (b3 - c))
+                - (b5 - c)
+            )
+            for b5, b4, b3, b2, b1, c in zip(*past)
+        ]
+        del past[0]
+        try:
+            return step(x, guess)
+        except _STEP_ERRORS:
+            return step(x, None)
 
     return advance
 

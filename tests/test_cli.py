@@ -1010,15 +1010,15 @@ PINNED = {
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode perturbed --horizon 1.0 --seed 12345": (
         0,
-        "853ddc8dd14b2e9d9f18e51cc6aabf0265fd4001465a6cc593d3651c971cdc57",
+        "4f6a52d23c6e17a4990f640d560d95198889dc0b3ab3c1d7c7076be60395d4bc",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "b5d9cb950ea4c284cf51d27a8a7e56d323f78fc540df6b7d681e85929f70af8c",
+        "5b34f6f13e033a206a9156f3b8564e5ac94a73b0be127be87acc2f6b6a6902e3",
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 0.77 --mode growth --horizon 200 --step 0.01": (
         0,
-        "d064344fd34e6c14b4828b5cc0faf57b29f6feb5ed7d48055bd5d33dce589690",
+        "13fe2f7629b78d9147904072246c095159b2baceacec23fff4ccaabe7ba91389",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "5a8a49d473ac3dc21632b40418269902de6fa758a3220e1d5a067441e8ad4d28",
+        "3e9a7af91fe5f1b270c6c43f8e5238168c1b6296773518a4a1ad8cbfdd763da0",
     ),
     "omega-sweep --masses 0.2 0.5 0.3 --omega-min 0 --omega-max 3.0634 --count 2001 --workers 2": (
         0,

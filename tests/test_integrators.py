@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvednbody import dynamics, integrators, reduction
-from curvednbody.errors import SingularConfiguration, StepFailure
+from curvednbody.errors import PolarSingularity, SingularConfiguration, StepFailure
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 
 from test_field_three import MASSES, OMEGAS, states
@@ -155,25 +155,58 @@ def test_non_finite_guess_is_a_step_failure(case, h, data):
     assert got[0] is StepFailure
 
 
-def test_seeded_advance_extrapolates_from_the_third_step():
+def test_seeded_advance_extrapolates_from_the_sixth_step():
     guesses_seen = []
 
     def step(x, guess):
         guesses_seen.append(guess)
-        return [2.0 * x[0] + 1.0]
+        t = x[0] + 1.0
+        return [t, t**5 - 3.0 * t**2 + 1.0, t**6]
+
+    advance = integrators.seeded_advance(step)
+    x = [0.0, 1.0, 0.0]
+    for _ in range(8):
+        x = advance(x)
+    # the first five solves start from the Euler predictor; from the sixth
+    # each guess is the quintic through the last six states one step on,
+    # exact for a polynomial of degree five and 6! short for t^6
+    assert guesses_seen[:5] == [None] * 5
+    assert guesses_seen[5:] == [
+        [t, t**5 - 3.0 * t**2 + 1.0, t**6 - 720.0] for t in (6.0, 7.0, 8.0)
+    ]
+
+
+@pytest.mark.parametrize("error", [StepFailure, SingularConfiguration, PolarSingularity])
+def test_seeded_advance_retries_a_failed_solve_from_the_predictor(error):
+    guesses_seen = []
+
+    def step(x, guess):
+        guesses_seen.append(guess)
+        if guess is not None and x[0] == 5.0:
+            raise error("the seeded solve fails")
+        return [x[0] + 1.0]
 
     advance = integrators.seeded_advance(step)
     x = [0.0]
-    for _ in range(5):
+    for _ in range(7):
         x = advance(x)
-    # states 0, 1, 3, 7, 15: each guess is x[-2] + 3 (x - x[-1])
-    assert guesses_seen == [
-        None,
-        None,
-        [0.0 + 3.0 * (3.0 - 1.0)],
-        [1.0 + 3.0 * (7.0 - 3.0)],
-        [3.0 + 3.0 * (15.0 - 7.0)],
-    ]
+    assert x == [7.0]
+    # the sixth solve fails from its guess and is taken again from the
+    # predictor; the seventh is seeded again
+    assert guesses_seen[5:] == [[6.0], None, [7.0]]
+
+
+def test_seeded_advance_raises_what_the_predictor_raises():
+    def step(x, guess):
+        if x[0] == 5.0:
+            raise StepFailure("stalled from %s" % ("a guess" if guess else "Euler"))
+        return [x[0] + 1.0]
+
+    advance = integrators.seeded_advance(step)
+    x = [0.0]
+    with pytest.raises(StepFailure, match="^stalled from Euler$"):
+        for _ in range(6):
+            x = advance(x)
 
 
 def traced_loop(field, x, h, tol, max_inner):
