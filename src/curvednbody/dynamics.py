@@ -418,11 +418,13 @@ def growth_rate_experiment(
     ``GROWTH_CEILING``, where growth is linear before nonlinear saturation;
     the run stops once a deviation passes twice the ceiling.  Fewer than
     ``GROWTH_MIN_POINTS`` samples in the window raises NoGrowthWindow, the
-    expected outcome at supercritical rates.  A non-finite amplitude raises
-    InvalidConfiguration.
+    expected outcome at supercritical rates.  An amplitude that is not finite
+    and positive raises InvalidConfiguration.
     """
     if not math.isfinite(amplitude):
         raise InvalidConfiguration("amplitude %r is not finite" % (amplitude,))
+    if amplitude <= 0.0:
+        raise InvalidConfiguration("amplitude %r is not positive" % (amplitude,))
     if isinstance(masses, LinearizationBlocks):
         blocks = masses
     else:

@@ -9,11 +9,11 @@ serves other lengths.  A run seeds each solve from its sixth step on with
 the quintic extrapolation of its last six states (``seeded_advance``),
 which costs no field evaluation and lands O(h^6) from the solution: at the
 steps this library takes that is inside the solve's tolerance, so one
-field evaluation usually ends the solve.  The reduced Hamiltonian is
-separable, and its flow defaults to an explicit fourth-order composition of
-leapfrog (Yoshida 1990), whose coefficients are kept here and whose step
-``reduction`` writes out; the midpoint rule stays available there as the
-cross-check.
+field evaluation usually ends the solve; for 12 floats the extrapolation
+is written out too.  The reduced Hamiltonian is separable, and its flow
+defaults to an explicit fourth-order composition of leapfrog (Yoshida
+1990), whose coefficients are kept here and whose step ``reduction`` writes
+out; the midpoint rule stays available there as the cross-check.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
 independent cross-check route for the full system.
 """
@@ -100,7 +100,8 @@ def seeded_advance(step):
     6x - 15x[-1] + 20x[-2] - 15x[-3] + 6x[-4] - x[-5], which costs no field
     evaluation and lies O(h^6) from the next state.  It is summed as offsets
     from x, so its rounding scales with the motion over the last five steps
-    and not with |x| (longitudes wind).  At steps too large for the
+    and not with |x| (longitudes wind); 12 floats take ``_quintic_twelve``,
+    the sums of ``_quintic`` written out.  At steps too large for the
     extrapolation a guess can lead the damped iteration astray, so a seeded
     solve that fails is taken again from the Euler predictor, and a run
     fails only at a step that fails from the predictor too.  The function
@@ -112,16 +113,7 @@ def seeded_advance(step):
         past.append(x)
         if len(past) < 6:
             return step(x, None)
-        guess = [
-            c
-            + (
-                20.0 * (b2 - c)
-                + 6.0 * (b4 - c)
-                - 15.0 * ((b1 - c) + (b3 - c))
-                - (b5 - c)
-            )
-            for b5, b4, b3, b2, b1, c in zip(*past)
-        ]
+        guess = (_quintic_twelve if len(x) == 12 else _quintic)(past)
         del past[0]
         try:
             return step(x, guess)
@@ -129,6 +121,51 @@ def seeded_advance(step):
             return step(x, None)
 
     return advance
+
+
+def _quintic(past):
+    """The quintic guess from six states of any length, oldest first."""
+    return [
+        c + (20.0 * (b2 - c) + 6.0 * (b4 - c) - 15.0 * ((b1 - c) + (b3 - c)) - (b5 - c))
+        for b5, b4, b3, b2, b1, c in zip(*past)
+    ]
+
+
+def _quintic_twelve(past):
+    """``_quintic`` for six states of 12 floats as straight-line code: each
+    entry is the same expression over the same floats, so the same bits."""
+    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = past[0]
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = past[1]
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = past[2]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = past[3]
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = past[4]
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 = past[5]
+    return [
+        x0 + (20.0 * (b0 - x0) + 6.0 * (d0 - x0)
+              - 15.0 * ((a0 - x0) + (c0 - x0)) - (e0 - x0)),
+        x1 + (20.0 * (b1 - x1) + 6.0 * (d1 - x1)
+              - 15.0 * ((a1 - x1) + (c1 - x1)) - (e1 - x1)),
+        x2 + (20.0 * (b2 - x2) + 6.0 * (d2 - x2)
+              - 15.0 * ((a2 - x2) + (c2 - x2)) - (e2 - x2)),
+        x3 + (20.0 * (b3 - x3) + 6.0 * (d3 - x3)
+              - 15.0 * ((a3 - x3) + (c3 - x3)) - (e3 - x3)),
+        x4 + (20.0 * (b4 - x4) + 6.0 * (d4 - x4)
+              - 15.0 * ((a4 - x4) + (c4 - x4)) - (e4 - x4)),
+        x5 + (20.0 * (b5 - x5) + 6.0 * (d5 - x5)
+              - 15.0 * ((a5 - x5) + (c5 - x5)) - (e5 - x5)),
+        x6 + (20.0 * (b6 - x6) + 6.0 * (d6 - x6)
+              - 15.0 * ((a6 - x6) + (c6 - x6)) - (e6 - x6)),
+        x7 + (20.0 * (b7 - x7) + 6.0 * (d7 - x7)
+              - 15.0 * ((a7 - x7) + (c7 - x7)) - (e7 - x7)),
+        x8 + (20.0 * (b8 - x8) + 6.0 * (d8 - x8)
+              - 15.0 * ((a8 - x8) + (c8 - x8)) - (e8 - x8)),
+        x9 + (20.0 * (b9 - x9) + 6.0 * (d9 - x9)
+              - 15.0 * ((a9 - x9) + (c9 - x9)) - (e9 - x9)),
+        x10 + (20.0 * (b10 - x10) + 6.0 * (d10 - x10)
+              - 15.0 * ((a10 - x10) + (c10 - x10)) - (e10 - x10)),
+        x11 + (20.0 * (b11 - x11) + 6.0 * (d11 - x11)
+              - 15.0 * ((a11 - x11) + (c11 - x11)) - (e11 - x11)),
+    ]
 
 
 def midpoint_step(field, x, h, guess=None):

@@ -11,8 +11,9 @@ Yoshida composition of leapfrog by default, one step of it written out over
 float locals with the gap gradient inline, and with the implicit midpoint
 rule of the full system as the cross-check.  Each rule of the chart is
 written once: the mass check of ``JacobiConstants.from_masses``, the gaps of
-``_gaps`` (the Yoshida-4 step writes them out again), the singular-gap guard
-``_gap_sine`` and the reduced energy ``_reduced_energy``.
+``_gaps`` (the Yoshida-4 step and the separation check write them out
+again), the singular-gap guard ``_gap_sine`` and the reduced energy
+``_reduced_energy``.
 """
 
 from __future__ import annotations
@@ -423,16 +424,26 @@ def _separation_check(nu1, nu2, x0):
     The separations are the gaps of ``_gaps``.  A sine can change sign only
     through a collision or an antipodal alignment, so the returned check
     raises SingularConfiguration when a sine, taken with the sign it has at
-    ``x0``, is at or below SEPARATION_FLOOR.
+    ``x0``, is at or below SEPARATION_FLOOR.  It runs after every step, so
+    it tests the three sines written out first; only a state that fails
+    there takes the loop, which names the first failing separation.
     """
 
     def sines(x):
         return list(map(math.sin, _gaps(nu1, nu2, x[0], x[1])))
 
     start = sines(x0)
-    signs = [math.copysign(1.0, s) for s in start]
+    sa, sb, sc = signs = [math.copysign(1.0, s) for s in start]
+    sin, floor = math.sin, SEPARATION_FLOOR
 
     def check(x):
+        q1, q2 = x[0], x[1]
+        if (
+            sin(q1) * sa > floor
+            and sin(q2 - nu1 * q1) * sb > floor
+            and sin(q2 + nu2 * q1) * sc > floor
+        ):
+            return
         for k, s in enumerate(sines(x)):
             if not s * signs[k] > SEPARATION_FLOOR:
                 raise SingularConfiguration(

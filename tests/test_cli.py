@@ -942,6 +942,29 @@ class TestConfigAndErrors:
         assert err == "error: amplitude %s is not finite\n" % amplitude
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("amplitude", ["0", "-0", "-1e-6"])
+    def test_nonpositive_growth_amplitude_rejected(self, capsys, tmp_path, amplitude):
+        out_file = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            ["simulate", "--masses", "0.2", "0.5", "0.3", "--omega", "0.77", "--mode",
+             "growth", "--amplitude=" + amplitude, "--horizon", "50",
+             "--output", str(out_file)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: amplitude %r is not positive\n" % float(amplitude)
+        assert not out_file.exists()
+
+    def test_perturbed_mode_takes_a_negative_amplitude(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--masses", "1", "1", "1", "--mode", "perturbed",
+             "--amplitude=-1e-3", "--horizon", "0.1"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert "energy_drift" in out
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -400,6 +400,13 @@ class TestGrowthExperiment:
         with pytest.raises(InvalidConfiguration, match="amplitude"):
             growth_rate_experiment(EQUAL, 0.5, amplitude=amplitude, horizon=1.0)
 
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0, -1e-6])
+    def test_nonpositive_amplitude_rejected(self, amplitude):
+        # the fit's floor, a multiple of the amplitude, would admit every sample
+        with pytest.raises(InvalidConfiguration) as info:
+            growth_rate_experiment(EQUAL, 0.5, amplitude=amplitude, horizon=1.0)
+        assert str(info.value) == "amplitude %r is not positive" % amplitude
+
     def test_deviation_series_recorded(self):
         fit = growth_rate_experiment(EQUAL, 0.0, horizon=30.0)
         assert fit.times.shape == fit.deviations.shape

@@ -6,7 +6,10 @@ on ordinary and near-polar three-body states, on fields that force the
 damping branch, on stalls, on non-finite iterates and for ``max_inner`` at
 or below zero, from the Euler predictor and from a given first iterate.
 The reduced flow's Yoshida-4 step must do the same against the loop form of
-the composition kept here as the reference.
+the composition kept here as the reference.  The quintic seed of 12 floats,
+``integrators._quintic_twelve``, must give ``integrators._quintic``'s bits,
+and the reduced separation check must accept and reject what its loop form,
+kept here, accepts and rejects.
 """
 
 import math
@@ -176,6 +179,76 @@ def test_seeded_advance_extrapolates_from_the_sixth_step():
     ]
 
 
+def test_seeded_advance_extrapolates_twelve_floats_from_the_sixth_step():
+    # the written-out seed held to the formula itself, not only to the list
+    # form: integer values keep every sum exact
+    guesses_seen = []
+
+    def polynomials(t):
+        return [t, 1.0, t, t**2, t**3, t**4, t**5, -2.0 * t**5 + t**3 - 7.0,
+                t**5 - 3.0 * t**2 + 1.0, 1e3 + 0.5 * t**4, t**6, 3.0 * t**6]
+
+    def step(x, guess):
+        guesses_seen.append(guess)
+        return polynomials(x[0] + 1.0)
+
+    advance = integrators.seeded_advance(step)
+    x = polynomials(0.0)
+    for _ in range(8):
+        x = advance(x)
+    assert guesses_seen[:5] == [None] * 5
+    short = [0.0] * 10 + [720.0, 2160.0]
+    assert guesses_seen[5:] == [
+        [v - d for v, d in zip(polynomials(t), short)] for t in (6.0, 7.0, 8.0)
+    ]
+
+
+def shifted(state, turns):
+    """``state`` with its longitudes moved by ``turns``."""
+    return state[:3] + [v + turns for v in state[3:6]] + state[6:]
+
+
+@st.composite
+def windows(draw):
+    """Six states of 12 floats: field-test states, longitudes shifted by
+    +-1e3, and entries set to signed zeros, nan or infinities."""
+    past = []
+    for _ in range(6):
+        state = shifted(draw(states()), draw(st.sampled_from((0.0, 1e3, -1e3))))
+        for _ in range(draw(st.integers(0, 3))):
+            special = (0.0, -0.0, math.nan, math.inf, -math.inf)
+            state[draw(st.integers(0, 11))] = draw(st.sampled_from(special))
+        past.append(state)
+    return past
+
+
+@PROPERTY
+@given(windows())
+def test_quintic_twelve_matches_the_list_form(past):
+    got = integrators._quintic_twelve(past)
+    assert [v.hex() for v in got] == [v.hex() for v in integrators._quintic(past)]
+
+
+def test_twelve_float_runs_take_the_straight_line_seed(monkeypatch):
+    taken = []
+    for name in ("_quintic_twelve", "_quintic"):
+        real = getattr(integrators, name)
+        monkeypatch.setattr(
+            integrators,
+            name,
+            lambda past, name=name, real=real: taken.append(name) or real(past),
+        )
+    mv = MASSES[1]
+    ring = ring_from_shape(shape_from_masses(as_mass_triple(mv.masses)))
+    start = dynamics.relative_equilibrium(mv, ring, 1.3)
+    dynamics.integrate(mv, start, horizon=8e-3, step=1e-3, omega=1.3)
+    assert taken == ["_quintic_twelve"] * 3
+    taken.clear()
+    start = reduction.ReducedState(2.0, 3.0, 0.1, -0.2)
+    reduction.integrate_reduced(mv.masses, start, 8e-3, method="midpoint")
+    assert taken == ["_quintic"] * 3
+
+
 @pytest.mark.parametrize("error", [StepFailure, SingularConfiguration, PolarSingularity])
 def test_seeded_advance_retries_a_failed_solve_from_the_predictor(error):
     guesses_seen = []
@@ -313,9 +386,10 @@ gap_offsets = st.one_of(
 
 
 @st.composite
-def reduced_states(draw):
+def reduced_states(draw, masses=None):
     """(phi1, phi2, p1, p2) with any one of the three gaps near 0 or pi."""
-    masses = draw(st.sampled_from([mv.masses for mv in MASSES]))
+    if masses is None:
+        masses = draw(st.sampled_from([mv.masses for mv in MASSES]))
     jc = reduction.JacobiConstants.from_masses(masses)
     gap = draw(st.sampled_from((0, 1, 2)))
     near = draw(st.sampled_from((0.0, math.pi, -math.pi, 2.0 * math.pi)))
@@ -357,3 +431,72 @@ def test_reduced_step_raises_the_singular_gap_error(which):
     assert got == outcome(lambda: loop(list(x)))
     assert got[0] is SingularConfiguration
     assert got[1].startswith("reduced separation ") and got[1].endswith(" is singular")
+
+
+def separation_loop(nu1, nu2, x0):
+    """The reduced separation check as the loop it was first written as."""
+
+    def sines(x):
+        return list(map(math.sin, reduction._gaps(nu1, nu2, x[0], x[1])))
+
+    start = sines(x0)
+    signs = [math.copysign(1.0, s) for s in start]
+
+    def check(x):
+        for k, s in enumerate(sines(x)):
+            if not s * signs[k] > integrators.SEPARATION_FLOOR:
+                raise SingularConfiguration(
+                    "reduced separation %d is at or past a singular configuration "
+                    "(sine %.3g, %.3g at the start, floor %.3g)"
+                    % (k + 1, s, start[k], integrators.SEPARATION_FLOOR)
+                )
+
+    return check
+
+
+def check_outcome(check, x):
+    """None when ``check`` accepts ``x``, else the type and message raised."""
+    try:
+        return check(list(x))
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
+
+
+@st.composite
+def check_cases(draw):
+    """A start and a later reduced state, each with one gap near a multiple
+    of pi on either side, and either angle possibly nan."""
+    masses, x0 = draw(reduced_states())
+    later = draw(reduced_states(masses))[1]
+    for x in (x0, later):
+        if draw(st.integers(0, 9)) == 0:
+            x[draw(st.integers(0, 1))] = math.nan
+    return masses, x0, later
+
+
+def check_pair(masses, x0):
+    jc = reduction.JacobiConstants.from_masses(masses)
+    return (
+        reduction._separation_check(jc.nu1, jc.nu2, list(x0)),
+        separation_loop(jc.nu1, jc.nu2, list(x0)),
+    )
+
+
+@PROPERTY
+@given(check_cases())
+def test_separation_check_matches_loop_reference(case):
+    masses, x0, x = case
+    fast, loop = check_pair(masses, x0)
+    assert check_outcome(fast, x) == check_outcome(loop, x)
+
+
+def test_check_cases_reach_every_outcome():
+    seen = set()
+
+    def record(case):
+        masses, x0, x = case
+        got = check_outcome(check_pair(masses, x0)[1], x)
+        seen.add("accepted" if got is None else got[1].split(" is ")[0])
+
+    PROPERTY(given(check_cases())(record))()
+    assert seen == {"accepted"} | {"reduced separation %d" % k for k in (1, 2, 3)}
