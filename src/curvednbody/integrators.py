@@ -101,11 +101,9 @@ def seeded_advance(step):
     evaluation and lies O(h^6) from the next state.  It is summed as offsets
     from x, so its rounding scales with the motion over the last five steps
     and not with |x| (longitudes wind); 12 floats take ``_quintic_twelve``,
-    the sums of ``_quintic`` written out.  At steps too large for the
-    extrapolation a guess can lead the damped iteration astray, so a seeded
-    solve that fails is taken again from the Euler predictor, and a run
-    fails only at a step that fails from the predictor too.  The function
-    keeps the last five states it was handed, so it serves one run.
+    the sums of ``_quintic`` written out.  A solve that fails from its guess
+    ends the run.  The function keeps the last five states it was handed, so
+    it serves one run.
     """
     past = []
 
@@ -115,10 +113,7 @@ def seeded_advance(step):
             return step(x, None)
         guess = (_quintic_twelve if len(x) == 12 else _quintic)(past)
         del past[0]
-        try:
-            return step(x, guess)
-        except _STEP_ERRORS:
-            return step(x, None)
+        return step(x, guess)
 
     return advance
 
@@ -171,14 +166,15 @@ def _quintic_twelve(past):
 def midpoint_step(field, x, h, guess=None):
     """Advance one implicit midpoint step of size h.
 
-    The implicit equation y = x + h f((x + y)/2) is solved by damped
-    fixed-point iteration to an update of at most MIDPOINT_TOL within
-    MIDPOINT_MAX_INNER iterations.  The first iterate is ``guess``, a list
-    of floats as long as ``x`` (another length raises InvalidConfiguration),
-    or when it is None the explicit Euler predictor x + h f(x), which costs
-    one field evaluation.  For the step sizes this library uses the
-    iteration contracts rapidly; a stall or a non-finite iterate raises
-    StepFailure.
+    The implicit equation y = x + h f((x + y)/2) is solved by plain
+    fixed-point iteration, y <- x + h f((x + y)/2), until an update is at
+    most MIDPOINT_TOL.  The first iterate is ``guess``, a list of floats as
+    long as ``x`` (another length raises InvalidConfiguration), or when it
+    is None the explicit Euler predictor x + h f(x), which costs one field
+    evaluation.  For the step sizes this library uses the iteration
+    contracts rapidly.  The solve has one stall rule: it raises StepFailure
+    when MIDPOINT_MAX_INNER updates bring no finite iterate within
+    MIDPOINT_TOL of the one before, or when an iterate is not finite.
 
     The iteration runs on lists of floats: ``field`` maps a list to a list.
     A list of 12 floats, the three-body state, takes ``_midpoint_twelve``,
@@ -217,23 +213,14 @@ def _midpoint_loop(field, x, h, tol, max_inner, guess=None):
     mid = x
     try:
         y = [a + h * b for a, b in zip(x, field(x))] if guess is None else guess
-        damping = 1.0
-        delta = prev_delta = math.inf
+        delta = math.inf
         for _ in range(max_inner):
             mid = [0.5 * (a + b) for a, b in zip(x, y)]
             y_next = [a + h * b for a, b in zip(x, field(mid))]
             delta = max(map(abs, map(sub, y_next, y)))
             if delta <= tol and math.isfinite(sum(y_next)):
                 return y_next
-            if delta >= prev_delta:
-                # diverging; fall back to averaging with the previous iterate
-                damping *= 0.5
-                if damping < 2.0 ** -20:
-                    break
-                y = [a + damping * (b - a) for a, b in zip(y, y_next)]
-            else:
-                y = y_next
-            prev_delta = delta
+            y = y_next
     except ValueError:
         # a field meets a non-finite iterate with, say, math.sin(inf)
         if all(map(math.isfinite, mid)):
@@ -259,8 +246,7 @@ def _midpoint_twelve(field, x, h, tol, max_inner, guess=None):
             y8, y9, y10, y11 = x8 + h * f8, x9 + h * f9, x10 + h * f10, x11 + h * f11
         else:
             y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11 = guess
-        damping = 1.0
-        delta = prev_delta = math.inf
+        delta = math.inf
         for _ in range(max_inner):
             mid = [
                 0.5 * (x0 + y0), 0.5 * (x1 + y1), 0.5 * (x2 + y2),
@@ -281,21 +267,8 @@ def _midpoint_twelve(field, x, h, tol, max_inner, guess=None):
                 y_next = [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11]
                 if math.isfinite(sum(y_next)):
                     return y_next
-            if delta >= prev_delta:
-                # diverging; fall back to averaging with the previous iterate
-                damping *= 0.5
-                if damping < 2.0 ** -20:
-                    break
-                y0, y1 = y0 + damping * (n0 - y0), y1 + damping * (n1 - y1)
-                y2, y3 = y2 + damping * (n2 - y2), y3 + damping * (n3 - y3)
-                y4, y5 = y4 + damping * (n4 - y4), y5 + damping * (n5 - y5)
-                y6, y7 = y6 + damping * (n6 - y6), y7 + damping * (n7 - y7)
-                y8, y9 = y8 + damping * (n8 - y8), y9 + damping * (n9 - y9)
-                y10, y11 = y10 + damping * (n10 - y10), y11 + damping * (n11 - y11)
-            else:
-                y0, y1, y2, y3, y4, y5 = n0, n1, n2, n3, n4, n5
-                y6, y7, y8, y9, y10, y11 = n6, n7, n8, n9, n10, n11
-            prev_delta = delta
+            y0, y1, y2, y3, y4, y5 = n0, n1, n2, n3, n4, n5
+            y6, y7, y8, y9, y10, y11 = n6, n7, n8, n9, n10, n11
     except ValueError:
         # a field meets a non-finite iterate with, say, math.sin(inf)
         if all(map(math.isfinite, mid)):

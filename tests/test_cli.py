@@ -465,7 +465,14 @@ class TestSimulate:
                 "--amplitude", "1", "--horizon", "1", "--omega", "500"]
         code, _, err = run_cli(argv, capsys)
         assert code == 3
-        assert err == "error: implicit midpoint solve stalled (last update 1.02e-05, tol 1e-13)\n"
+        assert err == "error: implicit midpoint solve stalled (last update 1.47e-05, tol 1e-13)\n"
+
+    def test_diverging_solve_at_a_large_step_is_a_step_failure(self, capsys):
+        # at h = 0.1 the midpoint iteration of step 59 carries body 2 to the
+        # pole, and the field's polar guard ends the run as a StepFailure
+        argv = ["simulate", "--masses", "0.25", "0.45", "0.3", "--omega", "0",
+                "--step", "0.1", "--horizon", "20", "--mode", "perturbed"]
+        assert run_cli(argv, capsys) == (3, "", "error: body 2 at the polar guard\n")
 
 
 class TestOmegaSweep:

@@ -519,21 +519,46 @@ class TestSeededMidpoint:
     @pytest.mark.parametrize("omega", [0.0, 1.3, 3.0])
     @pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (0.2, 0.5, 0.3), (0.25, 0.45, 0.3)])
     def test_large_steps_fail_where_the_predictor_fails(self, monkeypatch, masses, omega):
-        # where the extrapolation is poor a seeded solve that fails is taken
-        # again from the predictor, so a seeded run fails only at a state
-        # that fails from the predictor too.  A stall sits at the margin of
-        # convergence, and the seeded run lies up to 1e-10 from the other,
-        # so the two may reach it a step apart: 53 of these 54 runs fail at
-        # the same step, and (0.25, 0.45, 0.3) at omega = 0, h = 0.1 one
-        # step later (75 against 74).
+        # a seeded solve that fails ends the run; where the step outruns the
+        # extrapolation, the seeded run fails at the very step where a run
+        # that starts every solve from the predictor fails, or completes
+        # with it
         for h in (0.01, 0.03, 0.05, 0.1, 0.2, 0.3):
             seeded = failing_step(masses, omega, h)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "midpoint_step", euler_step)
                 euler = failing_step(masses, omega, h)
-            assert (seeded is None) == (euler is None)
-            if seeded is not None:
-                assert abs(seeded - euler) <= 1
+            assert seeded == euler
+
+    def test_solve_whose_updates_fall_in_pairs_converges(self, monkeypatch):
+        # from its quintic guess the solve at step 73 of this run updates by
+        # 4.4e-3, 4.7e-3, 7.7e-4, 7.2e-4, ...: not smaller at every update,
+        # but about six times smaller over every two.  A damping that halved
+        # whenever an update did not shrink stalled it at 2.56e-13.
+        solves = []
+
+        def recording_step(field, x, h, guess=None):
+            solves.append((field, x, guess))
+            return midpoint_step(field, x, h, guess)
+
+        triple = as_mass_triple((0.25, 0.45, 0.3))
+        blocks = ring_pipeline(triple)[3]
+        x0 = relative_equilibrium(blocks.masses, blocks.ring, 0.0).as_vector()
+        x0 += 1e-3 * np.linspace(-1.0, 1.0, 12)
+        monkeypatch.setattr(dynamics, "midpoint_step", recording_step)
+        integrate(blocks.masses, x0, horizon=7.3, step=0.1, omega=0.0)
+        field, x, guess = solves[72]
+        assert len(solves) == 73 and guess is not None
+        # each solve stops at an update of at most MIDPOINT_TOL.  With no
+        # update more than twice the one before and every update at most a
+        # quarter of the one two before, the updates still to come sum to at
+        # most (2 + 1/4) MIDPOINT_TOL / (1 - 1/4) = 3 MIDPOINT_TOL: each
+        # result lies that close to the solution, and the two within 6
+        tol = integrators.MIDPOINT_TOL
+        for solve in (integrators._midpoint_twelve, integrators._midpoint_loop):
+            seeded = solve(field, x, 0.1, tol, integrators.MIDPOINT_MAX_INNER, guess)
+            euler = solve(field, x, 0.1, tol, integrators.MIDPOINT_MAX_INNER)
+            assert max(abs(a - b) for a, b in zip(seeded, euler)) <= 6.0 * tol
 
     @pytest.mark.parametrize("masses", INTERIOR)
     def test_stays_at_the_tight_tolerance_reference(self, masses):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from curvednbody import dynamics
 from curvednbody.errors import (
     InconsistentPair,
     InvalidConfiguration,
@@ -10,8 +13,9 @@ from curvednbody.errors import (
     SingularConfiguration,
     StepFailure,
 )
-from curvednbody.fixedpoints import as_mass_triple, shape_from_masses
+from curvednbody.fixedpoints import admissibility_value, as_mass_triple, shape_from_masses
 from curvednbody.geometry import SphereConfiguration, force_function
+from curvednbody.integrators import MIDPOINT_TOL
 from curvednbody.reduction import (
     JacobiConstants,
     ReducedState,
@@ -28,6 +32,7 @@ from curvednbody.reduction import (
     rest_point_from_shape,
     to_jacobi,
 )
+from curvednbody.stability import ring_pipeline, vertical_mode
 
 from conftest import draw_admissible_triples
 
@@ -437,3 +442,70 @@ class TestYoshida4:
             integrate_reduced(MV, start, horizon=0.1, method="midpoint")
         assert info.value.step >= 1
         assert info.value.time == info.value.step * 1e-3
+
+
+@st.composite
+def interior_triples(draw):
+    """Unit-sum triples whose admissibility value is at most -0.01; equal
+    masses give -0.037, and the region's edge 0."""
+    m1 = draw(st.floats(0.05, 0.9))
+    m2 = draw(st.floats(0.05, 0.95)) * (1.0 - m1)
+    m3 = 1.0 - m1 - m2
+    assume(m3 > 0.0 and admissibility_value(m1, m2, m3) <= -0.01)
+    return m1, m2, m3
+
+
+class TestOneFlowInTwoCharts:
+    """The implicit midpoint rule commutes with linear changes of
+    coordinates, and the mean angle is cyclic.  So the full 12-float midpoint
+    run, started on the equator and mapped through ``to_jacobi``, is the
+    reduced midpoint run up to the solver tolerance.  It is run above the
+    critical rate, where the equator is stable and the run stays on it."""
+
+    def check(self, masses):
+        triple, _, ring, blocks = ring_pipeline(masses)
+        omega = 1.5 * math.sqrt(vertical_mode(blocks)[0])
+        x0 = dynamics.relative_equilibrium(blocks.masses, ring, omega).as_vector()
+        x0[3:6] += (0.0, 1e-3, -5e-4)
+        x0[9:12] += (2e-4, -1e-4, 5e-5)
+        h, nsteps = 1e-3, 2000
+        full = dynamics.integrate(
+            blocks.masses, x0, horizon=nsteps * h, step=h, omega=omega, record_stride=100
+        )
+        start = to_jacobi(x0[3:6], x0[9:12], triple)[1]
+        reduced = integrate_reduced(triple, start, nsteps * h, h, 100, method="midpoint")
+        mapped = [to_jacobi(x[3:6], x[9:12], triple)[1].as_vector() for x in full.states]
+
+        # The linearized reduced flow, and its midpoint step, keep the
+        # quadratic reduced energy E = blockdiag(K, M^-1) at the rest point,
+        # so an error grows by at most kappa = sqrt(cond E).  A solve stops
+        # at an update of at most MIDPOINT_TOL and contracts by
+        # L = h max(omega, omega_max) / 2, omega_max the fastest reduced
+        # frequency, so each step leaves e = kappa MIDPOINT_TOL L / (1 - L)
+        # in an entry, plus the rounding u |x|.  The full run's entries reach
+        # the reduced chart through rows of max-norm at most 2, so each of
+        # the N + 1 steps and maps adds at most 3 e per entry, 6 e in the
+        # 2-norm, and the charts agree to 6 kappa (N + 1) e.
+        jc = JacobiConstants.from_masses(triple)
+        gaps = np.array([[1.0, 0.0], [-jc.nu1, 1.0]])
+        k = -(gaps.T @ lyapunov_certificate(triple).hessian @ gaps)
+        energy = [*np.linalg.eigvalsh(k), 1.0 / jc.nu3, 1.0 / jc.nu4]
+        kappa = math.sqrt(max(energy) / min(energy))
+        scale = np.diag([jc.nu3 ** -0.5, jc.nu4 ** -0.5])
+        omega_max = math.sqrt(np.linalg.eigvalsh(scale @ k @ scale)[-1])
+        contraction = h * max(omega, omega_max) / 2.0
+        assert contraction < 0.5
+        rounding = 2.0 ** -53 * np.max(np.abs(full.states[:, 3:]))
+        e = kappa * MIDPOINT_TOL * contraction / (1.0 - contraction) + rounding
+        assert np.max(np.abs(np.array(mapped) - reduced.states)) <= 6.0 * kappa * (nsteps + 1) * e
+
+    @pytest.mark.parametrize(
+        "masses", [(1.0 / 3, 1.0 / 3, 1.0 / 3), (0.25, 0.45, 0.3), (0.0742, 0.8812, 0.0446)]
+    )
+    def test_named_triples(self, masses):
+        self.check(masses)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(interior_triples())
+    def test_interior_triples(self, masses):
+        self.check(masses)
