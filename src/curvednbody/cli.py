@@ -41,7 +41,8 @@ from .geometry import RingConfiguration
 from .report import FLOAT_FMT, ChunkedText, ReportDocument, atomic_write_text, write_csv
 
 DEG_PER_RAD = 180.0 / math.pi
-_FLAG_TEXT = (",0\n", ",1\n")  # the admissible column, by flag
+# a cell's value and admissible flag, indexed by the flag
+_CELL_TAIL = np.array([FLOAT_FMT + ",0\n", FLOAT_FMT + ",1\n"], dtype=object)
 
 DEFAULT_TOLERANCES = {
     "residual": stability.FIXED_POINT_TOL,
@@ -284,31 +285,35 @@ def _region_rows(centers, values, valid, admissible):
     """The region CSV as one chunk per m1 row.
 
     The grid is the same on both axes, so ``valid`` is symmetric and each of
-    its rows is a prefix.  A cell below the diagonal reuses the text of its
-    mirror cell when the two values have the same bits (so 0.0 and -0.0 keep
-    their own); every other value, and each cell centre, is formatted once.
-    A row's new values are formatted by one ``%`` and its cells joined once.
+    its rows is a prefix.  A cell is three texts: m1, m2 and a tail holding
+    the value and the admissible flag.  A cell below the diagonal reuses the
+    tail of its mirror cell when the two values have the same bits: the flag
+    is ``valid & (value < 0)`` and ``valid`` is symmetric, so the flags agree
+    too.  Where the bits differ (0.0 against -0.0, say) the cell gets its own
+    tail.  Every other tail, and each cell centre, is formatted once: a row's
+    new tails by one ``%`` on the tail templates its flags pick, its cells
+    joined once.
     """
     centres = [FLOAT_FMT % c + "," for c in centers.tolist()]  # as m1 or as m2
     bits = values.view(np.int64)
-    # pending[i] collects, in row order, the texts of the cells (j, i), j < i
+    # pending[i] collects, in row order, the tails of the cells (j, i), j < i
     pending = [[] for _ in centres]
     yield "m1,m2,value,admissible\n"
     for i, (m1, n) in enumerate(zip(centres, valid.sum(axis=1).tolist())):
-        texts = pending[i]
+        tails = pending[i]
         pending[i] = None
         vals = values[i, :n].tolist()
-        low = len(texts)
+        low = len(tails)
         for j in np.flatnonzero(bits[i, :low] != bits[:low, i]).tolist():
-            texts[j] = FLOAT_FMT % vals[j]
-        fresh = ((FLOAT_FMT + "\n") * (n - low) % tuple(vals[low:])).split()
-        for mirror, text in zip(pending[i + 1 : n], fresh[1:]):
-            mirror.append(text)
-        texts += fresh
-        cells = [m1] * (4 * n)
-        cells[1::4] = centres[:n]
-        cells[2::4] = texts
-        cells[3::4] = map(_FLAG_TEXT.__getitem__, admissible[i, :n].tolist())
+            tails[j] = _CELL_TAIL[int(admissible[i, j])] % vals[j]
+        template = "".join(_CELL_TAIL[admissible[i, low:n].view(np.uint8)].tolist())
+        fresh = (template % tuple(vals[low:])).splitlines(True)
+        for mirror, tail in zip(pending[i + 1 : n], fresh[1:]):
+            mirror.append(tail)
+        tails += fresh
+        cells = [m1] * (3 * n)
+        cells[1::3] = centres[:n]
+        cells[2::3] = tails
         yield "".join(cells)
 
 
@@ -321,12 +326,15 @@ def _cmd_region_scan(opts) -> int:
     valid = (m1 + m2) < 1.0
     admissible = valid & (values < 0.0)
 
+    simplex_cells = int(np.sum(valid))
+    admissible_cells = int(np.sum(admissible))
+
     doc = ReportDocument()
     doc.section("region-scan")
     doc.line("resolution", res)
-    doc.line("simplex_cells", int(np.sum(valid)))
-    doc.line("admissible_cells", int(np.sum(admissible)))
-    doc.line("admissible_fraction", float(np.sum(admissible)) / float(np.sum(valid)))
+    doc.line("simplex_cells", simplex_cells)
+    doc.line("admissible_cells", admissible_cells)
+    doc.line("admissible_fraction", float(admissible_cells) / float(simplex_cells))
     sys.stdout.write(doc.render())
 
     if opts["output"]:

@@ -6,6 +6,8 @@ rerunning a command reproduces its output byte for byte.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 import tempfile
 
@@ -14,6 +16,7 @@ import numpy as np
 from .errors import IOFailure
 
 FLOAT_FMT = "%.17g"
+CSV_BLOCK_ROWS = 1024  # rows that write_csv formats together
 
 
 def fmt(value) -> str:
@@ -97,7 +100,32 @@ def atomic_write_text(path: str, text):
         raise IOFailure("cannot write %s: %s" % (path, exc)) from exc
 
 
+def _column_texts(column) -> list:
+    """The CSV texts of one column: an object repeated throughout is formatted
+    once, a column of exact floats by one ``%``, any other cell by ``fmt``."""
+    first = column[0]
+    if all(map(operator.is_, column, itertools.repeat(first))):
+        return [fmt(first)] * len(column)
+    if set(map(type, column)) == {float}:
+        return ((FLOAT_FMT + "\n") * len(column) % column).split()
+    return list(map(fmt, column))
+
+
 def write_csv(path: str, header, rows):
-    """Write rows of scalars as CSV with a header line, atomically."""
-    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+    """Write rows of scalars as CSV with a header line, atomically.
+
+    The rows are formatted by columns (``_column_texts``), ``CSV_BLOCK_ROWS``
+    at a time so that one block's cell texts are held at once, and joined
+    back with ``","``.  A row of another length than the first raises
+    ValueError.
+    """
+    lines = [",".join(header)]
+    rows = iter(rows)
+    width = None
+    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+        columns = [_column_texts(column) for column in zip(*block, strict=True)]
+        if width not in (None, len(columns)):
+            raise ValueError("a row of %d cells after rows of %d" % (len(columns), width))
+        width = len(columns)
+        lines += map(",".join, zip(*columns))
     atomic_write_text(path, "\n".join(lines) + "\n")

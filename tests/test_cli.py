@@ -11,9 +11,21 @@ from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvednbody import cli, dynamics, errors, fixedpoints, reduction, stability
-from curvednbody.report import FLOAT_FMT, ChunkedText, atomic_write_text, fmt, write_csv
+from curvednbody.report import (
+    CSV_BLOCK_ROWS,
+    FLOAT_FMT,
+    ChunkedText,
+    atomic_write_text,
+    fmt,
+    write_csv,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 OMEGA_CRITICAL_EQUAL = math.sqrt(LAMBDA1_EQUAL)
@@ -75,6 +87,48 @@ def region_rows_per_cell(centers, values, valid, admissible):
     for m1, row, vals, flags in zip(cells, valid, values, admissible):
         cols = zip(compress(cells, row), vals[row].tolist(), flags[row].tolist())
         yield "".join([row_fmt % (m1, m2, v, a) for m2, v, a in cols])
+
+
+# signed zeros and the subnormals next to them, where one nextafter step
+# crosses zero and the admissible flag changes with it, and any finite float
+GRID_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def region_grids(draw):
+    """The arguments of ``cli._region_rows`` on a grid of resolution 2 to 40:
+    a symmetric value matrix, then a few mirror pairs made to differ in their
+    bits, as 0.0 against -0.0 or by one ``np.nextafter`` step."""
+    res = draw(st.integers(2, 40))
+    centers = (np.arange(res) + 0.5) / res
+    valid = (centers[:, None] + centers[None, :]) < 1.0
+    values = draw(hnp.arrays(np.float64, (res, res), elements=GRID_VALUES, fill=GRID_VALUES))
+    lower = np.tril_indices(res, -1)
+    values[lower] = values.T[lower]
+    index = st.integers(0, res - 1)
+    kinds = st.sampled_from(["signed zero", "up", "down"])
+    for i, j, kind in draw(st.lists(st.tuples(index, index, kinds), max_size=8)):
+        if kind == "signed zero":
+            values[i, j], values[j, i] = 0.0, -0.0
+        elif i != j:
+            values[j, i] = np.nextafter(values[i, j], np.inf if kind == "up" else -np.inf)
+    return centers, values, valid, valid & (values < 0.0)
+
+
+def mirror_kinds(grid):
+    """Which kinds of simplex mirror pair a grid holds: other bits, other flag."""
+    _, values, valid, admissible = grid
+    bits = values.view(np.int64)
+    other_bits = valid & (bits != bits.T)
+    kinds = {"same bits"}
+    if other_bits.any():
+        kinds.add("other bits")
+    if (other_bits & (admissible != admissible.T)).any():
+        kinds.add("other flag")
+    return kinds
 
 
 class TestRegionScan:
@@ -143,6 +197,16 @@ class TestRegionScan:
         assert rows == list(region_rows_per_cell(*grid))
         assert "0.29999999999999999,0.10000000000000001,-0,0\n" in rows[3]
         assert "0.40000000000000002,0.20000000000000001,3.0000000000000004,0\n" in rows[4]
+
+    @PROPERTY
+    @given(region_grids())
+    def test_drawn_grids_match_per_cell_formatting(self, grid):
+        assert list(cli._region_rows(*grid)) == list(region_rows_per_cell(*grid))
+
+    def test_drawn_grids_reach_every_kind_of_mirror_pair(self):
+        seen = set()
+        PROPERTY(given(region_grids())(lambda grid: seen.update(mirror_kinds(grid))))()
+        assert seen == {"same bits", "other bits", "other flag"}
 
     def test_streams_one_chunk_per_m1_row(self):
         grid = region_grid(512)
@@ -656,6 +720,42 @@ class TestAtomicWrite:
             b"0.10000000000000001,-0,-2,yes,no,re-unstable,1-2j\n"
             b"1.0000000000000001e+300,2.5,7,no,yes,none,-0.5+0.25j\n"
         )
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [0.1 + 0.2] * 4,  # one float object throughout
+            [0.0, -0.0, 0.0, -0.0],  # equal, but "0" and "-0"
+            [float("inf"), float("nan"), -float("inf"), 1.5],
+            ["stable", "re-unstable", "none", "stable"],
+            [0.5, np.float64(0.25), 1.0, 1e-300],
+        ],
+        ids=["one object", "signed zeros", "inf and nan", "str", "one float64"],
+    )
+    @pytest.mark.parametrize("block_rows", [CSV_BLOCK_ROWS, 3])
+    def test_write_csv_columns_match_per_row_formatting(
+        self, monkeypatch, tmp_path, column, block_rows
+    ):
+        monkeypatch.setattr("curvednbody.report.CSV_BLOCK_ROWS", block_rows)
+        path = tmp_path / "columns.csv"
+        rows = [(float(k), value, k) for k, value in enumerate(column)]
+        write_csv(str(path), ["k", "value", "n"], iter(rows))
+        want = [",".join(["k", "value", "n"])] + [",".join(map(fmt, row)) for row in rows]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+    def test_write_csv_without_rows_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(str(path), ["omega", "verdict"], iter([]))
+        assert path.read_bytes() == b"omega,verdict\n"
+
+    @pytest.mark.parametrize("block_rows", [CSV_BLOCK_ROWS, 2])
+    def test_write_csv_rejects_a_ragged_row(self, monkeypatch, tmp_path, block_rows):
+        # with blocks of two rows the short row is a block of its own
+        monkeypatch.setattr("curvednbody.report.CSV_BLOCK_ROWS", block_rows)
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(path), ["a", "b"], [(0.5, 1.5), (1.0, 2.0), (2.5,)])
+        assert not path.exists()
 
 
 @pytest.mark.parametrize(
