@@ -527,7 +527,8 @@ def _simulate(opts) -> int:
         doc.line("window_end", fit.window[1])
         doc.line("log_residual", fit.log_residual)
         doc.line("max_deviation", fit.max_deviation)
-        _emit(opts, doc, ["t", "deviation"], zip(fit.times, fit.deviations))
+        rows = zip(fit.times.tolist(), fit.deviations.tolist())  # exact floats
+        _emit(opts, doc, ["t", "deviation"], rows)
         return 0
 
     if mode == "re":

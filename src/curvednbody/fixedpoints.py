@@ -1,4 +1,7 @@
-"""Equatorial fixed points: the n-body criterion and the 3-body mass-shape maps."""
+"""Equatorial fixed points: the n-body criterion and the 3-body mass-shape maps.
+
+A ring's residual and both coupling blocks come from one pass over its pairs.
+"""
 
 from __future__ import annotations
 
@@ -18,13 +21,12 @@ from .errors import (
 )
 from .geometry import (
     SINGULAR_TOL,
+    TWO_PI,
     MassVector,
     RingConfiguration,
     _check_count,
     _pair_table,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # Clamp arccos arguments only this close to +-1; anything further out is a
 # genuine domain violation rather than rounding.
@@ -168,17 +170,32 @@ def fixed_point_residual(masses: MassVector, config: RingConfiguration) -> np.nd
     if not isinstance(config, RingConfiguration):
         raise InvalidConfiguration("fixed_point_residual expects a RingConfiguration")
     _check_count(masses, config.n)
-    return _ring_residual(masses.masses, config.longitudes)
+    return _ring_pass(masses.masses, config.longitudes)[0]
 
 
-def _ring_residual(m, phis) -> np.ndarray:
-    """The fixed-point residual of masses ``m`` at longitudes ``phis``."""
-    out = [0.0] * len(phis)
-    for i, j, _, sind in _pair_table(phis=phis, error=SingularIterate):
-        t = m[i] * m[j] * math.sin(phis[i] - phis[j]) / (sind * sind * sind)
-        out[i] += t
-        out[j] -= t
-    return np.array(out)
+def _ring_pass(m, phis) -> tuple:
+    """(residual, vertical, tangential) of masses ``m`` at longitudes ``phis``
+    from one pass over the pairs, by the formulas of ``fixed_point_residual``
+    and ``stability.assemble_blocks``; a singular pair raises SingularIterate."""
+    n = len(phis)
+    res = [0.0] * n
+    vertical = [[0.0] * n for _ in range(n)]
+    tangential = [[0.0] * n for _ in range(n)]
+    for i, j, cosd, sind in _pair_table(phis=phis, error=SingularIterate):
+        mm = m[i] * m[j]
+        s3 = sind * sind * sind
+        t = mm * math.sin(phis[i] - phis[j]) / s3
+        res[i] += t
+        res[j] -= t
+        f3 = mm / s3
+        vertical[i][j] = vertical[j][i] = f3
+        vertical[i][i] -= f3 * cosd
+        vertical[j][j] -= f3 * cosd
+        g = -2.0 * f3 * cosd
+        tangential[i][j] = tangential[j][i] = g
+        tangential[i][i] -= g
+        tangential[j][j] -= g
+    return np.array(res), np.array(vertical), np.array(tangential)
 
 
 def shape_from_masses(masses) -> TriangleShape:
@@ -279,20 +296,6 @@ def isosceles_bound_check(m1: float, m2: float, m3: float) -> IsoscelesVerdict:
     )
 
 
-def _ring_phi_hessian(masses: MassVector, phis) -> np.ndarray:
-    """Hessian of the force function in the longitudes of an equatorial layout."""
-    n = len(phis)
-    m = masses.masses
-    out = np.zeros((n, n))
-    for i, j, cosd, sind in _pair_table(phis=phis, error=SingularIterate):
-        g = -2.0 * m[i] * m[j] * cosd / (sind * sind * sind)
-        out[i, j] = g
-        out[j, i] = g
-        out[i, i] -= g
-        out[j, j] -= g
-    return out
-
-
 def solve_fixed_point_numeric(
     masses: MassVector,
     initial: RingConfiguration,
@@ -310,17 +313,20 @@ def solve_fixed_point_numeric(
     tol : float
         Convergence threshold on the residual max-norm; NoConvergence is
         raised if it is not met within NEWTON_MAX_ITERATIONS iterations.
+
+    The Jacobian is minus the tangential block with the pinned first row and
+    column removed, from the pass over the pairs that gave the residual.
     """
     _check_count(masses, initial.n)
     m = masses.masses
     phis = np.array(initial.longitudes)
     # the pair sums index plain float lists much faster than arrays
-    res = _ring_residual(m, phis.tolist())
+    res, _, tangential = _ring_pass(m, phis.tolist())
     norm = float(np.max(np.abs(res)))
     for _ in range(NEWTON_MAX_ITERATIONS):
         if norm < tol:
             break
-        jac = -_ring_phi_hessian(masses, phis.tolist())[1:, 1:]
+        jac = -tangential[1:, 1:]
         try:
             step = np.linalg.solve(jac, -res[1:])
         except np.linalg.LinAlgError as exc:
@@ -331,7 +337,7 @@ def solve_fixed_point_numeric(
             trial = phis.copy()
             trial[1:] += scale * step
             try:
-                trial_res = _ring_residual(m, trial.tolist())
+                trial_res, _, trial_tangential = _ring_pass(m, trial.tolist())
             except SingularIterate:
                 if scale <= 2.0 ** -39:
                     raise
@@ -341,7 +347,7 @@ def solve_fixed_point_numeric(
             if trial_norm < norm or scale <= 2.0 ** -39:
                 break
             scale *= 0.5
-        phis, res, norm = trial, trial_res, trial_norm
+        phis, res, tangential, norm = trial, trial_res, trial_tangential, trial_norm
     else:
         raise NoConvergence(
             "residual %.3g above %.3g after %d iterations"

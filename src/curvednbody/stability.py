@@ -5,6 +5,8 @@ on colatitude perturbations and one acting on longitude perturbations.  Both
 blocks are built from pairwise couplings of the ring; their null vectors
 reflect the rotational symmetries, and the signs of the remaining
 eigenvalues decide linear stability as a function of the rotation rate.
+The ring's fixed-point residual and both blocks come from one pass over its
+pairs, ``fixedpoints._ring_pass``.
 
 Only the centrifugal shift of the vertical block depends on the rate.  A
 ``LinearizationBlocks`` holds its arrays read-only and computes the block
@@ -28,8 +30,8 @@ from .errors import (
 )
 from .fixedpoints import (
     TriangleShape,
+    _ring_pass,
     as_mass_triple,
-    fixed_point_residual,
     ring_from_shape,
     shape_from_masses,
 )
@@ -38,7 +40,6 @@ from .geometry import (
     MassVector,
     RingConfiguration,
     _check_count,
-    _pair_table,
     _polar_error,
     force_hessian_blocks,
 )
@@ -104,30 +105,15 @@ def assemble_blocks(
 
     Off the diagonal the vertical block carries m_i m_j / sin^3(d_ij) and the
     tangential block -2 m_i m_j cos(d_ij) / sin^3(d_ij); the diagonals are
-    fixed by the null vectors of the rotational symmetries.  The ring is
-    checked to be a fixed point first: a residual max-norm at or above
-    ``residual_tol`` raises NotAFixedPoint.
+    fixed by the null vectors of the rotational symmetries.  The residual
+    comes from the same pass over the pairs as the blocks: a residual
+    max-norm at or above ``residual_tol`` raises NotAFixedPoint.
     """
     _check_count(masses, ring.n)
-    res = fixed_point_residual(masses, ring)
+    res, vertical, tangential = _ring_pass(masses.masses, ring.longitudes)
     worst = float(np.max(np.abs(res)))
     if worst >= residual_tol:
         raise NotAFixedPoint("ring misses the fixed-point equations by %.3g" % worst)
-    n = ring.n
-    m = masses.masses
-    vertical = np.zeros((n, n))
-    tangential = np.zeros((n, n))
-    for i, j, cosd, sind in _pair_table(phis=ring.longitudes):
-        f3 = m[i] * m[j] / (sind * sind * sind)
-        vertical[i, j] = f3
-        vertical[j, i] = f3
-        vertical[i, i] -= f3 * cosd
-        vertical[j, j] -= f3 * cosd
-        g = -2.0 * f3 * cosd
-        tangential[i, j] = g
-        tangential[j, i] = g
-        tangential[i, i] -= g
-        tangential[j, j] -= g
     return LinearizationBlocks(
         masses=masses,
         ring=ring,
