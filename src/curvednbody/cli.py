@@ -322,7 +322,7 @@ def _cmd_region_scan(opts) -> int:
     centers = (np.arange(res) + 0.5) / res
     m1 = centers[:, None]
     m2 = centers[None, :]
-    values = fixedpoints.admissibility_values_on_simplex(m1, m2)
+    values = fixedpoints.admissibility_value(m1, m2, 1.0 - m1 - m2)
     valid = (m1 + m2) < 1.0
     admissible = valid & (values < 0.0)
 

@@ -23,6 +23,7 @@ from .errors import (
     StepFailure,
 )
 from .geometry import (
+    EQUATOR,
     POLAR_TOL,
     SINE_RECHECK,
     MassVector,
@@ -44,10 +45,8 @@ from .integrators import (
     seeded_advance,
     step_count,
 )
-from .stability import LinearizationBlocks, ring_pipeline, vertical_mode
+from .stability import LinearizationBlocks, rate_square, ring_pipeline, vertical_mode
 from .stability import assemble_blocks  # noqa: F401  perfbench's tracer test wraps it here
-
-EQUATOR = math.pi / 2.0
 
 # the window of the growth fit; see growth_rate_experiment
 GROWTH_FLOOR_FACTOR = 10.0
@@ -111,8 +110,8 @@ def relative_equilibrium(
     """Phase state of the ring rotating rigidly at the given rate."""
     _check_count(masses, ring.n)
     return PhaseState(
-        thetas=tuple(EQUATOR for _ in range(ring.n)),
-        phis=ring.longitudes,
+        thetas=ring.thetas,
+        phis=ring.phis,
         pthetas=tuple(0.0 for _ in range(ring.n)),
         pphis=tuple(m * omega for m in masses.masses),
     )
@@ -215,7 +214,9 @@ def _field_three(masses: MassVector, omega: float):
 
 
 def _field_kernel(masses: MassVector, omega: float):
-    """The vector field of ``make_field`` on lists of floats, list in, list out."""
+    """The vector field of ``make_field`` on lists of floats, list in, list out;
+    a rate that ``rate_square`` rejects raises InvalidConfiguration."""
+    rate_square(omega)
     if masses.n == 3:
         return _field_three(masses, omega)
     return _field_loop(masses, omega)
@@ -226,8 +227,9 @@ def make_field(masses: MassVector, omega: float = 0.0):
 
     ``omega`` is the rotation rate of the observing frame; it shifts the
     longitude velocities by a constant and nothing else.  The longitude
-    momentum derivatives are accumulated as exactly opposite pairs.  A
-    vector of any shape other than (4n,) raises InvalidConfiguration.
+    momentum derivatives are accumulated as exactly opposite pairs.  A rate
+    that ``rate_square`` rejects or a vector of any shape but (4n,) raises
+    InvalidConfiguration.
     """
     kernel = _field_kernel(masses, omega)
     shape = (4 * masses.n,)
@@ -269,6 +271,14 @@ def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     if omega != 0.0:
         total -= omega * sum(pf)
     return total
+
+
+def _midpoint_run(masses, omega, x0, step, nsteps, record_stride):
+    """Samples of the seeded midpoint run of the full system from the list ``x0``;
+    each step reads this module's ``midpoint_step``, so a wrapper there sees it."""
+    field = _field_kernel(masses, omega)
+    advance = seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess))
+    return fixed_steps(advance, x0, step, nsteps, record_stride)
 
 
 @dataclass(frozen=True)
@@ -329,14 +339,7 @@ def integrate(
         samples = [(0.0, x0.tolist())]
         samples.extend((float(t), x.tolist()) for t, x in zip(ts, xs))
     else:
-        field = _field_kernel(masses, omega)
-        samples = fixed_steps(
-            seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess)),
-            x0.tolist(),
-            step,
-            nsteps,
-            record_stride,
-        )
+        samples = _midpoint_run(masses, omega, x0.tolist(), step, nsteps, record_stride)
 
     times = []
     states = []
@@ -431,7 +434,7 @@ def growth_rate_experiment(
         blocks = ring_pipeline(masses)[3]
     mv, ring = blocks.masses, blocks.ring
     lam1, u = vertical_mode(blocks)
-    mu = lam1 - omega * omega
+    mu = lam1 - rate_square(omega)
     scale = math.sqrt(mu) if mu > 0.0 else math.sqrt(lam1)
     n = mv.n
     m = mv.array()
@@ -441,14 +444,9 @@ def growth_rate_experiment(
     w /= np.max(np.abs(w))
 
     rest = relative_equilibrium(mv, ring, omega).as_vector()
-    field = _field_kernel(mv, omega)
     nsteps = step_count(horizon, step, record_stride)
-    samples = fixed_steps(
-        seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess)),
-        (rest + amplitude * w).tolist(),
-        step,
-        nsteps,
-        record_stride,
+    samples = _midpoint_run(
+        mv, omega, (rest + amplitude * w).tolist(), step, nsteps, record_stride
     )
     rest = rest.tolist()
     times = []

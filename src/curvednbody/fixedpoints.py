@@ -70,25 +70,14 @@ class TriangleShape:
 
 
 def admissibility_value(m1: float, m2: float, m3: float) -> float:
-    """Value of the admissibility inequality for a unit-sum mass triple."""
+    """Value of the admissibility inequality for a unit-sum mass triple,
+    negative inside the region; numpy arrays of masses broadcast."""
     return (
         m1 * m1 * m2 * m2
         + m1 * m1 * m3 * m3
         + m2 * m2 * m3 * m3
         - 2.0 * m1 * m2 * m3
     )
-
-
-def admissibility_values_on_simplex(m1, m2):
-    """Vectorized admissibility values over the open unit-sum simplex.
-
-    ``m1`` and ``m2`` broadcast; the third mass is 1 - m1 - m2.  Values are
-    returned for every point, including invalid ones outside the simplex,
-    so callers must mask by positivity themselves.
-    """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    return admissibility_value(m1, m2, 1.0 - m1 - m2)
 
 
 class AdmissibilityCheck(NamedTuple):

@@ -3,7 +3,11 @@
 Bodies live on the unit sphere, parametrized by colatitude theta in (0, pi)
 and longitude phi.  The mutual potential of a pair is proportional to the
 cotangent of its geodesic separation, which blows up at collision and at
-antipodal alignment; both ends are guarded by a shared tolerance.
+antipodal alignment; both ends are guarded by a shared tolerance.  A ring's
+``thetas`` are all ``EQUATOR`` and its ``phis`` are its longitudes, so
+``to_cartesian``, ``force_function``, ``force_gradient`` and
+``force_hessian_blocks`` take a ring, a ``SphereConfiguration`` or a
+``PhaseState`` directly.
 
 ``_pair_table`` is the one place that enumerates the pairs, computes each
 separation's cosine and sine and applies that guard; every pairwise sum of
@@ -45,6 +49,8 @@ POLAR_TOL = 1e-8
 SINE_RECHECK = 0.1
 
 TWO_PI = 2.0 * math.pi
+
+EQUATOR = math.pi / 2.0  # the colatitude of every ring
 
 
 def _polar_error(st):
@@ -161,22 +167,23 @@ class RingConfiguration:
                 "total spread %.17g does not exceed pi" % (phis[-1] - phis[0])
             )
         object.__setattr__(self, "longitudes", phis)
-        _pair_guard([math.pi / 2] * len(phis), phis)
+        _pair_guard(self.thetas, phis)
 
     @property
     def n(self) -> int:
         return len(self.longitudes)
 
-    def to_sphere(self) -> SphereConfiguration:
-        return SphereConfiguration(
-            tuple(math.pi / 2 for _ in self.longitudes), self.longitudes
-        )
+    @property
+    def thetas(self) -> tuple:
+        return (EQUATOR,) * len(self.longitudes)
+
+    @property
+    def phis(self) -> tuple:
+        return self.longitudes
 
 
 def to_cartesian(config) -> np.ndarray:
     """Unit-sphere embedding of a configuration as an (n, 3) array."""
-    if isinstance(config, RingConfiguration):
-        config = config.to_sphere()
     out = np.empty((config.n, 3))
     for i, (t, p) in enumerate(zip(config.thetas, config.phis)):
         st = math.sin(t)
@@ -206,13 +213,6 @@ def geodesic_distance(qi, qj) -> float:
             raise InvalidConfiguration("input vector is not unit length")
     dot = float(qi @ qj)
     return math.acos(min(1.0, max(-1.0, dot)))
-
-
-def _unpack(masses: MassVector, config):
-    if isinstance(config, RingConfiguration):
-        config = config.to_sphere()
-    _check_count(masses, config.n)
-    return config
 
 
 def _sphere_tables(thetas, phis):
@@ -290,7 +290,7 @@ def _pair_guard(thetas, phis, floor=SINGULAR_TOL):
 
 def force_function(masses: MassVector, config) -> float:
     """Value of the force function: the sum over pairs of m_i m_j cot(d_ij)."""
-    config = _unpack(masses, config)
+    _check_count(masses, config.n)
     m = masses.masses
     _, ct, _, _, xs, ys = _sphere_tables(config.thetas, config.phis)
     total = 0.0
@@ -328,7 +328,7 @@ def force_gradient(masses: MassVector, config) -> np.ndarray:
     Parameters
     ----------
     masses : MassVector
-    config : SphereConfiguration or RingConfiguration
+    config : RingConfiguration, SphereConfiguration or PhaseState
 
     Returns
     -------
@@ -338,7 +338,7 @@ def force_gradient(masses: MassVector, config) -> np.ndarray:
         block are accumulated with exactly opposite signs, so the phi block
         sums to zero to the last bit.
     """
-    config = _unpack(masses, config)
+    _check_count(masses, config.n)
     tables = _sphere_tables(config.thetas, config.phis)
     dtheta, dphi = _angle_gradient(masses.masses, *tables)
     return np.array(dtheta + dphi)
@@ -356,7 +356,7 @@ def force_hessian_blocks(masses: MassVector, config):
     d2V/dphi_i dphi_j.  The theta-phi block for swapped index order is the
     transpose of V_tp.
     """
-    config = _unpack(masses, config)
+    _check_count(masses, config.n)
     m = masses.masses
     n = config.n
     st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)

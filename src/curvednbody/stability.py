@@ -58,25 +58,28 @@ class LinearizationBlocks:
     ``vertical`` couples colatitude perturbations, ``tangential`` couples
     longitude perturbations; both are symmetric n-by-n.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
-    The three arrays are stored as read-only float copies, so what does not
-    depend on the rotation rate (block spectra, lambda1, symmetry bases) is
-    computed once per instance and shared by every rate.
+    The arrays are read-only float copies, so what does not depend on the
+    rotation rate (block spectra, lambda1, symmetry bases) is computed once
+    per instance and shared by every rate.
     """
 
     masses: MassVector
     ring: RingConfiguration
     vertical: np.ndarray
     tangential: np.ndarray
-    mass_diagonal: np.ndarray
 
     def __post_init__(self):
-        for name in ("vertical", "tangential", "mass_diagonal"):
+        for name in ("vertical", "tangential"):
             copy = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, _frozen(copy))
 
     @property
     def n(self) -> int:
         return self.masses.n
+
+    @cached_property
+    def mass_diagonal(self) -> np.ndarray:
+        return _frozen(self.masses.array())
 
     @cached_property
     def _vertical_eigenpairs(self):
@@ -107,55 +110,33 @@ def assemble_blocks(
     tangential block -2 m_i m_j cos(d_ij) / sin^3(d_ij); the diagonals are
     fixed by the null vectors of the rotational symmetries.  The residual
     comes from the same pass over the pairs as the blocks: a residual
-    max-norm at or above ``residual_tol`` raises NotAFixedPoint.
+    max-norm not below ``residual_tol``, nan too, raises NotAFixedPoint.
     """
     _check_count(masses, ring.n)
     res, vertical, tangential = _ring_pass(masses.masses, ring.longitudes)
     worst = float(np.max(np.abs(res)))
-    if worst >= residual_tol:
+    if not worst < residual_tol:
         raise NotAFixedPoint("ring misses the fixed-point equations by %.3g" % worst)
-    return LinearizationBlocks(
-        masses=masses,
-        ring=ring,
-        vertical=vertical,
-        tangential=tangential,
-        mass_diagonal=masses.array(),
-    )
+    return LinearizationBlocks(masses, ring, vertical, tangential)
 
 
-@dataclass(frozen=True)
-class NullVectors:
-    """Symmetry directions annihilated by the coupling blocks.
-
-    ``radial`` and ``transverse`` are the x and y coordinates of the ring,
-    killed by the vertical block; ``uniform`` is the all-ones vector, killed
-    by the tangential block.
-    """
-
-    radial: np.ndarray
-    transverse: np.ndarray
-    uniform: np.ndarray
-
-
-def null_vectors(ring: RingConfiguration) -> NullVectors:
+def null_vectors(ring: RingConfiguration) -> tuple:
+    """(radial, transverse, uniform): the ring's x and y coordinates, killed by
+    the vertical block, and the all-ones vector, killed by the tangential one."""
     phis = np.array(ring.longitudes)
-    return NullVectors(
-        radial=np.cos(phis),
-        transverse=np.sin(phis),
-        uniform=np.ones(ring.n),
-    )
+    return np.cos(phis), np.sin(phis), np.ones(ring.n)
 
 
 def null_structure_check(blocks: LinearizationBlocks) -> dict:
     """Relative norms of the blocks applied to their symmetry null vectors."""
-    nv = null_vectors(blocks.ring)
+    radial, transverse, uniform = null_vectors(blocks.ring)
     vnorm = float(np.linalg.norm(blocks.vertical))
     tnorm = float(np.linalg.norm(blocks.tangential))
     return {
-        "vertical_radial": float(np.linalg.norm(blocks.vertical @ nv.radial)) / vnorm,
-        "vertical_transverse": float(np.linalg.norm(blocks.vertical @ nv.transverse))
+        "vertical_radial": float(np.linalg.norm(blocks.vertical @ radial)) / vnorm,
+        "vertical_transverse": float(np.linalg.norm(blocks.vertical @ transverse))
         / vnorm,
-        "tangential_uniform": float(np.linalg.norm(blocks.tangential @ nv.uniform))
+        "tangential_uniform": float(np.linalg.norm(blocks.tangential @ uniform))
         / tnorm,
     }
 
@@ -479,15 +460,15 @@ def _symmetry_bases(blocks: LinearizationBlocks) -> tuple:
     n = blocks.n
     dim = 4 * n
     m = blocks.mass_diagonal
-    nv = null_vectors(blocks.ring)
+    radial, transverse, uniform = null_vectors(blocks.ring)
 
     symmetry = np.zeros((dim, 6))
-    symmetry[0:n, 0] = nv.radial
-    symmetry[2 * n : 3 * n, 1] = m * nv.radial
-    symmetry[0:n, 2] = nv.transverse
-    symmetry[2 * n : 3 * n, 3] = m * nv.transverse
-    symmetry[n : 2 * n, 4] = nv.uniform
-    symmetry[3 * n : 4 * n, 5] = m * nv.uniform
+    symmetry[0:n, 0] = radial
+    symmetry[2 * n : 3 * n, 1] = m * radial
+    symmetry[0:n, 2] = transverse
+    symmetry[2 * n : 3 * n, 3] = m * transverse
+    symmetry[n : 2 * n, 4] = uniform
+    symmetry[3 * n : 4 * n, 5] = m * uniform
     rotation = symmetry[:, 4:6]
     q_sym, _ = np.linalg.qr(symmetry)
     transverse = _skew_complement(symmetry, dim - 6)

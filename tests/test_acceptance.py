@@ -30,7 +30,7 @@ def test_criterion_01_admissible_region_map(triples_1000):
     centers = (np.arange(res) + 0.5) / res
     m1 = centers[:, None]
     m2 = centers[None, :]
-    values = fixedpoints.admissibility_values_on_simplex(m1, m2)
+    values = fixedpoints.admissibility_value(m1, m2, 1.0 - m1 - m2)
     valid = (m1 + m2) < 1.0
     inside = valid & (values < 0.0)
     elapsed = time.perf_counter() - start

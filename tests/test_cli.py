@@ -74,7 +74,7 @@ def region_grid(res):
     centers = (np.arange(res) + 0.5) / res
     m1 = centers[:, None]
     m2 = centers[None, :]
-    values = fixedpoints.admissibility_values_on_simplex(m1, m2)
+    values = fixedpoints.admissibility_value(m1, m2, 1.0 - m1 - m2)
     valid = (m1 + m2) < 1.0
     return centers, values, valid, valid & (values < 0.0)
 

@@ -29,7 +29,12 @@ from curvednbody.geometry import (
 from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
 from curvednbody.reduction import ReducedState, integrate_reduced, rest_point_from_shape
-from curvednbody.stability import assemble_blocks, ring_pipeline, vertical_mode
+from curvednbody.stability import (
+    assemble_blocks,
+    rate_square,
+    ring_pipeline,
+    vertical_mode,
+)
 
 from conftest import singular_pair
 
@@ -313,11 +318,16 @@ class TestIntegrate:
         assert dynamics.midpoint_step is integrators.midpoint_step
         assert reduction.midpoint_step is integrators.midpoint_step
 
-    def test_overflowing_rate_is_a_step_failure(self):
+    def test_overflowing_iterate_is_a_step_failure(self):
         # the momenta overflow inside the first step; sin(inf) is not a traceback
-        state = relative_equilibrium(MV, RING, 1e200)
+        state = PhaseState(
+            (math.pi / 2 + 1e-3, math.pi / 2, math.pi / 2),
+            RING.longitudes,
+            (1e200, 0.0, 0.0),
+            (1e160, 0.0, 0.0),
+        )
         with pytest.raises(StepFailure, match="iterate is not finite") as info:
-            integrate(MV, state, horizon=0.01, step=1e-3, omega=1e200)
+            integrate(MV, state, horizon=0.01, step=1e-3)
         assert info.value.step == 1
 
     def test_step_failure_names_the_failing_step(self):
@@ -379,6 +389,33 @@ BAD_STEPPING = [
 def test_bad_step_parameters_rejected(run, bad):
     with pytest.raises(InvalidConfiguration):
         STEPPED_RUNS[run](**bad)
+
+
+UNEQUAL = as_mass_triple((0.2, 0.5, 0.3))
+UNEQUAL_MV = UNEQUAL.mass_vector()
+UNEQUAL_START = relative_equilibrium(
+    UNEQUAL_MV, ring_from_shape(shape_from_masses(UNEQUAL)), 1.3
+)
+RATE_RUNS = {
+    "integrate midpoint": lambda omega: integrate(
+        UNEQUAL_MV, UNEQUAL_START, horizon=0.01, omega=omega
+    ),
+    "integrate rk45": lambda omega: integrate(
+        UNEQUAL_MV, UNEQUAL_START, horizon=0.01, omega=omega, method="rk45"
+    ),
+    "growth": lambda omega: growth_rate_experiment(UNEQUAL, omega, horizon=1.0),
+    "make_field": lambda omega: make_field(UNEQUAL_MV, omega),
+}
+
+
+@pytest.mark.parametrize("run", RATE_RUNS)
+@pytest.mark.parametrize("omega", [math.nan, math.inf, 1e200, -1e155], ids=repr)
+def test_rate_is_checked_as_rate_square_checks_it(run, omega):
+    with pytest.raises(InvalidConfiguration) as want:
+        rate_square(omega)
+    with pytest.raises(InvalidConfiguration) as got:
+        RATE_RUNS[run](omega)
+    assert str(got.value) == str(want.value)
 
 
 class TestGrowthExperiment:

@@ -16,7 +16,6 @@ from curvednbody.fixedpoints import (
     AdmissibleMassTriple,
     TriangleShape,
     admissibility_value,
-    admissibility_values_on_simplex,
     as_mass_triple,
     check_shape_mass_pair,
     fixed_point_residual,
@@ -84,7 +83,7 @@ class TestAdmissibility:
         m2 = rng.uniform(0.05, 0.9, 50)
         keep = m1 + m2 < 0.98
         m1, m2 = m1[keep], m2[keep]
-        grid = admissibility_values_on_simplex(m1, m2)
+        grid = admissibility_value(m1, m2, 1.0 - m1 - m2)
         for a, b, v in zip(m1, m2, grid):
             assert v == pytest.approx(admissibility_value(a, b, 1.0 - a - b), abs=1e-16)
 

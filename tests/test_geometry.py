@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvednbody.errors import (
     InvalidConfiguration,
@@ -11,7 +13,9 @@ from curvednbody.errors import (
     PolarSingularity,
     SingularConfiguration,
 )
+from curvednbody import geometry
 from curvednbody.geometry import (
+    EQUATOR,
     MassVector,
     RingConfiguration,
     SphereConfiguration,
@@ -173,9 +177,16 @@ class TestRingConfiguration:
         ):
             RingConfiguration((0.0, 1.0, math.pi + 1e-13))
 
-    def test_to_sphere_sits_on_equator(self):
-        sphere = EQUILATERAL.to_sphere()
-        assert all(t == math.pi / 2 for t in sphere.thetas)
+    def test_ring_reads_as_the_equator(self):
+        ring = RingConfiguration((1.0, 2.5, 4.5))
+        assert ring.thetas == (EQUATOR,) * 3
+        assert EQUATOR == math.pi / 2
+        assert ring.phis is ring.longitudes
+        assert ring.phis == (0.0, 1.5, 3.5)
+        with pytest.raises(AttributeError):
+            ring.thetas = (1.0, 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            ring.phis = (0.0, 1.0, 2.0)
 
 
 class TestCartesianAndDistance:
@@ -352,7 +363,7 @@ def test_polar_guard_has_one_message(site):
 
 
 COUNT_SITES = {
-    "_unpack": force_function,
+    "force_function": force_function,
     "relative_equilibrium": lambda mv, ring: relative_equilibrium(mv, ring, 1.0),
     "fixed_point_residual": fixed_point_residual,
     "solve_fixed_point_numeric": solve_fixed_point_numeric,
@@ -365,3 +376,53 @@ def test_body_count_has_one_message(site):
     with pytest.raises(InvalidConfiguration) as info:
         COUNT_SITES[site](MassVector((1.0, 1.0, 1.0, 1.0)), EQUILATERAL)
     assert str(info.value) == "mass count 4 does not match body count 3"
+
+
+# a gap inside the SINE_RECHECK band lies within 0.1 of 0 or of pi
+NEAR_ZERO = st.floats(1e-9, 0.1)
+GAPS = st.one_of(
+    st.floats(0.1, math.pi - 0.1), NEAR_ZERO, NEAR_ZERO.map(lambda x: math.pi - x)
+)
+RING_CALLS = {
+    "to_cartesian": lambda mv, config: to_cartesian(config),
+    "force_function": lambda mv, config: np.float64(force_function(mv, config)),
+    "force_gradient": force_gradient,
+    "force_hessian_blocks": lambda mv, config: np.array(force_hessian_blocks(mv, config)),
+}
+
+
+@st.composite
+def drawn_rings(draw):
+    """Masses and a valid ring of three or five bodies, built from gaps."""
+    n = draw(st.sampled_from((3, 5)))
+    masses = MassVector(tuple(draw(st.floats(1e-3, 10.0)) for _ in range(n)))
+    phis = [draw(st.floats(-10.0, 10.0))]
+    for _ in range(n - 1):
+        phis.append(phis[-1] + draw(GAPS))
+    try:
+        return masses, RingConfiguration(tuple(phis))
+    except (InvalidConfiguration, SingularConfiguration):
+        assume(False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(drawn_rings())
+def test_ring_calls_match_the_sphere_calls_bit_for_bit(drawn):
+    masses, ring = drawn
+    sphere = SphereConfiguration(ring.thetas, ring.phis)
+    assert sphere.thetas == ring.thetas and sphere.phis == ring.phis
+    for call in RING_CALLS.values():
+        assert call(masses, ring).tobytes() == call(masses, sphere).tobytes()
+
+
+@pytest.mark.parametrize("name", RING_CALLS)
+def test_ring_calls_walk_the_pairs_at_most_once(name, monkeypatch):
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return _pair_table(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_pair_table", counted)
+    RING_CALLS[name](MassVector((0.2, 0.5, 0.3)), EQUILATERAL)
+    assert len(passes) == (0 if name == "to_cartesian" else 1)

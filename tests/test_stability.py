@@ -67,6 +67,15 @@ class TestAssembleBlocks:
         blocks = assemble_blocks(mv, ring, residual_tol=math.inf)
         assert blocks.vertical.shape == (3, 3)
 
+    def test_non_finite_residual_is_not_a_fixed_point(self):
+        # m_i m_j overflows, so every residual entry is inf - inf = nan
+        ring = ring_from_shape(shape_from_masses(EQUAL))
+        with pytest.raises(NotAFixedPoint) as info:
+            assemble_blocks(MassVector((1e200, 1e200, 1e200)), ring)
+        assert str(info.value) == "ring misses the fixed-point equations by nan"
+        with pytest.raises(NotAFixedPoint):
+            assemble_blocks(MassVector((1e200, 1e200, 1e200)), ring, math.inf)
+
     def test_equal_mass_frozen_entries(self):
         # unit-sum equal masses: every pair coupling is 8/(27 sqrt(3))
         blocks = equal_mass_blocks()
@@ -85,10 +94,10 @@ class TestAssembleBlocks:
 
     def test_null_vectors_are_coordinates(self):
         ring = ring_from_shape(shape_from_masses(EQUAL))
-        nv = null_vectors(ring)
-        assert nv.radial == pytest.approx(np.cos(ring.longitudes), abs=1e-15)
-        assert nv.transverse == pytest.approx(np.sin(ring.longitudes), abs=1e-15)
-        assert np.all(nv.uniform == 1.0)
+        radial, transverse, uniform = null_vectors(ring)
+        assert radial == pytest.approx(np.cos(ring.longitudes), abs=1e-15)
+        assert transverse == pytest.approx(np.sin(ring.longitudes), abs=1e-15)
+        assert np.all(uniform == 1.0)
 
 
 class TestSpectralAnalysis:
@@ -117,7 +126,6 @@ class TestSpectralAnalysis:
             ring=ring,
             vertical=np.eye(3),
             tangential=np.eye(3),
-            mass_diagonal=EQUAL.mass_vector().array(),
         )
         with pytest.raises(DegenerateSpectrum):
             spectral_analysis(broken, 0.0)
@@ -395,12 +403,23 @@ class TestRateIndependentCache:
             ring=ring,
             vertical=mine,
             tangential=mine,
-            mass_diagonal=EQUAL.mass_vector().array(),
         )
         assert blocks.vertical is not mine
         assert not blocks.vertical.flags.writeable
         assert mine.flags.writeable
         assert np.array_equal(mine, np.eye(3))
+
+    def test_mass_diagonal_is_read_from_the_masses(self):
+        mv = MassVector((0.2, 0.5, 0.3))
+        ring = ring_from_shape(shape_from_masses(mv))
+        blocks = LinearizationBlocks(mv, ring, np.eye(3), np.eye(3))
+        assert blocks.mass_diagonal.tobytes() == mv.array().tobytes()
+        assert blocks.mass_diagonal is blocks.mass_diagonal
+        assert not blocks.mass_diagonal.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blocks.mass_diagonal = np.ones(3)
+        with pytest.raises(TypeError):
+            LinearizationBlocks(mv, ring, np.eye(3), np.eye(3), mass_diagonal=np.ones(3))
 
     def test_vertical_mode_after_analysis_matches_fresh(self, rng):
         for triple in draw_admissible_triples(rng, 5):
