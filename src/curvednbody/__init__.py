@@ -17,7 +17,6 @@ from .errors import (
     NumericalFailure,
     PolarSingularity,
     SingularConfiguration,
-    SingularIterate,
     StepFailure,
 )
 from .geometry import (

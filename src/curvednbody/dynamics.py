@@ -45,7 +45,8 @@ from .integrators import (
     seeded_advance,
     step_count,
 )
-from .stability import LinearizationBlocks, rate_square, ring_pipeline, vertical_mode
+from .stability import LinearizationBlocks, ring_pipeline, vertical_mode
+from .stability import rate_square, rate_verdict
 from .stability import assemble_blocks  # noqa: F401  perfbench's tracer test wraps it here
 
 # the window of the growth fit; see growth_rate_experiment
@@ -228,32 +229,30 @@ def make_field(masses: MassVector, omega: float = 0.0):
     ``omega`` is the rotation rate of the observing frame; it shifts the
     longitude velocities by a constant and nothing else.  The longitude
     momentum derivatives are accumulated as exactly opposite pairs.  A rate
-    that ``rate_square`` rejects or a vector of any shape but (4n,) raises
+    that ``rate_square`` rejects or a state of the wrong size raises
     InvalidConfiguration.
     """
     kernel = _field_kernel(masses, omega)
-    shape = (4 * masses.n,)
+    return lambda x: np.array(kernel(_state_values(masses, x)))
 
-    def field(x):
-        if x.shape != shape:
-            raise InvalidConfiguration("state length does not match mass count")
-        return np.array(kernel(x.tolist()))
 
-    return field
+def _state_values(masses: MassVector, state) -> list:
+    """A state's 4n values: a list as it is (``integrate`` samples are lists of
+    floats), a PhaseState or a vector as a new list; other sizes raise."""
+    if isinstance(state, PhaseState):
+        state = state.as_vector()
+    if not isinstance(state, list):
+        x = np.asarray(state, float)
+        state = x.tolist() if x.ndim == 1 else []  # other shapes fail the check
+    if len(state) != 4 * masses.n:
+        raise InvalidConfiguration("state length does not match mass count")
+    return state
 
 
 def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     """Energy in a frame rotating at rate omega: kinetic + potential - omega J."""
     n = masses.n
-    if isinstance(state, list):
-        vals = state  # a list of floats, as ``integrate`` samples are, is read as is
-    else:
-        if isinstance(state, PhaseState):
-            state = state.as_vector()
-        x = np.asarray(state, float)
-        vals = x.tolist() if x.ndim == 1 else []  # other shapes fail the check
-    if len(vals) != 4 * n:
-        raise InvalidConfiguration("state length does not match mass count")
+    vals = _state_values(masses, state)
     m = masses.masses
     th = vals[0:n]
     ph = vals[n : 2 * n]
@@ -313,18 +312,14 @@ def integrate(
     """Integrate the equations of motion and collect conservation monitors.
 
     ``method`` selects the implicit midpoint reference integrator or the
-    adaptive "rk45" cross-check route.  A non-finite initial state raises
-    InvalidConfiguration.  Integration aborts with StepFailure, carrying the
-    time and the step index, when a step fails or a recorded sample has a
-    pair separation sine below the hard floor.
+    adaptive "rk45" cross-check route.  An initial state of the wrong size or
+    not finite raises InvalidConfiguration.  Integration aborts with
+    StepFailure, carrying the time and the step index, when a step fails or a
+    recorded sample has a pair separation sine below the hard floor.
     """
-    x0 = initial.as_vector() if isinstance(initial, PhaseState) else np.asarray(
-        initial, float
-    )
+    x0 = [float(v) for v in _state_values(masses, initial)]
     n = masses.n
-    if x0.shape != (4 * n,):
-        raise InvalidConfiguration("initial state length does not match mass count")
-    _check_finite("initial state", x0.tolist())
+    _check_finite("initial state", x0)
     if method not in ("midpoint", "rk45"):
         raise InvalidConfiguration("unknown integration method %r" % method)
     nsteps = step_count(horizon, step, record_stride)
@@ -336,10 +331,10 @@ def integrate(
         ts, xs = rk45_solve(
             make_field(masses, omega), x0, nsteps * step, t_eval=np.array(t_record)
         )
-        samples = [(0.0, x0.tolist())]
+        samples = [(0.0, x0)]
         samples.extend((float(t), x.tolist()) for t, x in zip(ts, xs))
     else:
-        samples = _midpoint_run(masses, omega, x0.tolist(), step, nsteps, record_stride)
+        samples = _midpoint_run(masses, omega, x0, step, nsteps, record_stride)
 
     times = []
     states = []
@@ -434,8 +429,8 @@ def growth_rate_experiment(
         blocks = ring_pipeline(masses)[3]
     mv, ring = blocks.masses, blocks.ring
     lam1, u = vertical_mode(blocks)
-    mu = lam1 - rate_square(omega)
-    scale = math.sqrt(mu) if mu > 0.0 else math.sqrt(lam1)
+    exponent = rate_verdict(omega, lam1)[1]
+    scale = exponent or math.sqrt(lam1)
     n = mv.n
     m = mv.array()
     w = np.zeros(4 * n)
@@ -476,7 +471,7 @@ def growth_rate_experiment(
         omega=float(omega),
         amplitude=float(amplitude),
         rate=float(slope),
-        expected_rate=math.sqrt(mu) if mu > 0.0 else None,
+        expected_rate=exponent or None,
         n_points=count,
         window=(float(tw[0]), float(tw[-1])),
         log_residual=residual,

@@ -27,10 +27,6 @@ class SingularConfiguration(InputError):
     """Two bodies sit at (or numerically at) zero or antipodal separation."""
 
 
-class SingularIterate(SingularConfiguration):
-    """A solver iterate entered the singular set."""
-
-
 class PolarSingularity(InputError):
     """The spherical chart degenerates: sin(theta) is numerically zero."""
 

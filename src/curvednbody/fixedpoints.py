@@ -17,7 +17,7 @@ from .errors import (
     InvalidConfiguration,
     NoConvergence,
     NotAdmissible,
-    SingularIterate,
+    SingularConfiguration,
 )
 from .geometry import (
     SINGULAR_TOL,
@@ -165,12 +165,12 @@ def fixed_point_residual(masses: MassVector, config: RingConfiguration) -> np.nd
 def _ring_pass(m, phis) -> tuple:
     """(residual, vertical, tangential) of masses ``m`` at longitudes ``phis``
     from one pass over the pairs, by the formulas of ``fixed_point_residual``
-    and ``stability.assemble_blocks``; a singular pair raises SingularIterate."""
+    and ``stability.assemble_blocks``; a singular pair raises SingularConfiguration."""
     n = len(phis)
     res = [0.0] * n
     vertical = [[0.0] * n for _ in range(n)]
     tangential = [[0.0] * n for _ in range(n)]
-    for i, j, cosd, sind in _pair_table(phis=phis, error=SingularIterate):
+    for i, j, cosd, sind in _pair_table(phis=phis):
         mm = m[i] * m[j]
         s3 = sind * sind * sind
         t = mm * math.sin(phis[i] - phis[j]) / s3
@@ -327,7 +327,7 @@ def solve_fixed_point_numeric(
             trial[1:] += scale * step
             try:
                 trial_res, _, trial_tangential = _ring_pass(m, trial.tolist())
-            except SingularIterate:
+            except SingularConfiguration:
                 if scale <= 2.0 ** -39:
                     raise
                 scale *= 0.5

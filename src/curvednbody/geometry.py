@@ -228,17 +228,15 @@ def _sphere_tables(thetas, phis):
     return st, ct, sp, cp, list(map(mul, st, cp)), list(map(mul, st, sp))
 
 
-def _singular_pair(error, i, j, cosd, sind):
+def _singular_pair(i, j, cosd, sind):
     """The exception for bodies i and j (0-based) at a singular separation."""
     kind = "collision" if cosd > 0 else "antipodal alignment"
-    return error(
+    return SingularConfiguration(
         "bodies %d and %d at %s (separation sine %.3g)" % (i + 1, j + 1, kind, sind)
     )
 
 
-def _recheck_sine(
-    i, j, cosd, xs, ys, zs, phis=None, floor=SINGULAR_TOL, error=SingularConfiguration
-):
+def _recheck_sine(i, j, cosd, xs, ys, zs, phis=None, floor=SINGULAR_TOL):
     """Separation sine of bodies i and j as |sin(phi_i - phi_j)|, or as
     |q_i x q_j| if no ``phis`` are given; at or below ``floor`` it raises."""
     if phis is None:
@@ -250,20 +248,18 @@ def _recheck_sine(
     else:
         sind = abs(math.sin(phis[i] - phis[j]))
     if sind <= floor:
-        raise _singular_pair(error, i, j, cosd, sind)
+        raise _singular_pair(i, j, cosd, sind)
     return sind
 
 
-def _pair_table(
-    xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL, error=SingularConfiguration
-):
+def _pair_table(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
     """Every pair i < j as (i, j, cos d, sin d), in order.
 
     Bodies are given either as Cartesian unit vectors (xs, ys, zs), where
     cos d is their dot product, or as equatorial longitudes ``phis``, where
     cos d = cos(phi_i - phi_j).  The two forms round differently, and ring
     results are printed to 17 digits, so neither replaces the other.  A
-    pair with sin d at or below ``floor`` raises ``error``.
+    pair with sin d at or below ``floor`` raises SingularConfiguration.
     """
     n = len(xs) if phis is None else len(phis)
     table = []
@@ -275,9 +271,9 @@ def _pair_table(
                 cosd = math.cos(phis[i] - phis[j])
             sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
             if sind < SINE_RECHECK:
-                sind = _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor, error)
+                sind = _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor)
             elif sind <= floor:
-                raise _singular_pair(error, i, j, cosd, sind)
+                raise _singular_pair(i, j, cosd, sind)
             table.append((i, j, cosd, sind))
     return table
 

@@ -289,12 +289,18 @@ _YOSHIDA_DRIFTS = (_W1 / 2, (_W0 + _W1) / 2, (_W0 + _W1) / 2, _W1 / 2)
 def rk45_solve(field, x0, t_final, t_eval=None):
     """Adaptive Dormand-Prince 5(4) integration via scipy, as a cross-check.
 
-    Returns (times, states) with states stacked row-wise.
+    Returns (times, states) with states stacked row-wise; a state that is not
+    finite ends the run with StepFailure, carrying the time.
     """
     from scipy.integrate import solve_ivp
 
+    def rhs(t, y):
+        if not np.isfinite(y).all():
+            raise StepFailure("adaptive integration state is not finite", time=float(t))
+        return field(y)
+
     sol = solve_ivp(
-        lambda _t, y: field(y),
+        rhs,
         (0.0, t_final),
         np.asarray(x0, dtype=float),
         method="RK45",

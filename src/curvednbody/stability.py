@@ -82,10 +82,6 @@ class LinearizationBlocks:
         return _frozen(self.masses.array())
 
     @cached_property
-    def _vertical_eigenpairs(self):
-        return _mass_weighted_eigensolve(self.vertical, self.mass_diagonal)
-
-    @cached_property
     def _spectra(self) -> _BlockSpectra:
         return _block_spectra(self)
 
@@ -163,19 +159,17 @@ def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     """Linearized Hamiltonian flow at an arbitrary phase state.
 
     ``state`` needs ``n``, ``thetas``, ``phis``, ``pthetas`` and ``pphis``,
-    as a PhaseState has; a colatitude at the polar guard raises
-    PolarSingularity.  The coordinate order of the output matches
-    assemble_L_from_blocks.  A frame rotating at constant rate shifts the
-    flow by a constant, so the same matrix is the Jacobian in every such
-    frame.  At an equatorial fixed point with the rigid-rotation momenta
-    this reduces to the block form.
+    as a PhaseState has; ``force_hessian_blocks`` checks its body count, and
+    a colatitude at the polar guard raises PolarSingularity.  The coordinate
+    order of the output matches assemble_L_from_blocks.  A frame rotating at
+    constant rate shifts the flow by a constant, so the same matrix is the
+    Jacobian in every such frame.  At an equatorial fixed point with the
+    rigid-rotation momenta this reduces to the block form.
     """
     n = masses.n
     m = masses.masses
     thetas = [float(t) for t in state.thetas]
     pphis = [float(p) for p in state.pphis]
-    if len(thetas) != n or len(pphis) != n:
-        raise InvalidConfiguration("state size does not match mass count")
     vtt, vtp, vpp = force_hessian_blocks(masses, state)
     sines = [math.sin(t) for t in thetas]
     if any(s <= POLAR_TOL for s in sines):
@@ -270,7 +264,7 @@ def rate_verdict(omega: float, lam1: float) -> tuple:
 
 @dataclass(frozen=True)
 class _BlockSpectra:
-    """The rate-independent part of a StabilityReport."""
+    """The rate-independent part of a StabilityReport and lambda1's eigenvector."""
 
     vertical_eigenvalues: tuple
     tangential_eigenvalues: tuple
@@ -278,11 +272,12 @@ class _BlockSpectra:
     tangential_pairs: tuple
     lambda1: float
     omega_critical: float
+    vertical_vector: np.ndarray
 
 
 def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
     m = blocks.mass_diagonal
-    vlams, _, vscale = blocks._vertical_eigenpairs
+    vlams, vvecs, vscale = _mass_weighted_eigensolve(blocks.vertical, m)
     tlams, _, tscale = _mass_weighted_eigensolve(blocks.tangential, m)
     vzero = np.abs(vlams) <= EIG_ZERO_TOL * vscale
     tzero = np.abs(tlams) <= EIG_ZERO_TOL * tscale
@@ -300,7 +295,8 @@ def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
         raise DegenerateSpectrum("vertical block has a nonpositive transverse mode")
     if np.any(trest >= 0.0):
         raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
-    lam1 = float(np.max(vrest))
+    top = int(np.argmax(vlams))  # the zero modes lie below the positive rest
+    lam1 = float(vlams[top])
     tangential_pairs = []
     for lam in trest.tolist():
         s = complex(0.0, math.sqrt(-lam))
@@ -312,6 +308,7 @@ def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
         tangential_pairs=tuple(tangential_pairs),
         lambda1=lam1,
         omega_critical=math.sqrt(lam1),
+        vertical_vector=_frozen(vvecs[:, top].copy()),
     )
 
 
@@ -344,16 +341,11 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
 
 
 def vertical_mode(blocks: LinearizationBlocks):
-    """The positive vertical eigenvalue and its mass-weighted eigenvector.
-
-    Returns (lambda1, u) with vertical @ diag(1/m) u = lambda1 u; the pair
-    seeds the unstable direction of the growth experiment.
-    """
-    lams, vecs, scale = blocks._vertical_eigenpairs
-    idx = int(np.argmax(lams))
-    if lams[idx] <= EIG_ZERO_TOL * scale:
-        raise DegenerateSpectrum("vertical block has no positive mode")
-    return float(lams[idx]), vecs[:, idx].copy()
+    """(lambda1, u) with vertical @ diag(1/m) u = lambda1 u, u a fresh copy, from
+    the block spectra of ``spectral_analysis``: a pattern it rejects raises its
+    DegenerateSpectrum.  The pair seeds the unstable direction of the growth
+    experiment."""
+    return blocks._spectra.lambda1, blocks._spectra.vertical_vector.copy()
 
 
 def ring_pipeline(masses, residual_tol: float = FIXED_POINT_TOL) -> tuple:

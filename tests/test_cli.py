@@ -787,7 +787,6 @@ EXIT_CODES = {
     "InputError": 2,
     "InvalidConfiguration": 2,
     "SingularConfiguration": 2,
-    "SingularIterate": 2,
     "PolarSingularity": 2,
     "NonpositiveMass": 2,
     "NotAdmissible": 2,

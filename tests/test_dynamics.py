@@ -13,6 +13,7 @@ from curvednbody.dynamics import (
     relative_equilibrium,
 )
 from curvednbody.errors import (
+    DegenerateSpectrum,
     InvalidConfiguration,
     NoGrowthWindow,
     PolarSingularity,
@@ -30,9 +31,12 @@ from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
 from curvednbody.reduction import ReducedState, integrate_reduced, rest_point_from_shape
 from curvednbody.stability import (
+    LinearizationBlocks,
     assemble_blocks,
     rate_square,
+    rate_verdict,
     ring_pipeline,
+    spectral_analysis,
     vertical_mode,
 )
 
@@ -330,6 +334,33 @@ class TestIntegrate:
             integrate(MV, state, horizon=0.01, step=1e-3)
         assert info.value.step == 1
 
+    def test_overflowing_rk45_state_is_a_step_failure(self):
+        # the same start: scipy's first-step estimate overflows (numpy warns
+        # first) and hands the field a state that is not finite
+        state = PhaseState(
+            (math.pi / 2 + 1e-3, math.pi / 2, math.pi / 2),
+            RING.longitudes,
+            (1e200, 0.0, 0.0),
+            (1e160, 0.0, 0.0),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailure) as info:
+                integrate(MV, state, horizon=0.01, step=1e-3, method="rk45")
+        assert str(info.value) == "adaptive integration state is not finite"
+        assert 0.0 <= info.value.time <= 0.01
+
+    def test_list_start_is_read_as_floats(self):
+        x0 = relative_equilibrium(MV, RING, 0.0).as_vector()
+        x0[0] += 1e-3
+        # the zero longitude and momenta as ints
+        start = [int(v) if v == 0.0 else v for v in x0.tolist()]
+        assert any(type(v) is int for v in start)
+        for method in ("midpoint", "rk45"):
+            got = integrate(MV, start, horizon=0.1, method=method)
+            want = integrate(MV, x0, horizon=0.1, method=method)
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.energies.tobytes() == want.energies.tobytes()
+
     def test_step_failure_names_the_failing_step(self):
         mv = MassVector((1.0, 1.0))
         state = PhaseState(
@@ -408,6 +439,32 @@ RATE_RUNS = {
 }
 
 
+STATE_SIZE_RUNS = {
+    "make_field": lambda x: make_field(MV, 0.3)(x),
+    "hamiltonian": lambda x: hamiltonian(MV, x, 0.3),
+    "integrate midpoint": lambda x: integrate(MV, x, horizon=0.01),
+    "integrate rk45": lambda x: integrate(MV, x, horizon=0.01, method="rk45"),
+}
+RING_STATE = relative_equilibrium(MV, RING, 0.3).as_vector()
+BAD_SIZES = {
+    "4n-1": RING_STATE[:-1],
+    "4n+1": np.append(RING_STATE, 0.0),
+    "2x2n": RING_STATE.reshape(2, 6),
+    "list 4n-1": RING_STATE.tolist()[:-1],
+    "four-body PhaseState": PhaseState(
+        (1.5, 1.5, 1.5, 1.5), (0.0, 1.0, 2.0, 3.0), (0.0,) * 4, (0.0,) * 4
+    ),
+}
+
+
+@pytest.mark.parametrize("run", STATE_SIZE_RUNS)
+@pytest.mark.parametrize("size", BAD_SIZES)
+def test_state_size_has_one_message(run, size):
+    with pytest.raises(InvalidConfiguration) as info:
+        STATE_SIZE_RUNS[run](BAD_SIZES[size])
+    assert str(info.value) == "state length does not match mass count"
+
+
 @pytest.mark.parametrize("run", RATE_RUNS)
 @pytest.mark.parametrize("omega", [math.nan, math.inf, 1e200, -1e155], ids=repr)
 def test_rate_is_checked_as_rate_square_checks_it(run, omega):
@@ -443,6 +500,29 @@ class TestGrowthExperiment:
         with pytest.raises(InvalidConfiguration) as info:
             growth_rate_experiment(EQUAL, 0.5, amplitude=amplitude, horizon=1.0)
         assert str(info.value) == "amplitude %r is not positive" % amplitude
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9, 1.002])
+    def test_expected_rate_is_the_verdicts_exponent(self, fraction):
+        # just above the critical rate the neutral probe swings past ten times
+        # its amplitude, so the window fills without growth
+        blocks = ring_pipeline(UNEQUAL)[3]
+        lam1 = vertical_mode(blocks)[0]
+        omega = fraction * math.sqrt(lam1)
+        fit = growth_rate_experiment(blocks, omega, amplitude=1e-5, horizon=30.0)
+        exponent = rate_verdict(omega, lam1)[1]
+        if fraction < 1.0:
+            assert fit.expected_rate == exponent > 0.0
+        else:
+            assert exponent == 0.0
+            assert fit.expected_rate is None
+
+    def test_blocks_the_spectra_reject_raise_their_error(self):
+        blocks = LinearizationBlocks(UNEQUAL_MV, RING, np.eye(3), np.eye(3))
+        with pytest.raises(DegenerateSpectrum) as want:
+            spectral_analysis(blocks)
+        with pytest.raises(DegenerateSpectrum) as got:
+            growth_rate_experiment(blocks, 0.5, horizon=1.0)
+        assert str(got.value) == str(want.value)
 
     def test_deviation_series_recorded(self):
         fit = growth_rate_experiment(EQUAL, 0.0, horizon=30.0)

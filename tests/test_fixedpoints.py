@@ -10,7 +10,7 @@ from curvednbody.errors import (
     NoConvergence,
     NonpositiveMass,
     NotAdmissible,
-    SingularIterate,
+    SingularConfiguration,
 )
 from curvednbody.fixedpoints import (
     AdmissibleMassTriple,
@@ -219,16 +219,18 @@ class TestResidual:
     @pytest.mark.parametrize("j, kind, longitudes", SINGULAR_RINGS)
     def test_singular_pair_raises(self, j, kind, longitudes):
         ring = unchecked(RingConfiguration, longitudes=longitudes)
-        with pytest.raises(SingularIterate, match=singular_pair(1, j, kind)):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, j, kind)) as info:
             fixed_point_residual(MassVector((1.0, 1.0, 1.0)), ring)
+        assert type(info.value) is SingularConfiguration
 
 
 class TestNewtonSolver:
     @pytest.mark.parametrize("j, kind, longitudes", SINGULAR_RINGS)
     def test_singular_start_raises(self, j, kind, longitudes):
         start = unchecked(RingConfiguration, longitudes=longitudes)
-        with pytest.raises(SingularIterate, match=singular_pair(1, j, kind)):
+        with pytest.raises(SingularConfiguration, match=singular_pair(1, j, kind)) as info:
             solve_fixed_point_numeric(MassVector((1.0, 1.0, 1.0)), start)
+        assert type(info.value) is SingularConfiguration
 
     def test_recovers_constructed_ring(self, rng):
         for triple in draw_admissible_triples(rng, 10):

@@ -36,7 +36,6 @@ ROOT_NAMES = {
     "ReducedState",
     "RingConfiguration",
     "SingularConfiguration",
-    "SingularIterate",
     "SphereConfiguration",
     "StabilityReport",
     "StepFailure",

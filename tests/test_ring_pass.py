@@ -3,7 +3,7 @@
 ``fixedpoints._ring_pass`` gives the fixed-point residual and both coupling
 blocks from one walk of the pair table.  It must give the residual loop's and
 the block loop's outputs bit for bit, on rings of three and five bodies with
-gaps inside the ``SINE_RECHECK`` band, and raise their ``SingularIterate``
+gaps inside the ``SINE_RECHECK`` band, and raise their ``SingularConfiguration``
 with the same message from every caller.  Newton's Jacobian, once a loop of
 its own, is now the tangential block: the two agree to rounding.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvednbody import fixedpoints, stability
-from curvednbody.errors import SingularIterate
+from curvednbody.errors import SingularConfiguration
 from curvednbody.fixedpoints import (
     _ring_pass,
     fixed_point_residual,
@@ -42,7 +42,7 @@ gaps = st.one_of(
 def loop_residual(m, phis):
     """The residual loop as it stood before the one pass."""
     out = [0.0] * len(phis)
-    for i, j, _, sind in _pair_table(phis=phis, error=SingularIterate):
+    for i, j, _, sind in _pair_table(phis=phis):
         t = m[i] * m[j] * math.sin(phis[i] - phis[j]) / (sind * sind * sind)
         out[i] += t
         out[j] -= t
@@ -73,7 +73,7 @@ def loop_hessian(m, phis):
     another rounding of the same formula."""
     n = len(phis)
     out = np.zeros((n, n))
-    for i, j, cosd, sind in _pair_table(phis=phis, error=SingularIterate):
+    for i, j, cosd, sind in _pair_table(phis=phis):
         g = -2.0 * m[i] * m[j] * cosd / (sind * sind * sind)
         out[i, j] = g
         out[j, i] = g
@@ -98,10 +98,10 @@ def same_bits(a, b):
 
 
 def raised(call):
-    """The message of the SingularIterate that ``call`` raises, or None."""
+    """The message of the SingularConfiguration that ``call`` raises, or None."""
     try:
         call()
-    except SingularIterate as exc:
+    except SingularConfiguration as exc:
         return str(exc)
     return None
 
@@ -112,7 +112,7 @@ def test_pass_matches_the_loops_bit_for_bit(ring):
     m, phis = ring
     message = raised(lambda: loop_residual(m, phis))
     if message is not None:
-        with pytest.raises(SingularIterate) as info:
+        with pytest.raises(SingularConfiguration) as info:
             _ring_pass(m, phis)
         assert str(info.value) == message
         return

@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from curvednbody.dynamics import PhaseState, make_field, relative_equilibrium
 from curvednbody.errors import (
@@ -12,7 +14,12 @@ from curvednbody.errors import (
     NotAFixedPoint,
     PolarSingularity,
 )
-from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
+from curvednbody.fixedpoints import (
+    as_mass_triple,
+    is_admissible,
+    ring_from_shape,
+    shape_from_masses,
+)
 from curvednbody.geometry import MassVector, RingConfiguration
 from curvednbody.stability import (
     VERDICT_BOUNDARY,
@@ -20,6 +27,7 @@ from curvednbody.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     LinearizationBlocks,
+    _mass_weighted_eigensolve,
     _skew_matrix,
     assemble_L_from_blocks,
     assemble_L_general,
@@ -31,6 +39,7 @@ from curvednbody.stability import (
     null_vectors,
     omega_critical,
     rate_verdict,
+    ring_pipeline,
     spectral_analysis,
     vertical_mode,
 )
@@ -42,9 +51,11 @@ LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 EQUAL = as_mass_triple((1.0, 1.0, 1.0))
 
 
+RING_EQUAL = ring_from_shape(shape_from_masses(EQUAL))
+
+
 def equal_mass_blocks():
-    ring = ring_from_shape(shape_from_masses(EQUAL))
-    return assemble_blocks(EQUAL.mass_vector(), ring)
+    return assemble_blocks(EQUAL.mass_vector(), RING_EQUAL)
 
 
 def assert_spectra_match(got, want, tol):
@@ -192,6 +203,14 @@ class TestSpectralAnalysis:
             closed = lambda1_closed_form(shape, triple)
             assert closed == pytest.approx(trace, rel=1e-11)
 
+    def test_vertical_mode_shares_the_spectra_error(self):
+        broken = LinearizationBlocks(EQUAL.mass_vector(), RING_EQUAL, np.eye(3), np.eye(3))
+        with pytest.raises(DegenerateSpectrum) as want:
+            spectral_analysis(broken)
+        with pytest.raises(DegenerateSpectrum) as got:
+            vertical_mode(broken)
+        assert str(got.value) == str(want.value)
+
     def test_vertical_mode_is_eigenvector(self):
         blocks = equal_mass_blocks()
         lam, u = vertical_mode(blocks)
@@ -276,6 +295,12 @@ class TestFlowMatrix:
         )
         with pytest.raises(PolarSingularity, match="body 1 at the polar guard"):
             assemble_L_general(MassVector((1.0, 1.0, 1.0)), state)
+
+    def test_general_body_count_has_the_shared_message(self):
+        state = relative_equilibrium(EQUAL.mass_vector(), RING_EQUAL, 0.3)
+        with pytest.raises(InvalidConfiguration) as info:
+            assemble_L_general(MassVector((1.0,) * 4), state)
+        assert str(info.value) == "mass count 4 does not match body count 3"
 
 
 class TestSkewProduct:
@@ -432,3 +457,19 @@ class TestRateIndependentCache:
             assert u.flags.writeable
             u[0] = 0.0
             assert vertical_mode(shared)[1].tobytes() == u_fresh.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.tuples(*[st.floats(0.01, 1.0)] * 3))
+def test_vertical_mode_is_the_top_eigenpair_of_a_fresh_solve(masses):
+    assume(is_admissible(*masses).admissible)
+    try:
+        blocks = ring_pipeline(masses)[3]
+    except NotAFixedPoint:
+        reject()
+    lams, vecs, _ = _mass_weighted_eigensolve(blocks.vertical, blocks.masses.array())
+    top = int(np.argmax(lams))
+    lam, u = vertical_mode(blocks)
+    assert np.float64(lam).tobytes() == lams[top].tobytes()
+    assert u.tobytes() == vecs[:, top].tobytes()
+    assert lam == spectral_analysis(blocks).lambda1
