@@ -1,4 +1,4 @@
-"""Fixed points and rotating rings of the curved n-body problem on the sphere."""
+"""Fixed points and rotating rings of the curved three-body problem on the sphere."""
 
 from .errors import (
     CurvedNBodyError,

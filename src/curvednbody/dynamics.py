@@ -1,12 +1,11 @@
-"""Hamiltonian dynamics of the curved n-body problem in spherical angles.
+"""Hamiltonian dynamics of the curved three-body problem in spherical angles.
 
 The flow is integrated in the chart (theta, phi, p_theta, p_phi) with the
 implicit midpoint rule as the reference integrator and an adaptive
 Runge-Kutta route for cross-checks.  Pair contributions to the longitude
 momenta cancel in exactly opposite floating-point pairs, so the total
 angular momentum about the polar axis is conserved to the iteration floor.
-The vector field of three bodies is straight-line code; a loop serves other
-n and is the bit-for-bit reference for it.
+The vector field is straight-line code over the three bodies' floats.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ from .errors import (
     StepFailure,
 )
 from .geometry import (
+    BODIES,
     EQUATOR,
     POLAR_TOL,
     SINE_RECHECK,
     MassVector,
     RingConfiguration,
-    _angle_gradient,
-    _check_count,
+    _check_bodies,
     _check_finite,
     _pair_guard,
     _pair_table,
@@ -57,10 +56,11 @@ GROWTH_MIN_POINTS = 8
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Phase point of the spherical chart.
+    """Phase point of the three bodies in the spherical chart.
 
     Longitudes are kept unreduced so trajectories can wind.  Construction
-    rejects colatitudes at the polar guard and singular pair separations.
+    rejects a block that does not hold three values, colatitudes at the
+    polar guard and singular pair separations.
     """
 
     thetas: tuple
@@ -73,10 +73,8 @@ class PhaseState:
         for name in ("thetas", "phis", "pthetas", "pphis"):
             vals = tuple(float(v) for v in getattr(self, name))
             _check_finite(name, vals)
+            _check_bodies(len(vals))
             fields[name] = vals
-        n = len(fields["thetas"])
-        if any(len(v) != n for v in fields.values()) or n < 2:
-            raise InvalidConfiguration("phase state blocks must share a length >= 2")
         st = [math.sin(t) for t in fields["thetas"]]
         if min(st) <= POLAR_TOL:
             raise _polar_error(st)
@@ -94,9 +92,9 @@ class PhaseState:
     @classmethod
     def from_vector(cls, vec) -> "PhaseState":
         v = [float(x) for x in vec]
-        if len(v) % 4 != 0:
-            raise InvalidConfiguration("phase vector length must be 4n")
-        n = len(v) // 4
+        n, rest = divmod(len(v), 4)
+        if rest:
+            raise InvalidConfiguration("phase vector length must be a multiple of 4")
         return cls(
             tuple(v[0:n]),
             tuple(v[n : 2 * n]),
@@ -109,7 +107,6 @@ def relative_equilibrium(
     masses: MassVector, ring: RingConfiguration, omega: float
 ) -> PhaseState:
     """Phase state of the ring rotating rigidly at the given rate."""
-    _check_count(masses, ring.n)
     return PhaseState(
         thetas=ring.thetas,
         phis=ring.phis,
@@ -118,41 +115,16 @@ def relative_equilibrium(
     )
 
 
-def _field_loop(masses: MassVector, omega: float):
-    """The vector field of ``make_field`` on lists of floats, for any n.
+def _field_kernel(masses: MassVector, omega: float):
+    """The vector field of ``make_field`` on lists of floats, list in, list out;
+    a rate that ``rate_square`` rejects raises InvalidConfiguration.
 
-    It is the reference that ``_field_three`` matches bit for bit.
+    The field is straight-line code over the 12 floats.  Its pair blocks come
+    in ``_pair_table``'s order (1,2), (1,3), (2,3) and each sum starts from
+    0.0, so it gives the bits and the errors of the loop over
+    ``_angle_gradient`` that ``tests/test_field_three.py`` keeps as its oracle.
     """
-    m = masses.masses
-    n = masses.n
-    om = float(omega)
-
-    def field(vals):
-        st, ct, sp, cp, xs, ys = _sphere_tables(vals[0:n], vals[n : 2 * n])
-        if min(st) <= POLAR_TOL:
-            raise _polar_error(st)
-        dth, dph = _angle_gradient(m, st, ct, sp, cp, xs, ys)
-        out = [0.0] * (4 * n)
-        for i in range(n):
-            s = st[i]
-            p = vals[3 * n + i]
-            ms2 = m[i] * (s * s)
-            out[i] = vals[2 * n + i] / m[i]
-            out[n + i] = p / ms2 - om
-            out[2 * n + i] = p * p * ct[i] / (ms2 * s) + dth[i]
-            out[3 * n + i] = dph[i]
-        return out
-
-    return field
-
-
-def _field_three(masses: MassVector, omega: float):
-    """``_field_loop`` for three bodies as straight-line code.
-
-    Every floating-point expression is the loop's, the pair blocks come in
-    the loop's order (1,2), (1,3), (2,3), and each sum starts from 0.0 as the
-    loop's accumulators do, so the output and the errors are the same bits.
-    """
+    rate_square(omega)
     m1, m2, m3 = masses.masses
     m12, m13, m23 = m1 * m2, m1 * m3, m2 * m3
     om = float(omega)
@@ -214,45 +186,38 @@ def _field_three(masses: MassVector, omega: float):
     return field
 
 
-def _field_kernel(masses: MassVector, omega: float):
-    """The vector field of ``make_field`` on lists of floats, list in, list out;
-    a rate that ``rate_square`` rejects raises InvalidConfiguration."""
-    rate_square(omega)
-    if masses.n == 3:
-        return _field_three(masses, omega)
-    return _field_loop(masses, omega)
-
-
 def make_field(masses: MassVector, omega: float = 0.0):
-    """Right-hand side of the equations of motion on flat 4n vectors.
+    """Right-hand side of the equations of motion on flat 12-vectors.
 
     ``omega`` is the rotation rate of the observing frame; it shifts the
     longitude velocities by a constant and nothing else.  The longitude
     momentum derivatives are accumulated as exactly opposite pairs.  A rate
-    that ``rate_square`` rejects or a state of the wrong size raises
-    InvalidConfiguration.
+    that ``rate_square`` rejects, or a state that ``_state_values`` rejects,
+    raises InvalidConfiguration.
     """
     kernel = _field_kernel(masses, omega)
-    return lambda x: np.array(kernel(_state_values(masses, x)))
+    return lambda x: np.array(kernel(_state_values(x)))
 
 
-def _state_values(masses: MassVector, state) -> list:
-    """A state's 4n values: a list as it is (``integrate`` samples are lists of
-    floats), a PhaseState or a vector as a new list; other sizes raise."""
+def _state_values(state) -> list:
+    """A state's 12 values: a list as it is (``integrate`` samples are lists of
+    floats), a PhaseState or a vector as a new list.  Another size, or an entry
+    that is nan or infinite, raises InvalidConfiguration."""
     if isinstance(state, PhaseState):
         state = state.as_vector()
     if not isinstance(state, list):
         x = np.asarray(state, float)
         state = x.tolist() if x.ndim == 1 else []  # other shapes fail the check
-    if len(state) != 4 * masses.n:
+    if len(state) != 4 * BODIES:
         raise InvalidConfiguration("state length does not match mass count")
+    _check_finite("state", state)
     return state
 
 
 def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     """Energy in a frame rotating at rate omega: kinetic + potential - omega J."""
     n = masses.n
-    vals = _state_values(masses, state)
+    vals = _state_values(state)
     m = masses.masses
     th = vals[0:n]
     ph = vals[n : 2 * n]
@@ -312,14 +277,13 @@ def integrate(
     """Integrate the equations of motion and collect conservation monitors.
 
     ``method`` selects the implicit midpoint reference integrator or the
-    adaptive "rk45" cross-check route.  An initial state of the wrong size or
-    not finite raises InvalidConfiguration.  Integration aborts with
-    StepFailure, carrying the time and the step index, when a step fails or a
-    recorded sample has a pair separation sine below the hard floor.
+    adaptive "rk45" cross-check route.  An initial state that ``_state_values``
+    rejects raises InvalidConfiguration.  Integration aborts with StepFailure,
+    carrying the time and the step index, when a step fails or a recorded
+    sample has a pair separation sine below the hard floor.
     """
-    x0 = [float(v) for v in _state_values(masses, initial)]
+    x0 = [float(v) for v in _state_values(initial)]
     n = masses.n
-    _check_finite("initial state", x0)
     if method not in ("midpoint", "rk45"):
         raise InvalidConfiguration("unknown integration method %r" % method)
     nsteps = step_count(horizon, step, record_stride)

@@ -1,4 +1,4 @@
-"""Equatorial fixed points: the n-body criterion and the 3-body mass-shape maps.
+"""Equatorial fixed points of three bodies: the criterion and the mass-shape maps.
 
 A ring's residual and both coupling blocks come from one pass over its pairs.
 """
@@ -24,7 +24,7 @@ from .geometry import (
     TWO_PI,
     MassVector,
     RingConfiguration,
-    _check_count,
+    _check_bodies,
     _pair_table,
 )
 
@@ -144,8 +144,7 @@ def as_mass_triple(masses) -> AdmissibleMassTriple:
     if isinstance(masses, MassVector):
         masses = masses.masses
     values = tuple(float(m) for m in masses)
-    if len(values) != 3:
-        raise InvalidConfiguration("expected exactly three masses")
+    _check_bodies(len(values))
     return AdmissibleMassTriple(*values)
 
 
@@ -158,7 +157,6 @@ def fixed_point_residual(masses: MassVector, config: RingConfiguration) -> np.nd
     """
     if not isinstance(config, RingConfiguration):
         raise InvalidConfiguration("fixed_point_residual expects a RingConfiguration")
-    _check_count(masses, config.n)
     return _ring_pass(masses.masses, config.longitudes)[0]
 
 
@@ -295,7 +293,7 @@ def solve_fixed_point_numeric(
     Parameters
     ----------
     masses : MassVector
-        Masses of the n >= 3 bodies.
+        Masses of the three bodies.
     initial : RingConfiguration
         Starting guess; the returned configuration keeps its first body at
         longitude zero.
@@ -306,7 +304,6 @@ def solve_fixed_point_numeric(
     The Jacobian is minus the tangential block with the pinned first row and
     column removed, from the pass over the pairs that gave the residual.
     """
-    _check_count(masses, initial.n)
     m = masses.masses
     phis = np.array(initial.longitudes)
     # the pair sums index plain float lists much faster than arrays

@@ -1,18 +1,22 @@
 """Spherical kinematics and the cotangent force function on the unit sphere.
 
-Bodies live on the unit sphere, parametrized by colatitude theta in (0, pi)
-and longitude phi.  The mutual potential of a pair is proportional to the
-cotangent of its geodesic separation, which blows up at collision and at
+Three bodies live on the unit sphere, parametrized by colatitude theta in
+(0, pi) and longitude phi.  The mutual potential of a pair is proportional to
+the cotangent of its geodesic separation, which blows up at collision and at
 antipodal alignment; both ends are guarded by a shared tolerance.  A ring's
 ``thetas`` are all ``EQUATOR`` and its ``phis`` are its longitudes, so
 ``to_cartesian``, ``force_function``, ``force_gradient`` and
 ``force_hessian_blocks`` take a ring, a ``SphereConfiguration`` or a
 ``PhaseState`` directly.
 
+The package solves the three-body problem only.  ``_check_bodies`` is the
+one body-count rule: every mass vector, configuration and phase state meets
+it on construction, so the functions that take them check no count.
+
 ``_pair_table`` is the one place that enumerates the pairs, computes each
 separation's cosine and sine and applies that guard; every pairwise sum of
 the package reads it.  The only pair code outside it is the three-body
-vector field of ``dynamics``, ``_field_three``, which writes its three
+vector field of ``dynamics``, ``_field_kernel``, which writes its three
 pairs out as straight-line code because it is the inner loop of the flow.
 Both compute sin d as sqrt(1 - cos^2 d) and hand a small one to
 ``_recheck_sine``, which recomputes it and raises the one message.
@@ -65,25 +69,25 @@ def _check_finite(name, values):
         raise InvalidConfiguration("%s contains a non-finite entry" % name)
 
 
-def _check_count(masses, n):
-    """Raise InvalidConfiguration unless ``masses`` holds ``n`` bodies."""
-    if masses.n != n:
-        raise InvalidConfiguration(
-            "mass count %d does not match body count %d" % (masses.n, n)
-        )
+BODIES = 3  # the body count of every mass vector, configuration and state
+
+
+def _check_bodies(count):
+    """Raise InvalidConfiguration unless ``count`` is ``BODIES``."""
+    if count != BODIES:
+        raise InvalidConfiguration("need exactly three bodies, got %d" % count)
 
 
 @dataclass(frozen=True)
 class MassVector:
-    """Positive finite masses of n >= 2 bodies."""
+    """Positive finite masses of the three bodies."""
 
     masses: tuple
 
     def __post_init__(self):
         values = tuple(float(m) for m in self.masses)
         object.__setattr__(self, "masses", values)
-        if len(values) < 2:
-            raise InvalidConfiguration("need at least two bodies, got %d" % len(values))
+        _check_bodies(len(values))
         for m in values:
             if not (m > 0.0) or not math.isfinite(m):
                 raise NonpositiveMass("masses must be positive, got %r" % (m,))
@@ -105,7 +109,7 @@ def _reduce_longitude(phi: float) -> float:
 
 @dataclass(frozen=True)
 class SphereConfiguration:
-    """Positions of n bodies on the unit sphere in spherical angles.
+    """Positions of the three bodies on the unit sphere in spherical angles.
 
     Longitudes are reduced mod 2*pi on construction.  Construction fails if
     an angle is not finite, any colatitude leaves (0, pi) or any pair
@@ -120,11 +124,9 @@ class SphereConfiguration:
         phis = tuple(float(p) for p in self.phis)
         _check_finite("thetas", thetas)
         _check_finite("phis", phis)
+        _check_bodies(len(thetas))
+        _check_bodies(len(phis))
         phis = tuple(map(_reduce_longitude, phis))
-        if len(thetas) != len(phis):
-            raise InvalidConfiguration("theta and phi counts differ")
-        if len(thetas) < 2:
-            raise InvalidConfiguration("need at least two bodies")
         for t in thetas:
             if not (0.0 < t < math.pi):
                 raise PolarSingularity("colatitude %.17g outside (0, pi)" % t)
@@ -139,20 +141,19 @@ class SphereConfiguration:
 
 @dataclass(frozen=True)
 class RingConfiguration:
-    """Bodies on the equator in canonical ring order.
+    """The three bodies on the equator in canonical ring order.
 
     The first longitude is rotated to zero and all angles reduced mod 2*pi.
     The longitudes must be finite.  The canonical order requires strictly
     increasing longitudes, consecutive gaps in (0, pi), and a wrap-around gap
-    exceeding pi, which forces n >= 3.
+    exceeding pi.
     """
 
     longitudes: tuple
 
     def __post_init__(self):
         raw = tuple(float(p) for p in self.longitudes)
-        if len(raw) < 3:
-            raise InvalidConfiguration("a ring needs at least three bodies")
+        _check_bodies(len(raw))
         _check_finite("longitudes", raw)
         base = raw[0]
         phis = tuple(_reduce_longitude(p - base) for p in raw)
@@ -183,7 +184,7 @@ class RingConfiguration:
 
 
 def to_cartesian(config) -> np.ndarray:
-    """Unit-sphere embedding of a configuration as an (n, 3) array."""
+    """Unit-sphere embedding of a configuration as a (3, 3) array, one row a body."""
     out = np.empty((config.n, 3))
     for i, (t, p) in enumerate(zip(config.thetas, config.phis)):
         st = math.sin(t)
@@ -286,7 +287,6 @@ def _pair_guard(thetas, phis, floor=SINGULAR_TOL):
 
 def force_function(masses: MassVector, config) -> float:
     """Value of the force function: the sum over pairs of m_i m_j cot(d_ij)."""
-    _check_count(masses, config.n)
     m = masses.masses
     _, ct, _, _, xs, ys = _sphere_tables(config.thetas, config.phis)
     total = 0.0
@@ -329,12 +329,11 @@ def force_gradient(masses: MassVector, config) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Length-2n vector: the n partials with respect to theta followed by
-        the n partials with respect to phi.  Pair contributions to the phi
+        Length-6 vector: the three partials with respect to theta followed
+        by the three partials with respect to phi.  Pair contributions to the phi
         block are accumulated with exactly opposite signs, so the phi block
         sums to zero to the last bit.
     """
-    _check_count(masses, config.n)
     tables = _sphere_tables(config.thetas, config.phis)
     dtheta, dphi = _angle_gradient(masses.masses, *tables)
     return np.array(dtheta + dphi)
@@ -347,12 +346,14 @@ def _dot(a, b):
 def force_hessian_blocks(masses: MassVector, config):
     """Second derivatives of the force function in spherical angles.
 
-    Returns the three n-by-n blocks (V_tt, V_tp, V_pp), where V_tt holds
+    Returns the three 3-by-3 blocks (V_tt, V_tp, V_pp), where V_tt holds
     d2V/dtheta_i dtheta_j, V_tp holds d2V/dtheta_i dphi_j, and V_pp holds
     d2V/dphi_i dphi_j.  The theta-phi block for swapped index order is the
-    transpose of V_tp.
+    transpose of V_tp.  ``config`` may be duck-typed (``assemble_L_general``
+    hands on any state with ``n``, ``thetas`` and ``phis``), so its body
+    count meets the one rule here.
     """
-    _check_count(masses, config.n)
+    _check_bodies(config.n)
     m = masses.masses
     n = config.n
     st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)

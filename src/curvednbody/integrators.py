@@ -5,12 +5,12 @@ state held as a list of floats and yields the recorded samples.  The full
 Hamiltonian is not separable, so its reference step is the implicit
 midpoint rule, ``midpoint_step``; for the 12 floats of a three-body state
 its iteration is straight-line code, bit-identical to the list loop that
-serves other lengths.  A run seeds each solve from its sixth step on with
-the quintic extrapolation of its last six states (``seeded_advance``),
-which costs no field evaluation and lands O(h^6) from the solution: at the
-steps this library takes that is inside the solve's tolerance, so one
-field evaluation usually ends the solve; for 12 floats the extrapolation
-is written out too.  The reduced Hamiltonian is separable, and its flow
+serves the reduced chart's 4 floats and numpy callers.  A run seeds each
+solve from its sixth step on with the quintic extrapolation of its last six
+states (``seeded_advance``), which costs no field evaluation and lands
+O(h^6) from the solution: at the steps this library takes that is inside
+the solve's tolerance, so one field evaluation usually ends the solve; for
+12 floats the extrapolation is written out too.  The reduced Hamiltonian is separable, and its flow
 defaults to an explicit fourth-order composition of leapfrog (Yoshida
 1990), whose coefficients are kept here and whose step ``reduction`` writes
 out; the midpoint rule stays available there as the cross-check.
@@ -178,10 +178,10 @@ def midpoint_step(field, x, h, guess=None):
 
     The iteration runs on lists of floats: ``field`` maps a list to a list.
     A list of 12 floats, the three-body state, takes ``_midpoint_twelve``,
-    the same iteration written out entry by entry; other lengths take the
-    loop.  A numpy vector ``x`` is served too, with a ``field`` on numpy
-    vectors, and the step then returns a numpy vector; the arithmetic is
-    the same.
+    the same iteration written out entry by entry; other lengths, the
+    reduced chart's 4 floats, take the loop.  A numpy vector ``x`` of any
+    length is served by the loop too, with a ``field`` on numpy vectors, and
+    the step then returns a numpy vector; the arithmetic is the same.
     """
     if guess is not None and len(guess) != len(x):
         raise InvalidConfiguration(
@@ -208,8 +208,8 @@ def _stall(delta, tol):
 
 
 def _midpoint_loop(field, x, h, tol, max_inner, guess=None):
-    """``midpoint_step`` on a list of any length; the reference for
-    ``_midpoint_twelve``."""
+    """``midpoint_step`` on a list of any length: the reduced chart's 4
+    floats and numpy callers, and the reference for ``_midpoint_twelve``."""
     mid = x
     try:
         y = [a + h * b for a, b in zip(x, field(x))] if guess is None else guess

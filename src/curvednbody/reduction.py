@@ -31,7 +31,7 @@ from .fixedpoints import (
     check_shape_mass_pair,
     shape_from_masses,
 )
-from .geometry import SINGULAR_TOL, MassVector, _check_count, _check_finite
+from .geometry import SINGULAR_TOL, MassVector, _check_finite
 from .integrators import (
     _YOSHIDA_DRIFTS,
     _YOSHIDA_KICKS,
@@ -46,8 +46,8 @@ from .integrators import (
 @dataclass(frozen=True)
 class JacobiConstants:
     """The three masses and the combinations of them entering the
-    symmetry-adapted angle coordinates; ``from_masses`` checks the masses as
-    MassVector does, and that there are three."""
+    symmetry-adapted angle coordinates; ``from_masses`` checks the masses
+    through MassVector."""
 
     masses: tuple
     mbar: float
@@ -60,7 +60,6 @@ class JacobiConstants:
     def from_masses(cls, masses) -> "JacobiConstants":
         masses = masses.as_tuple() if hasattr(masses, "as_tuple") else masses
         masses = masses if isinstance(masses, MassVector) else MassVector(masses)
-        _check_count(masses, 3)
         m1, m2, m3 = masses.masses
         mbar = m1 + m2 + m3
         m12 = m1 + m2

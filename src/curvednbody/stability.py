@@ -39,7 +39,6 @@ from .geometry import (
     POLAR_TOL,
     MassVector,
     RingConfiguration,
-    _check_count,
     _polar_error,
     force_hessian_blocks,
 )
@@ -56,7 +55,7 @@ class LinearizationBlocks:
     """Coupling matrices of the linearized flow at an equatorial fixed point.
 
     ``vertical`` couples colatitude perturbations, ``tangential`` couples
-    longitude perturbations; both are symmetric n-by-n.  ``mass_diagonal``
+    longitude perturbations; both are symmetric 3-by-3.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
     The arrays are read-only float copies, so what does not depend on the
     rotation rate (block spectra, lambda1, symmetry bases) is computed once
@@ -108,7 +107,6 @@ def assemble_blocks(
     comes from the same pass over the pairs as the blocks: a residual
     max-norm not below ``residual_tol``, nan too, raises NotAFixedPoint.
     """
-    _check_count(masses, ring.n)
     res, vertical, tangential = _ring_pass(masses.masses, ring.longitudes)
     worst = float(np.max(np.abs(res)))
     if not worst < residual_tol:
@@ -138,7 +136,7 @@ def null_structure_check(blocks: LinearizationBlocks) -> dict:
 
 
 def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndarray:
-    """Full 4n-by-4n linearized flow matrix at the rotating ring.
+    """Full 12-by-12 linearized flow matrix at the rotating ring.
 
     Coordinate order is (theta, phi, p_theta, p_phi).  The rotation enters
     only through the centrifugal shift of the vertical block.  A rate that
@@ -159,8 +157,8 @@ def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     """Linearized Hamiltonian flow at an arbitrary phase state.
 
     ``state`` needs ``n``, ``thetas``, ``phis``, ``pthetas`` and ``pphis``,
-    as a PhaseState has; ``force_hessian_blocks`` checks its body count, and
-    a colatitude at the polar guard raises PolarSingularity.  The coordinate
+    as a PhaseState has; ``force_hessian_blocks`` holds its body count to the
+    one rule, and a colatitude at the polar guard raises PolarSingularity.  The coordinate
     order of the output matches assemble_L_from_blocks.  A frame rotating at
     constant rate shifts the flow by a constant, so the same matrix is the
     Jacobian in every such frame.  At an equatorial fixed point with the
@@ -214,7 +212,7 @@ class StabilityReport:
     ``vertical_eigenvalues`` and ``tangential_eigenvalues`` list the spectra
     of the mass-weighted coupling blocks in ascending order.  ``lambda1`` is
     the single positive vertical eigenvalue whose square root separates the
-    unstable and stable rotation rates.  ``spectrum`` holds the 4n - 6
+    unstable and stable rotation rates.  ``spectrum`` holds the six
     eigenvalues of the linearized flow transverse to the symmetry modes.
     """
 
@@ -405,9 +403,9 @@ class InvariantSplitting:
     ``symmetry_basis`` spans the modes generated by the rotational
     symmetries and their momentum shifts (dimension 6); ``rotation_basis``
     is the 2-dimensional part from the rotation about the polar axis alone.
-    The complements are skew-orthogonal: ``transverse_basis`` (dimension
-    4n - 6) pairs to zero with every symmetry mode, ``reduced_basis``
-    (dimension 4n - 2) with the rotation modes.  Residuals measure how far
+    The complements are skew-orthogonal: ``transverse_basis`` (dimension 6)
+    pairs to zero with every symmetry mode, ``reduced_basis`` (dimension 10)
+    with the rotation modes.  Residuals measure how far
     the flow matrix is from leaving each subspace invariant.
     """
 

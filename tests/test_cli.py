@@ -900,6 +900,15 @@ class TestConfigAndErrors:
         code, _, _ = run_cli(["stability", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("masses", [[1, 1], [1, 1, 1, 1]], ids=["two", "four"])
+    def test_config_needs_three_masses(self, capsys, tmp_path, masses):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"masses": masses}))
+        code, out, err = run_cli(["stability", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --masses takes exactly three values\n"
+
     @pytest.mark.parametrize(
         "command, config, option",
         [

@@ -40,12 +40,17 @@ from curvednbody.stability import (
     vertical_mode,
 )
 
-from conftest import singular_pair
+from conftest import singular_pair, unchecked
 
 EQUAL = as_mass_triple((1.0, 1.0, 1.0))
 MV = EQUAL.mass_vector()
 RING = ring_from_shape(shape_from_masses(EQUAL))
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
+
+# equatorial bodies 1 and 2 close in on each other; body 3 rests off the equator
+CLOSING_PAIR = PhaseState(
+    (math.pi / 2, math.pi / 2, 0.6), (0.0, 0.5, 2.0), (0.0,) * 3, (0.4, -0.4, 0.0)
+)
 
 
 def random_state(rng, spread=0.3):
@@ -66,7 +71,8 @@ def random_state(rng, spread=0.3):
 
 class TestPhaseState:
     def test_vector_roundtrip(self):
-        state = PhaseState((1.0, 1.5), (0.2, 7.0), (0.1, -0.1), (0.3, 0.4))
+        state = PhaseState((1.0, 1.5, 2.0), (0.2, 7.0, 4.0), (0.1, -0.1, 0.2),
+                           (0.3, 0.4, -0.5))
         back = PhaseState.from_vector(state.as_vector())
         assert back == state
         # longitudes are not reduced, so winding survives
@@ -74,25 +80,25 @@ class TestPhaseState:
 
     def test_polar_guard(self):
         with pytest.raises(PolarSingularity):
-            PhaseState((1e-10, 1.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
+            PhaseState((1e-10, 1.0, 2.0), (0.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3)
 
     def test_singular_pair_rejected(self):
         with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
-            PhaseState((1.0, 1.0), (2.0, 2.0), (0.0, 0.0), (0.0, 0.0))
+            PhaseState((1.0, 1.0, 2.0), (2.0, 2.0, 4.0), (0.0,) * 3, (0.0,) * 3)
         with pytest.raises(
             SingularConfiguration, match=singular_pair(1, 2, "antipodal alignment")
         ):
             PhaseState(
-                (math.pi / 2, math.pi / 2), (0.0, math.pi), (0.0, 0.0), (0.0, 0.0)
+                (math.pi / 2, math.pi / 2, 1.0), (0.0, math.pi, 2.0), (0.0,) * 3, (0.0,) * 3
             )
 
     def test_size_checks(self):
         with pytest.raises(InvalidConfiguration):
             PhaseState((1.0,), (1.0,), (0.0,), (0.0,))
         with pytest.raises(InvalidConfiguration):
-            PhaseState((1.0, 1.0), (1.0,), (0.0, 0.0), (0.0, 0.0))
+            PhaseState((1.0, 1.0, 2.0), (1.0, 2.0), (0.0,) * 3, (0.0,) * 3)
         with pytest.raises(InvalidConfiguration):
-            PhaseState((1.0, math.inf), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
+            PhaseState((1.0, math.inf, 2.0), (0.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3)
         with pytest.raises(InvalidConfiguration):
             PhaseState.from_vector(np.zeros(10))
 
@@ -153,8 +159,9 @@ class TestField:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("shape", ["4n-1", "4n+1", "2x2n"])
     def test_wrong_state_shape_rejected(self, n, shape):
-        # for four bodies a 17-vector once gave 16 derivatives
-        field = make_field(MassVector((1.0,) * n), 0.3)
+        # sized from the state of n bodies; a four-body field once gave 16
+        # derivatives of a 17-vector
+        field = make_field(MV, 0.3)
         dims = {"4n-1": (4 * n - 1,), "4n+1": (4 * n + 1,), "2x2n": (2, 2 * n)}
         with pytest.raises(InvalidConfiguration, match="state length"):
             field(np.full(dims[shape], 0.5))
@@ -197,9 +204,8 @@ class TestHamiltonian:
         )
 
     def test_polar_guard(self):
-        mv = MassVector((1.0, 1.0))
         with pytest.raises(PolarSingularity, match="body 1 at the polar guard"):
-            hamiltonian(mv, [1e-12, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+            hamiltonian(MV, [1e-12, 1.0, 2.0, 0.0, 2.0, 4.0] + [0.0] * 6)
 
     def test_rotating_frame_subtracts_momentum(self, rng):
         state = random_state(rng)
@@ -277,12 +283,8 @@ class TestIntegrate:
         assert record.max_equator_deviation < 1e-11
 
     def test_collision_aborts_with_step_failure(self):
-        mv = MassVector((1.0, 1.0))
-        state = PhaseState(
-            (math.pi / 2, math.pi / 2), (0.0, 0.5), (0.0, 0.0), (0.4, -0.4)
-        )
         with pytest.raises(StepFailure) as info:
-            integrate(mv, state, horizon=5.0, step=1e-3)
+            integrate(MassVector((1.0,) * 3), CLOSING_PAIR, horizon=5.0, step=1e-3)
         assert info.value.time is not None
 
     def test_separation_floor_aborts_with_step_failure(self):
@@ -362,12 +364,8 @@ class TestIntegrate:
             assert got.energies.tobytes() == want.energies.tobytes()
 
     def test_step_failure_names_the_failing_step(self):
-        mv = MassVector((1.0, 1.0))
-        state = PhaseState(
-            (math.pi / 2, math.pi / 2), (0.0, 0.5), (0.0, 0.0), (0.4, -0.4)
-        )
         with pytest.raises(StepFailure) as info:
-            integrate(mv, state, horizon=5.0, step=1e-3)
+            integrate(MassVector((1.0,) * 3), CLOSING_PAIR, horizon=5.0, step=1e-3)
         assert info.value.step >= 1
         assert info.value.time == info.value.step * 1e-3
 
@@ -451,8 +449,10 @@ BAD_SIZES = {
     "4n+1": np.append(RING_STATE, 0.0),
     "2x2n": RING_STATE.reshape(2, 6),
     "list 4n-1": RING_STATE.tolist()[:-1],
-    "four-body PhaseState": PhaseState(
-        (1.5, 1.5, 1.5, 1.5), (0.0, 1.0, 2.0, 3.0), (0.0,) * 4, (0.0,) * 4
+    # a PhaseState holds three bodies, so this one skips its checks
+    "four-body PhaseState": unchecked(
+        PhaseState, thetas=(1.5,) * 4, phis=(0.0, 1.0, 2.0, 3.0), pthetas=(0.0,) * 4,
+        pphis=(0.0,) * 4,
     ),
 }
 
@@ -463,6 +463,20 @@ def test_state_size_has_one_message(run, size):
     with pytest.raises(InvalidConfiguration) as info:
         STATE_SIZE_RUNS[run](BAD_SIZES[size])
     assert str(info.value) == "state length does not match mass count"
+
+
+@pytest.mark.parametrize("run", STATE_SIZE_RUNS)
+@pytest.mark.parametrize("entry", [0, 9], ids=["theta1", "pphi1"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=repr)
+def test_non_finite_state_has_one_message(run, entry, bad):
+    # the field and the energy once let math.sin(inf)'s bare ValueError out
+    # and returned nan for a nan angle
+    x = RING_STATE.copy()
+    x[entry] = bad
+    for state in (x, x.tolist()):
+        with pytest.raises(InvalidConfiguration) as info:
+            STATE_SIZE_RUNS[run](state)
+        assert str(info.value) == "state contains a non-finite entry"
 
 
 @pytest.mark.parametrize("run", RATE_RUNS)

@@ -202,12 +202,6 @@ class TestResidual:
         res = fixed_point_residual(triple.mass_vector(), ring)
         assert np.max(np.abs(res)) > 1e-6
 
-    def test_regular_pentagon(self):
-        mv = MassVector(tuple(1.0 for _ in range(5)))
-        ring = RingConfiguration(tuple(2 * math.pi * k / 5 for k in range(5)))
-        res = fixed_point_residual(mv, ring)
-        assert np.max(np.abs(res)) < 1e-13
-
     def test_type_checks(self):
         mv = MassVector((1.0, 1.0, 1.0))
         with pytest.raises(InvalidConfiguration):
@@ -249,15 +243,6 @@ class TestNewtonSolver:
             assert max(
                 abs(a - b) for a, b in zip(solved.longitudes, target.longitudes)
             ) < 1e-8
-
-    def test_pentagon_recovered(self):
-        mv = MassVector(tuple(1.0 for _ in range(5)))
-        regular = tuple(2 * math.pi * k / 5 for k in range(5))
-        start = RingConfiguration(
-            tuple(p + d for p, d in zip(regular, (0.0, 0.03, -0.02, 0.04, -0.03)))
-        )
-        solved = solve_fixed_point_numeric(mv, start)
-        assert max(abs(a - b) for a, b in zip(solved.longitudes, regular)) < 1e-9
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(fixedpoints, "NEWTON_MAX_ITERATIONS", 0)

