@@ -138,8 +138,12 @@ def test_strategy_reaches_every_branch():
     assert sum(oks) >= len(oks) // 3
 
 
-def test_field_is_the_symplectic_gradient_of_the_frame_energy(rng):
-    mv = MassVector((1.0, 1.25, 1.5))
+@pytest.mark.parametrize(
+    "mv",
+    [MassVector((1.0, 1.25, 1.5)), MASSES[2]],
+    ids=["graded", "disparate"],
+)
+def test_field_is_the_symplectic_gradient_of_the_frame_energy(mv, rng):
     field = dynamics._field_kernel(mv, 0.3)
     for _ in range(5):
         x = np.concatenate(
