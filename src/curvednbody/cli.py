@@ -511,8 +511,16 @@ def _simulate(opts) -> int:
                 record_stride=opts["record_stride"],
             )
         except NoGrowthWindow as exc:
+            # a run too short to grow says so unless the rate is stable
+            lam1 = stability.vertical_mode(blocks)[0]
+            verdict, exponent = stability.rate_verdict(omega, lam1)
             doc.section("growth")
-            doc.line("outcome", "consistent-with-stable")
+            if verdict == stability.VERDICT_STABLE:
+                doc.line("outcome", "consistent-with-stable")
+            else:
+                doc.line("outcome", "no-growth-window")
+                if exponent > 0.0:
+                    doc.line("expected_rate", exponent)
             doc.line("max_deviation", exc.max_deviation)
             doc.line("amplitude", amplitude)
             _emit(opts, doc)

@@ -5,7 +5,8 @@ implicit midpoint rule as the reference integrator and an adaptive
 Runge-Kutta route for cross-checks.  Pair contributions to the longitude
 momenta cancel in exactly opposite floating-point pairs, so the total
 angular momentum about the polar axis is conserved to the iteration floor.
-The vector field is straight-line code over the three bodies' floats.
+The vector field and the frame energy are straight-line code over the
+three bodies' floats.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .geometry import (
     _check_bodies,
     _check_finite,
     _pair_guard,
-    _pair_table,
+    _pair_sine,
     _polar_error,
     _recheck_sine,
-    _sphere_tables,
 )
 from .integrators import (
     SEPARATION_FLOOR,
@@ -136,7 +136,8 @@ def _field_kernel(masses: MassVector, omega: float):
         c1, c2, c3 = cos(th1), cos(th2), cos(th3)
         sp1, sp2, sp3 = sin(ph1), sin(ph2), sin(ph3)
         cp1, cp2, cp3 = cos(ph1), cos(ph2), cos(ph3)
-        if min(s1, s2, s3) <= POLAR_TOL:
+        lo = s2 if s2 < s1 else s1
+        if (s3 if s3 < lo else lo) <= POLAR_TOL:  # min(s1, s2, s3)
             raise _polar_error((s1, s2, s3))
         x1, x2, x3 = s1 * cp1, s2 * cp2, s3 * cp3
         y1, y2, y3 = s1 * sp1, s2 * sp2, s3 * sp3
@@ -144,7 +145,8 @@ def _field_kernel(masses: MassVector, omega: float):
         v1, v2, v3 = c1 * sp1, c2 * sp2, c3 * sp3
         # pairs (1,2), (1,3), (2,3): g sums the theta partials, h the phi ones
         c = x1 * x2 + y1 * y2 + c1 * c2
-        s = sqrt(max(1.0 - c * c, 0.0))
+        d = 1.0 - c * c
+        s = 0.0 if 0.0 > d else sqrt(d)  # sqrt(max(d, 0.0))
         if s < SINE_RECHECK:
             s = _recheck_sine(0, 1, c, (x1, x2, x3), (y1, y2, y3), (c1, c2, c3))
         f = m12 / (s * s * s)
@@ -154,7 +156,8 @@ def _field_kernel(masses: MassVector, omega: float):
         h1, h2 = 0.0 + b, 0.0 - b
 
         c = x1 * x3 + y1 * y3 + c1 * c3
-        s = sqrt(max(1.0 - c * c, 0.0))
+        d = 1.0 - c * c
+        s = 0.0 if 0.0 > d else sqrt(d)  # sqrt(max(d, 0.0))
         if s < SINE_RECHECK:
             s = _recheck_sine(0, 2, c, (x1, x2, x3), (y1, y2, y3), (c1, c2, c3))
         f = m13 / (s * s * s)
@@ -164,7 +167,8 @@ def _field_kernel(masses: MassVector, omega: float):
         h1, h3 = h1 + b, 0.0 - b
 
         c = x2 * x3 + y2 * y3 + c2 * c3
-        s = sqrt(max(1.0 - c * c, 0.0))
+        d = 1.0 - c * c
+        s = 0.0 if 0.0 > d else sqrt(d)  # sqrt(max(d, 0.0))
         if s < SINE_RECHECK:
             s = _recheck_sine(1, 2, c, (x1, x2, x3), (y1, y2, y3), (c1, c2, c3))
         f = m23 / (s * s * s)
@@ -215,25 +219,31 @@ def _state_values(state) -> list:
 
 
 def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
-    """Energy in a frame rotating at rate omega: kinetic + potential - omega J."""
-    n = masses.n
+    """Energy in a frame rotating at rate omega: kinetic + potential - omega J,
+    written out over the three bodies with ``_pair_table``'s pair order."""
     vals = _state_values(state)
-    m = masses.masses
-    th = vals[0:n]
-    ph = vals[n : 2 * n]
-    pt = vals[2 * n : 3 * n]
-    pf = vals[3 * n : 4 * n]
-    st, ct, _, _, xs, ys = _sphere_tables(th, ph)
-    if any(s <= POLAR_TOL for s in st):
-        raise _polar_error(st)
-    total = 0.0
-    for i in range(n):
-        s2 = st[i] * st[i]
-        total += pt[i] * pt[i] / (2.0 * m[i]) + pf[i] * pf[i] / (2.0 * m[i] * s2)
-    for i, j, cosd, sind in _pair_table(xs, ys, ct):
-        total -= m[i] * m[j] * cosd / sind
+    th1, th2, th3, ph1, ph2, ph3, pt1, pt2, pt3, pf1, pf2, pf3 = vals
+    m1, m2, m3 = masses.masses
+    sin, cos = math.sin, math.cos
+    s1, s2, s3 = sin(th1), sin(th2), sin(th3)
+    if s1 <= POLAR_TOL or s2 <= POLAR_TOL or s3 <= POLAR_TOL:
+        raise _polar_error((s1, s2, s3))
+    zs = z1, z2, z3 = cos(th1), cos(th2), cos(th3)
+    xs = x1, x2, x3 = s1 * cos(ph1), s2 * cos(ph2), s3 * cos(ph3)
+    ys = y1, y2, y3 = s1 * sin(ph1), s2 * sin(ph2), s3 * sin(ph3)
+    total = (
+        pt1 * pt1 / (2.0 * m1) + pf1 * pf1 / (2.0 * m1 * (s1 * s1))
+        + (pt2 * pt2 / (2.0 * m2) + pf2 * pf2 / (2.0 * m2 * (s2 * s2)))
+        + (pt3 * pt3 / (2.0 * m3) + pf3 * pf3 / (2.0 * m3 * (s3 * s3)))
+    )
+    c = x1 * x2 + y1 * y2 + z1 * z2
+    total -= m1 * m2 * c / _pair_sine(0, 1, c, xs, ys, zs)
+    c = x1 * x3 + y1 * y3 + z1 * z3
+    total -= m1 * m3 * c / _pair_sine(0, 2, c, xs, ys, zs)
+    c = x2 * x3 + y2 * y3 + z2 * z3
+    total -= m2 * m3 * c / _pair_sine(1, 2, c, xs, ys, zs)
     if omega != 0.0:
-        total -= omega * sum(pf)
+        total -= omega * sum(vals[9:])
     return total
 
 
@@ -280,7 +290,8 @@ def integrate(
     adaptive "rk45" cross-check route.  An initial state that ``_state_values``
     rejects raises InvalidConfiguration.  Integration aborts with StepFailure,
     carrying the time and the step index, when a step fails or a recorded
-    sample has a pair separation sine below the hard floor.
+    sample has a pair separation sine below the hard floor; an rk45 run
+    also aborts, carrying the time, past its field-evaluation budget.
     """
     x0 = [float(v) for v in _state_values(initial)]
     n = masses.n
@@ -293,7 +304,7 @@ def integrate(
         if not t_record or t_record[-1] < nsteps * step:
             t_record.append(nsteps * step)
         ts, xs = rk45_solve(
-            make_field(masses, omega), x0, nsteps * step, t_eval=np.array(t_record)
+            make_field(masses, omega), x0, nsteps * step, nsteps, np.array(t_record)
         )
         samples = [(0.0, x0)]
         samples.extend((float(t), x.tolist()) for t, x in zip(ts, xs))

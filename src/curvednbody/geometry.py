@@ -15,11 +15,15 @@ it on construction, so the functions that take them check no count.
 
 ``_pair_table`` is the one place that enumerates the pairs, computes each
 separation's cosine and sine and applies that guard; every pairwise sum of
-the package reads it.  The only pair code outside it is the three-body
-vector field of ``dynamics``, ``_field_kernel``, which writes its three
-pairs out as straight-line code because it is the inner loop of the flow.
-Both compute sin d as sqrt(1 - cos^2 d) and hand a small one to
-``_recheck_sine``, which recomputes it and raises the one message.
+the package reads it.  The only pair code outside it writes the three pairs
+out as straight-line code because it runs once per field evaluation or per
+recorded sample: the vector field ``dynamics._field_kernel``, the frame
+energy ``dynamics.hamiltonian`` and the guard ``_pair_guard``.  All of them
+compute sin d as sqrt(1 - cos^2 d) and hand a small one to
+``_recheck_sine``, which recomputes it and raises the one message; apart
+from the field, they take that rule from ``_pair_sine``.  These inner loops
+spell builtin ``min`` and ``max`` out as comparisons, which keep the
+builtins' first-of-equal and nan behaviour and cost no call.
 """
 
 from __future__ import annotations
@@ -253,6 +257,18 @@ def _recheck_sine(i, j, cosd, xs, ys, zs, phis=None, floor=SINGULAR_TOL):
     return sind
 
 
+def _pair_sine(i, j, cosd, xs, ys, zs, phis=None, floor=SINGULAR_TOL):
+    """sin d of bodies i and j from cos d: sqrt(max(1 - cos^2 d, 0)), taken
+    again by ``_recheck_sine`` below SINE_RECHECK; at or below ``floor`` it raises."""
+    d = 1.0 - cosd * cosd
+    sind = 0.0 if 0.0 > d else math.sqrt(d)
+    if sind < SINE_RECHECK:
+        return _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor)
+    if sind <= floor:
+        raise _singular_pair(i, j, cosd, sind)
+    return sind
+
+
 def _pair_table(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
     """Every pair i < j as (i, j, cos d, sin d), in order.
 
@@ -270,19 +286,24 @@ def _pair_table(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
                 cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
             else:
                 cosd = math.cos(phis[i] - phis[j])
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind < SINE_RECHECK:
-                sind = _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor)
-            elif sind <= floor:
-                raise _singular_pair(i, j, cosd, sind)
-            table.append((i, j, cosd, sind))
+            table.append((i, j, cosd, _pair_sine(i, j, cosd, xs, ys, zs, phis, floor)))
     return table
 
 
 def _pair_guard(thetas, phis, floor=SINGULAR_TOL):
-    """Smallest pair separation sine; a sine at or below ``floor`` raises."""
-    _, ct, _, _, xs, ys = _sphere_tables(thetas, phis)
-    return min(sind for _, _, _, sind in _pair_table(xs, ys, ct, floor=floor))
+    """Smallest pair separation sine; a sine at or below ``floor`` raises.
+    ``_pair_table``'s Cartesian pairs written out: the same order and bits."""
+    (t1, t2, t3), (p1, p2, p3) = thetas, phis
+    sin, cos = math.sin, math.cos
+    s1, s2, s3 = sin(t1), sin(t2), sin(t3)
+    zs = z1, z2, z3 = cos(t1), cos(t2), cos(t3)
+    xs = x1, x2, x3 = s1 * cos(p1), s2 * cos(p2), s3 * cos(p3)
+    ys = y1, y2, y3 = s1 * sin(p1), s2 * sin(p2), s3 * sin(p3)
+    a = _pair_sine(0, 1, x1 * x2 + y1 * y2 + z1 * z2, xs, ys, zs, floor=floor)
+    b = _pair_sine(0, 2, x1 * x3 + y1 * y3 + z1 * z3, xs, ys, zs, floor=floor)
+    c = _pair_sine(1, 2, x2 * x3 + y2 * y3 + z2 * z3, xs, ys, zs, floor=floor)
+    lo = b if b < a else a  # min(a, b, c), first of equal values
+    return c if c < lo else lo
 
 
 def force_function(masses: MassVector, config) -> float:

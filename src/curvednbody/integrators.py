@@ -5,17 +5,20 @@ state held as a list of floats and yields the recorded samples.  The full
 Hamiltonian is not separable, so its reference step is the implicit
 midpoint rule, ``midpoint_step``; for the 12 floats of a three-body state
 its iteration is straight-line code, bit-identical to the list loop that
-serves the reduced chart's 4 floats and numpy callers.  A run seeds each
-solve from its sixth step on with the quintic extrapolation of its last six
-states (``seeded_advance``), which costs no field evaluation and lands
-O(h^6) from the solution: at the steps this library takes that is inside
-the solve's tolerance, so one field evaluation usually ends the solve; for
-12 floats the extrapolation is written out too.  The reduced Hamiltonian is separable, and its flow
-defaults to an explicit fourth-order composition of leapfrog (Yoshida
-1990), whose coefficients are kept here and whose step ``reduction`` writes
-out; the midpoint rule stays available there as the cross-check.
+serves the reduced chart's 4 floats and numpy callers, with its
+convergence test written as comparisons rather than builtin ``max`` over
+``abs``.  A run seeds each solve from its sixth step on with the quintic
+extrapolation of its last six states (``seeded_advance``), which costs no
+field evaluation and lands O(h^6) from the solution: at the steps this
+library takes that is inside the solve's tolerance, so one field evaluation
+usually ends the solve; for 12 floats the extrapolation is written out too.
+The reduced Hamiltonian is separable, and its flow defaults to an explicit
+fourth-order composition of leapfrog (Yoshida 1990), whose coefficients are
+kept here and whose step ``reduction`` writes out; the midpoint rule stays
+available there as the cross-check.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
-independent cross-check route for the full system.
+independent cross-check route for the full system; its field evaluations
+are bounded by ``RK45_EVALS_PER_STEP`` per fixed step of the run.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_INNER = 50
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
+# Field evaluations an adaptive run may take per fixed step of the run it
+# stands in for: at a huge rate it accepts steps that move no coordinate.
+RK45_EVALS_PER_STEP = 100
 
 # Integration aborts when a pair separation sine falls below this.
 SEPARATION_FLOOR = 1e-6
@@ -187,6 +193,8 @@ def midpoint_step(field, x, h, guess=None):
         raise InvalidConfiguration(
             "guess has %d entries, the state %d" % (len(guess), len(x))
         )
+    if type(x) is list and len(x) == 12:
+        return _midpoint_twelve(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess)
     if isinstance(x, np.ndarray):
 
         def list_field(v):
@@ -196,8 +204,6 @@ def midpoint_step(field, x, h, guess=None):
             list_field, x.tolist(), h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess
         )
         return np.array(y)
-    if len(x) == 12:
-        return _midpoint_twelve(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess)
     return _midpoint_loop(field, x, h, MIDPOINT_TOL, MIDPOINT_MAX_INNER, guess)
 
 
@@ -232,9 +238,9 @@ def _midpoint_loop(field, x, h, tol, max_inner, guess=None):
 def _midpoint_twelve(field, x, h, tol, max_inner, guess=None):
     """``_midpoint_loop`` for 12 entries as straight-line code over floats.
 
-    Every floating-point expression is the loop's and the update norm is
-    builtin ``max`` over the entries in order, which keeps the loop's first
-    of equal (or nan) values, so the result and the errors are the same bits.
+    Every floating-point expression is the loop's; the convergence test reads
+    the updates as builtin ``max`` does and the stall message takes ``max``, so
+    the result and the errors are the same bits.
     """
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 = x
     mid = x
@@ -247,6 +253,7 @@ def _midpoint_twelve(field, x, h, tol, max_inner, guess=None):
         else:
             y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11 = guess
         delta = math.inf
+        lo = -tol
         for _ in range(max_inner):
             mid = [
                 0.5 * (x0 + y0), 0.5 * (x1 + y1), 0.5 * (x2 + y2),
@@ -258,15 +265,32 @@ def _midpoint_twelve(field, x, h, tol, max_inner, guess=None):
             n0, n1, n2, n3 = x0 + h * f0, x1 + h * f1, x2 + h * f2, x3 + h * f3
             n4, n5, n6, n7 = x4 + h * f4, x5 + h * f5, x6 + h * f6, x7 + h * f7
             n8, n9, n10, n11 = x8 + h * f8, x9 + h * f9, x10 + h * f10, x11 + h * f11
+            d0, d1, d2, d3 = n0 - y0, n1 - y1, n2 - y2, n3 - y3
+            d4, d5, d6, d7 = n4 - y4, n5 - y5, n6 - y6, n7 - y7
+            d8, d9, d10, d11 = n8 - y8, n9 - y9, n10 - y10, n11 - y11
+            # max(|d|) <= tol as builtin max reads it (a nan first entry
+            # fails, a later nan is passed over), then sum(n) is finite
+            if (
+                lo <= d0 <= tol
+                and not (lo > d1 or d1 > tol)
+                and not (lo > d2 or d2 > tol)
+                and not (lo > d3 or d3 > tol)
+                and not (lo > d4 or d4 > tol)
+                and not (lo > d5 or d5 > tol)
+                and not (lo > d6 or d6 > tol)
+                and not (lo > d7 or d7 > tol)
+                and not (lo > d8 or d8 > tol)
+                and not (lo > d9 or d9 > tol)
+                and not (lo > d10 or d10 > tol)
+                and not (lo > d11 or d11 > tol)
+                and math.isfinite(n0 + n1 + n2 + n3 + n4 + n5 + n6 + n7
+                                  + n8 + n9 + n10 + n11)
+            ):
+                return [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11]
             delta = max(
-                abs(n0 - y0), abs(n1 - y1), abs(n2 - y2), abs(n3 - y3),
-                abs(n4 - y4), abs(n5 - y5), abs(n6 - y6), abs(n7 - y7),
-                abs(n8 - y8), abs(n9 - y9), abs(n10 - y10), abs(n11 - y11),
+                abs(d0), abs(d1), abs(d2), abs(d3), abs(d4), abs(d5),
+                abs(d6), abs(d7), abs(d8), abs(d9), abs(d10), abs(d11),
             )
-            if delta <= tol:
-                y_next = [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11]
-                if math.isfinite(sum(y_next)):
-                    return y_next
             y0, y1, y2, y3, y4, y5 = n0, n1, n2, n3, n4, n5
             y6, y7, y8, y9, y10, y11 = n6, n7, n8, n9, n10, n11
     except ValueError:
@@ -286,15 +310,28 @@ _YOSHIDA_KICKS = (_W1, _W0, _W1)
 _YOSHIDA_DRIFTS = (_W1 / 2, (_W0 + _W1) / 2, (_W0 + _W1) / 2, _W1 / 2)
 
 
-def rk45_solve(field, x0, t_final, t_eval=None):
+def rk45_solve(field, x0, t_final, nsteps, t_eval=None):
     """Adaptive Dormand-Prince 5(4) integration via scipy, as a cross-check.
 
-    Returns (times, states) with states stacked row-wise; a state that is not
-    finite ends the run with StepFailure, carrying the time.
+    Returns (times, states) with states stacked row-wise.  A state that is
+    not finite, or a field evaluation past ``RK45_EVALS_PER_STEP`` times
+    ``nsteps``, the fixed step count of the run, ends the run with
+    StepFailure, carrying the time.
     """
     from scipy.integrate import solve_ivp
 
+    budget = RK45_EVALS_PER_STEP * nsteps
+    evals = 0
+
     def rhs(t, y):
+        nonlocal evals
+        evals += 1
+        if evals > budget:
+            raise StepFailure(
+                "adaptive integration passed %d field evaluations (%d per fixed"
+                " step) at t = %.3g" % (budget, RK45_EVALS_PER_STEP, t),
+                time=float(t),
+            )
         if not np.isfinite(y).all():
             raise StepFailure("adaptive integration state is not finite", time=float(t))
         return field(y)

@@ -424,6 +424,28 @@ class TestSimulate:
         assert float(report["growth.max_deviation"]) < 1e-4
         assert "[growth]" in out_file.read_text()
 
+    @pytest.mark.parametrize(
+        "masses, omega",
+        [(("0.2", "0.5", "0.3"), "0.77"), (("1", "1", "1"), "0")],
+        ids=["subcritical", "fixed-point"],
+    )
+    def test_growth_mode_too_short_to_grow_is_no_window(self, capsys, masses, omega):
+        # an unstable rate whose deviation never reaches the fit window is
+        # not evidence of stability: the report says so and gives the rate
+        # the run would have measured
+        argv = ["simulate", "--masses", *masses, "--omega", omega, "--mode",
+                "growth", "--horizon", "2", "--step", "0.01"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        report = parse_report(out)
+        assert report["growth.outcome"] == "no-growth-window"
+        blocks = stability.ring_pipeline(tuple(map(float, masses)))[3]
+        lam1 = stability.vertical_mode(blocks)[0]
+        expected = math.sqrt(lam1 - float(omega) ** 2)
+        assert float(report["growth.expected_rate"]) == expected
+        # the seeded unstable mode has grown, if not into the window
+        assert float(report["growth.max_deviation"]) > float(report["growth.amplitude"])
+
     def test_growth_mode_assembles_once_with_the_residual_override(
         self, capsys, monkeypatch
     ):
@@ -513,6 +535,21 @@ class TestSimulate:
         assert err == "error: %s; omega*h = %g is at least 1, try a smaller --step\n" % (
             cause,
             omega_h,
+        )
+
+    def test_rk45_run_that_cannot_advance_exits_3(self, capsys):
+        # at this rate RK45 accepts steps that move no coordinate, and the
+        # field-evaluation budget ends the run; scipy's first-step estimate
+        # overflows on the way, which numpy reports as a RuntimeWarning (an
+        # error under this suite's filters), so the run ignores those warnings
+        argv = ["simulate", "--masses", "1", "1", "1", "--omega", "1e150",
+                "--method", "rk45", "--horizon", "0.01"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "error: adaptive integration passed 1000 field evaluations"
+            " (100 per fixed step) at t = "
         )
 
     @pytest.mark.parametrize(

@@ -351,6 +351,22 @@ class TestIntegrate:
         assert str(info.value) == "adaptive integration state is not finite"
         assert 0.0 <= info.value.time <= 0.01
 
+    def test_rk45_run_that_cannot_advance_ends_at_its_budget(self):
+        # at this rate RK45 accepts steps too small to move any coordinate
+        # and, unbounded, never returned; scipy's first-step estimate
+        # overflows first (numpy warns), as in the test above
+        omega = 1e150
+        start = relative_equilibrium(MV, RING, omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailure) as info:
+                integrate(MV, start, horizon=0.01, step=1e-3, omega=omega, method="rk45")
+        budget = integrators.RK45_EVALS_PER_STEP * 10
+        assert str(info.value) == (
+            "adaptive integration passed %d field evaluations (%d per fixed step)"
+            " at t = %.3g" % (budget, integrators.RK45_EVALS_PER_STEP, info.value.time)
+        )
+        assert 0.0 <= info.value.time < 0.01
+
     def test_list_start_is_read_as_floats(self):
         x0 = relative_equilibrium(MV, RING, 0.0).as_vector()
         x0[0] += 1e-3

@@ -3,8 +3,9 @@
 ``integrators._midpoint_twelve`` must give ``integrators._midpoint_loop``'s
 result bit for bit and raise what the loop raises, with the same message:
 on ordinary and near-polar three-body states, on fields whose iteration
-diverges, on stalls, on non-finite iterates and for ``max_inner`` at or
-below zero, from the Euler predictor and from a given first iterate.
+diverges, on stalls, on non-finite iterates, on updates with a nan in one entry and
+for ``max_inner`` at or below zero, from the Euler predictor and from a
+given first iterate.
 The reduced flow's Yoshida-4 step must do the same against the loop form of
 the composition kept here as the reference.  The quintic seed of 12 floats,
 ``integrators._quintic_twelve``, must give ``integrators._quintic``'s bits,
@@ -279,6 +280,30 @@ def test_twelve_floats_take_the_straight_line_step(monkeypatch):
     integrators.midpoint_step(lambda v: v, [0.0] * 4, 1e-3)
     integrators.midpoint_step(lambda v: v, np.zeros(12), 1e-3)
     assert len(taken) == 1
+
+
+@pytest.mark.parametrize("slot", range(12))
+def test_a_nan_update_is_read_as_max_reads_it(slot):
+    # a first iterate with a nan in one entry and a field that ignores it:
+    # builtin max keeps a nan first entry and passes over a later one, so
+    # one iteration stalls on the first slot and ends the step on the others
+    x = [0.5] * 12
+    guess = list(x)
+    guess[slot] = math.nan
+    got = assert_same_step(lambda v: [0.0] * 12, x, 1e-3, max_inner=1, guess=guess)
+    if slot == 0:
+        message = "implicit midpoint solve stalled (last update nan, tol 1e-13)"
+        assert got == (StepFailure, message)
+    else:
+        assert got == [v.hex() for v in x]
+
+
+@pytest.mark.parametrize("k, h", [(40.0, 1.0), (1e7, 1e-3), (5.0, 1.0)])
+def test_a_stall_gives_the_loop_message(k, h):
+    # a diverging iteration ends with the last update the loop reports
+    got = assert_same_step(stiff_field(k, None), [0.3, -1.2, 2.5] * 4, h)
+    assert got[0] is StepFailure
+    assert got[1].startswith("implicit midpoint solve stalled (last update ")
 
 
 def test_value_error_on_a_finite_iterate_propagates():
