@@ -512,15 +512,13 @@ def _simulate(opts) -> int:
             )
         except NoGrowthWindow as exc:
             # a run too short to grow says so unless the rate is stable
-            lam1 = stability.vertical_mode(blocks)[0]
-            verdict, exponent = stability.rate_verdict(omega, lam1)
             doc.section("growth")
-            if verdict == stability.VERDICT_STABLE:
+            if exc.verdict == stability.VERDICT_STABLE:
                 doc.line("outcome", "consistent-with-stable")
             else:
                 doc.line("outcome", "no-growth-window")
-                if exponent > 0.0:
-                    doc.line("expected_rate", exponent)
+                if exc.expected_rate is not None:
+                    doc.line("expected_rate", exc.expected_rate)
             doc.line("max_deviation", exc.max_deviation)
             doc.line("amplitude", amplitude)
             _emit(opts, doc)

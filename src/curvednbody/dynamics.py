@@ -291,7 +291,8 @@ def integrate(
     rejects raises InvalidConfiguration.  Integration aborts with StepFailure,
     carrying the time and the step index, when a step fails or a recorded
     sample has a pair separation sine below the hard floor; an rk45 run
-    also aborts, carrying the time, past its field-evaluation budget.
+    also aborts, carrying the time, when its pace needs more field
+    evaluations than ``RK45_MAX_EVALS``.
     """
     x0 = [float(v) for v in _state_values(initial)]
     n = masses.n
@@ -304,7 +305,7 @@ def integrate(
         if not t_record or t_record[-1] < nsteps * step:
             t_record.append(nsteps * step)
         ts, xs = rk45_solve(
-            make_field(masses, omega), x0, nsteps * step, nsteps, np.array(t_record)
+            make_field(masses, omega), x0, nsteps * step, t_eval=np.array(t_record)
         )
         samples = [(0.0, x0)]
         samples.extend((float(t), x.tolist()) for t, x in zip(ts, xs))
@@ -391,8 +392,9 @@ def growth_rate_experiment(
     ``GROWTH_CEILING``, where growth is linear before nonlinear saturation;
     the run stops once a deviation passes twice the ceiling.  Fewer than
     ``GROWTH_MIN_POINTS`` samples in the window raises NoGrowthWindow, the
-    expected outcome at supercritical rates.  An amplitude that is not finite
-    and positive raises InvalidConfiguration.
+    expected outcome at supercritical rates, carrying the rate's verdict and
+    expected rate.  An amplitude that is not finite and positive raises
+    InvalidConfiguration.
     """
     if not math.isfinite(amplitude):
         raise InvalidConfiguration("amplitude %r is not finite" % (amplitude,))
@@ -404,7 +406,7 @@ def growth_rate_experiment(
         blocks = ring_pipeline(masses)[3]
     mv, ring = blocks.masses, blocks.ring
     lam1, u = vertical_mode(blocks)
-    exponent = rate_verdict(omega, lam1)[1]
+    verdict, exponent = rate_verdict(omega, lam1)
     scale = exponent or math.sqrt(lam1)
     n = mv.n
     m = mv.array()
@@ -437,6 +439,8 @@ def growth_rate_experiment(
         raise NoGrowthWindow(
             "only %d samples between %.3g and %.3g" % (count, floor, GROWTH_CEILING),
             max_deviation=max_dev,
+            verdict=verdict,
+            expected_rate=exponent or None,
         )
     tw = times_arr[mask]
     logd = np.log(devs_arr[mask])

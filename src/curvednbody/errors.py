@@ -78,14 +78,19 @@ class StepFailure(NumericalFailure):
 
 
 class NoGrowthWindow(NumericalFailure):
-    """The deviation never reached the growth-fit window (consistent with stability).
+    """The deviation never reached the growth-fit window.
 
-    ``max_deviation`` records the largest deviation seen over the horizon.
+    At a linearly stable rate that is consistent with stability; at any
+    other rate the run was too short to grow.  ``max_deviation`` records the
+    largest deviation seen over the horizon, ``verdict`` the rate's linear
+    verdict and ``expected_rate`` its unstable exponent, None when it is 0.
     """
 
-    def __init__(self, message, max_deviation=None):
+    def __init__(self, message, max_deviation=None, verdict=None, expected_rate=None):
         super().__init__(message)
         self.max_deviation = max_deviation
+        self.verdict = verdict
+        self.expected_rate = expected_rate
 
 
 class IOFailure(CurvedNBodyError):

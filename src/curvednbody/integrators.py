@@ -17,8 +17,8 @@ fourth-order composition of leapfrog (Yoshida 1990), whose coefficients are
 kept here and whose step ``reduction`` writes out; the midpoint rule stays
 available there as the cross-check.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
-independent cross-check route for the full system; its field evaluations
-are bounded by ``RK45_EVALS_PER_STEP`` per fixed step of the run.
+independent cross-check route for the full system; a run whose pace needs
+more than ``RK45_MAX_EVALS`` field evaluations ends early.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_INNER = 50
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
-# Field evaluations an adaptive run may take per fixed step of the run it
-# stands in for: at a huge rate it accepts steps that move no coordinate.
-RK45_EVALS_PER_STEP = 100
+# Field evaluations an adaptive run may need over its horizon, judged from
+# its pace every RK45_PACE_EVALS evaluations.
+RK45_MAX_EVALS = 10**7
+RK45_PACE_EVALS = 10**4
 
 # Integration aborts when a pair separation sine falls below this.
 SEPARATION_FLOOR = 1e-6
@@ -310,26 +311,27 @@ _YOSHIDA_KICKS = (_W1, _W0, _W1)
 _YOSHIDA_DRIFTS = (_W1 / 2, (_W0 + _W1) / 2, (_W0 + _W1) / 2, _W1 / 2)
 
 
-def rk45_solve(field, x0, t_final, nsteps, t_eval=None):
+def rk45_solve(field, x0, t_final, t_eval=None):
     """Adaptive Dormand-Prince 5(4) integration via scipy, as a cross-check.
 
     Returns (times, states) with states stacked row-wise.  A state that is
-    not finite, or a field evaluation past ``RK45_EVALS_PER_STEP`` times
-    ``nsteps``, the fixed step count of the run, ends the run with
-    StepFailure, carrying the time.
+    not finite ends the run with StepFailure, carrying the time, and so does
+    a run whose pace says it needs more than ``RK45_MAX_EVALS`` field
+    evaluations: every ``RK45_PACE_EVALS`` evaluations, those taken so far
+    are scaled from the time reached to ``t_final``.
     """
     from scipy.integrate import solve_ivp
 
-    budget = RK45_EVALS_PER_STEP * nsteps
     evals = 0
 
     def rhs(t, y):
         nonlocal evals
         evals += 1
-        if evals > budget:
+        if evals % RK45_PACE_EVALS == 0 and evals * t_final > RK45_MAX_EVALS * t:
             raise StepFailure(
-                "adaptive integration passed %d field evaluations (%d per fixed"
-                " step) at t = %.3g" % (budget, RK45_EVALS_PER_STEP, t),
+                "adaptive integration reached t = %.3g of %.3g in %d field"
+                " evaluations, a pace that needs more than %d"
+                % (t, t_final, evals, RK45_MAX_EVALS),
                 time=float(t),
             )
         if not np.isfinite(y).all():

@@ -537,20 +537,33 @@ class TestSimulate:
             omega_h,
         )
 
-    def test_rk45_run_that_cannot_advance_exits_3(self, capsys):
-        # at this rate RK45 accepts steps that move no coordinate, and the
-        # field-evaluation budget ends the run; scipy's first-step estimate
-        # overflows on the way, which numpy reports as a RuntimeWarning (an
-        # error under this suite's filters), so the run ignores those warnings
+    def test_rk45_run_whose_pace_is_too_slow_exits_3(self, capsys):
+        # the run needs about 1e150 periods, and its pace ends it early;
+        # scipy's first-step estimate overflows on the way, which numpy
+        # reports as a RuntimeWarning (an error under this suite's filters),
+        # so the run ignores those warnings
         argv = ["simulate", "--masses", "1", "1", "1", "--omega", "1e150",
                 "--method", "rk45", "--horizon", "0.01"]
         with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, "")
-        assert err.startswith(
-            "error: adaptive integration passed 1000 field evaluations"
-            " (100 per fixed step) at t = "
+        assert err.startswith("error: adaptive integration reached t = ")
+        assert err.endswith(
+            " of 0.01 in 10000 field evaluations, a pace that needs more than 10000000\n"
         )
+
+    @pytest.mark.parametrize(
+        "omega, horizon, step", [("1.3", "1", "0.5"), ("1000", "0.1", "0.001")]
+    )
+    def test_rk45_run_over_few_fixed_steps_returns(self, capsys, omega, horizon, step):
+        # each needs more field evaluations than 100 per fixed step: a coarse
+        # step, and a fast rate that also passes one pace check
+        argv = ["simulate", "--masses", "0.2", "0.5", "0.3", "--omega", omega,
+                "--mode", "perturbed", "--horizon", horizon, "--step", step,
+                "--method", "rk45"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert "method: rk45" in out
 
     @pytest.mark.parametrize(
         "amplitude, horizon, body", [("5", "0.1", 2), ("3", "2", 3)]

@@ -31,6 +31,8 @@ from curvednbody import dynamics, integrators, reduction
 from curvednbody.integrators import midpoint_step
 from curvednbody.reduction import ReducedState, integrate_reduced, rest_point_from_shape
 from curvednbody.stability import (
+    VERDICT_STABLE,
+    VERDICT_UNSTABLE,
     LinearizationBlocks,
     assemble_blocks,
     rate_square,
@@ -351,21 +353,37 @@ class TestIntegrate:
         assert str(info.value) == "adaptive integration state is not finite"
         assert 0.0 <= info.value.time <= 0.01
 
-    def test_rk45_run_that_cannot_advance_ends_at_its_budget(self):
-        # at this rate RK45 accepts steps too small to move any coordinate
-        # and, unbounded, never returned; scipy's first-step estimate
-        # overflows first (numpy warns), as in the test above
+    def test_rk45_run_whose_pace_is_too_slow_ends_early(self):
+        # at this rate the run needs about 1e150 periods of 1e-150: unbounded
+        # it never returned; scipy's first-step estimate overflows first
+        # (numpy warns), as in the test above
         omega = 1e150
         start = relative_equilibrium(MV, RING, omega)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepFailure) as info:
                 integrate(MV, start, horizon=0.01, step=1e-3, omega=omega, method="rk45")
-        budget = integrators.RK45_EVALS_PER_STEP * 10
         assert str(info.value) == (
-            "adaptive integration passed %d field evaluations (%d per fixed step)"
-            " at t = %.3g" % (budget, integrators.RK45_EVALS_PER_STEP, info.value.time)
+            "adaptive integration reached t = %.3g of 0.01 in %d field evaluations,"
+            " a pace that needs more than %d"
+            % (info.value.time, integrators.RK45_PACE_EVALS, integrators.RK45_MAX_EVALS)
         )
         assert 0.0 <= info.value.time < 0.01
+
+    def test_rk45_pace_is_not_tied_to_the_step(self):
+        # a fast rate over few fixed steps: past RK45_PACE_EVALS evaluations,
+        # at a pace far inside RK45_MAX_EVALS, so the run returns
+        calls = []
+        field = make_field(MV, 1000.0)
+
+        def counted(y):
+            calls.append(None)
+            return field(y)
+
+        start = relative_equilibrium(MV, RING, 1000.0).as_vector()
+        start[0] += 1e-3
+        ts, xs = integrators.rk45_solve(counted, start, 0.1, np.array([0.05, 0.1]))
+        assert ts.tolist() == [0.05, 0.1]
+        assert integrators.RK45_PACE_EVALS < len(calls) < integrators.RK45_MAX_EVALS
 
     def test_list_start_is_read_as_floats(self):
         x0 = relative_equilibrium(MV, RING, 0.0).as_vector()
@@ -518,6 +536,18 @@ class TestGrowthExperiment:
         with pytest.raises(NoGrowthWindow) as info:
             growth_rate_experiment(EQUAL, 1.3, horizon=30.0)
         assert info.value.max_deviation < 1e-5
+
+    def test_no_growth_window_carries_the_verdict(self):
+        # a stable rate, and a subcritical one over a horizon too short to grow
+        with pytest.raises(NoGrowthWindow) as info:
+            growth_rate_experiment(EQUAL, 1.3, horizon=2.0)
+        assert info.value.verdict == VERDICT_STABLE
+        assert info.value.expected_rate is None
+        with pytest.raises(NoGrowthWindow) as info:
+            growth_rate_experiment(EQUAL, 0.5, horizon=2.0)
+        lam1 = vertical_mode(ring_pipeline(EQUAL)[3])[0]
+        assert info.value.verdict == VERDICT_UNSTABLE
+        assert info.value.expected_rate == math.sqrt(lam1 - 0.25)
 
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_rejected(self, amplitude):
