@@ -32,7 +32,7 @@ from .geometry import (
     _check_bodies,
     _check_finite,
     _pair_guard,
-    _pair_sine,
+    _pair_sines,
     _polar_error,
     _recheck_sine,
 )
@@ -220,31 +220,55 @@ def _state_values(state) -> list:
 
 def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     """Energy in a frame rotating at rate omega: kinetic + potential - omega J,
-    written out over the three bodies with ``_pair_table``'s pair order."""
+    written out over the three bodies and the pairs of ``_pair_sines``.  A
+    body at the polar guard raises before any pair is read."""
     vals = _state_values(state)
-    th1, th2, th3, ph1, ph2, ph3, pt1, pt2, pt3, pf1, pf2, pf3 = vals
-    m1, m2, m3 = masses.masses
-    sin, cos = math.sin, math.cos
-    s1, s2, s3 = sin(th1), sin(th2), sin(th3)
+    sin = math.sin
+    s1, s2, s3 = sin(vals[0]), sin(vals[1]), sin(vals[2])
     if s1 <= POLAR_TOL or s2 <= POLAR_TOL or s3 <= POLAR_TOL:
         raise _polar_error((s1, s2, s3))
-    zs = z1, z2, z3 = cos(th1), cos(th2), cos(th3)
-    xs = x1, x2, x3 = s1 * cos(ph1), s2 * cos(ph2), s3 * cos(ph3)
-    ys = y1, y2, y3 = s1 * sin(ph1), s2 * sin(ph2), s3 * sin(ph3)
+    total = _rest_energy(masses.masses, vals, *_pair_sines(vals[0:3], vals[3:6]))
+    if omega != 0.0:
+        total -= omega * sum(vals[9:])
+    return total
+
+
+def _rest_energy(m, vals, st, cosines, sines) -> float:
+    """Kinetic plus potential energy of the 12 ``vals`` from the tables of
+    ``_pair_sines``: the frame energy at rate zero."""
+    m1, m2, m3 = m
+    s1, s2, s3 = st
+    pt1, pt2, pt3, pf1, pf2, pf3 = vals[6:]
     total = (
         pt1 * pt1 / (2.0 * m1) + pf1 * pf1 / (2.0 * m1 * (s1 * s1))
         + (pt2 * pt2 / (2.0 * m2) + pf2 * pf2 / (2.0 * m2 * (s2 * s2)))
         + (pt3 * pt3 / (2.0 * m3) + pf3 * pf3 / (2.0 * m3 * (s3 * s3)))
     )
-    c = x1 * x2 + y1 * y2 + z1 * z2
-    total -= m1 * m2 * c / _pair_sine(0, 1, c, xs, ys, zs)
-    c = x1 * x3 + y1 * y3 + z1 * z3
-    total -= m1 * m3 * c / _pair_sine(0, 2, c, xs, ys, zs)
-    c = x2 * x3 + y2 * y3 + z2 * z3
-    total -= m2 * m3 * c / _pair_sine(1, 2, c, xs, ys, zs)
-    if omega != 0.0:
-        total -= omega * sum(vals[9:])
+    (c12, c13, c23), (a, b, c) = cosines, sines
+    total -= m1 * m2 * c12 / a
+    total -= m1 * m3 * c13 / b
+    total -= m2 * m3 * c23 / c
     return total
+
+
+def _sample_monitor(m, vals, omega):
+    """(smallest pair sine, frame energy, total longitude momentum J) of a
+    recorded sample, from one set of sines: ``_pair_guard`` at
+    ``SEPARATION_FLOOR`` and then ``hamiltonian``, with their bits and their
+    errors in that order.  A sine that passes the hard floor passes the
+    energy's lower one, so the energy reuses the guard's sines."""
+    st, cosines, sines = _pair_sines(vals[0:3], vals[3:6], SEPARATION_FLOOR)
+    _check_finite("state", vals)
+    s1, s2, s3 = st
+    if s1 <= POLAR_TOL or s2 <= POLAR_TOL or s3 <= POLAR_TOL:
+        raise _polar_error(st)
+    a, b, c = sines
+    lo = b if b < a else a  # min(a, b, c), first of equal values
+    j = sum(vals[9:])
+    energy = _rest_energy(m, vals, st, cosines, sines)
+    if omega != 0.0:
+        energy -= omega * j
+    return (c if c < lo else lo), energy, j
 
 
 def _midpoint_run(masses, omega, x0, step, nsteps, record_stride):
@@ -295,7 +319,6 @@ def integrate(
     evaluations than ``RK45_MAX_EVALS``.
     """
     x0 = [float(v) for v in _state_values(initial)]
-    n = masses.n
     if method not in ("midpoint", "rk45"):
         raise InvalidConfiguration("unknown integration method %r" % method)
     nsteps = step_count(horizon, step, record_stride)
@@ -318,16 +341,14 @@ def integrate(
     momenta = []
     min_sep = 2.0
     max_eq = h_drift = j_drift = 0.0
+    m = masses.masses
     for t, vals in samples:
-        th = vals[0:n]
         try:
-            sep = _pair_guard(th, vals[n : 2 * n], SEPARATION_FLOOR)
+            sep, h, j = _sample_monitor(m, vals, omega)
         except SingularConfiguration as exc:
             raise StepFailure(str(exc), time=t, step=round(t / step)) from None
         min_sep = min(min_sep, sep)
-        max_eq = max(max_eq, max(abs(t_ - EQUATOR) for t_ in th))
-        h = hamiltonian(masses, vals, omega)
-        j = float(sum(vals[3 * n :]))
+        max_eq = max(max_eq, max(abs(t_ - EQUATOR) for t_ in vals[0:3]))
         if not states:
             h0, j0 = h, j
         h_drift = max(h_drift, abs(h - h0))

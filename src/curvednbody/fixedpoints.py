@@ -25,7 +25,7 @@ from .geometry import (
     MassVector,
     RingConfiguration,
     _check_bodies,
-    _pair_table,
+    _pair_sine,
 )
 
 # Clamp arccos arguments only this close to +-1; anything further out is a
@@ -157,32 +157,71 @@ def fixed_point_residual(masses: MassVector, config: RingConfiguration) -> np.nd
     """
     if not isinstance(config, RingConfiguration):
         raise InvalidConfiguration("fixed_point_residual expects a RingConfiguration")
-    return _ring_pass(masses.masses, config.longitudes)[0]
+    return np.array(_ring_pass(masses.masses, config.longitudes)[0])
 
 
 def _ring_pass(m, phis) -> tuple:
     """(residual, vertical, tangential) of masses ``m`` at longitudes ``phis``
-    from one pass over the pairs, by the formulas of ``fixed_point_residual``
-    and ``stability.assemble_blocks``; a singular pair raises SingularConfiguration."""
-    n = len(phis)
-    res = [0.0] * n
-    vertical = [[0.0] * n for _ in range(n)]
-    tangential = [[0.0] * n for _ in range(n)]
-    for i, j, cosd, sind in _pair_table(phis=phis):
-        mm = m[i] * m[j]
-        s3 = sind * sind * sind
-        t = mm * math.sin(phis[i] - phis[j]) / s3
-        res[i] += t
-        res[j] -= t
-        f3 = mm / s3
-        vertical[i][j] = vertical[j][i] = f3
-        vertical[i][i] -= f3 * cosd
-        vertical[j][j] -= f3 * cosd
-        g = -2.0 * f3 * cosd
-        tangential[i][j] = tangential[j][i] = g
-        tangential[i][i] -= g
-        tangential[j][j] -= g
-    return np.array(res), np.array(vertical), np.array(tangential)
+    as tuples of floats, by the formulas of ``fixed_point_residual`` and
+    ``stability.assemble_blocks``; a singular pair raises SingularConfiguration.
+
+    Straight-line code over the pairs in ``_pair_table``'s order (1,2), (1,3),
+    (2,3): all three cosines and sines, and their errors, come before any
+    sum, and each sum starts from 0.0, so it gives the bits and the errors of
+    the loop over the pairs that ``tests/test_ring_pass.py`` keeps as its oracle.
+    """
+    m1, m2, m3 = m
+    p1, p2, p3 = phis
+    sin, cos = math.sin, math.cos
+    c12 = cos(p1 - p2)
+    s12 = _pair_sine(0, 1, c12, None, None, None, phis)
+    c13 = cos(p1 - p3)
+    s13 = _pair_sine(0, 2, c13, None, None, None, phis)
+    c23 = cos(p2 - p3)
+    s23 = _pair_sine(1, 2, c23, None, None, None, phis)
+
+    mm = m1 * m2
+    s3 = s12 * s12 * s12
+    t = mm * sin(p1 - p2) / s3
+    r1, r2 = 0.0 + t, 0.0 - t
+    f12 = mm / s3
+    e = f12 * c12
+    v11, v22 = 0.0 - e, 0.0 - e
+    g12 = -2.0 * f12 * c12
+    t11, t22 = 0.0 - g12, 0.0 - g12
+
+    mm = m1 * m3
+    s3 = s13 * s13 * s13
+    t = mm * sin(p1 - p3) / s3
+    r1, r3 = r1 + t, 0.0 - t
+    f13 = mm / s3
+    e = f13 * c13
+    v11, v33 = v11 - e, 0.0 - e
+    g13 = -2.0 * f13 * c13
+    t11, t33 = t11 - g13, 0.0 - g13
+
+    mm = m2 * m3
+    s3 = s23 * s23 * s23
+    t = mm * sin(p2 - p3) / s3
+    r2, r3 = r2 + t, r3 - t
+    f23 = mm / s3
+    e = f23 * c23
+    v22, v33 = v22 - e, v33 - e
+    g23 = -2.0 * f23 * c23
+    t22, t33 = t22 - g23, t33 - g23
+    return (
+        (r1, r2, r3),
+        ((v11, f12, f13), (f12, v22, f23), (f13, f23, v33)),
+        ((t11, g12, g13), (g12, t22, g23), (g13, g23, t33)),
+    )
+
+
+def _residual_norm(res) -> float:
+    """max |r_k| of a ring-pass residual, nan if an entry is nan, as numpy's
+    max of abs gives it."""
+    a, b, c = abs(res[0]), abs(res[1]), abs(res[2])
+    top = b if b > a or b != b else a
+    return c if c > top or c != c else top
 
 
 def shape_from_masses(masses) -> TriangleShape:
@@ -302,34 +341,35 @@ def solve_fixed_point_numeric(
         raised if it is not met within NEWTON_MAX_ITERATIONS iterations.
 
     The Jacobian is minus the tangential block with the pinned first row and
-    column removed, from the pass over the pairs that gave the residual.
+    column removed, from the pass over the pairs that gave the residual.  The
+    iterates and steps are floats; only the 2-by-2 solve goes through numpy.
     """
     m = masses.masses
-    phis = np.array(initial.longitudes)
-    # the pair sums index plain float lists much faster than arrays
-    res, _, tangential = _ring_pass(m, phis.tolist())
-    norm = float(np.max(np.abs(res)))
+    phis = initial.longitudes
+    res, _, tangential = _ring_pass(m, phis)
+    norm = _residual_norm(res)
     for _ in range(NEWTON_MAX_ITERATIONS):
         if norm < tol:
             break
-        jac = -tangential[1:, 1:]
+        _, (_, a, b), (_, c, d) = tangential
         try:
-            step = np.linalg.solve(jac, -res[1:])
+            step = np.linalg.solve([[-a, -b], [-c, -d]], [-res[1], -res[2]])
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("singular Newton system: %s" % exc) from None
+        s1, s2 = step.tolist()
+        p0, p1, p2 = phis
         # damped update: halve until the residual norm stops increasing
         scale = 1.0
         for _halving in range(40):
-            trial = phis.copy()
-            trial[1:] += scale * step
+            trial = (p0, p1 + scale * s1, p2 + scale * s2)
             try:
-                trial_res, _, trial_tangential = _ring_pass(m, trial.tolist())
+                trial_res, _, trial_tangential = _ring_pass(m, trial)
             except SingularConfiguration:
                 if scale <= 2.0 ** -39:
                     raise
                 scale *= 0.5
                 continue
-            trial_norm = float(np.max(np.abs(trial_res)))
+            trial_norm = _residual_norm(trial_res)
             if trial_norm < norm or scale <= 2.0 ** -39:
                 break
             scale *= 0.5
@@ -340,6 +380,6 @@ def solve_fixed_point_numeric(
             % (norm, tol, NEWTON_MAX_ITERATIONS)
         )
     try:
-        return RingConfiguration(tuple(phis))
+        return RingConfiguration(phis)
     except InvalidConfiguration as exc:
         raise NoConvergence("converged to a non-canonical ring: %s" % exc) from None

@@ -13,13 +13,17 @@ The package solves the three-body problem only.  ``_check_bodies`` is the
 one body-count rule: every mass vector, configuration and phase state meets
 it on construction, so the functions that take them check no count.
 
-``_pair_table`` is the one place that enumerates the pairs, computes each
-separation's cosine and sine and applies that guard; every pairwise sum of
-the package reads it.  The only pair code outside it writes the three pairs
-out as straight-line code because it runs once per field evaluation or per
-recorded sample: the vector field ``dynamics._field_kernel``, the frame
-energy ``dynamics.hamiltonian`` and the guard ``_pair_guard``.  All of them
-compute sin d as sqrt(1 - cos^2 d) and hand a small one to
+``_pair_table`` is the one place that enumerates the pairs of a
+configuration in Cartesian form, computes each separation's cosine and sine
+and applies that guard; every pairwise sum over such pairs reads it.  The
+only pair code outside it writes the three pairs out as straight-line code
+because it runs once per field evaluation, per recorded sample or per ring
+pass: the vector field ``dynamics._field_kernel``; ``_pair_sines``, the
+table of three bodies that the guard ``_pair_guard``, the frame energy
+``dynamics.hamiltonian`` and the sample monitor of ``dynamics.integrate``
+read; and the ring's residual and coupling blocks ``fixedpoints._ring_pass``,
+the one walk over a ring's pairs, which takes cos d as cos(phi_i - phi_j).
+All of them compute sin d as sqrt(1 - cos^2 d) and hand a small one to
 ``_recheck_sine``, which recomputes it and raises the one message; apart
 from the field, they take that rule from ``_pair_sine``.  These inner loops
 spell builtin ``min`` and ``max`` out as comparisons, which keep the
@@ -269,39 +273,48 @@ def _pair_sine(i, j, cosd, xs, ys, zs, phis=None, floor=SINGULAR_TOL):
     return sind
 
 
-def _pair_table(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
-    """Every pair i < j as (i, j, cos d, sin d), in order.
+def _pair_table(xs, ys, zs, floor=SINGULAR_TOL):
+    """Every pair i < j of the Cartesian unit vectors (xs, ys, zs) as
+    (i, j, cos d, sin d), in order, cos d their dot product.
 
-    Bodies are given either as Cartesian unit vectors (xs, ys, zs), where
-    cos d is their dot product, or as equatorial longitudes ``phis``, where
-    cos d = cos(phi_i - phi_j).  The two forms round differently, and ring
-    results are printed to 17 digits, so neither replaces the other.  A
-    pair with sin d at or below ``floor`` raises SingularConfiguration.
+    A ring's pairs take cos d = cos(phi_i - phi_j) in ``fixedpoints._ring_pass``
+    instead: the two forms round differently, and ring results are printed to
+    17 digits, so neither replaces the other.  A pair with sin d at or below
+    ``floor`` raises SingularConfiguration.
     """
-    n = len(xs) if phis is None else len(phis)
+    n = len(xs)
     table = []
     for i in range(n):
         for j in range(i + 1, n):
-            if phis is None:
-                cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-            else:
-                cosd = math.cos(phis[i] - phis[j])
-            table.append((i, j, cosd, _pair_sine(i, j, cosd, xs, ys, zs, phis, floor)))
+            cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
+            table.append((i, j, cosd, _pair_sine(i, j, cosd, xs, ys, zs, floor=floor)))
     return table
 
 
-def _pair_guard(thetas, phis, floor=SINGULAR_TOL):
-    """Smallest pair separation sine; a sine at or below ``floor`` raises.
-    ``_pair_table``'s Cartesian pairs written out: the same order and bits."""
+def _pair_sines(thetas, phis, floor=SINGULAR_TOL):
+    """(sin theta of each body, cos d of the pairs, sin d of the pairs) of three
+    bodies, the pairs in order (1,2), (1,3), (2,3); a sine at or below
+    ``floor`` raises.  ``_pair_table``'s Cartesian pairs written out: the
+    same order, bits and errors."""
     (t1, t2, t3), (p1, p2, p3) = thetas, phis
     sin, cos = math.sin, math.cos
     s1, s2, s3 = sin(t1), sin(t2), sin(t3)
     zs = z1, z2, z3 = cos(t1), cos(t2), cos(t3)
     xs = x1, x2, x3 = s1 * cos(p1), s2 * cos(p2), s3 * cos(p3)
     ys = y1, y2, y3 = s1 * sin(p1), s2 * sin(p2), s3 * sin(p3)
-    a = _pair_sine(0, 1, x1 * x2 + y1 * y2 + z1 * z2, xs, ys, zs, floor=floor)
-    b = _pair_sine(0, 2, x1 * x3 + y1 * y3 + z1 * z3, xs, ys, zs, floor=floor)
-    c = _pair_sine(1, 2, x2 * x3 + y2 * y3 + z2 * z3, xs, ys, zs, floor=floor)
+    c12 = x1 * x2 + y1 * y2 + z1 * z2
+    a = _pair_sine(0, 1, c12, xs, ys, zs, floor=floor)
+    c13 = x1 * x3 + y1 * y3 + z1 * z3
+    b = _pair_sine(0, 2, c13, xs, ys, zs, floor=floor)
+    c23 = x2 * x3 + y2 * y3 + z2 * z3
+    c = _pair_sine(1, 2, c23, xs, ys, zs, floor=floor)
+    return (s1, s2, s3), (c12, c13, c23), (a, b, c)
+
+
+def _pair_guard(thetas, phis, floor=SINGULAR_TOL):
+    """Smallest pair separation sine of ``_pair_sines``; a sine at or below
+    ``floor`` raises."""
+    a, b, c = _pair_sines(thetas, phis, floor)[2]
     lo = b if b < a else a  # min(a, b, c), first of equal values
     return c if c < lo else lo
 

@@ -338,16 +338,19 @@ def rk45_solve(field, x0, t_final, t_eval=None):
             raise StepFailure("adaptive integration state is not finite", time=float(t))
         return field(y)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_final),
-        np.asarray(x0, dtype=float),
-        method="RK45",
-        rtol=RK45_RTOL,
-        atol=RK45_ATOL,
-        t_eval=t_eval,
-        dense_output=False,
-    )
+    # scipy's first-step estimate overflows on a state of huge velocities; the
+    # checks in rhs, not numpy's warnings, decide how such a run ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (0.0, t_final),
+            np.asarray(x0, dtype=float),
+            method="RK45",
+            rtol=RK45_RTOL,
+            atol=RK45_ATOL,
+            t_eval=t_eval,
+            dense_output=False,
+        )
     if not sol.success:
         raise StepFailure("adaptive integration failed: %s" % sol.message)
     return sol.t, sol.y.T

@@ -10,7 +10,10 @@ pairs, ``fixedpoints._ring_pass``.
 
 Only the centrifugal shift of the vertical block depends on the rate.  A
 ``LinearizationBlocks`` holds its arrays read-only and computes the block
-spectra, lambda1 and the symmetry bases once; every rate reuses them.
+spectra, lambda1, the symmetry bases and the rate-independent part of the
+flow matrix once; every rate reuses them.  What is done on three numbers
+(the ring pass, the zero-mode counts and sign checks of the spectra) is
+done on Python floats; numpy keeps the eigensolves and the matrix products.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
 )
 from .fixedpoints import (
     TriangleShape,
+    _residual_norm,
     _ring_pass,
     as_mass_triple,
     ring_from_shape,
@@ -58,8 +62,9 @@ class LinearizationBlocks:
     longitude perturbations; both are symmetric 3-by-3.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
     The arrays are read-only float copies, so what does not depend on the
-    rotation rate (block spectra, lambda1, symmetry bases) is computed once
-    per instance and shared by every rate.
+    rotation rate (block spectra, lambda1, symmetry bases, and the 12-by-12
+    flow matrix but for its three centrifugal entries) is computed once per
+    instance, read-only, and shared by every rate.
     """
 
     masses: MassVector
@@ -79,6 +84,10 @@ class LinearizationBlocks:
     @cached_property
     def mass_diagonal(self) -> np.ndarray:
         return _frozen(self.masses.array())
+
+    @cached_property
+    def _rate_free_L(self) -> np.ndarray:
+        return _frozen(_flow_matrix(self))
 
     @cached_property
     def _spectra(self) -> _BlockSpectra:
@@ -108,7 +117,7 @@ def assemble_blocks(
     max-norm not below ``residual_tol``, nan too, raises NotAFixedPoint.
     """
     res, vertical, tangential = _ring_pass(masses.masses, ring.longitudes)
-    worst = float(np.max(np.abs(res)))
+    worst = _residual_norm(res)
     if not worst < residual_tol:
         raise NotAFixedPoint("ring misses the fixed-point equations by %.3g" % worst)
     return LinearizationBlocks(masses, ring, vertical, tangential)
@@ -135,21 +144,33 @@ def null_structure_check(blocks: LinearizationBlocks) -> dict:
     }
 
 
+def _flow_matrix(blocks: LinearizationBlocks) -> np.ndarray:
+    """``assemble_L_from_blocks`` at rate zero: every rate's matrix but for
+    the three centrifugal entries on the vertical block's diagonal."""
+    m = blocks.mass_diagonal
+    L = np.zeros((12, 12))
+    minv = np.diag(1.0 / m)
+    L[0:3, 6:9] = minv
+    L[3:6, 9:12] = minv
+    L[6:9, 0:3] = blocks.vertical
+    L[9:12, 3:6] = blocks.tangential
+    return L
+
+
 def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndarray:
-    """Full 12-by-12 linearized flow matrix at the rotating ring.
+    """Full 12-by-12 linearized flow matrix at the rotating ring, a new array.
 
     Coordinate order is (theta, phi, p_theta, p_phi).  The rotation enters
-    only through the centrifugal shift of the vertical block.  A rate that
+    only through the centrifugal shift of the vertical block's diagonal,
+    written into a copy of the matrix at rate zero.  A rate that
     ``rate_square`` rejects raises InvalidConfiguration.
     """
-    n = blocks.n
-    m = blocks.mass_diagonal
-    L = np.zeros((4 * n, 4 * n))
-    minv = np.diag(1.0 / m)
-    L[0:n, 2 * n : 3 * n] = minv
-    L[n : 2 * n, 3 * n : 4 * n] = minv
-    L[2 * n : 3 * n, 0:n] = blocks.vertical - rate_square(omega) * np.diag(m)
-    L[3 * n : 4 * n, n : 2 * n] = blocks.tangential
+    w2 = rate_square(omega)
+    L = blocks._rate_free_L.copy()
+    m1, m2, m3 = blocks.masses.masses
+    L[6, 0] -= w2 * m1
+    L[7, 1] -= w2 * m2
+    L[8, 2] -= w2 * m3
     return L
 
 
@@ -277,32 +298,33 @@ def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
     m = blocks.mass_diagonal
     vlams, vvecs, vscale = _mass_weighted_eigensolve(blocks.vertical, m)
     tlams, _, tscale = _mass_weighted_eigensolve(blocks.tangential, m)
-    vzero = np.abs(vlams) <= EIG_ZERO_TOL * vscale
-    tzero = np.abs(tlams) <= EIG_ZERO_TOL * tscale
-    if int(np.sum(vzero)) != 2:
+    vl, tl = vlams.tolist(), tlams.tolist()
+    vtol, ttol = EIG_ZERO_TOL * vscale, EIG_ZERO_TOL * tscale
+    # a nan eigenvalue is no zero mode, as numpy's comparison reads it
+    vrest = [lam for lam in vl if not abs(lam) <= vtol]
+    trest = [lam for lam in tl if not abs(lam) <= ttol]
+    if len(vl) - len(vrest) != 2:
         raise DegenerateSpectrum(
-            "vertical block has %d zero modes, expected 2" % int(np.sum(vzero))
+            "vertical block has %d zero modes, expected 2" % (len(vl) - len(vrest))
         )
-    if int(np.sum(tzero)) != 1:
+    if len(tl) - len(trest) != 1:
         raise DegenerateSpectrum(
-            "tangential block has %d zero modes, expected 1" % int(np.sum(tzero))
+            "tangential block has %d zero modes, expected 1" % (len(tl) - len(trest))
         )
-    vrest = vlams[~vzero]
-    trest = tlams[~tzero]
-    if vrest.size == 0 or np.any(vrest <= 0.0):
+    if not vrest or any(lam <= 0.0 for lam in vrest):
         raise DegenerateSpectrum("vertical block has a nonpositive transverse mode")
-    if np.any(trest >= 0.0):
+    if any(lam >= 0.0 for lam in trest):
         raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
     top = int(np.argmax(vlams))  # the zero modes lie below the positive rest
-    lam1 = float(vlams[top])
+    lam1 = vl[top]
     tangential_pairs = []
-    for lam in trest.tolist():
+    for lam in trest:
         s = complex(0.0, math.sqrt(-lam))
         tangential_pairs.extend([s, -s])
     return _BlockSpectra(
-        vertical_eigenvalues=tuple(vlams.tolist()),
-        tangential_eigenvalues=tuple(tlams.tolist()),
-        vertical_rest=tuple(vrest.tolist()),
+        vertical_eigenvalues=tuple(vl),
+        tangential_eigenvalues=tuple(tl),
+        vertical_rest=tuple(vrest),
         tangential_pairs=tuple(tangential_pairs),
         lambda1=lam1,
         omega_critical=math.sqrt(lam1),
@@ -388,12 +410,15 @@ def omega_critical(masses) -> float:
     return classify(masses, 0.0).omega_critical
 
 
-def _skew_matrix(dim4n: int) -> np.ndarray:
-    half = dim4n // 2
-    J = np.zeros((dim4n, dim4n))
-    J[:half, half:] = -np.eye(half)
-    J[half:, :half] = np.eye(half)
-    return J
+def _canonical_skew() -> np.ndarray:
+    J = np.zeros((12, 12))
+    J[:6, 6:] = -np.eye(6)
+    J[6:, :6] = np.eye(6)
+    return _frozen(J)
+
+
+# the skew form J = [[0, -I], [I, 0]] that pairs each position with its momentum
+SKEW = _canonical_skew()
 
 
 @dataclass(frozen=True)
@@ -424,8 +449,7 @@ class InvariantSplitting:
 def _skew_complement(basis: np.ndarray, expected_dim: int) -> np.ndarray:
     """Orthonormal basis of the skew-orthogonal complement of ``basis``."""
     dim = basis.shape[0]
-    J = _skew_matrix(dim)
-    constraint = basis.T @ J
+    constraint = basis.T @ SKEW
     _, sing, vt = np.linalg.svd(constraint)
     rank = int(np.sum(sing > 1e-10 * (sing[0] if sing.size else 1.0)))
     null_dim = dim - rank

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from curvednbody.fixedpoints import admissibility_value
+from curvednbody.geometry import SINE_RECHECK, SINGULAR_TOL, _recheck_sine, _singular_pair
 
 SAMPLE_SEED = 20240817
 
@@ -41,3 +44,24 @@ def unchecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def pair_table_loop(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
+    """``geometry._pair_table`` as first written, with the sine rule inline:
+    the pairs of Cartesian unit vectors (xs, ys, zs), or of a ring's
+    longitudes ``phis`` with cos d = cos(phi_i - phi_j)."""
+    n = len(xs) if phis is None else len(phis)
+    table = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if phis is None:
+                cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
+            else:
+                cosd = math.cos(phis[i] - phis[j])
+            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
+            if sind < SINE_RECHECK:
+                sind = _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor)
+            elif sind <= floor:
+                raise _singular_pair(i, j, cosd, sind)
+            table.append((i, j, cosd, sind))
+    return table

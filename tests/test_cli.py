@@ -552,6 +552,15 @@ class TestSimulate:
             " of 0.01 in 10000 field evaluations, a pace that needs more than 10000000\n"
         )
 
+    def test_rk45_run_whose_pace_is_too_slow_prints_only_its_error(self):
+        # in a process of its own, under Python's default warning filters:
+        # the overflow in scipy's first-step estimate prints no warning
+        code, out, err = run_alone(["simulate", "--masses", "1", "1", "1", "--omega",
+                                    "1e150", "--method", "rk45", "--horizon", "0.01"])
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: adaptive integration reached t = ")
+
     @pytest.mark.parametrize(
         "omega, horizon, step", [("1.3", "1", "0.5"), ("1000", "0.1", "0.001")]
     )

@@ -8,7 +8,9 @@ antipodal alignment of each pair, and arbitrary floats.  The frame energy
 ``dynamics.hamiltonian``, the pair guard ``geometry._pair_guard`` and the
 pair table ``geometry._pair_table`` are held the same way to
 ``hamiltonian_loop``, ``pair_guard_loop`` and ``pair_table_loop``, the loops
-over the bodies and the pairs that they were written from.
+over the bodies and the pairs that they were written from, and the monitor
+of a recorded sample, ``dynamics._sample_monitor``, to the guard and the
+energy it reads from one set of sines.
 """
 
 import math
@@ -26,11 +28,11 @@ from curvednbody.geometry import (
     MassVector,
     _angle_gradient,
     _polar_error,
-    _recheck_sine,
-    _singular_pair,
     _sphere_tables,
 )
 from curvednbody.integrators import SEPARATION_FLOOR
+
+from conftest import pair_table_loop
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
@@ -189,25 +191,6 @@ def test_polar_guard_reads_a_nan_sine_as_min_does(slot, polar):
     assert_same(MASSES[1], 0.7, x)
 
 
-def pair_table_loop(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
-    """``geometry._pair_table`` as first written, with the sine rule inline."""
-    n = len(xs) if phis is None else len(phis)
-    table = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if phis is None:
-                cosd = xs[i] * xs[j] + ys[i] * ys[j] + zs[i] * zs[j]
-            else:
-                cosd = math.cos(phis[i] - phis[j])
-            sind = math.sqrt(max(1.0 - cosd * cosd, 0.0))
-            if sind < SINE_RECHECK:
-                sind = _recheck_sine(i, j, cosd, xs, ys, zs, phis, floor)
-            elif sind <= floor:
-                raise _singular_pair(i, j, cosd, sind)
-            table.append((i, j, cosd, sind))
-    return table
-
-
 def hamiltonian_loop(masses: MassVector, state, omega: float = 0.0) -> float:
     """The frame energy as the loop over the bodies and the pair table that
     ``dynamics.hamiltonian`` was written from."""
@@ -327,11 +310,44 @@ def table_outcome(call):
 @given(monitor_states(), FLOORS)
 @example(EDGE_STATES[0], SINGULAR_TOL)
 @example(EDGE_STATES[2], SINGULAR_TOL)
-def test_pair_table_matches_loop_in_both_forms(x, floor):
+def test_pair_table_matches_loop(x, floor):
+    # the ring form of the loop is the ring pass's oracle in test_ring_pass.py
     _, ct, _, _, xs, ys = _sphere_tables(x[0:3], x[3:6])
-    for kw in ({"xs": xs, "ys": ys, "zs": ct}, {"phis": x[3:6]}):
-        got = table_outcome(lambda: geometry._pair_table(floor=floor, **kw))
-        assert got == table_outcome(lambda: pair_table_loop(floor=floor, **kw))
+    got = table_outcome(lambda: geometry._pair_table(xs, ys, ct, floor=floor))
+    assert got == table_outcome(lambda: pair_table_loop(xs, ys, ct, floor=floor))
+
+
+def monitor_outcome(call):
+    """``result`` of each float of a tuple, or the type and message raised."""
+    try:
+        return tuple(v.hex() for v in call())
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
+
+
+def guard_then_energy(mv, x, omega):
+    """What the monitor loop of ``integrate`` read before it was one pass:
+    the guard at the hard floor, then the frame energy and J."""
+    sep = geometry._pair_guard(x[0:3], x[3:6], SEPARATION_FLOOR)
+    return sep, dynamics.hamiltonian(mv, x, omega), float(sum(x[9:]))
+
+
+@PROPERTY
+@given(st.sampled_from(MASSES), OMEGAS, monitor_states())
+@example(MASSES[0], 0.0, EDGE_STATES[0])
+@example(MASSES[1], 1.3, EDGE_STATES[1])
+@example(MASSES[2], -0.4, EDGE_STATES[2])
+@example(MASSES[1], 1.3, [1.0, 1.5, 2.0, 0.0, 2.0, 4.0, 0.1, 0.2, 0.3, -0.0, -0.0, -0.0])
+def test_sample_monitor_matches_guard_and_energy(mv, omega, x):
+    got = monitor_outcome(lambda: dynamics._sample_monitor(mv.masses, x, omega))
+    assert got == monitor_outcome(lambda: guard_then_energy(mv, x, omega))
+
+
+@PROPERTY
+@given(st.lists(st.floats(), min_size=12, max_size=12))
+def test_sample_monitor_matches_guard_and_energy_on_any_floats(x):
+    got = monitor_outcome(lambda: dynamics._sample_monitor(MASSES[1].masses, x, 0.7))
+    assert got == monitor_outcome(lambda: guard_then_energy(MASSES[1], x, 0.7))
 
 
 def test_monitor_strategies_reach_every_branch():

@@ -20,6 +20,7 @@ from curvednbody.geometry import (
     RingConfiguration,
     SphereConfiguration,
     _pair_guard,
+    _pair_sine,
     _pair_table,
     force_function,
     force_gradient,
@@ -119,12 +120,16 @@ class TestSphereConfiguration:
         # the cheap form reads a 1e-9 separation as 0 or 1.49e-8
         sine = _pair_guard((1.0, 1.0 + 1e-9, 2.0), (0.5, 0.5, 1.0))
         assert sine == pytest.approx(1e-9, rel=1e-6)
+        # a ring's pairs, cos d = cos(phi_i - phi_j), take the same rule
         phis = (0.3, 0.3 + 1e-9, 2.0)
-        table = _pair_table(phis=phis)
-        assert table[0][3] == pytest.approx(1e-9, rel=1e-6)
+        table = [
+            (i, j, math.cos(phis[i] - phis[j]))
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ]
+        sines = [_pair_sine(i, j, cosd, None, None, None, phis) for i, j, cosd in table]
+        assert sines[0] == pytest.approx(1e-9, rel=1e-6)
         # pairs above the recheck threshold keep the cheap form's bits
-        for i, j, cosd, sind in table[1:]:
-            assert cosd == math.cos(phis[i] - phis[j])
+        for (i, j, cosd), sind in zip(table[1:], sines[1:]):
             assert sind == math.sqrt(1.0 - cosd * cosd)
 
     def test_antipodal_rejected(self):

@@ -1,31 +1,47 @@
-"""The one pass over a ring's pairs against the three loops it replaced.
+"""The one pass over a ring's pairs against the loops it replaced.
 
 ``fixedpoints._ring_pass`` gives the fixed-point residual and both coupling
-blocks from one walk of the pair table.  It must give the residual loop's and
-the block loop's outputs bit for bit, on rings with gaps inside the
-``SINE_RECHECK`` band, and raise their ``SingularConfiguration``
-with the same message from every caller.  Newton's Jacobian, once a loop of
-its own, is now the tangential block: the two agree to rounding.
+blocks from one walk over the three pairs, written out as straight-line
+code.  It must give the output of ``ring_pass_loop``, the loop over the pair
+table that it was written from, bit for bit and raise what the loop raises,
+with the same message, on every input: rings with gaps inside the
+``SINE_RECHECK`` band, rings of triples near the admissibility boundary on
+the four rays of the ``atlas`` benchmark's edge triples, and arbitrary
+floats.  The residual loop's and the block loop's outputs hold the same way,
+and every caller raises their ``SingularConfiguration`` with the same
+message.  Newton's Jacobian, once a loop of its own, is now the tangential
+block: the two agree to rounding.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvednbody import fixedpoints, stability
-from curvednbody.errors import SingularConfiguration
+from curvednbody.errors import (
+    InputError,
+    InvalidConfiguration,
+    NoConvergence,
+    SingularConfiguration,
+)
 from curvednbody.fixedpoints import (
+    NEWTON_MAX_ITERATIONS,
+    NEWTON_TOL,
     _ring_pass,
+    admissibility_value,
+    as_mass_triple,
     fixed_point_residual,
+    ring_from_shape,
+    shape_from_masses,
     solve_fixed_point_numeric,
 )
-from curvednbody.geometry import MassVector, RingConfiguration, _pair_table
+from curvednbody.geometry import MassVector, RingConfiguration
 from curvednbody.stability import assemble_blocks
 
-from conftest import unchecked
+from conftest import pair_table_loop, unchecked
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -39,10 +55,33 @@ gaps = st.one_of(
 )
 
 
+def ring_pass_loop(m, phis):
+    """``_ring_pass`` as the loop over the pair table that it was written from."""
+    n = len(phis)
+    res = [0.0] * n
+    vertical = [[0.0] * n for _ in range(n)]
+    tangential = [[0.0] * n for _ in range(n)]
+    for i, j, cosd, sind in pair_table_loop(phis=phis):
+        mm = m[i] * m[j]
+        s3 = sind * sind * sind
+        t = mm * math.sin(phis[i] - phis[j]) / s3
+        res[i] += t
+        res[j] -= t
+        f3 = mm / s3
+        vertical[i][j] = vertical[j][i] = f3
+        vertical[i][i] -= f3 * cosd
+        vertical[j][j] -= f3 * cosd
+        g = -2.0 * f3 * cosd
+        tangential[i][j] = tangential[j][i] = g
+        tangential[i][i] -= g
+        tangential[j][j] -= g
+    return np.array(res), np.array(vertical), np.array(tangential)
+
+
 def loop_residual(m, phis):
     """The residual loop as it stood before the one pass."""
     out = [0.0] * len(phis)
-    for i, j, _, sind in _pair_table(phis=phis):
+    for i, j, _, sind in pair_table_loop(phis=phis):
         t = m[i] * m[j] * math.sin(phis[i] - phis[j]) / (sind * sind * sind)
         out[i] += t
         out[j] -= t
@@ -54,7 +93,7 @@ def loop_blocks(m, phis):
     n = len(phis)
     vertical = np.zeros((n, n))
     tangential = np.zeros((n, n))
-    for i, j, cosd, sind in _pair_table(phis=phis):
+    for i, j, cosd, sind in pair_table_loop(phis=phis):
         f3 = m[i] * m[j] / (sind * sind * sind)
         vertical[i, j] = f3
         vertical[j, i] = f3
@@ -73,7 +112,7 @@ def loop_hessian(m, phis):
     another rounding of the same formula."""
     n = len(phis)
     out = np.zeros((n, n))
-    for i, j, cosd, sind in _pair_table(phis=phis):
+    for i, j, cosd, sind in pair_table_loop(phis=phis):
         g = -2.0 * m[i] * m[j] * cosd / (sind * sind * sind)
         out[i, j] = g
         out[j, i] = g
@@ -92,8 +131,211 @@ def rings(draw):
     return m, phis
 
 
+@st.composite
+def near_singular_rings(draw):
+    """A ring of ``rings()`` with body k moved onto body j or opposite it, to
+    within an offset that keeps the pair singular or puts it in the band."""
+    m, phis = draw(rings())
+    j, k = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+    offset = draw(st.sampled_from((0.0, 1e-12, -1e-11, 1e-9, -1e-6)))
+    phis[k] = phis[j] + draw(st.sampled_from((0.0, math.pi))) + offset
+    return m, phis
+
+
+CENTRE = 1.0 / 3.0
+
+
+def boundary_reach(angle):
+    """The direction of the ray at ``angle`` in the plane of the simplex from
+    the equal-mass point, and its distance to the region's boundary, found by
+    bisecting the sign of the admissibility value."""
+    u = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
+    v = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
+    d = tuple(math.cos(angle) * a + math.sin(angle) * b for a, b in zip(u, v))
+    lo, hi = 0.0, min(-CENTRE / dk for dk in d if dk < 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if admissibility_value(*(CENTRE + mid * dk for dk in d)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return d, lo
+
+
+# the rays of the atlas benchmark's four edge triples
+EDGE_RAYS = tuple(boundary_reach(0.1 + (k + 0.5) * math.pi / 2.0) for k in range(4))
+
+
+@st.composite
+def edge_rings(draw):
+    """Masses and canonical longitudes of a triple on an edge ray, from 99 %
+    of the way to the boundary on."""
+    d, reach = draw(st.sampled_from(EDGE_RAYS))
+    fraction = draw(st.one_of(st.floats(0.99, 1.0 - 1e-9), st.just(0.999999)))
+    try:
+        triple = as_mass_triple(tuple(CENTRE + fraction * reach * dk for dk in d))
+        ring = ring_from_shape(shape_from_masses(triple))
+    except InputError:
+        assume(False)
+    return triple.as_tuple(), list(ring.longitudes)
+
+
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def pass_outcome(call):
+    """The residual's and both blocks' entries as float.hex strings, or the
+    type and message raised."""
+    try:
+        parts = call()
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
+    return [[x.hex() for x in np.asarray(p, dtype=float).ravel().tolist()] for p in parts]
+
+
+def assert_pass_matches_loop(m, phis):
+    got = pass_outcome(lambda: _ring_pass(m, phis))
+    assert got == pass_outcome(lambda: ring_pass_loop(m, phis))
+
+
+@PROPERTY
+@given(st.one_of(rings(), near_singular_rings()))
+def test_written_out_pass_matches_the_loop(ring):
+    assert_pass_matches_loop(*ring)
+
+
+@PROPERTY
+@given(edge_rings(), st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3))
+@example(((1 / 3, 1 / 3, 1 / 3), [0.0, 2 * math.pi / 3, 4 * math.pi / 3]), 0.0, 0.0)
+def test_written_out_pass_matches_the_loop_at_the_edge_rays(ring, d1, d2):
+    # at the ring and at Newton's starts around it
+    m, phis = ring
+    assert_pass_matches_loop(m, phis)
+    assert_pass_matches_loop(m, [phis[0], phis[1] + d1, phis[2] + d2])
+
+
+# masses whose products underflow give signed zeros, where a sum's start shows
+any_masses = st.one_of(masses, st.floats(1e-300, 1e-150))
+
+
+@PROPERTY
+@given(st.tuples(any_masses, any_masses, any_masses),
+       st.lists(st.floats(), min_size=3, max_size=3))
+@example((1.0, 2.0, 3.0), [0.0, 0.0, math.inf])  # a singular pair before a bad cosine
+@example((1e-200, 1e-200, 1.0), [0.0, 2.0, 4.0])
+def test_written_out_pass_matches_the_loop_on_any_floats(m, phis):
+    assert_pass_matches_loop(m, phis)
+
+
+def newton_on_arrays(masses, initial, tol=NEWTON_TOL):
+    """``solve_fixed_point_numeric`` with its iterates, steps and norms on
+    numpy arrays, as it was before they became floats."""
+    m = masses.masses
+    phis = np.array(initial.longitudes)
+    res, _, tangential = ring_pass_loop(m, phis.tolist())
+    norm = float(np.max(np.abs(res)))
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        if norm < tol:
+            break
+        jac = -tangential[1:, 1:]
+        try:
+            step = np.linalg.solve(jac, -res[1:])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence("singular Newton system: %s" % exc) from None
+        scale = 1.0
+        for _halving in range(40):
+            trial = phis.copy()
+            trial[1:] += scale * step
+            try:
+                trial_res, _, trial_tangential = ring_pass_loop(m, trial.tolist())
+            except SingularConfiguration:
+                if scale <= 2.0 ** -39:
+                    raise
+                scale *= 0.5
+                continue
+            trial_norm = float(np.max(np.abs(trial_res)))
+            if trial_norm < norm or scale <= 2.0 ** -39:
+                break
+            scale *= 0.5
+        phis, res, tangential, norm = trial, trial_res, trial_tangential, trial_norm
+    else:
+        raise NoConvergence(
+            "residual %.3g above %.3g after %d iterations"
+            % (norm, tol, NEWTON_MAX_ITERATIONS)
+        )
+    try:
+        return RingConfiguration(tuple(phis))
+    except InvalidConfiguration as exc:
+        raise NoConvergence("converged to a non-canonical ring: %s" % exc) from None
+
+
+def newton_outcome(call):
+    """The solved longitudes as float.hex strings, or the type and message raised."""
+    try:
+        return [p.hex() for p in call().longitudes]
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
+
+
+offsets = st.one_of(st.floats(-1e-3, 1e-3), st.floats(-0.1, 0.1))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.one_of(rings(), edge_rings()), offsets, offsets, st.sampled_from((NEWTON_TOL, 1e-14)))
+@example(((0.0742, 0.8812, 0.0446), None), 1e-3, -1e-3, NEWTON_TOL)
+def test_newton_on_floats_matches_newton_on_arrays(ring, d1, d2, tol):
+    m, phis = ring
+    if phis is None:  # the canonical ring of the triple
+        triple = as_mass_triple(m)
+        m, phis = triple.as_tuple(), list(ring_from_shape(shape_from_masses(triple)).longitudes)
+    try:
+        start = RingConfiguration((phis[0], phis[1] + d1, phis[2] + d2))
+    except InputError:
+        assume(False)
+    mv = MassVector(m)
+    assert newton_outcome(lambda: solve_fixed_point_numeric(mv, start, tol)) == newton_outcome(
+        lambda: newton_on_arrays(mv, start, tol)
+    )
+
+
+@PROPERTY
+@given(st.lists(st.floats(), min_size=3, max_size=3))
+@example([math.nan, 1.0, 2.0])
+@example([1.0, math.nan, 2.0])
+@example([1.0, 2.0, math.nan])
+@example([-0.0, 0.0, -0.0])
+def test_residual_norm_is_numpys_max_of_abs(res):
+    got = fixedpoints._residual_norm(res)
+    want = float(np.max(np.abs(np.array(res))))
+    assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+
+
+def test_ring_strategies_reach_every_branch():
+    # the properties above are only as good as the rings they draw
+    seen = set()
+
+    @PROPERTY
+    @given(st.one_of(rings(), near_singular_rings(), edge_rings()))
+    def probe(ring):
+        m, phis = ring
+        got = pass_outcome(lambda: ring_pass_loop(m, phis))
+        if isinstance(got, tuple):
+            seen.add(got[1].split(" (")[0])
+            return
+        for i, j, _, sind in pair_table_loop(phis=phis):
+            if sind < 0.1:
+                seen.add("recheck band")
+        if max(abs(float.fromhex(r)) for r in got[0]) < 1e-10 * max(
+            abs(float.fromhex(v)) for v in got[1]
+        ):
+            seen.add("fixed point")
+
+    probe()
+    for pair in ("1 and 2", "1 and 3", "2 and 3"):
+        for kind in ("collision", "antipodal alignment"):
+            assert "bodies %s at %s" % (pair, kind) in seen
+    assert {"recheck band", "fixed point"} <= seen
 
 
 def raised(call):
@@ -162,16 +404,15 @@ def test_singular_pair_raises_one_message_everywhere(ring, data):
 @pytest.fixture
 def passes(monkeypatch):
     """The longitudes of every pass over a ring's pairs, from either module
-    that has read the pair table for a ring."""
+    that calls ``_ring_pass``."""
     seen = []
 
-    def counted(*args, **kwargs):
-        seen.append(tuple(kwargs["phis"]))
-        return _pair_table(*args, **kwargs)
+    def counted(m, phis):
+        seen.append(tuple(phis))
+        return _ring_pass(m, phis)
 
     for module in (fixedpoints, stability):
-        if hasattr(module, "_pair_table"):
-            monkeypatch.setattr(module, "_pair_table", counted)
+        monkeypatch.setattr(module, "_ring_pass", counted)
     return seen
 
 

@@ -26,9 +26,11 @@ from curvednbody.stability import (
     VERDICT_FIXED_POINT,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
+    EIG_ZERO_TOL,
+    SKEW,
     LinearizationBlocks,
+    _block_spectra,
     _mass_weighted_eigensolve,
-    _skew_matrix,
     assemble_L_from_blocks,
     assemble_L_general,
     assemble_blocks,
@@ -245,7 +247,7 @@ class TestFlowMatrix:
     def test_hamiltonian_antisymmetry(self, rng):
         blocks = equal_mass_blocks()
         L = assemble_L_from_blocks(blocks, 1.1)
-        J = _skew_matrix(12)
+        J = SKEW
         for _ in range(10):
             v = rng.normal(size=12)
             w = rng.normal(size=12)
@@ -300,7 +302,8 @@ class TestFlowMatrix:
 class TestSkewProduct:
     def test_canonical_pairing(self):
         # v @ J @ w pairs each position with its momentum: positions first
-        J = _skew_matrix(12)
+        J = SKEW
+        assert not J.flags.writeable
         e = np.eye(12)
         assert e[0] @ J @ e[6] == -1.0
         assert e[6] @ J @ e[0] == 1.0
@@ -467,3 +470,189 @@ def test_vertical_mode_is_the_top_eigenpair_of_a_fresh_solve(masses):
     assert np.float64(lam).tobytes() == lams[top].tobytes()
     assert u.tobytes() == vecs[:, top].tobytes()
     assert lam == spectral_analysis(blocks).lambda1
+
+
+def numpy_block_spectra(blocks):
+    """The block-spectra bookkeeping as numpy arrays did it: the zero-mode
+    counts, the sign checks and the tangential pairs; the oracle of the float
+    bookkeeping of ``_block_spectra``."""
+    m = blocks.mass_diagonal
+    vlams, vvecs, vscale = _mass_weighted_eigensolve(blocks.vertical, m)
+    tlams, _, tscale = _mass_weighted_eigensolve(blocks.tangential, m)
+    vzero = np.abs(vlams) <= EIG_ZERO_TOL * vscale
+    tzero = np.abs(tlams) <= EIG_ZERO_TOL * tscale
+    if int(np.sum(vzero)) != 2:
+        raise DegenerateSpectrum(
+            "vertical block has %d zero modes, expected 2" % int(np.sum(vzero))
+        )
+    if int(np.sum(tzero)) != 1:
+        raise DegenerateSpectrum(
+            "tangential block has %d zero modes, expected 1" % int(np.sum(tzero))
+        )
+    vrest = vlams[~vzero]
+    trest = tlams[~tzero]
+    if vrest.size == 0 or np.any(vrest <= 0.0):
+        raise DegenerateSpectrum("vertical block has a nonpositive transverse mode")
+    if np.any(trest >= 0.0):
+        raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
+    top = int(np.argmax(vlams))
+    lam1 = float(vlams[top])
+    tangential_pairs = []
+    for lam in trest.tolist():
+        s = complex(0.0, math.sqrt(-lam))
+        tangential_pairs.extend([s, -s])
+    return (
+        tuple(vlams.tolist()),
+        tuple(tlams.tolist()),
+        tuple(vrest.tolist()),
+        tuple(tangential_pairs),
+        lam1,
+        math.sqrt(lam1),
+        vvecs[:, top].tobytes(),
+    )
+
+
+def spectra_outcome(call):
+    """Every field of a _BlockSpectra as bits, or the type and message raised."""
+    try:
+        spec = call()
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
+    if not isinstance(spec, tuple):
+        spec = (
+            spec.vertical_eigenvalues,
+            spec.tangential_eigenvalues,
+            spec.vertical_rest,
+            spec.tangential_pairs,
+            spec.lambda1,
+            spec.omega_critical,
+            spec.vertical_vector.tobytes(),
+        )
+    return repr([v if isinstance(v, bytes) else np.asarray(v).tobytes() for v in spec])
+
+
+def pattern_blocks(masses, vertical, tangential, rotation=0.0):
+    """Blocks whose mass-weighted forms have the given diagonal spectra, turned
+    by ``rotation`` radians in the (1, 2) plane so that eigh rounds."""
+    root = np.sqrt(np.asarray(masses, dtype=float))
+    c, s = math.cos(rotation), math.sin(rotation)
+    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def block(lams):
+        sym = q @ np.diag(lams) @ q.T
+        return sym * root[:, None] * root[None, :]
+
+    mv = MassVector(masses)
+    return LinearizationBlocks(mv, RING_EQUAL, block(vertical), block(tangential))
+
+
+class TestBlockSpectraBookkeeping:
+    """The zero-mode counts, sign checks and tangential pairs on floats give
+    the numpy bookkeeping's fields and messages."""
+
+    @pytest.mark.parametrize(
+        "vertical, tangential, message",
+        [
+            ((0.0, 1.0, 2.0), (0.0, -1.0, -2.0),
+             "vertical block has 1 zero modes, expected 2"),
+            ((0.0, 0.0, 0.0), (0.0, -1.0, -2.0),
+             "vertical block has 3 zero modes, expected 2"),
+            ((0.0, 0.0, 1.0), (0.0, 0.0, -2.0),
+             "tangential block has 2 zero modes, expected 1"),
+            ((0.0, 0.0, -1.0), (0.0, -1.0, -2.0),
+             "vertical block has a nonpositive transverse mode"),
+            ((0.0, 0.0, 1.0), (0.0, -1.0, 2.0),
+             "tangential block has a nonnegative transverse mode"),
+            ((0.0, 0.0, 1.0), (0.0, -1.0, 0.5),
+             "tangential block has a nonnegative transverse mode"),
+        ],
+    )
+    def test_each_pattern_keeps_its_message(self, vertical, tangential, message):
+        blocks = pattern_blocks((0.2, 0.5, 0.3), vertical, tangential)
+        with pytest.raises(DegenerateSpectrum) as info:
+            _block_spectra(blocks)
+        assert str(info.value) == message
+        assert spectra_outcome(lambda: _block_spectra(blocks)) == spectra_outcome(
+            lambda: numpy_block_spectra(blocks)
+        )
+
+    @pytest.mark.parametrize(
+        "vertical, message",
+        [
+            # inf gives nan eigenvalues and an infinite scale: no zero modes
+            (np.diag([math.inf, 1.0, 2.0]), "vertical block has 0 zero modes, expected 2"),
+            # a nan scale makes the exact zeros no zero modes either
+            (np.diag([math.nan, 0.0, 0.0]), "vertical block has 0 zero modes, expected 2"),
+        ],
+    )
+    def test_nan_eigenvalues_are_no_zero_modes(self, vertical, message):
+        blocks = LinearizationBlocks(
+            EQUAL.mass_vector(), RING_EQUAL, vertical, np.diag([0.0, -1.0, -2.0])
+        )
+        with np.errstate(invalid="ignore"):
+            got = spectra_outcome(lambda: _block_spectra(blocks))
+            want = spectra_outcome(lambda: numpy_block_spectra(blocks))
+        assert got == want == (DegenerateSpectrum, message)
+
+    def test_lambda1_index_on_ring_blocks(self, rng):
+        for triple in draw_admissible_triples(rng, 20):
+            blocks = fresh_blocks(triple)
+            assert spectra_outcome(lambda: _block_spectra(blocks)) == spectra_outcome(
+                lambda: numpy_block_spectra(blocks)
+            )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.tuples(*[st.floats(0.01, 10.0)] * 3),
+        st.tuples(*[st.sampled_from((0.0, 1e-13, -1e-13, 1.0, -1.0, 2.5, -3.0))] * 3),
+        st.tuples(*[st.sampled_from((0.0, 1e-13, -1e-13, 1.0, -1.0, 2.5, -3.0))] * 3),
+        st.floats(0.0, math.pi),
+    )
+    def test_float_bookkeeping_matches_numpy(self, masses, vertical, tangential, turn):
+        blocks = pattern_blocks(masses, vertical, tangential, turn)
+        assert spectra_outcome(lambda: _block_spectra(blocks)) == spectra_outcome(
+            lambda: numpy_block_spectra(blocks)
+        )
+
+
+def numpy_flow_matrix(blocks, omega):
+    """The flow matrix built whole for every rate, as before the rate-free
+    part was kept on the blocks."""
+    n = 3
+    m = blocks.mass_diagonal
+    w2 = omega * omega
+    L = np.zeros((4 * n, 4 * n))
+    minv = np.diag(1.0 / m)
+    L[0:n, 2 * n : 3 * n] = minv
+    L[n : 2 * n, 3 * n : 4 * n] = minv
+    L[2 * n : 3 * n, 0:n] = blocks.vertical - w2 * np.diag(m)
+    L[3 * n : 4 * n, n : 2 * n] = blocks.tangential
+    return L
+
+
+class TestFlowMatrixCache:
+    def test_matches_the_whole_construction_bit_for_bit(self, rng):
+        for triple in draw_admissible_triples(rng, 20):
+            blocks = fresh_blocks(triple)
+            crit = spectral_analysis(blocks).omega_critical
+            for om in (0.0, 1.5 * crit, -0.7, 0.5 * crit, 1e100):
+                got = assemble_L_from_blocks(blocks, om)
+                assert got.tobytes() == numpy_flow_matrix(blocks, om).tobytes()
+                assert got.dtype == np.float64 and got.shape == (12, 12)
+
+    def test_each_call_gets_its_own_writeable_copy(self):
+        blocks = equal_mass_blocks()
+        first = assemble_L_from_blocks(blocks, 0.3)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, blocks._rate_free_L)
+        assert not blocks._rate_free_L.flags.writeable
+        first[:] = 7.0
+        again = assemble_L_from_blocks(blocks, 0.3)
+        assert again.tobytes() == numpy_flow_matrix(blocks, 0.3).tobytes()
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 1e200])
+    def test_rejected_rate_raises_before_anything_is_built(self, omega):
+        blocks = equal_mass_blocks()
+        with pytest.raises(InvalidConfiguration):
+            assemble_L_from_blocks(blocks, omega)
+        assert "_rate_free_L" not in vars(blocks)
