@@ -10,17 +10,24 @@ pairs, ``fixedpoints._ring_pass``.
 
 Only the centrifugal shift of the vertical block depends on the rate.  A
 ``LinearizationBlocks`` holds its arrays read-only and computes the block
-spectra, lambda1, the symmetry bases and the rate-independent part of the
-flow matrix once; every rate reuses them.  What is done on three numbers
-(the ring pass, the zero-mode counts and sign checks of the spectra) is
-done on Python floats; numpy keeps the eigensolves and the matrix products.
+spectra, lambda1, each symmetry basis and the rate-independent part of the
+flow matrix once, on first use; every rate reuses them.  What is done on
+three numbers (the ring pass, the zero-mode counts and sign checks of the
+spectra) is done on Python floats; numpy keeps the eigensolves and the
+matrix products.
+
+``invariant_subspaces`` builds at the call only what the check of the
+transverse spectrum needs: the flow matrix, its norm, the transverse basis
+and the transverse restriction, residual and spectrum.  The symmetry and
+reduced splittings, which only the CLI's ``stability`` report prints, are
+built on their first read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,9 +69,11 @@ class LinearizationBlocks:
     longitude perturbations; both are symmetric 3-by-3.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
     The arrays are read-only float copies, so what does not depend on the
-    rotation rate (block spectra, lambda1, symmetry bases, and the 12-by-12
-    flow matrix but for its three centrifugal entries) is computed once per
-    instance, read-only, and shared by every rate.
+    rotation rate (block spectra, lambda1, the 12-by-12 flow matrix but for
+    its three centrifugal entries, and the symmetry bases) is computed once
+    per instance on first use, read-only, and shared by every rate.  Each
+    basis has a cache of its own: the symmetry and rotation matrices, the QR
+    of the symmetry matrix, and the transverse and reduced skew complements.
     """
 
     masses: MassVector
@@ -94,8 +103,20 @@ class LinearizationBlocks:
         return _block_spectra(self)
 
     @cached_property
-    def _bases(self) -> tuple:
-        return _symmetry_bases(self)
+    def _symmetry(self) -> tuple:
+        return _symmetry_matrices(self)
+
+    @cached_property
+    def _symmetry_q(self) -> np.ndarray:
+        return _frozen(np.linalg.qr(self._symmetry[0])[0])
+
+    @cached_property
+    def _transverse_complement(self) -> np.ndarray:
+        return _frozen(_skew_complement(self._symmetry[0], 4 * self.n - 6))
+
+    @cached_property
+    def _reduced_complement(self) -> np.ndarray:
+        return _frozen(_skew_complement(self._symmetry[1], 4 * self.n - 2))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -346,17 +367,18 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
     for lam in spectra.vertical_rest:
         s = cmath.sqrt(complex(lam - w2))
         spectrum.extend([s, -s])
-    verdict, exponent = rate_verdict(float(omega), spectra.lambda1)
+    omega = float(omega)
+    verdict, exponent = rate_verdict(omega, spectra.lambda1)
     return StabilityReport(
-        masses=blocks.masses,
-        omega=float(omega),
-        vertical_eigenvalues=spectra.vertical_eigenvalues,
-        tangential_eigenvalues=spectra.tangential_eigenvalues,
-        lambda1=spectra.lambda1,
-        omega_critical=spectra.omega_critical,
-        verdict=verdict,
-        spectrum=tuple(spectrum) + spectra.tangential_pairs,
-        unstable_exponent=exponent,
+        blocks.masses,
+        omega,
+        spectra.vertical_eigenvalues,
+        spectra.tangential_eigenvalues,
+        spectra.lambda1,
+        spectra.omega_critical,
+        verdict,
+        tuple(spectrum) + spectra.tangential_pairs,
+        exponent,
     )
 
 
@@ -432,18 +454,62 @@ class InvariantSplitting:
     pairs to zero with every symmetry mode, ``reduced_basis`` (dimension 10)
     with the rotation modes.  Residuals measure how far
     the flow matrix is from leaving each subspace invariant.
+
+    The transverse part (its basis, residual and spectrum) is built at the
+    call.  The symmetry and rotation bases, the reduced basis, the symmetry
+    and reduced residuals, the reduced spectrum and ``nilpotent_residual``
+    (None unless the rate is zero) are built from the same flow matrix on
+    first read, cached and read-only.  They are no dataclass fields, so
+    ``dataclasses.fields``, ``replace`` and ``asdict`` see only the
+    transverse part and the private inputs of the rest.
     """
 
-    symmetry_basis: np.ndarray
-    rotation_basis: np.ndarray
     transverse_basis: np.ndarray
-    reduced_basis: np.ndarray
-    symmetry_residual: float
     transverse_residual: float
-    reduced_residual: float
     transverse_spectrum: tuple
-    reduced_spectrum: tuple
-    nilpotent_residual: float | None
+    _blocks: LinearizationBlocks = field(repr=False)
+    _flow: np.ndarray = field(repr=False)
+    _norm: float = field(repr=False)
+    _omega: float = field(repr=False)
+
+    @property
+    def symmetry_basis(self) -> np.ndarray:
+        return self._blocks._symmetry[0]
+
+    @property
+    def rotation_basis(self) -> np.ndarray:
+        return self._blocks._symmetry[1]
+
+    @property
+    def reduced_basis(self) -> np.ndarray:
+        return self._blocks._reduced_complement
+
+    @cached_property
+    def _symmetry_part(self) -> tuple:
+        return _restriction(self._flow, self._blocks._symmetry_q, self._norm)
+
+    @property
+    def symmetry_residual(self) -> float:
+        return self._symmetry_part[1]
+
+    @cached_property
+    def nilpotent_residual(self) -> float | None:
+        if self._omega != 0.0:
+            return None
+        restriction = self._symmetry_part[0]
+        return float(np.linalg.norm(restriction @ restriction)) / max(self._norm, 1.0)
+
+    @cached_property
+    def _reduced_part(self) -> tuple:
+        return _restriction(self._flow, self.reduced_basis, self._norm)
+
+    @property
+    def reduced_residual(self) -> float:
+        return self._reduced_part[1]
+
+    @cached_property
+    def reduced_spectrum(self) -> tuple:
+        return tuple(np.linalg.eigvals(self._reduced_part[0]))
 
 
 def _skew_complement(basis: np.ndarray, expected_dim: int) -> np.ndarray:
@@ -468,26 +534,21 @@ def _restriction(L: np.ndarray, q: np.ndarray, denom: float):
     return coeffs, float(np.linalg.norm(leak)) / denom
 
 
-def _symmetry_bases(blocks: LinearizationBlocks) -> tuple:
-    """Read-only symmetry, rotation, orthonormal symmetry, transverse and
-    reduced bases: the rate-independent part of an InvariantSplitting."""
+def _symmetry_matrices(blocks: LinearizationBlocks) -> tuple:
+    """Read-only symmetry and rotation bases, built from the null vectors
+    without a factorization; the rotation basis is a view of the last two
+    symmetry columns."""
     n = blocks.n
-    dim = 4 * n
     m = blocks.mass_diagonal
     radial, transverse, uniform = null_vectors(blocks.ring)
-
-    symmetry = np.zeros((dim, 6))
+    symmetry = np.zeros((4 * n, 6))
     symmetry[0:n, 0] = radial
     symmetry[2 * n : 3 * n, 1] = m * radial
     symmetry[0:n, 2] = transverse
     symmetry[2 * n : 3 * n, 3] = m * transverse
     symmetry[n : 2 * n, 4] = uniform
     symmetry[3 * n : 4 * n, 5] = m * uniform
-    rotation = symmetry[:, 4:6]
-    q_sym, _ = np.linalg.qr(symmetry)
-    transverse = _skew_complement(symmetry, dim - 6)
-    reduced = _skew_complement(rotation, dim - 2)
-    return tuple(_frozen(b) for b in (symmetry, rotation, q_sym, transverse, reduced))
+    return _frozen(symmetry), _frozen(symmetry[:, 4:6])
 
 
 def invariant_subspaces(
@@ -499,29 +560,25 @@ def invariant_subspaces(
     skew-complements come from an SVD null space.  The symmetry subspace is
     invariant at every rotation rate, and at rate zero its restriction is
     nilpotent of index two, which is reported through ``nilpotent_residual``.
-    The bases are built on the first call for ``blocks``, are read-only and
-    are shared by every later call.
+
+    The call builds the transverse basis (its DegenerateBasis raises here),
+    the flow matrix (a rate that ``rate_square`` rejects raises here), its
+    norm and the transverse restriction, residual and spectrum.  Every other
+    part is built on its first read from that flow matrix.  The bases are
+    built once per ``blocks``, one cache per part, are read-only and are
+    shared by every later call: reading only the transverse part costs one
+    SVD per ``blocks`` and no QR.
     """
-    symmetry, rotation, q_sym, transverse, reduced = blocks._bases
-    L = assemble_L_from_blocks(blocks, omega)
+    transverse = blocks._transverse_complement
+    L = _frozen(assemble_L_from_blocks(blocks, omega))
     norm = float(np.linalg.norm(L))
-    sym_restriction, sym_residual = _restriction(L, q_sym, norm)
-    nilpotent = None
-    if omega == 0.0:
-        nilpotent = float(
-            np.linalg.norm(sym_restriction @ sym_restriction)
-        ) / max(norm, 1.0)
-    trans_restriction, trans_residual = _restriction(L, transverse, norm)
-    red_restriction, red_residual = _restriction(L, reduced, norm)
+    restriction, residual = _restriction(L, transverse, norm)
     return InvariantSplitting(
-        symmetry_basis=symmetry,
-        rotation_basis=rotation,
-        transverse_basis=transverse,
-        reduced_basis=reduced,
-        symmetry_residual=sym_residual,
-        transverse_residual=trans_residual,
-        reduced_residual=red_residual,
-        transverse_spectrum=tuple(np.linalg.eigvals(trans_restriction)),
-        reduced_spectrum=tuple(np.linalg.eigvals(red_restriction)),
-        nilpotent_residual=nilpotent,
+        transverse,
+        residual,
+        tuple(np.linalg.eigvals(restriction)),
+        blocks,
+        L,
+        norm,
+        omega,
     )

@@ -65,3 +65,27 @@ def pair_table_loop(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
                 raise _singular_pair(i, j, cosd, sind)
             table.append((i, j, cosd, sind))
     return table
+
+
+CENTRE = 1.0 / 3.0
+
+
+def boundary_reach(angle):
+    """The direction of the ray at ``angle`` in the plane of the simplex from
+    the equal-mass point, and its distance to the region's boundary, found by
+    bisecting the sign of the admissibility value."""
+    u = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
+    v = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
+    d = tuple(math.cos(angle) * a + math.sin(angle) * b for a, b in zip(u, v))
+    lo, hi = 0.0, min(-CENTRE / dk for dk in d if dk < 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if admissibility_value(*(CENTRE + mid * dk for dk in d)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return d, lo
+
+
+# the rays of the atlas benchmark's four edge triples
+EDGE_RAYS = tuple(boundary_reach(0.1 + (k + 0.5) * math.pi / 2.0) for k in range(4))

@@ -31,7 +31,6 @@ from curvednbody.fixedpoints import (
     NEWTON_MAX_ITERATIONS,
     NEWTON_TOL,
     _ring_pass,
-    admissibility_value,
     as_mass_triple,
     fixed_point_residual,
     ring_from_shape,
@@ -41,7 +40,7 @@ from curvednbody.fixedpoints import (
 from curvednbody.geometry import MassVector, RingConfiguration
 from curvednbody.stability import assemble_blocks
 
-from conftest import pair_table_loop, unchecked
+from conftest import CENTRE, EDGE_RAYS, pair_table_loop, unchecked
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -140,30 +139,6 @@ def near_singular_rings(draw):
     offset = draw(st.sampled_from((0.0, 1e-12, -1e-11, 1e-9, -1e-6)))
     phis[k] = phis[j] + draw(st.sampled_from((0.0, math.pi))) + offset
     return m, phis
-
-
-CENTRE = 1.0 / 3.0
-
-
-def boundary_reach(angle):
-    """The direction of the ray at ``angle`` in the plane of the simplex from
-    the equal-mass point, and its distance to the region's boundary, found by
-    bisecting the sign of the admissibility value."""
-    u = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
-    v = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
-    d = tuple(math.cos(angle) * a + math.sin(angle) * b for a, b in zip(u, v))
-    lo, hi = 0.0, min(-CENTRE / dk for dk in d if dk < 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if admissibility_value(*(CENTRE + mid * dk for dk in d)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return d, lo
-
-
-# the rays of the atlas benchmark's four edge triples
-EDGE_RAYS = tuple(boundary_reach(0.1 + (k + 0.5) * math.pi / 2.0) for k in range(4))
 
 
 @st.composite

@@ -186,6 +186,15 @@ class TestSpectralAnalysis:
         )
         assert spectral_analysis(blocks, 1.3).unstable_exponent == 0.0
 
+    @pytest.mark.parametrize("omega", [1, np.float64(0.7), -0.0])
+    def test_report_takes_the_rate_as_a_float(self, omega):
+        rep = spectral_analysis(equal_mass_blocks(), omega)
+        assert type(rep.omega) is float
+        assert rep.omega.hex() == float(omega).hex()
+        assert len(dataclasses.fields(rep)) == 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.verdict = VERDICT_STABLE
+
     def test_analytic_spectrum_structure(self):
         rep = spectral_analysis(equal_mass_blocks(), 1.3)
         assert len(rep.spectrum) == 6
