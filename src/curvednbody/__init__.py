@@ -2,7 +2,6 @@
 
 from .errors import (
     CurvedNBodyError,
-    DegenerateBasis,
     DegenerateShape,
     DegenerateSpectrum,
     InconsistentPair,

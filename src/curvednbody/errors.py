@@ -59,10 +59,6 @@ class DegenerateSpectrum(NumericalFailure):
     """An eigenvalue pattern required for classification did not separate cleanly."""
 
 
-class DegenerateBasis(NumericalFailure):
-    """A requested subspace basis is numerically rank deficient."""
-
-
 class StepFailure(NumericalFailure):
     """A time step could not be completed.
 

@@ -10,17 +10,16 @@ pairs, ``fixedpoints._ring_pass``.
 
 Only the centrifugal shift of the vertical block depends on the rate.  A
 ``LinearizationBlocks`` holds its arrays read-only and computes the block
-spectra, lambda1, each symmetry basis and the rate-independent part of the
+spectra, lambda1, the splitting's bases and the rate-independent part of the
 flow matrix once, on first use; every rate reuses them.  What is done on
 three numbers (the ring pass, the zero-mode counts and sign checks of the
 spectra) is done on Python floats; numpy keeps the eigensolves and the
 matrix products.
 
-``invariant_subspaces`` builds at the call only what the check of the
-transverse spectrum needs: the flow matrix, its norm, the transverse basis
-and the transverse restriction, residual and spectrum.  The symmetry and
-reduced splittings, which only the CLI's ``stability`` report prints, are
-built on their first read.
+The equator's reflection z -> -z keeps (theta, p_theta) and (phi, p_phi)
+apart, so ``invariant_subspaces`` splits each parity on its own, from bases
+in closed form: the transverse spectrum comes from a 1-by-1 and a 2-by-2
+product, with no factorization.
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasis,
-    DegenerateSpectrum,
-    InvalidConfiguration,
-    NotAFixedPoint,
-)
+from .errors import DegenerateSpectrum, InvalidConfiguration, NotAFixedPoint
 from .fixedpoints import (
     TriangleShape,
     _residual_norm,
@@ -70,10 +64,9 @@ class LinearizationBlocks:
     holds the masses, the diagonal of the kinetic metric on the equator.
     The arrays are read-only float copies, so what does not depend on the
     rotation rate (block spectra, lambda1, the 12-by-12 flow matrix but for
-    its three centrifugal entries, and the symmetry bases) is computed once
-    per instance on first use, read-only, and shared by every rate.  Each
-    basis has a cache of its own: the symmetry and rotation matrices, the QR
-    of the symmetry matrix, and the transverse and reduced skew complements.
+    its three centrifugal entries, and the splitting's parity bases) is
+    computed once per instance on first use, read-only, and shared by every
+    rate.
     """
 
     masses: MassVector
@@ -103,20 +96,8 @@ class LinearizationBlocks:
         return _block_spectra(self)
 
     @cached_property
-    def _symmetry(self) -> tuple:
-        return _symmetry_matrices(self)
-
-    @cached_property
-    def _symmetry_q(self) -> np.ndarray:
-        return _frozen(np.linalg.qr(self._symmetry[0])[0])
-
-    @cached_property
-    def _transverse_complement(self) -> np.ndarray:
-        return _frozen(_skew_complement(self._symmetry[0], 4 * self.n - 6))
-
-    @cached_property
-    def _reduced_complement(self) -> np.ndarray:
-        return _frozen(_skew_complement(self._symmetry[1], 4 * self.n - 2))
+    def _bases(self) -> tuple:
+        return _parity_bases(self)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -432,39 +413,24 @@ def omega_critical(masses) -> float:
     return classify(masses, 0.0).omega_critical
 
 
-def _canonical_skew() -> np.ndarray:
-    J = np.zeros((12, 12))
-    J[:6, 6:] = -np.eye(6)
-    J[6:, :6] = np.eye(6)
-    return _frozen(J)
-
-
-# the skew form J = [[0, -I], [I, 0]] that pairs each position with its momentum
-SKEW = _canonical_skew()
-
-
 @dataclass(frozen=True)
 class InvariantSplitting:
     """Symmetry subspaces of the linearized flow and the transverse spectra.
 
     ``symmetry_basis`` spans the modes generated by the rotational
     symmetries and their momentum shifts (dimension 6); ``rotation_basis``
-    is the 2-dimensional part from the rotation about the polar axis alone.
+    is its part from the rotation about the polar axis alone (dimension 2).
     The complements are skew-orthogonal: ``transverse_basis`` (dimension 6)
     pairs to zero with every symmetry mode, ``reduced_basis`` (dimension 10)
-    with the rotation modes.  Residuals measure how far
-    the flow matrix is from leaving each subspace invariant.
+    with the rotation modes.  Residuals measure, relative to the flow
+    matrix's Frobenius norm, how far the flow is from leaving each subspace
+    invariant.  Spectra list the vertical pairs first.
 
-    The transverse part (its basis, residual and spectrum) is built at the
-    call.  The symmetry and rotation bases, the reduced basis, the symmetry
-    and reduced residuals, the reduced spectrum and ``nilpotent_residual``
-    (None unless the rate is zero) are built from the same flow matrix on
-    first read, cached and read-only.  They are no dataclass fields, so
-    ``dataclasses.fields``, ``replace`` and ``asdict`` see only the
-    transverse part and the private inputs of the rest.
+    The transverse residual and spectrum are dataclass fields, built at the
+    call.  The other residuals and the reduced spectrum are built on first
+    read and cached; ``nilpotent_residual`` is None unless the rate is zero.
     """
 
-    transverse_basis: np.ndarray
     transverse_residual: float
     transverse_spectrum: tuple
     _blocks: LinearizationBlocks = field(repr=False)
@@ -473,20 +439,24 @@ class InvariantSplitting:
     _omega: float = field(repr=False)
 
     @property
+    def transverse_basis(self) -> np.ndarray:
+        return self._blocks._bases[0]
+
+    @property
     def symmetry_basis(self) -> np.ndarray:
-        return self._blocks._symmetry[0]
+        return self._blocks._bases[1]
 
     @property
     def rotation_basis(self) -> np.ndarray:
-        return self._blocks._symmetry[1]
+        return self._blocks._bases[1][:, 4:6]
 
     @property
     def reduced_basis(self) -> np.ndarray:
-        return self._blocks._reduced_complement
+        return self._blocks._bases[2]
 
     @cached_property
     def _symmetry_part(self) -> tuple:
-        return _restriction(self._flow, self._blocks._symmetry_q, self._norm)
+        return _restriction(self._flow, self.symmetry_basis, self._norm)
 
     @property
     def symmetry_residual(self) -> float:
@@ -497,7 +467,8 @@ class InvariantSplitting:
         if self._omega != 0.0:
             return None
         restriction = self._symmetry_part[0]
-        return float(np.linalg.norm(restriction @ restriction)) / max(self._norm, 1.0)
+        square = (restriction @ restriction).ravel().tolist()
+        return math.hypot(*square) / max(self._norm, 1.0)
 
     @cached_property
     def _reduced_part(self) -> tuple:
@@ -509,46 +480,91 @@ class InvariantSplitting:
 
     @cached_property
     def reduced_spectrum(self) -> tuple:
-        return tuple(np.linalg.eigvals(self._reduced_part[0]))
+        # the reduced subspace holds the whole vertical parity, whose pairs are
+        # +-sqrt(nu - omega^2) for the eigenvalues nu of the mass-weighted block
+        blocks, c = self._blocks, self._reduced_part[0]
+        nus = _mass_weighted_eigensolve(blocks.vertical, blocks.mass_diagonal)[0]
+        w2 = self._omega * self._omega
+        vertical = [nu - w2 for nu in sorted(nus.tolist(), reverse=True)]
+        return tuple(_pairs(vertical + _roots(c[6:8, 8:10] @ c[8:10, 6:8])))
 
 
-def _skew_complement(basis: np.ndarray, expected_dim: int) -> np.ndarray:
-    """Orthonormal basis of the skew-orthogonal complement of ``basis``."""
-    dim = basis.shape[0]
-    constraint = basis.T @ SKEW
-    _, sing, vt = np.linalg.svd(constraint)
-    rank = int(np.sum(sing > 1e-10 * (sing[0] if sing.size else 1.0)))
-    null_dim = dim - rank
-    if null_dim != expected_dim:
-        raise DegenerateBasis(
-            "skew complement has dimension %d, expected %d" % (null_dim, expected_dim)
-        )
-    return vt[rank:].T
+def _normal_frame(v: list) -> tuple:
+    """(v / |v| as a column, an orthonormal basis of the plane normal to v):
+    the columns but k of the Householder reflection that maps e_k to
+    -+v / |v|, where v's entry k is its largest."""
+    n = math.hypot(*v)
+    u = [x / n for x in v]
+    k = max(range(3), key=lambda i: abs(u[i]))
+    h = [x + math.copysign(i == k, u[k]) for i, x in enumerate(u)]
+    plane = [[(i == j) - h[i] * h[j] / abs(h[k]) for j in range(3) if j != k]
+             for i in range(3)]
+    return np.array(u)[:, None], np.array(plane)
 
 
-def _restriction(L: np.ndarray, q: np.ndarray, denom: float):
-    """Matrix of L on the span of the orthonormal columns q, with residual."""
+def _parity_bases(blocks: LinearizationBlocks) -> tuple:
+    """Read-only transverse, symmetry and reduced bases, with orthonormal
+    columns each in one parity: vertical positions, vertical momenta,
+    tangential positions, tangential momenta.
+
+    The vertical symmetry modes radial, transverse, m radial and m transverse
+    span the planes normal to w = radial x transverse and to w / m; the
+    tangential ones are the uniform vector and m.  Transverse positions are
+    orthogonal to the symmetry momenta and transverse momenta to the
+    symmetry positions: w / m and w, and the planes normal to m and to 1.
+    The reduced basis holds the whole vertical parity.
+    """
+    m = blocks.masses.masses
+    p1, p2, p3 = blocks.ring.longitudes
+    w = [math.sin(p3 - p2), math.sin(p1 - p3), math.sin(p2 - p1)]
+    w_unit, w_plane = _normal_frame(w)
+    wm_unit, wm_plane = _normal_frame([x / mi for x, mi in zip(w, m)])
+    one_unit, one_plane = _normal_frame([1.0, 1.0, 1.0])
+    m_unit, m_plane = _normal_frame(list(m))
+    return (
+        _embed(wm_unit, w_unit, m_plane, one_plane),
+        _embed(w_plane, wm_plane, one_unit, m_unit),
+        _embed(np.eye(3), np.eye(3), m_plane, one_plane),
+    )
+
+
+def _embed(*columns) -> np.ndarray:
+    """Columns of the theta, p_theta, phi and p_phi rows as a read-only
+    phase-space basis in the order (theta, phi, p_theta, p_phi)."""
+    out = np.zeros((12, sum(cols.shape[1] for cols in columns)))
+    start = 0
+    for cols, row in zip(columns, (0, 6, 3, 9)):
+        out[row : row + 3, start : start + cols.shape[1]] = cols
+        start += cols.shape[1]
+    return _frozen(out)
+
+
+def _restriction(L: np.ndarray, q: np.ndarray, denom: float) -> tuple:
+    """Matrix of L on the span of the orthonormal columns q, and the
+    Frobenius norm of what leaks out of the span over ``denom``."""
     lq = L @ q
     coeffs = q.T @ lq
-    leak = lq - q @ coeffs
-    return coeffs, float(np.linalg.norm(leak)) / denom
+    leak = (lq - q @ coeffs).ravel().tolist()
+    return coeffs, math.hypot(*leak) / denom
 
 
-def _symmetry_matrices(blocks: LinearizationBlocks) -> tuple:
-    """Read-only symmetry and rotation bases, built from the null vectors
-    without a factorization; the rotation basis is a view of the last two
-    symmetry columns."""
-    n = blocks.n
-    m = blocks.mass_diagonal
-    radial, transverse, uniform = null_vectors(blocks.ring)
-    symmetry = np.zeros((4 * n, 6))
-    symmetry[0:n, 0] = radial
-    symmetry[2 * n : 3 * n, 1] = m * radial
-    symmetry[0:n, 2] = transverse
-    symmetry[2 * n : 3 * n, 3] = m * transverse
-    symmetry[n : 2 * n, 4] = uniform
-    symmetry[3 * n : 4 * n, 5] = m * uniform
-    return _frozen(symmetry), _frozen(symmetry[:, 4:6])
+def _roots(prod: np.ndarray) -> list:
+    """Eigenvalues of a 2-by-2 product x @ y, larger magnitude first, whose
+    square roots are those of the restriction [[0, x], [y, 0]].  Scaled to
+    entries of at most 1, the larger comes from the trace and the
+    discriminant clamped at zero (so that equal masses' double root is real)
+    and the smaller as the determinant over the larger."""
+    scale = float(np.max(np.abs(prod))) or 1.0
+    (a, b), (c, d) = (prod / scale).tolist()
+    half = (a + d) / 2
+    root = math.sqrt(max((a - d) ** 2 / 4 + b * c, 0.0))
+    big = half - root if half < 0.0 else half + root
+    return [big * scale, (a * d - b * c) / big * scale if big else 0.0]
+
+
+def _pairs(roots: list) -> list:
+    """+-sqrt(mu) for each mu of ``roots``, in order."""
+    return [z for s in map(cmath.sqrt, roots) for z in (s, -s)]
 
 
 def invariant_subspaces(
@@ -556,29 +572,17 @@ def invariant_subspaces(
 ) -> InvariantSplitting:
     """Split phase space at the rotating ring into symmetry and transverse parts.
 
-    The symmetry modes are built explicitly from the null vectors; both
-    skew-complements come from an SVD null space.  The symmetry subspace is
-    invariant at every rotation rate, and at rate zero its restriction is
-    nilpotent of index two, which is reported through ``nilpotent_residual``.
-
-    The call builds the transverse basis (its DegenerateBasis raises here),
-    the flow matrix (a rate that ``rate_square`` rejects raises here), its
-    norm and the transverse restriction, residual and spectrum.  Every other
-    part is built on its first read from that flow matrix.  The bases are
-    built once per ``blocks``, one cache per part, are read-only and are
-    shared by every later call: reading only the transverse part costs one
-    SVD per ``blocks`` and no QR.
+    The symmetry subspace is invariant at every rotation rate, and at rate
+    zero its restriction is nilpotent of index two (``nilpotent_residual``).
+    A rate that ``rate_square`` rejects raises here.  Each basis keeps the
+    parities apart, so the transverse restriction is [[0, x], [y, 0]] in
+    each: the vertical pair is +-sqrt(x y) of 1-by-1 blocks, the tangential
+    pairs come from ``_roots`` of 2-by-2 ones.  Norms are taken by
+    ``math.hypot``, which squares no entry, so every rate that
+    ``rate_square`` accepts gives finite residuals.
     """
-    transverse = blocks._transverse_complement
     L = _frozen(assemble_L_from_blocks(blocks, omega))
-    norm = float(np.linalg.norm(L))
-    restriction, residual = _restriction(L, transverse, norm)
-    return InvariantSplitting(
-        transverse,
-        residual,
-        tuple(np.linalg.eigvals(restriction)),
-        blocks,
-        L,
-        norm,
-        omega,
-    )
+    norm = math.hypot(*L.ravel().tolist())
+    c, residual = _restriction(L, blocks._bases[0], norm)
+    roots = [float(c[0, 1] * c[1, 0])] + _roots(c[2:4, 4:6] @ c[4:6, 2:4])
+    return InvariantSplitting(residual, tuple(_pairs(roots)), blocks, L, norm, omega)

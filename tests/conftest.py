@@ -87,5 +87,17 @@ def boundary_reach(angle):
     return d, lo
 
 
+def _canonical_skew():
+    J = np.zeros((12, 12))
+    J[:6, 6:] = -np.eye(6)
+    J[6:, :6] = np.eye(6)
+    J.setflags(write=False)
+    return J
+
+
+# the skew form J = [[0, -I], [I, 0]] that pairs each position with its
+# momentum, in the flow matrix's coordinate order (theta, phi, p_theta, p_phi)
+SKEW = _canonical_skew()
+
 # the rays of the atlas benchmark's four edge triples
 EDGE_RAYS = tuple(boundary_reach(0.1 + (k + 0.5) * math.pi / 2.0) for k in range(4))

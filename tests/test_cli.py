@@ -337,6 +337,27 @@ class TestStability:
         assert report["classification.verdict"] == "fixed-point-unstable"
         assert float(report["subspaces.nilpotent_residual"]) < 1e-11
 
+    @pytest.mark.parametrize("omega", ["1e10", "1e100"])
+    def test_huge_rate_splitting_is_finite_and_imaginary(self, omega):
+        # omega^2 entries beside couplings of size 1: no overflow warning, and
+        # neither the rate-free tangential pairs nor the vertical pair take on
+        # a real part, since the ring is linearly stable there
+        code, out, err = run_in_process(
+            ["stability", "--masses", "0.2", "0.5", "0.3", "--omega", omega]
+        )
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert report["classification.verdict"] == "re-linearly-stable"
+        numeric = [complex(z) for z in report["spectrum.transverse_numeric"].split()]
+        analytic = [complex(z) for z in report["spectrum.transverse_analytic"].split()]
+        assert [z.real for z in numeric] == [0.0] * 6
+        # sqrt halves the few roundings in lambda1 - omega^2 and x * y
+        for got, want in zip(numeric, analytic):
+            assert abs(got - want) <= 4 * sys.float_info.epsilon * abs(want)
+        assert float(report["spectrum.reduced_max_real"]) == 0.0
+        for key in ("symmetry_residual", "transverse_residual", "reduced_residual"):
+            assert 0.0 <= float(report["subspaces." + key]) < 1e-15
+
 
 class TestSimulate:
     def test_relative_equilibrium_run(self, capsys, tmp_path):
@@ -855,7 +876,6 @@ EXIT_CODES = {
     "NoConvergence": 3,
     "NotAFixedPoint": 3,
     "DegenerateSpectrum": 3,
-    "DegenerateBasis": 3,
     "StepFailure": 3,
     "NoGrowthWindow": 3,
 }
@@ -1195,9 +1215,23 @@ PINNED = {
     ),
     "stability --masses 0.2 0.5 0.3 --omega 2.3": (
         0,
-        "d75cc6a6ddbcfcc906abe2100d8bb4421e986d1d4a3d40df025fd71439d7db5c",
+        "bc31619ac63c943486547bf0ad2079f8eedd117c5540debd2a99832594d5d6d6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "d75cc6a6ddbcfcc906abe2100d8bb4421e986d1d4a3d40df025fd71439d7db5c",
+        "bc31619ac63c943486547bf0ad2079f8eedd117c5540debd2a99832594d5d6d6",
+    ),
+    # rates whose square dwarfs the ring's couplings: the splitting stays
+    # finite, and the transverse spectrum purely imaginary
+    "stability --masses 0.2 0.5 0.3 --omega 1e10": (
+        0,
+        "f42590758300eef487ea20300de3408e68aa9e777dc476cab95865ed8103157b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f42590758300eef487ea20300de3408e68aa9e777dc476cab95865ed8103157b",
+    ),
+    "stability --masses 0.2 0.5 0.3 --omega 1e100": (
+        0,
+        "20f8726632a363d0cec0768de49b62eb9b00a0c1188b9f8710a8497e3c23035a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "20f8726632a363d0cec0768de49b62eb9b00a0c1188b9f8710a8497e3c23035a",
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode re --horizon 1.0": (
         0,
@@ -1225,9 +1259,9 @@ PINNED = {
     ),
     "stability --config rates.json": (
         0,
-        "bd0bf9ad9cc789edf8239b7051fc260b25b957bc301e6809b476bb63e4a87ac7",
+        "a10ac845a66f9f3df75875bc91f8d5360efc1a6c12409158a30c2b360a38f405",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "bd0bf9ad9cc789edf8239b7051fc260b25b957bc301e6809b476bb63e4a87ac7",
+        "a10ac845a66f9f3df75875bc91f8d5360efc1a6c12409158a30c2b360a38f405",
     ),
     # a grid whose mirrored values differ in bits in many cells
     "region-scan --resolution 333": (
@@ -1281,9 +1315,9 @@ PINNED = {
     ),
     "stability --config output.json": (
         0,
-        "b73e0fd34de510ef999b54969a77f8c7f51f4a83b4b7693438f699c16c2c1e22",
+        "ef696f5a851152c413aec27935a551ab9894f2fe23d96902d4e48e9537976cd0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "b73e0fd34de510ef999b54969a77f8c7f51f4a83b4b7693438f699c16c2c1e22",
+        "ef696f5a851152c413aec27935a551ab9894f2fe23d96902d4e48e9537976cd0",
     ),
     "stability": (
         2,

@@ -13,7 +13,6 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 ROOT_NAMES = {
     "AdmissibleMassTriple",
     "CurvedNBodyError",
-    "DegenerateBasis",
     "DegenerateShape",
     "DegenerateSpectrum",
     "GrowthFit",

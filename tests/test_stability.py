@@ -27,7 +27,6 @@ from curvednbody.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     EIG_ZERO_TOL,
-    SKEW,
     LinearizationBlocks,
     _block_spectra,
     _mass_weighted_eigensolve,
@@ -46,7 +45,7 @@ from curvednbody.stability import (
     vertical_mode,
 )
 
-from conftest import draw_admissible_triples
+from conftest import SKEW, draw_admissible_triples
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 
