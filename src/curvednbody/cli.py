@@ -8,7 +8,7 @@ is not finite, or whose square is not, is rejected before any work, with
 the message of ``stability.rate_square``.  ``simulate`` rejects ``--seed``
 and ``--amplitude`` where its mode does not read them.  ``--workers`` is
 accepted, hidden and ignored: ``omega-sweep`` classifies every rate from one
-eigensolve.  The parser is built once per process; parsing does not change
+set of block spectra.  The parser is built once per process; parsing does not change
 it, so each call of ``main`` parses as a fresh parser would.
 
 Exit codes: 0 on success, 1 for I/O or internal failures, 2 for invalid
@@ -100,7 +100,8 @@ def _coerce(name, value, kind, nargs=None):
 
 
 def _tolerances(raw) -> dict:
-    """The named tolerances, with overrides given as a JSON object or its text."""
+    """The named tolerances, with overrides given as a JSON object or its text;
+    each bounds a nonnegative defect, so it must be finite and positive."""
     tolerances = dict(DEFAULT_TOLERANCES)
     if isinstance(raw, str):
         try:
@@ -112,7 +113,11 @@ def _tolerances(raw) -> dict:
     for name, value in raw.items():
         if name not in tolerances:
             raise InvalidConfiguration("unknown tolerance %r" % name)
-        tolerances[name] = _coerce("tolerance " + name, value, float)
+        value = _coerce("tolerance " + name, value, float)
+        if not 0.0 < value < math.inf:
+            raise InvalidConfiguration(
+                "tolerance %s must be finite and positive, not %r" % (name, value))
+        tolerances[name] = value
     return tolerances
 
 
@@ -576,7 +581,7 @@ def _cmd_omega_sweep(opts) -> int:
     hi = opts["omega_max"]
     count = opts["count"]
     triple, shape, ring, blocks = _stability_pipeline(opts)
-    # lambda1 does not depend on the rate: one eigensolve serves the whole grid
+    # lambda1 does not depend on the rate: one set of block spectra serves the grid
     rep = stability.spectral_analysis(blocks, lo)
     rows = []
     for w in np.linspace(lo, hi, count).tolist():

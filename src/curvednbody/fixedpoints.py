@@ -224,6 +224,22 @@ def _residual_norm(res) -> float:
     return c if c > top or c != c else top
 
 
+def _roots(a: float, b: float, c: float, d: float, det: float | None = None) -> list:
+    """Eigenvalues of [[a, b], [c, d]], larger magnitude first (for a product
+    x @ y, the squares of those of [[0, x], [y, 0]]).  Scaled to entries of at
+    most 1, the larger comes from the trace and the discriminant clamped at 0
+    (equal masses' double root stays real), the smaller as the determinant,
+    ``det`` if given, else a d - b c, over the larger."""
+    scale = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    half = (a + d) / 2
+    root = math.sqrt(max((a - d) ** 2 / 4 + b * c, 0.0))
+    big = half - root if half < 0.0 else half + root
+    if det is None:
+        return [big * scale, (a * d - b * c) / big * scale if big else 0.0]
+    return [big * scale, det / (big * scale) if big else 0.0]
+
+
 def shape_from_masses(masses) -> TriangleShape:
     """Invert the mass map: recover the unique ring shape of an admissible triple."""
     triple = as_mass_triple(masses)
@@ -342,7 +358,8 @@ def solve_fixed_point_numeric(
 
     The Jacobian is minus the tangential block with the pinned first row and
     column removed, from the pass over the pairs that gave the residual.  The
-    iterates and steps are floats; only the 2-by-2 solve goes through numpy.
+    iterates, the steps and the 2-by-2 solve, by Cramer's rule, are floats; a
+    zero or non-finite determinant raises NoConvergence.
     """
     m = masses.masses
     phis = initial.longitudes
@@ -352,11 +369,11 @@ def solve_fixed_point_numeric(
         if norm < tol:
             break
         _, (_, a, b), (_, c, d) = tangential
-        try:
-            step = np.linalg.solve([[-a, -b], [-c, -d]], [-res[1], -res[2]])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular Newton system: %s" % exc) from None
-        s1, s2 = step.tolist()
+        det = a * d - b * c
+        if not (det != 0.0 and math.isfinite(det)):
+            raise NoConvergence("singular Newton system: determinant %r" % det)
+        s1 = (res[1] * d - b * res[2]) / det
+        s2 = (a * res[2] - c * res[1]) / det
         p0, p1, p2 = phis
         # damped update: halve until the residual norm stops increasing
         scale = 1.0

@@ -27,6 +27,7 @@ from .errors import InvalidConfiguration, SingularConfiguration
 from .fixedpoints import (
     CONSISTENCY_TOL,
     TriangleShape,
+    _roots,
     as_mass_triple,
     check_shape_mass_pair,
     shape_from_masses,
@@ -281,31 +282,30 @@ class LyapunovCertificate:
 
 
 def lyapunov_certificate(masses, tol: float = CONSISTENCY_TOL) -> LyapunovCertificate:
-    """Build the stability certificate for the ring fixed point of a triple."""
+    """Build the stability certificate for the ring fixed point of a triple,
+    in closed forms on floats: each 2-by-2 pair by ``fixedpoints._roots``, and
+    the block-diagonal second variation's smallest eigenvalue as the least of
+    its potential block's smaller one, 1/nu3 and 1/nu4."""
     triple = as_mass_triple(masses)
     shape = shape_from_masses(triple)
     hess = hessian_alpha_beta(shape, triple, tol)
-    eigs = np.linalg.eigvalsh(hess)
+    (a, c), (_, d) = hess.tolist()
+    eigs = sorted(_roots(a, c, c, d))
     jc = JacobiConstants.from_masses(triple)
-    # chain rule from gap variables to the reduced angles
-    b = np.array([[1.0, 0.0], [-jc.nu1, 1.0]])
-    potential_block = -(b.T @ hess @ b)
-    second_variation = np.zeros((4, 4))
-    second_variation[:2, :2] = potential_block
-    second_variation[2, 2] = 1.0 / jc.nu3
-    second_variation[3, 3] = 1.0 / jc.nu4
-    min_eig = float(np.linalg.eigvalsh(second_variation)[0])
-    det_half = float(np.linalg.det(0.5 * hess))
-    certified = bool(eigs[1] < 0.0 and min_eig > 0.0)
+    # chain rule to the reduced angles: -(B^T H B) with B = [[1, 0], [-nu1, 1]]
+    nu = jc.nu1
+    off = -(c - nu * d)
+    potential = _roots(-(a - nu * c - nu * (c - nu * d)), off, off, -d)
+    min_eig = min(min(potential), 1.0 / jc.nu3, 1.0 / jc.nu4)
     return LyapunovCertificate(
         shape=shape,
         hessian=hess,
-        eigenvalues=(float(eigs[0]), float(eigs[1])),
-        trace=float(np.trace(hess)),
-        determinant_half=det_half,
+        eigenvalues=(eigs[0], eigs[1]),
+        trace=a + d,
+        determinant_half=(a * d - c * c) / 4,
         determinant_closed_form=hessian_determinant_closed_form(shape, triple),
         reduced_min_eigenvalue=min_eig,
-        certified=certified,
+        certified=eigs[1] < 0.0 and min_eig > 0.0,
     )
 
 

@@ -11,10 +11,10 @@ pairs, ``fixedpoints._ring_pass``.
 Only the centrifugal shift of the vertical block depends on the rate.  A
 ``LinearizationBlocks`` holds its arrays read-only and computes the block
 spectra, lambda1, the splitting's bases and the rate-independent part of the
-flow matrix once, on first use; every rate reuses them.  What is done on
-three numbers (the ring pass, the zero-mode counts and sign checks of the
-spectra) is done on Python floats; numpy keeps the eigensolves and the
-matrix products.
+flow matrix once, on first use; every rate reuses them.  The block spectra
+are closed forms on Python floats (``_block_spectra``): lambda1 is a trace,
+its vector is normal to the ring's plane, and the tangential pair comes from
+a 2-by-2 product in the gap variables.  Nothing on the ring path factorizes.
 
 The equator's reflection z -> -z keeps (theta, p_theta) and (phi, p_phi)
 apart, so ``invariant_subspaces`` splits each parity on its own, from bases
@@ -36,6 +36,7 @@ from .fixedpoints import (
     TriangleShape,
     _residual_norm,
     _ring_pass,
+    _roots,
     as_mass_triple,
     ring_from_shape,
     shape_from_masses,
@@ -48,11 +49,16 @@ from .geometry import (
     force_hessian_blocks,
 )
 
-# Eigenvalues below this fraction of the matrix scale count as zero modes.
-EIG_ZERO_TOL = 1e-9
-
 # A ring whose fixed-point residual max-norm reaches this is not a fixed point.
 FIXED_POINT_TOL = 1e-10
+
+# For a ring's blocks V cos(phi) = diag(sin phi) r, V sin(phi) = -diag(cos phi) r
+# and T 1 = 0 exactly, r the fixed-point residual: each null vector's image has a
+# 2-norm of at most sqrt(3) max |r_k|.  The spectra bound it, over the block's
+# Frobenius norm, by the residual gate made scale-free (r and V share the factors
+# m_i m_j / sin^3 d_ij): blocks built past the gate near the boundary pass, blocks
+# without the null structure, whose images are of their own size, do not.
+NULL_BOUND = math.sqrt(3) * FIXED_POINT_TOL
 
 
 @dataclass(frozen=True)
@@ -125,25 +131,27 @@ def assemble_blocks(
     return LinearizationBlocks(masses, ring, vertical, tangential)
 
 
-def null_vectors(ring: RingConfiguration) -> tuple:
-    """(radial, transverse, uniform): the ring's x and y coordinates, killed by
-    the vertical block, and the all-ones vector, killed by the tangential one."""
-    phis = np.array(ring.longitudes)
-    return np.cos(phis), np.sin(phis), np.ones(ring.n)
+def _null_residuals(ring: RingConfiguration, v: list, t: list) -> list:
+    """2-norms of V radial, V transverse and T uniform, each over its block's
+    Frobenius norm (0 for a zero block), for blocks given as lists of rows."""
+    phis = ring.longitudes
+    out = []
+    for rows, (x, y, z) in (
+        (v, [math.cos(p) for p in phis]),
+        (v, [math.sin(p) for p in phis]),
+        (t, (1.0, 1.0, 1.0)),
+    ):
+        image = math.hypot(*(a * x + b * y + c * z for a, b, c in rows))
+        norm = math.hypot(*rows[0], *rows[1], *rows[2])
+        out.append(image / norm if norm else 0.0)
+    return out
 
 
 def null_structure_check(blocks: LinearizationBlocks) -> dict:
     """Relative norms of the blocks applied to their symmetry null vectors."""
-    radial, transverse, uniform = null_vectors(blocks.ring)
-    vnorm = float(np.linalg.norm(blocks.vertical))
-    tnorm = float(np.linalg.norm(blocks.tangential))
-    return {
-        "vertical_radial": float(np.linalg.norm(blocks.vertical @ radial)) / vnorm,
-        "vertical_transverse": float(np.linalg.norm(blocks.vertical @ transverse))
-        / vnorm,
-        "tangential_uniform": float(np.linalg.norm(blocks.tangential @ uniform))
-        / tnorm,
-    }
+    v, t = blocks.vertical.tolist(), blocks.tangential.tolist()
+    keys = ("vertical_radial", "vertical_transverse", "tangential_uniform")
+    return dict(zip(keys, _null_residuals(blocks.ring, v, t)))
 
 
 def _flow_matrix(blocks: LinearizationBlocks) -> np.ndarray:
@@ -214,20 +222,6 @@ def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     return L
 
 
-def _mass_weighted_eigensolve(block: np.ndarray, m: np.ndarray):
-    """Eigenpairs of block @ diag(1/m) through the symmetric congruence.
-
-    Conjugating by the square root of the mass diagonal turns the product
-    into a symmetric matrix, so the eigenvalues are real and the solve is
-    well conditioned.  Returned vectors u satisfy block @ diag(1/m) u = lam u.
-    """
-    root = np.sqrt(m)
-    sym = block / root[:, None] / root[None, :]
-    lams, w = np.linalg.eigh(sym)
-    vecs = root[:, None] * w
-    return lams, vecs, float(np.linalg.norm(sym))
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Spectral classification of a rigid ring rotation.
@@ -287,9 +281,7 @@ def rate_verdict(omega: float, lam1: float) -> tuple:
 class _BlockSpectra:
     """The rate-independent part of a StabilityReport and lambda1's eigenvector."""
 
-    vertical_eigenvalues: tuple
     tangential_eigenvalues: tuple
-    vertical_rest: tuple
     tangential_pairs: tuple
     lambda1: float
     omega_critical: float
@@ -297,68 +289,67 @@ class _BlockSpectra:
 
 
 def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
-    m = blocks.mass_diagonal
-    vlams, vvecs, vscale = _mass_weighted_eigensolve(blocks.vertical, m)
-    tlams, _, tscale = _mass_weighted_eigensolve(blocks.tangential, m)
-    vl, tl = vlams.tolist(), tlams.tolist()
-    vtol, ttol = EIG_ZERO_TOL * vscale, EIG_ZERO_TOL * tscale
-    # a nan eigenvalue is no zero mode, as numpy's comparison reads it
-    vrest = [lam for lam in vl if not abs(lam) <= vtol]
-    trest = [lam for lam in tl if not abs(lam) <= ttol]
-    if len(vl) - len(vrest) != 2:
-        raise DegenerateSpectrum(
-            "vertical block has %d zero modes, expected 2" % (len(vl) - len(vrest))
-        )
-    if len(tl) - len(trest) != 1:
-        raise DegenerateSpectrum(
-            "tangential block has %d zero modes, expected 1" % (len(tl) - len(trest))
-        )
-    if not vrest or any(lam <= 0.0 for lam in vrest):
+    """The block spectra in closed form.  V kills the radial and transverse
+    vectors, so it is a multiple of w w^T, w = radial x transverse: its
+    mass-weighted eigenvalues are (0, 0, lambda1), lambda1 the trace of V / m,
+    with the vector w / |w / sqrt(m)| signed to a positive sum.  T = A^T H A
+    kills the uniform vector, A the gap map, H = [[T11, -T13], [-T13, T33]]:
+    its eigenvalues are 0 and the pair of H G, G = A diag(1/m) A^T, the
+    smaller root as det H det G over the larger.  Null residuals above
+    NULL_BOUND, lambda1 not positive or a tangential root not negative raise
+    DegenerateSpectrum."""
+    m1, m2, m3 = blocks.masses.masses
+    v, t = blocks.vertical.tolist(), blocks.tangential.tolist()
+    names = ("vertical", "vertical", "tangential")
+    for name, residual in zip(names, _null_residuals(blocks.ring, v, t)):
+        if not residual <= NULL_BOUND:
+            raise DegenerateSpectrum(
+                "%s block misses a symmetry null vector by %.3g of its norm, above %.3g"
+                % (name, residual, NULL_BOUND))
+    lam1 = v[0][0] / m1 + v[1][1] / m2 + v[2][2] / m3
+    if not lam1 > 0.0:
         raise DegenerateSpectrum("vertical block has a nonpositive transverse mode")
-    if any(lam >= 0.0 for lam in trest):
+    h11, h12, h22 = t[0][0], -t[0][2], t[2][2]
+    g11, g12, g22 = 1.0 / m1 + 1.0 / m2, -1.0 / m2, 1.0 / m2 + 1.0 / m3
+    det = (h11 * h22 - h12 * h12) * ((m1 + m2 + m3) / (m1 * m2 * m3))
+    roots = _roots(h11 * g11 + h12 * g12, h11 * g12 + h12 * g22,
+                   h12 * g11 + h22 * g12, h12 * g12 + h22 * g22, det)
+    if not (roots[0] < 0.0 and roots[1] < 0.0):
         raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
-    top = int(np.argmax(vlams))  # the zero modes lie below the positive rest
-    lam1 = vl[top]
-    tangential_pairs = []
-    for lam in trest:
-        s = complex(0.0, math.sqrt(-lam))
-        tangential_pairs.extend([s, -s])
+    p1, p2, p3 = blocks.ring.longitudes
+    w = [math.sin(p3 - p2), math.sin(p1 - p3), math.sin(p2 - p1)]
+    norm = math.hypot(w[0] / math.sqrt(m1), w[1] / math.sqrt(m2), w[2] / math.sqrt(m3))
+    norm = -norm if w[0] + w[1] + w[2] < 0.0 else norm
     return _BlockSpectra(
-        vertical_eigenvalues=tuple(vl),
-        tangential_eigenvalues=tuple(tl),
-        vertical_rest=tuple(vrest),
-        tangential_pairs=tuple(tangential_pairs),
+        tangential_eigenvalues=(roots[0], roots[1], 0.0),
+        tangential_pairs=tuple(_pairs(roots)),
         lambda1=lam1,
         omega_critical=math.sqrt(lam1),
-        vertical_vector=_frozen(vvecs[:, top].copy()),
+        vertical_vector=_frozen(np.array([x / norm for x in w])),
     )
 
 
 def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> StabilityReport:
     """Classify the rotating ring through the mass-weighted block spectra.
 
-    The vertical block must show exactly two zero modes with the rest
-    positive, the tangential block exactly one zero mode with the rest
-    negative; any other pattern raises DegenerateSpectrum.  The block
-    spectra are computed on the first call for ``blocks`` and reused.
+    The block spectra come from ``_block_spectra`` on the first call for
+    ``blocks`` and are reused; blocks it rejects raise DegenerateSpectrum.
+    The transverse spectrum lists the vertical pair +-sqrt(lambda1 -
+    omega^2) first, then the tangential pairs.
     """
     spectra = blocks._spectra
-    w2 = omega * omega
-    spectrum = []
-    for lam in spectra.vertical_rest:
-        s = cmath.sqrt(complex(lam - w2))
-        spectrum.extend([s, -s])
+    s = cmath.sqrt(complex(spectra.lambda1 - omega * omega))
     omega = float(omega)
     verdict, exponent = rate_verdict(omega, spectra.lambda1)
     return StabilityReport(
         blocks.masses,
         omega,
-        spectra.vertical_eigenvalues,
+        (0.0, 0.0, spectra.lambda1),
         spectra.tangential_eigenvalues,
         spectra.lambda1,
         spectra.omega_critical,
         verdict,
-        tuple(spectrum) + spectra.tangential_pairs,
+        (s, -s) + spectra.tangential_pairs,
         exponent,
     )
 
@@ -481,12 +472,10 @@ class InvariantSplitting:
     @cached_property
     def reduced_spectrum(self) -> tuple:
         # the reduced subspace holds the whole vertical parity, whose pairs are
-        # +-sqrt(nu - omega^2) for the eigenvalues nu of the mass-weighted block
-        blocks, c = self._blocks, self._reduced_part[0]
-        nus = _mass_weighted_eigensolve(blocks.vertical, blocks.mass_diagonal)[0]
-        w2 = self._omega * self._omega
-        vertical = [nu - w2 for nu in sorted(nus.tolist(), reverse=True)]
-        return tuple(_pairs(vertical + _roots(c[6:8, 8:10] @ c[8:10, 6:8])))
+        # +-sqrt(nu - omega^2) for the mass-weighted eigenvalues (lambda1, 0, 0)
+        c, w2 = self._reduced_part[0], self._omega * self._omega
+        tangential = _roots(*(c[6:8, 8:10] @ c[8:10, 6:8]).ravel().tolist())
+        return tuple(_pairs([self._blocks._spectra.lambda1 - w2, -w2, -w2] + tangential))
 
 
 def _normal_frame(v: list) -> tuple:
@@ -548,20 +537,6 @@ def _restriction(L: np.ndarray, q: np.ndarray, denom: float) -> tuple:
     return coeffs, math.hypot(*leak) / denom
 
 
-def _roots(prod: np.ndarray) -> list:
-    """Eigenvalues of a 2-by-2 product x @ y, larger magnitude first, whose
-    square roots are those of the restriction [[0, x], [y, 0]].  Scaled to
-    entries of at most 1, the larger comes from the trace and the
-    discriminant clamped at zero (so that equal masses' double root is real)
-    and the smaller as the determinant over the larger."""
-    scale = float(np.max(np.abs(prod))) or 1.0
-    (a, b), (c, d) = (prod / scale).tolist()
-    half = (a + d) / 2
-    root = math.sqrt(max((a - d) ** 2 / 4 + b * c, 0.0))
-    big = half - root if half < 0.0 else half + root
-    return [big * scale, (a * d - b * c) / big * scale if big else 0.0]
-
-
 def _pairs(roots: list) -> list:
     """+-sqrt(mu) for each mu of ``roots``, in order."""
     return [z for s in map(cmath.sqrt, roots) for z in (s, -s)]
@@ -584,5 +559,6 @@ def invariant_subspaces(
     L = _frozen(assemble_L_from_blocks(blocks, omega))
     norm = math.hypot(*L.ravel().tolist())
     c, residual = _restriction(L, blocks._bases[0], norm)
-    roots = [float(c[0, 1] * c[1, 0])] + _roots(c[2:4, 4:6] @ c[4:6, 2:4])
+    tangential = _roots(*(c[2:4, 4:6] @ c[4:6, 2:4]).ravel().tolist())
+    roots = [float(c[0, 1] * c[1, 0])] + tangential
     return InvariantSplitting(residual, tuple(_pairs(roots)), blocks, L, norm, omega)

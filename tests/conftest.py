@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis.internal.cache import LRUCache
+from hypothesis.internal.conjecture import providers
 
 from curvednbody.fixedpoints import admissibility_value
 from curvednbody.geometry import SINE_RECHECK, SINGULAR_TOL, _recheck_sine, _singular_pair
@@ -31,6 +33,22 @@ def triples_1000():
 @pytest.fixture
 def rng():
     return np.random.default_rng(999)
+
+
+@pytest.fixture
+def no_local_constants(monkeypatch):
+    """An empty pool of local constants for hypothesis while the test runs.
+
+    Hypothesis 6.155 mixes into every draw, derandomized ones too, the
+    literals it collects from the source of each loaded local module
+    (``hypothesis.internal.constants_ast``).  With the pool empty, and the
+    cache of the constants each draw may take fresh, a derandomized test
+    draws the same examples whatever literals the package and the tests
+    hold; the real pool and cache come back afterwards.
+    """
+    empty = providers.Constants()
+    monkeypatch.setattr(providers, "CONSTANTS_CACHE", LRUCache(1024))
+    monkeypatch.setattr(providers, "_get_local_constants", lambda: empty)
 
 
 def singular_pair(i, j, kind):
@@ -65,6 +83,13 @@ def pair_table_loop(xs=None, ys=None, zs=None, phis=None, floor=SINGULAR_TOL):
                 raise _singular_pair(i, j, cosd, sind)
             table.append((i, j, cosd, sind))
     return table
+
+
+def null_vectors(ring):
+    """(radial, transverse, uniform): the ring's x and y coordinates, killed by
+    the vertical block, and the all-ones vector, killed by the tangential one."""
+    phis = np.array(ring.longitudes)
+    return np.cos(phis), np.sin(phis), np.ones(ring.n)
 
 
 CENTRE = 1.0 / 3.0

@@ -1075,6 +1075,23 @@ class TestConfigAndErrors:
         assert code == 2
         assert err.startswith("error:") and "residual" in err
 
+    @pytest.mark.parametrize("name", ["residual", "newton", "consistency"])
+    @pytest.mark.parametrize("value", ["-1", "0", '"nan"', '"inf"'])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, name, value):
+        # fixed-point --solve reads newton and consistency, stability residual;
+        # every command that takes the overrides rejects them before any work
+        for argv in (
+            ["fixed-point", "--masses", "0.2", "0.5", "0.3", "--solve"],
+            ["stability", "--masses", "0.2", "0.5", "0.3", "--omega", "1"],
+            ["simulate", "--masses", "1", "1", "1", "--horizon", "0.01"],
+            ["omega-sweep", "--masses", "1", "1", "1", "--count", "2"],
+        ):
+            override = '{"%s": %s}' % (name, value)
+            code, out, err = run_cli(argv + ["--tolerance-overrides", override], capsys)
+            assert (code, out) == (2, "")
+            assert err == "error: tolerance %s must be finite and positive, not %r\n" % (
+                name, float(json.loads(value)))
+
     def test_growth_mode_rejects_rk45(self, capsys):
         code, out, err = run_cli(
             [
@@ -1209,29 +1226,29 @@ PINNED = {
     ),
     "fixed-point --masses 0.2 0.5 0.3 --solve --degrees": (
         0,
-        "13236356e8b0b890ceded2c2f410caadd1509c7862679c81977c4ff1a4c62cfe",
+        "c421bb5b3adfb306e3d90d199af036bc4d179abdc49e5001c696e8a12580a99b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "13236356e8b0b890ceded2c2f410caadd1509c7862679c81977c4ff1a4c62cfe",
+        "c421bb5b3adfb306e3d90d199af036bc4d179abdc49e5001c696e8a12580a99b",
     ),
     "stability --masses 0.2 0.5 0.3 --omega 2.3": (
         0,
-        "bc31619ac63c943486547bf0ad2079f8eedd117c5540debd2a99832594d5d6d6",
+        "b17012f671535cf5ed8bf7f50b17c223889fa486e01b4510b0c5c84415a9a57f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "bc31619ac63c943486547bf0ad2079f8eedd117c5540debd2a99832594d5d6d6",
+        "b17012f671535cf5ed8bf7f50b17c223889fa486e01b4510b0c5c84415a9a57f",
     ),
     # rates whose square dwarfs the ring's couplings: the splitting stays
     # finite, and the transverse spectrum purely imaginary
     "stability --masses 0.2 0.5 0.3 --omega 1e10": (
         0,
-        "f42590758300eef487ea20300de3408e68aa9e777dc476cab95865ed8103157b",
+        "f04a0c36d606a62b1c3f2c536ec8c38149cada03b2f17ccdbb34214b5bd01559",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "f42590758300eef487ea20300de3408e68aa9e777dc476cab95865ed8103157b",
+        "f04a0c36d606a62b1c3f2c536ec8c38149cada03b2f17ccdbb34214b5bd01559",
     ),
     "stability --masses 0.2 0.5 0.3 --omega 1e100": (
         0,
-        "20f8726632a363d0cec0768de49b62eb9b00a0c1188b9f8710a8497e3c23035a",
+        "28c6c64a0195349d672b03b1479e3f2bbe4152392fbf641a38e7ff264f9ed00e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "20f8726632a363d0cec0768de49b62eb9b00a0c1188b9f8710a8497e3c23035a",
+        "28c6c64a0195349d672b03b1479e3f2bbe4152392fbf641a38e7ff264f9ed00e",
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode re --horizon 1.0": (
         0,
@@ -1247,21 +1264,21 @@ PINNED = {
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 0.77 --mode growth --horizon 200 --step 0.01": (
         0,
-        "13fe2f7629b78d9147904072246c095159b2baceacec23fff4ccaabe7ba91389",
+        "739a5b1984d877651ef77cfb7ae24de2222451b1ff59086bc932302ac7622747",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3e9a7af91fe5f1b270c6c43f8e5238168c1b6296773518a4a1ad8cbfdd763da0",
     ),
     "omega-sweep --masses 0.2 0.5 0.3 --omega-min 0 --omega-max 3.0634 --count 2001 --workers 2": (
         0,
-        "d22c817dfcad6d408dea8c045211c96c62c07d98feb291725a91c78c21b519e5",
+        "b7b49a4567a7b9d11b9976f92ff1f37759c5f54cc4fa72d609be628d6fdd6b92",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "bb9d356faad4e85da146953faf24601a0f2be4d7d7f1f5603e7373e17d19fb5a",
+        "80ae673233f1f2f2492446e71d7bfd3649cd5d625b5a25838d9e59fb254c8eb5",
     ),
     "stability --config rates.json": (
         0,
-        "a10ac845a66f9f3df75875bc91f8d5360efc1a6c12409158a30c2b360a38f405",
+        "140ecfed4efa42a9db522e006ab99edbec88cd3d3db89e63be7ed8c336535fa5",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "a10ac845a66f9f3df75875bc91f8d5360efc1a6c12409158a30c2b360a38f405",
+        "140ecfed4efa42a9db522e006ab99edbec88cd3d3db89e63be7ed8c336535fa5",
     ),
     # a grid whose mirrored values differ in bits in many cells
     "region-scan --resolution 333": (
@@ -1315,9 +1332,9 @@ PINNED = {
     ),
     "stability --config output.json": (
         0,
-        "ef696f5a851152c413aec27935a551ab9894f2fe23d96902d4e48e9537976cd0",
+        "fba96de3b0e13737864de05b2028c796210e82841e38d65f23b7238577f09213",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "ef696f5a851152c413aec27935a551ab9894f2fe23d96902d4e48e9537976cd0",
+        "fba96de3b0e13737864de05b2028c796210e82841e38d65f23b7238577f09213",
     ),
     "stability": (
         2,

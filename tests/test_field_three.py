@@ -13,7 +13,9 @@ of a recorded sample, ``dynamics._sample_monitor``, to the guard and the
 energy it reads from one set of sines.
 """
 
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,24 +131,46 @@ def test_three_body_field_matches_loop_on_any_floats(x):
     assert_same(MASSES[1], 0.7, x)
 
 
-def test_strategy_reaches_every_branch():
-    # the property tests above are only as good as the inputs they draw
-    seen = set()
-    oks = []
+def probe_draws():
+    """(masses, rate, state, outcome) of each example that the property
+    tests' strategies draw under PROPERTY, the outcome "ok" or the message
+    raised without its numbers."""
+    drawn = []
 
     @PROPERTY
     @given(st.sampled_from(MASSES), OMEGAS, states())
     def probe(mv, omega, x):
         got = outcome(_field_loop(mv, omega), x)
-        seen.add("ok" if isinstance(got, list) else got[1].split(" (")[0])
-        oks.append(isinstance(got, list))
+        drawn.append((mv.masses, omega, repr(x),
+                      "ok" if isinstance(got, list) else got[1].split(" (")[0]))
 
     probe()
+    return drawn
+
+
+def test_strategy_reaches_every_branch(no_local_constants):
+    # the property tests above are only as good as the inputs they draw
+    drawn = probe_draws()
+    seen = {d[-1] for d in drawn}
     for pair in ("1 and 2", "1 and 3", "2 and 3"):
         for kind in ("collision", "antipodal alignment"):
             assert "bodies %s at %s" % (pair, kind) in seen
     assert {"body 1 at the polar guard", "body 3 at the polar guard"} <= seen
+    oks = [d[-1] == "ok" for d in drawn]
     assert sum(oks) >= len(oks) // 3
+
+
+def test_probe_draws_the_same_with_new_literals(no_local_constants, tmp_path, monkeypatch):
+    # a local module of new float literals, in the ranges the strategies
+    # draw from, loaded between two probes leaves the draws as they were
+    first = probe_draws()
+    (tmp_path / "probe_literals.py").write_text(
+        "LITERALS = (0.5, 0.25, -0.75, 1.125, 2.5e-8, 3.0625, -4.5, 7.75, 1e-7)\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "probe_literals", raising=False)
+    importlib.import_module("probe_literals")
+    assert probe_draws() == first
 
 
 @pytest.mark.parametrize(

@@ -19,17 +19,17 @@ from curvednbody.fixedpoints import (
     is_admissible,
     ring_from_shape,
     shape_from_masses,
+    solve_fixed_point_numeric,
 )
 from curvednbody.geometry import MassVector, RingConfiguration
+from curvednbody.reduction import lyapunov_certificate
 from curvednbody.stability import (
     VERDICT_BOUNDARY,
     VERDICT_FIXED_POINT,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
-    EIG_ZERO_TOL,
     LinearizationBlocks,
     _block_spectra,
-    _mass_weighted_eigensolve,
     assemble_L_from_blocks,
     assemble_L_general,
     assemble_blocks,
@@ -37,7 +37,6 @@ from curvednbody.stability import (
     invariant_subspaces,
     lambda1_closed_form,
     null_structure_check,
-    null_vectors,
     omega_critical,
     rate_verdict,
     ring_pipeline,
@@ -45,7 +44,7 @@ from curvednbody.stability import (
     vertical_mode,
 )
 
-from conftest import SKEW, draw_admissible_triples
+from conftest import CENTRE, EDGE_RAYS, SKEW, draw_admissible_triples
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 
@@ -105,11 +104,18 @@ class TestAssembleBlocks:
             assert max(checks.values()) < 1e-12
 
     def test_null_vectors_are_coordinates(self):
-        ring = ring_from_shape(shape_from_masses(EQUAL))
-        radial, transverse, uniform = null_vectors(ring)
-        assert radial == pytest.approx(np.cos(ring.longitudes), abs=1e-15)
-        assert transverse == pytest.approx(np.sin(ring.longitudes), abs=1e-15)
-        assert np.all(uniform == 1.0)
+        # the check applies V to the ring's x and y coordinates and T to the
+        # all-ones vector: blocks w w^T, w = x cross y, and the uniform
+        # vector's complement pass it, and adding a coordinate to them fails it
+        ring = ring_from_shape(shape_from_masses((0.2, 0.5, 0.3)))
+        x, y = np.cos(ring.longitudes), np.sin(ring.longitudes)
+        w = np.cross(x, y)
+        flat = np.eye(3) - np.ones((3, 3)) / 3.0
+        for bump, worst in ((0.0, 8 * np.finfo(float).eps), (1.0, 0.1)):
+            checks = null_structure_check(LinearizationBlocks(
+                RING.masses, ring, np.outer(w, w) + bump * np.outer(x, x),
+                flat + bump * np.outer(y, y)))
+            assert (max(checks.values()) <= worst) == (bump == 0.0)
 
 
 class TestSpectralAnalysis:
@@ -464,163 +470,144 @@ class TestRateIndependentCache:
             assert vertical_mode(shared)[1].tobytes() == u_fresh.tobytes()
 
 
+EPS = np.finfo(float).eps
+# the roundings of a closed form of a few terms, or the backward error of
+# numpy's eigh on a 3-by-3 symmetric matrix, in units of eps times its norm
+SLACK = 12.0
+GAPS = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+
+
+def exact_parts(blocks):
+    """The mass-weighted blocks S_V and S_T, and the parts that the closed
+    forms of ``_block_spectra`` diagonalize exactly: tr(S_V) y y^T along
+    y = w / sqrt(m) / |w / sqrt(m)|, and the weighted A^T H A with the gap
+    Hessian H = [[T11, -T13], [-T13, T33]] read off T.  Each eigenvalue of a
+    block lies within the 2-norm of its difference from its part (Weyl)."""
+    root = np.sqrt(blocks.mass_diagonal)
+
+    def weighted(block):
+        return block / root[:, None] / root[None, :]
+
+    sv, t = weighted(blocks.vertical), blocks.tangential
+    y = vertical_mode(blocks)[1] / root
+    hess = np.array([[t[0, 0], -t[0, 2]], [-t[0, 2], t[2, 2]]])
+    return sv, np.trace(sv) * np.outer(y, y), weighted(t), weighted(GAPS.T @ hess @ GAPS)
+
+
+def assert_spectra_near_eigh(blocks):
+    """The closed-form block spectra against numpy's eigh of the
+    mass-weighted blocks, within the Weyl bound of ``exact_parts`` plus
+    SLACK eps times the block's norm."""
+    rep = spectral_analysis(blocks)
+    sv, sv0, st_, st0 = exact_parts(blocks)
+    for got, block, part in (
+        (rep.vertical_eigenvalues, sv, sv0),
+        (sorted(rep.tangential_eigenvalues), st_, st0),
+    ):
+        bound = np.linalg.norm(block - part, 2) + SLACK * EPS * np.linalg.norm(block, 2)
+        assert np.max(np.abs(np.linalg.eigvalsh(block) - got)) <= bound, (got, bound)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.tuples(*[st.floats(0.01, 1.0)] * 3))
 def test_vertical_mode_is_the_top_eigenpair_of_a_fresh_solve(masses):
+    # the closed-form pair against eigh's top pair: the eigenvalue within
+    # the Weyl bound, y = u / sqrt(m) within the Davis-Kahan bound of its
+    # distance delta over the gap lambda1 - delta, eigh's sign, a unit y
     assume(is_admissible(*masses).admissible)
     try:
         blocks = ring_pipeline(masses)[3]
     except NotAFixedPoint:
         reject()
-    lams, vecs, _ = _mass_weighted_eigensolve(blocks.vertical, blocks.masses.array())
-    top = int(np.argmax(lams))
     lam, u = vertical_mode(blocks)
-    assert np.float64(lam).tobytes() == lams[top].tobytes()
-    assert u.tobytes() == vecs[:, top].tobytes()
+    sv, sv0, _, _ = exact_parts(blocks)
+    lams, vecs = np.linalg.eigh(sv)
+    rounding = SLACK * EPS * np.linalg.norm(sv, 2)
+    delta = np.linalg.norm(sv - sv0, 2) + rounding
+    assert abs(lam - lams[-1]) <= delta
+    y = u / np.sqrt(blocks.mass_diagonal)
+    assert abs(np.linalg.norm(y) - 1.0) <= SLACK * EPS
+    assert np.linalg.norm(y - vecs[:, -1]) <= 2.0 * delta / (lam - delta)
+    assert np.all(u > 0.0)
     assert lam == spectral_analysis(blocks).lambda1
 
 
-def numpy_block_spectra(blocks):
-    """The block-spectra bookkeeping as numpy arrays did it: the zero-mode
-    counts, the sign checks and the tangential pairs; the oracle of the float
-    bookkeeping of ``_block_spectra``."""
-    m = blocks.mass_diagonal
-    vlams, vvecs, vscale = _mass_weighted_eigensolve(blocks.vertical, m)
-    tlams, _, tscale = _mass_weighted_eigensolve(blocks.tangential, m)
-    vzero = np.abs(vlams) <= EIG_ZERO_TOL * vscale
-    tzero = np.abs(tlams) <= EIG_ZERO_TOL * tscale
-    if int(np.sum(vzero)) != 2:
-        raise DegenerateSpectrum(
-            "vertical block has %d zero modes, expected 2" % int(np.sum(vzero))
-        )
-    if int(np.sum(tzero)) != 1:
-        raise DegenerateSpectrum(
-            "tangential block has %d zero modes, expected 1" % int(np.sum(tzero))
-        )
-    vrest = vlams[~vzero]
-    trest = tlams[~tzero]
-    if vrest.size == 0 or np.any(vrest <= 0.0):
-        raise DegenerateSpectrum("vertical block has a nonpositive transverse mode")
-    if np.any(trest >= 0.0):
-        raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
-    top = int(np.argmax(vlams))
-    lam1 = float(vlams[top])
-    tangential_pairs = []
-    for lam in trest.tolist():
-        s = complex(0.0, math.sqrt(-lam))
-        tangential_pairs.extend([s, -s])
-    return (
-        tuple(vlams.tolist()),
-        tuple(tlams.tolist()),
-        tuple(vrest.tolist()),
-        tuple(tangential_pairs),
-        lam1,
-        math.sqrt(lam1),
-        vvecs[:, top].tobytes(),
-    )
-
-
-def spectra_outcome(call):
-    """Every field of a _BlockSpectra as bits, or the type and message raised."""
-    try:
-        spec = call()
-    except Exception as exc:  # every exception type must match
-        return type(exc), str(exc)
-    if not isinstance(spec, tuple):
-        spec = (
-            spec.vertical_eigenvalues,
-            spec.tangential_eigenvalues,
-            spec.vertical_rest,
-            spec.tangential_pairs,
-            spec.lambda1,
-            spec.omega_critical,
-            spec.vertical_vector.tobytes(),
-        )
-    return repr([v if isinstance(v, bytes) else np.asarray(v).tobytes() for v in spec])
-
-
-def pattern_blocks(masses, vertical, tangential, rotation=0.0):
-    """Blocks whose mass-weighted forms have the given diagonal spectra, turned
-    by ``rotation`` radians in the (1, 2) plane so that eigh rounds."""
-    root = np.sqrt(np.asarray(masses, dtype=float))
-    c, s = math.cos(rotation), math.sin(rotation)
-    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def block(lams):
-        sym = q @ np.diag(lams) @ q.T
-        return sym * root[:, None] * root[None, :]
-
-    mv = MassVector(masses)
-    return LinearizationBlocks(mv, RING_EQUAL, block(vertical), block(tangential))
+RING = ring_pipeline((0.2, 0.5, 0.3))[3]
+# a tangential block with the null structure whose gap Hessian is indefinite
+INDEFINITE = GAPS.T @ np.diag([1.0, -1.0]) @ GAPS
 
 
 class TestBlockSpectraBookkeeping:
-    """The zero-mode counts, sign checks and tangential pairs on floats give
-    the numpy bookkeeping's fields and messages."""
+    """The checks of the closed-form block spectra: the null structure,
+    lambda1's sign and the tangential roots' signs, each with its message."""
 
     @pytest.mark.parametrize(
         "vertical, tangential, message",
         [
-            ((0.0, 1.0, 2.0), (0.0, -1.0, -2.0),
-             "vertical block has 1 zero modes, expected 2"),
-            ((0.0, 0.0, 0.0), (0.0, -1.0, -2.0),
-             "vertical block has 3 zero modes, expected 2"),
-            ((0.0, 0.0, 1.0), (0.0, 0.0, -2.0),
-             "tangential block has 2 zero modes, expected 1"),
-            ((0.0, 0.0, -1.0), (0.0, -1.0, -2.0),
+            (RING.vertical + np.eye(3), RING.tangential,
+             "vertical block misses a symmetry null vector by "),
+            (RING.vertical, RING.tangential + np.eye(3),
+             "tangential block misses a symmetry null vector by "),
+            (-RING.vertical, RING.tangential,
              "vertical block has a nonpositive transverse mode"),
-            ((0.0, 0.0, 1.0), (0.0, -1.0, 2.0),
+            (0.0 * RING.vertical, RING.tangential,
+             "vertical block has a nonpositive transverse mode"),
+            (RING.vertical, -RING.tangential,
              "tangential block has a nonnegative transverse mode"),
-            ((0.0, 0.0, 1.0), (0.0, -1.0, 0.5),
+            (RING.vertical, INDEFINITE,
              "tangential block has a nonnegative transverse mode"),
         ],
     )
     def test_each_pattern_keeps_its_message(self, vertical, tangential, message):
-        blocks = pattern_blocks((0.2, 0.5, 0.3), vertical, tangential)
-        with pytest.raises(DegenerateSpectrum) as info:
-            _block_spectra(blocks)
-        assert str(info.value) == message
-        assert spectra_outcome(lambda: _block_spectra(blocks)) == spectra_outcome(
-            lambda: numpy_block_spectra(blocks)
-        )
+        blocks = LinearizationBlocks(RING.masses, RING.ring, vertical, tangential)
+        for call in (_block_spectra, spectral_analysis, vertical_mode):
+            with pytest.raises(DegenerateSpectrum) as info:
+                call(blocks)
+            assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize(
         "vertical, message",
         [
-            # inf gives nan eigenvalues and an infinite scale: no zero modes
-            (np.diag([math.inf, 1.0, 2.0]), "vertical block has 0 zero modes, expected 2"),
-            # a nan scale makes the exact zeros no zero modes either
-            (np.diag([math.nan, 0.0, 0.0]), "vertical block has 0 zero modes, expected 2"),
+            # an infinite entry gives an infinite image over an infinite norm
+            (np.diag([math.inf, 1.0, 2.0]),
+             "vertical block misses a symmetry null vector by nan"),
+            # a nan entry gives nan images
+            (np.diag([math.nan, 0.0, 0.0]),
+             "vertical block misses a symmetry null vector by nan"),
         ],
     )
-    def test_nan_eigenvalues_are_no_zero_modes(self, vertical, message):
-        blocks = LinearizationBlocks(
-            EQUAL.mass_vector(), RING_EQUAL, vertical, np.diag([0.0, -1.0, -2.0])
-        )
-        with np.errstate(invalid="ignore"):
-            got = spectra_outcome(lambda: _block_spectra(blocks))
-            want = spectra_outcome(lambda: numpy_block_spectra(blocks))
-        assert got == want == (DegenerateSpectrum, message)
+    def test_non_finite_blocks_are_degenerate(self, vertical, message):
+        blocks = LinearizationBlocks(RING.masses, RING.ring, vertical, RING.tangential)
+        with pytest.raises(DegenerateSpectrum) as info:
+            _block_spectra(blocks)
+        assert str(info.value).startswith(message)
 
     def test_lambda1_index_on_ring_blocks(self, rng):
+        # lambda1 is the last vertical eigenvalue, the trace of V / m summed
+        # in order; the zero modes are exact zeros; the pairs are +-i sqrt(-mu)
         for triple in draw_admissible_triples(rng, 20):
             blocks = fresh_blocks(triple)
-            assert spectra_outcome(lambda: _block_spectra(blocks)) == spectra_outcome(
-                lambda: numpy_block_spectra(blocks)
-            )
+            rep = spectral_analysis(blocks)
+            v, m = blocks.vertical.tolist(), blocks.masses.masses
+            trace = v[0][0] / m[0] + v[1][1] / m[1] + v[2][2] / m[2]
+            assert rep.vertical_eigenvalues == (0.0, 0.0, trace) == (0.0, 0.0, rep.lambda1)
+            big, small, zero = rep.tangential_eigenvalues
+            assert big <= small < 0.0 and zero == 0.0
+            pairs = [complex(0.0, math.sqrt(-mu)) for mu in (big, small)]
+            assert rep.spectrum[2:] == (pairs[0], -pairs[0], pairs[1], -pairs[1])
+            assert_spectra_near_eigh(blocks)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(
-        st.tuples(*[st.floats(0.01, 10.0)] * 3),
-        st.tuples(*[st.sampled_from((0.0, 1e-13, -1e-13, 1.0, -1.0, 2.5, -3.0))] * 3),
-        st.tuples(*[st.sampled_from((0.0, 1e-13, -1e-13, 1.0, -1.0, 2.5, -3.0))] * 3),
-        st.floats(0.0, math.pi),
-    )
-    def test_float_bookkeeping_matches_numpy(self, masses, vertical, tangential, turn):
-        blocks = pattern_blocks(masses, vertical, tangential, turn)
-        assert spectra_outcome(lambda: _block_spectra(blocks)) == spectra_outcome(
-            lambda: numpy_block_spectra(blocks)
-        )
+    @given(st.tuples(*[st.floats(0.01, 10.0)] * 3), st.sampled_from(EDGE_RAYS + (None,)),
+           st.floats(0.9, 1.0 - 1e-6))
+    def test_float_bookkeeping_matches_numpy(self, masses, ray, fraction):
+        # drawn triples, and triples near the boundary on the atlas edge rays,
+        # with blocks built past the residual gate
+        if ray is not None:
+            d, reach = ray
+            masses = tuple(CENTRE + fraction * reach * dk for dk in d)
+        assume(is_admissible(*masses).admissible)
+        assert_spectra_near_eigh(ring_pipeline(masses, math.inf)[3])
 
 
 def numpy_flow_matrix(blocks, omega):
@@ -664,3 +651,27 @@ class TestFlowMatrixCache:
         with pytest.raises(InvalidConfiguration):
             assemble_L_from_blocks(blocks, omega)
         assert "_rate_free_L" not in vars(blocks)
+
+
+LAPACK = ("eigh", "eigvalsh", "eig", "eigvals", "solve", "det", "inv", "svd", "qr")
+
+
+def test_the_ring_path_makes_no_lapack_call(monkeypatch):
+    calls = []
+    for name in LAPACK:
+        def spy(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    triple, _, ring, blocks = ring_pipeline((0.25, 0.45, 0.3))
+    crit = spectral_analysis(blocks, 0.0).omega_critical
+    for omega in (crit, 2.0 * crit):
+        spectral_analysis(blocks, omega)
+    vertical_mode(blocks)
+    lyapunov_certificate(triple)
+    p1, p2, p3 = ring.longitudes
+    start = RingConfiguration((p1, p2 + 1e-3, p3 - 1e-3))
+    solve_fixed_point_numeric(triple.mass_vector(), start)
+    invariant_subspaces(blocks, 0.5 * crit).transverse_spectrum
+    assert calls == []
