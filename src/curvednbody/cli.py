@@ -114,10 +114,7 @@ def _tolerances(raw) -> dict:
         if name not in tolerances:
             raise InvalidConfiguration("unknown tolerance %r" % name)
         value = _coerce("tolerance " + name, value, float)
-        if not 0.0 < value < math.inf:
-            raise InvalidConfiguration(
-                "tolerance %s must be finite and positive, not %r" % (name, value))
-        tolerances[name] = value
+        tolerances[name] = fixedpoints.checked_tolerance(name, value)
     return tolerances
 
 

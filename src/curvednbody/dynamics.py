@@ -393,6 +393,18 @@ class GrowthFit:
     deviations: np.ndarray
 
 
+def _line_fit(xs: list, ys: list) -> tuple:
+    """Slope and intercept of the least-squares line through the points, on
+    floats: the slope is sum (x - xbar)(y - ybar) over sum (x - xbar)^2,
+    both sums taken about the means and rounded once by ``math.fsum``."""
+    n = len(xs)
+    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+    slope = sxy / sxx
+    return slope, ybar - slope * xbar
+
+
 def growth_rate_experiment(
     masses,
     omega: float,
@@ -453,8 +465,8 @@ def growth_rate_experiment(
     times_arr = np.array(times)
     devs_arr = np.array(devs)
     floor = GROWTH_FLOOR_FACTOR * amplitude
-    mask = (devs_arr >= floor) & (devs_arr <= GROWTH_CEILING)
-    count = int(np.sum(mask))
+    window = [(t, d) for t, d in zip(times, devs) if floor <= d <= GROWTH_CEILING]
+    count = len(window)
     max_dev = float(np.max(devs_arr))
     if count < GROWTH_MIN_POINTS:
         raise NoGrowthWindow(
@@ -463,17 +475,17 @@ def growth_rate_experiment(
             verdict=verdict,
             expected_rate=exponent or None,
         )
-    tw = times_arr[mask]
-    logd = np.log(devs_arr[mask])
-    slope, intercept = np.polyfit(tw, logd, 1)
-    residual = float(np.max(np.abs(logd - (slope * tw + intercept))))
+    tw = [t for t, _ in window]
+    logd = [math.log(d) for _, d in window]
+    slope, intercept = _line_fit(tw, logd)
+    residual = max(abs(y - (slope * t + intercept)) for t, y in zip(tw, logd))
     return GrowthFit(
         omega=float(omega),
         amplitude=float(amplitude),
-        rate=float(slope),
+        rate=slope,
         expected_rate=exponent or None,
         n_points=count,
-        window=(float(tw[0]), float(tw[-1])),
+        window=(tw[0], tw[-1]),
         log_residual=residual,
         max_deviation=max_dev,
         times=times_arr,

@@ -40,6 +40,16 @@ NEWTON_MAX_ITERATIONS = 100
 CONSISTENCY_TOL = 1e-8
 
 
+def checked_tolerance(name: str, value: float, gateless: bool = False) -> float:
+    """``value``, a bound on a nonnegative defect: one that is not finite and
+    positive raises InvalidConfiguration, but for +inf where ``gateless``
+    lets it switch the gate off."""
+    if not (0.0 < value < math.inf or (gateless and value == math.inf)):
+        raise InvalidConfiguration("tolerance %s must be %s, not %r" % (
+            name, "positive" if gateless else "finite and positive", value))
+    return value
+
+
 @dataclass(frozen=True)
 class TriangleShape:
     """Ring shape of three bodies given by consecutive gaps alpha and beta.
@@ -354,13 +364,15 @@ def solve_fixed_point_numeric(
         longitude zero.
     tol : float
         Convergence threshold on the residual max-norm; NoConvergence is
-        raised if it is not met within NEWTON_MAX_ITERATIONS iterations.
+        raised if it is not met within NEWTON_MAX_ITERATIONS iterations.  A
+        threshold that is not finite and positive raises InvalidConfiguration.
 
     The Jacobian is minus the tangential block with the pinned first row and
     column removed, from the pass over the pairs that gave the residual.  The
     iterates, the steps and the 2-by-2 solve, by Cramer's rule, are floats; a
     zero or non-finite determinant raises NoConvergence.
     """
+    checked_tolerance("tol", tol)
     m = masses.masses
     phis = initial.longitudes
     res, _, tangential = _ring_pass(m, phis)

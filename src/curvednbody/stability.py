@@ -10,16 +10,18 @@ pairs, ``fixedpoints._ring_pass``.
 
 Only the centrifugal shift of the vertical block depends on the rate.  A
 ``LinearizationBlocks`` holds its arrays read-only and computes the block
-spectra, lambda1, the splitting's bases and the rate-independent part of the
-flow matrix once, on first use; every rate reuses them.  The block spectra
-are closed forms on Python floats (``_block_spectra``): lambda1 is a trace,
-its vector is normal to the ring's plane, and the tangential pair comes from
-a 2-by-2 product in the gap variables.  Nothing on the ring path factorizes.
+spectra, lambda1, and the splitting's frames and rate-free numbers once, on
+first use; every rate reuses them.  The block spectra are closed forms on
+Python floats (``_block_spectra``): lambda1 is a trace, its vector is normal
+to the ring's plane, and the tangential pair comes from a 2-by-2 product in
+the gap variables.  Nothing on the ring path factorizes.
 
 The equator's reflection z -> -z keeps (theta, p_theta) and (phi, p_phi)
-apart, so ``invariant_subspaces`` splits each parity on its own, from bases
-in closed form: the transverse spectrum comes from a 1-by-1 and a 2-by-2
-product, with no factorization.
+apart, so ``invariant_subspaces`` splits each parity on its own, from
+Householder frames in closed form: the transverse spectrum comes from a
+1-by-1 and a 2-by-2 product.  The splitting is written out on Python floats
+from the blocks' 3-by-3 entries, with no matrix product, so no BLAS kernel
+moves a bit of it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .fixedpoints import (
     _ring_pass,
     _roots,
     as_mass_triple,
+    checked_tolerance,
     ring_from_shape,
     shape_from_masses,
 )
@@ -69,10 +72,9 @@ class LinearizationBlocks:
     longitude perturbations; both are symmetric 3-by-3.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
     The arrays are read-only float copies, so what does not depend on the
-    rotation rate (block spectra, lambda1, the 12-by-12 flow matrix but for
-    its three centrifugal entries, and the splitting's parity bases) is
-    computed once per instance on first use, read-only, and shared by every
-    rate.
+    rotation rate (block spectra, lambda1, the splitting's frames as float
+    tuples, its rate-free numbers and its 12-row bases) is computed once per
+    instance on first use, read-only, and shared by every rate.
     """
 
     masses: MassVector
@@ -94,12 +96,35 @@ class LinearizationBlocks:
         return _frozen(self.masses.array())
 
     @cached_property
-    def _rate_free_L(self) -> np.ndarray:
-        return _frozen(_flow_matrix(self))
+    def _rows(self) -> tuple:
+        return self.vertical.tolist(), self.tangential.tolist()
+
+    @cached_property
+    def _inverse_masses(self) -> tuple:
+        return tuple(1.0 / m for m in self.masses.masses)
 
     @cached_property
     def _spectra(self) -> _BlockSpectra:
         return _block_spectra(self)
+
+    @cached_property
+    def _frames(self) -> tuple:
+        """The transverse part's frames: the unit vectors of w / m and w, w
+        the normal of the ring's plane, and of m and the plane normal to it."""
+        w = _ring_normal(self.ring)
+        wm = [x / mi for x, mi in zip(w, self.masses.masses)]
+        m_unit = _unit(self.masses.masses)
+        return _unit(wm), _unit(w), m_unit, _plane(m_unit)
+
+    @cached_property
+    def _planes(self) -> tuple:
+        """The symmetry part's vertical frames: the planes normal to w / m
+        and to w."""
+        return _plane(self._frames[0]), _plane(self._frames[1])
+
+    @cached_property
+    def _split_parts(self) -> tuple:
+        return _split_parts(self)
 
     @cached_property
     def _bases(self) -> tuple:
@@ -109,6 +134,43 @@ class LinearizationBlocks:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _ring_normal(ring: RingConfiguration) -> tuple:
+    """w = radial x transverse = (sin(p3 - p2), sin(p1 - p3), sin(p2 - p1))."""
+    p1, p2, p3 = ring.longitudes
+    return math.sin(p3 - p2), math.sin(p1 - p3), math.sin(p2 - p1)
+
+
+def _unit(v) -> tuple:
+    """v / |v| as a float triple."""
+    x, y, z = v
+    n = math.hypot(x, y, z)
+    return x / n, y / n, z / n
+
+
+def _plane(u: tuple) -> tuple:
+    """The two columns of an orthonormal basis of the plane normal to the
+    unit vector u, as float tuples: the columns but k of the Householder
+    reflection I - h h^T / |h_k| with h = u -+ e_k, where u's entry k is its
+    largest."""
+    a0, a1, a2 = abs(u[0]), abs(u[1]), abs(u[2])
+    k = 0 if a0 >= a1 and a0 >= a2 else 1 if a1 >= a2 else 2
+    h = list(u)
+    h[k] += math.copysign(1.0, u[k])
+    s = abs(h[k])
+    h0, h1, h2 = h
+    columns = (
+        (1.0 - h0 * h0 / s, 0.0 - h1 * h0 / s, 0.0 - h2 * h0 / s),
+        (0.0 - h0 * h1 / s, 1.0 - h1 * h1 / s, 0.0 - h2 * h1 / s),
+        (0.0 - h0 * h2 / s, 0.0 - h1 * h2 / s, 1.0 - h2 * h2 / s),
+    )
+    return columns[:k] + columns[k + 1 :]
+
+
+# the unit vector along (1, 1, 1) and the plane normal to it, for every ring
+ONE_UNIT = _unit((1.0, 1.0, 1.0))
+ONE_PLANE = _plane(ONE_UNIT)
 
 
 def assemble_blocks(
@@ -122,8 +184,11 @@ def assemble_blocks(
     tangential block -2 m_i m_j cos(d_ij) / sin^3(d_ij); the diagonals are
     fixed by the null vectors of the rotational symmetries.  The residual
     comes from the same pass over the pairs as the blocks: a residual
-    max-norm not below ``residual_tol``, nan too, raises NotAFixedPoint.
+    max-norm not below ``residual_tol``, nan too, raises NotAFixedPoint.  A
+    ``residual_tol`` that is nan or not positive raises InvalidConfiguration;
+    +inf builds the blocks of any ring.
     """
+    checked_tolerance("residual_tol", residual_tol, gateless=True)
     res, vertical, tangential = _ring_pass(masses.masses, ring.longitudes)
     worst = _residual_norm(res)
     if not worst < residual_tol:
@@ -149,38 +214,23 @@ def _null_residuals(ring: RingConfiguration, v: list, t: list) -> list:
 
 def null_structure_check(blocks: LinearizationBlocks) -> dict:
     """Relative norms of the blocks applied to their symmetry null vectors."""
-    v, t = blocks.vertical.tolist(), blocks.tangential.tolist()
+    v, t = blocks._rows
     keys = ("vertical_radial", "vertical_transverse", "tangential_uniform")
     return dict(zip(keys, _null_residuals(blocks.ring, v, t)))
-
-
-def _flow_matrix(blocks: LinearizationBlocks) -> np.ndarray:
-    """``assemble_L_from_blocks`` at rate zero: every rate's matrix but for
-    the three centrifugal entries on the vertical block's diagonal."""
-    m = blocks.mass_diagonal
-    L = np.zeros((12, 12))
-    minv = np.diag(1.0 / m)
-    L[0:3, 6:9] = minv
-    L[3:6, 9:12] = minv
-    L[6:9, 0:3] = blocks.vertical
-    L[9:12, 3:6] = blocks.tangential
-    return L
 
 
 def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndarray:
     """Full 12-by-12 linearized flow matrix at the rotating ring, a new array.
 
     Coordinate order is (theta, phi, p_theta, p_phi).  The rotation enters
-    only through the centrifugal shift of the vertical block's diagonal,
-    written into a copy of the matrix at rate zero.  A rate that
-    ``rate_square`` rejects raises InvalidConfiguration.
+    only through the centrifugal shift of the vertical block's diagonal.  A
+    rate that ``rate_square`` rejects raises InvalidConfiguration.
     """
     w2 = rate_square(omega)
-    L = blocks._rate_free_L.copy()
-    m1, m2, m3 = blocks.masses.masses
-    L[6, 0] -= w2 * m1
-    L[7, 1] -= w2 * m2
-    L[8, 2] -= w2 * m3
+    L = np.zeros((12, 12))
+    L[0:3, 6:9] = L[3:6, 9:12] = np.diag(1.0 / blocks.mass_diagonal)
+    L[6:9, 0:3] = _shifted(blocks, w2)
+    L[9:12, 3:6] = blocks.tangential
     return L
 
 
@@ -299,7 +349,7 @@ def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
     NULL_BOUND, lambda1 not positive or a tangential root not negative raise
     DegenerateSpectrum."""
     m1, m2, m3 = blocks.masses.masses
-    v, t = blocks.vertical.tolist(), blocks.tangential.tolist()
+    v, t = blocks._rows
     names = ("vertical", "vertical", "tangential")
     for name, residual in zip(names, _null_residuals(blocks.ring, v, t)):
         if not residual <= NULL_BOUND:
@@ -316,8 +366,7 @@ def _block_spectra(blocks: LinearizationBlocks) -> _BlockSpectra:
                    h12 * g11 + h22 * g12, h12 * g12 + h22 * g22, det)
     if not (roots[0] < 0.0 and roots[1] < 0.0):
         raise DegenerateSpectrum("tangential block has a nonnegative transverse mode")
-    p1, p2, p3 = blocks.ring.longitudes
-    w = [math.sin(p3 - p2), math.sin(p1 - p3), math.sin(p2 - p1)]
+    w = _ring_normal(blocks.ring)
     norm = math.hypot(w[0] / math.sqrt(m1), w[1] / math.sqrt(m2), w[2] / math.sqrt(m3))
     norm = -norm if w[0] + w[1] + w[2] < 0.0 else norm
     return _BlockSpectra(
@@ -367,7 +416,8 @@ def ring_pipeline(masses, residual_tol: float = FIXED_POINT_TOL) -> tuple:
 
     The triple is checked and normalized, its shape and canonical ring are
     constructed, and the blocks are assembled with ``residual_tol`` as the
-    fixed-point gate of ``assemble_blocks``.
+    fixed-point gate of ``assemble_blocks``, which rejects a nan or
+    nonpositive one.
     """
     triple = as_mass_triple(masses)
     shape = shape_from_masses(triple)
@@ -418,14 +468,16 @@ class InvariantSplitting:
     invariant.  Spectra list the vertical pairs first.
 
     The transverse residual and spectrum are dataclass fields, built at the
-    call.  The other residuals and the reduced spectrum are built on first
-    read and cached; ``nilpotent_residual`` is None unless the rate is zero.
+    call from the blocks' frames.  The other residuals and the reduced
+    spectrum are built on first read and cached, on floats like the
+    transverse part; ``nilpotent_residual`` is None unless the rate is zero.
+    The bases are 12-row arrays built from the frames on first read, once
+    per blocks.
     """
 
     transverse_residual: float
     transverse_spectrum: tuple
     _blocks: LinearizationBlocks = field(repr=False)
-    _flow: np.ndarray = field(repr=False)
     _norm: float = field(repr=False)
     _omega: float = field(repr=False)
 
@@ -447,7 +499,20 @@ class InvariantSplitting:
 
     @cached_property
     def _symmetry_part(self) -> tuple:
-        return _restriction(self._flow, self.symmetry_basis, self._norm)
+        # vertical positions along the plane normal to w, momenta along the
+        # one normal to w / m; tangential ones along the uniform vector and m
+        blocks = self._blocks
+        (n1, n2, n3), (u1, u2, u3) = blocks._frames[2], ONE_UNIT
+        i1, i2, i3 = minv = blocks._inverse_masses
+        v = _shifted(blocks, self._omega * self._omega)
+        a, b, leak = _pair_part(v, minv, blocks._planes[1], blocks._planes[0])
+        tu1, tu2, tu3 = (r1 * u1 + r2 * u2 + r3 * u3 for r1, r2, r3 in blocks._rows[1])
+        tb = n1 * tu1 + n2 * tu2 + n3 * tu3
+        mn1, mn2, mn3 = i1 * n1, i2 * n2, i3 * n3
+        ta = u1 * mn1 + u2 * mn2 + u3 * mn3
+        leak += [tu1 - n1 * tb, tu2 - n2 * tb, tu3 - n3 * tb,
+                 mn1 - u1 * ta, mn2 - u2 * ta, mn3 - u3 * ta]
+        return (a, b, ta, tb), math.hypot(*leak) / self._norm
 
     @property
     def symmetry_residual(self) -> float:
@@ -457,84 +522,106 @@ class InvariantSplitting:
     def nilpotent_residual(self) -> float | None:
         if self._omega != 0.0:
             return None
-        restriction = self._symmetry_part[0]
-        square = (restriction @ restriction).ravel().tolist()
+        # the restriction is [[0, a], [b, 0]] per parity; its square is
+        # block diagonal with a b and b a
+        (a, b, ta, tb), _ = self._symmetry_part
+        square = _product(a, b) + _product(b, a) + [ta * tb, tb * ta]
         return math.hypot(*square) / max(self._norm, 1.0)
 
     @cached_property
-    def _reduced_part(self) -> tuple:
-        return _restriction(self._flow, self.reduced_basis, self._norm)
-
-    @property
     def reduced_residual(self) -> float:
-        return self._reduced_part[1]
+        # the reduced subspace holds the whole vertical parity, which leaks
+        # nothing: what leaks is the transverse part's tangential leak
+        return math.hypot(*self._blocks._split_parts[3]) / self._norm
 
     @cached_property
     def reduced_spectrum(self) -> tuple:
-        # the reduced subspace holds the whole vertical parity, whose pairs are
-        # +-sqrt(nu - omega^2) for the mass-weighted eigenvalues (lambda1, 0, 0)
-        c, w2 = self._reduced_part[0], self._omega * self._omega
-        tangential = _roots(*(c[6:8, 8:10] @ c[8:10, 6:8]).ravel().tolist())
+        # the vertical pairs are +-sqrt(nu - omega^2) for the mass-weighted
+        # eigenvalues (lambda1, 0, 0); the tangential pairs are the
+        # transverse part's
+        w2 = self._omega * self._omega
+        tangential = self._blocks._split_parts[2]
         return tuple(_pairs([self._blocks._spectra.lambda1 - w2, -w2, -w2] + tangential))
-
-
-def _normal_frame(v: list) -> tuple:
-    """(v / |v| as a column, an orthonormal basis of the plane normal to v):
-    the columns but k of the Householder reflection that maps e_k to
-    -+v / |v|, where v's entry k is its largest."""
-    n = math.hypot(*v)
-    u = [x / n for x in v]
-    k = max(range(3), key=lambda i: abs(u[i]))
-    h = [x + math.copysign(i == k, u[k]) for i, x in enumerate(u)]
-    plane = [[(i == j) - h[i] * h[j] / abs(h[k]) for j in range(3) if j != k]
-             for i in range(3)]
-    return np.array(u)[:, None], np.array(plane)
 
 
 def _parity_bases(blocks: LinearizationBlocks) -> tuple:
     """Read-only transverse, symmetry and reduced bases, with orthonormal
-    columns each in one parity: vertical positions, vertical momenta,
-    tangential positions, tangential momenta.
-
-    The vertical symmetry modes radial, transverse, m radial and m transverse
-    span the planes normal to w = radial x transverse and to w / m; the
-    tangential ones are the uniform vector and m.  Transverse positions are
-    orthogonal to the symmetry momenta and transverse momenta to the
-    symmetry positions: w / m and w, and the planes normal to m and to 1.
-    The reduced basis holds the whole vertical parity.
-    """
-    m = blocks.masses.masses
-    p1, p2, p3 = blocks.ring.longitudes
-    w = [math.sin(p3 - p2), math.sin(p1 - p3), math.sin(p2 - p1)]
-    w_unit, w_plane = _normal_frame(w)
-    wm_unit, wm_plane = _normal_frame([x / mi for x, mi in zip(w, m)])
-    one_unit, one_plane = _normal_frame([1.0, 1.0, 1.0])
-    m_unit, m_plane = _normal_frame(list(m))
+    columns each in one parity, built from the blocks' frames: vertical
+    positions, vertical momenta, tangential positions, tangential momenta.
+    The reduced basis holds the whole vertical parity."""
+    wm_unit, w_unit, m_unit, m_plane = blocks._frames
+    wm_plane, w_plane = blocks._planes
+    eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     return (
-        _embed(wm_unit, w_unit, m_plane, one_plane),
-        _embed(w_plane, wm_plane, one_unit, m_unit),
-        _embed(np.eye(3), np.eye(3), m_plane, one_plane),
+        _embed((wm_unit,), (w_unit,), m_plane, ONE_PLANE),
+        _embed(w_plane, wm_plane, (ONE_UNIT,), (m_unit,)),
+        _embed(eye, eye, m_plane, ONE_PLANE),
     )
 
 
 def _embed(*columns) -> np.ndarray:
     """Columns of the theta, p_theta, phi and p_phi rows as a read-only
     phase-space basis in the order (theta, phi, p_theta, p_phi)."""
-    out = np.zeros((12, sum(cols.shape[1] for cols in columns)))
+    out = np.zeros((12, sum(map(len, columns))))
     start = 0
     for cols, row in zip(columns, (0, 6, 3, 9)):
-        out[row : row + 3, start : start + cols.shape[1]] = cols
-        start += cols.shape[1]
+        out[row : row + 3, start : start + len(cols)] = np.array(cols).T
+        start += len(cols)
     return _frozen(out)
 
 
-def _restriction(L: np.ndarray, q: np.ndarray, denom: float) -> tuple:
-    """Matrix of L on the span of the orthonormal columns q, and the
-    Frobenius norm of what leaks out of the span over ``denom``."""
-    lq = L @ q
-    coeffs = q.T @ lq
-    leak = (lq - q @ coeffs).ravel().tolist()
-    return coeffs, math.hypot(*leak) / denom
+def _pair_part(rows, minv, cols, onto) -> tuple:
+    """[[0, M^-1], [K, 0]], K given by its ``rows``, on positions along the
+    two orthonormal 3-vectors ``cols`` and momenta along the two ``onto``:
+    (A, B, leak) with A = cols^T M^-1 onto and B = onto^T K cols as rows,
+    and the entries of K cols - onto B and of M^-1 onto - cols A."""
+    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = rows
+    i1, i2, i3 = minv
+    (c1, c2, c3), (d1, d2, d3) = cols
+    (e1, e2, e3), (f1, f2, f3) = onto
+    kc1 = k11 * c1 + k12 * c2 + k13 * c3
+    kc2 = k21 * c1 + k22 * c2 + k23 * c3
+    kc3 = k31 * c1 + k32 * c2 + k33 * c3
+    kd1 = k11 * d1 + k12 * d2 + k13 * d3
+    kd2 = k21 * d1 + k22 * d2 + k23 * d3
+    kd3 = k31 * d1 + k32 * d2 + k33 * d3
+    b11, b12 = e1 * kc1 + e2 * kc2 + e3 * kc3, e1 * kd1 + e2 * kd2 + e3 * kd3
+    b21, b22 = f1 * kc1 + f2 * kc2 + f3 * kc3, f1 * kd1 + f2 * kd2 + f3 * kd3
+    me1, me2, me3, mf1, mf2, mf3 = i1 * e1, i2 * e2, i3 * e3, i1 * f1, i2 * f2, i3 * f3
+    a11, a12 = c1 * me1 + c2 * me2 + c3 * me3, c1 * mf1 + c2 * mf2 + c3 * mf3
+    a21, a22 = d1 * me1 + d2 * me2 + d3 * me3, d1 * mf1 + d2 * mf2 + d3 * mf3
+    leak = [
+        kc1 - (e1 * b11 + f1 * b21), kc2 - (e2 * b11 + f2 * b21), kc3 - (e3 * b11 + f3 * b21),
+        kd1 - (e1 * b12 + f1 * b22), kd2 - (e2 * b12 + f2 * b22), kd3 - (e3 * b12 + f3 * b22),
+        me1 - (c1 * a11 + d1 * a21), me2 - (c2 * a11 + d2 * a21), me3 - (c3 * a11 + d3 * a21),
+        mf1 - (c1 * a12 + d1 * a22), mf2 - (c2 * a12 + d2 * a22), mf3 - (c3 * a12 + d3 * a22),
+    ]
+    return ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)), leak
+
+
+def _product(a, b) -> list:
+    """Entries of the 2-by-2 product a b, row by row."""
+    return [a[i][0] * b[0][k] + a[i][1] * b[1][k] for i in (0, 1) for k in (0, 1)]
+
+
+def _shifted(blocks: LinearizationBlocks, w2: float) -> list:
+    """Rows of V - omega^2 M, the flow matrix's vertical block at the rate."""
+    (v11, v12, v13), (v21, v22, v23), (v31, v32, v33) = blocks._rows[0]
+    m1, m2, m3 = blocks.masses.masses
+    return [(v11 - w2 * m1, v12, v13), (v21, v22 - w2 * m2, v23), (v31, v32, v33 - w2 * m3)]
+
+
+def _split_parts(blocks: LinearizationBlocks) -> tuple:
+    """The rate-free numbers of the transverse part, wmu and wu the unit
+    vectors of w / m and w: x = wmu^T M^-1 wu, the leak of M^-1 wu off wmu,
+    the tangential roots of the product of m_plane^T M^-1 one_plane and
+    one_plane^T T m_plane, and the leaks of those two restrictions."""
+    (a1, a2, a3), (b1, b2, b3), _, m_plane = blocks._frames
+    i1, i2, i3 = minv = blocks._inverse_masses
+    mb1, mb2, mb3 = i1 * b1, i2 * b2, i3 * b3
+    x = a1 * mb1 + a2 * mb2 + a3 * mb3
+    a, b, leak = _pair_part(blocks._rows[1], minv, m_plane, ONE_PLANE)
+    return x, [mb1 - a1 * x, mb2 - a2 * x, mb3 - a3 * x], _roots(*_product(a, b)), leak
 
 
 def _pairs(roots: list) -> list:
@@ -552,13 +639,26 @@ def invariant_subspaces(
     A rate that ``rate_square`` rejects raises here.  Each basis keeps the
     parities apart, so the transverse restriction is [[0, x], [y, 0]] in
     each: the vertical pair is +-sqrt(x y) of 1-by-1 blocks, the tangential
-    pairs come from ``_roots`` of 2-by-2 ones.  Norms are taken by
-    ``math.hypot``, which squares no entry, so every rate that
-    ``rate_square`` accepts gives finite residuals.
+    pairs come from ``_roots`` of 2-by-2 ones.  Everything is on floats from
+    the blocks' frames; what does not depend on the rate comes once per
+    blocks (``_split_parts``), so a call computes y = wu^T (V - omega^2 M)
+    wmu, its leak and the flow matrix's norm.  Norms are taken by ``math.hypot``, which squares
+    no entry, so every rate that ``rate_square`` accepts gives finite
+    residuals.
     """
-    L = _frozen(assemble_L_from_blocks(blocks, omega))
-    norm = math.hypot(*L.ravel().tolist())
-    c, residual = _restriction(L, blocks._bases[0], norm)
-    tangential = _roots(*(c[2:4, 4:6] @ c[4:6, 2:4]).ravel().tolist())
-    roots = [float(c[0, 1] * c[1, 0])] + tangential
-    return InvariantSplitting(residual, tuple(_pairs(roots)), blocks, L, norm, omega)
+    w2 = rate_square(omega)
+    x, vleak, tangential, tleak = blocks._split_parts
+    (a1, a2, a3), (b1, b2, b3) = blocks._frames[:2]
+    (v11, v12, v13), (v21, v22, v23), (v31, v32, v33) = _shifted(blocks, w2)
+    va1 = v11 * a1 + v12 * a2 + v13 * a3
+    va2 = v21 * a1 + v22 * a2 + v23 * a3
+    va3 = v31 * a1 + v32 * a2 + v33 * a3
+    y = b1 * va1 + b2 * va2 + b3 * va3
+    leak = math.hypot(va1 - b1 * y, va2 - b2 * y, va3 - b3 * y, *vleak, *tleak)
+    t1, t2, t3 = blocks._rows[1]
+    minv = blocks._inverse_masses
+    # the 24 nonzero entries of the flow matrix, row by row
+    norm = math.hypot(*minv, *minv, v11, v12, v13, v21, v22, v23, v31, v32, v33,
+                      *t1, *t2, *t3)
+    spectrum = tuple(_pairs([x * y] + tangential))
+    return InvariantSplitting(leak / norm, spectrum, blocks, norm, omega)

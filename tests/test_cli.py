@@ -1232,23 +1232,23 @@ PINNED = {
     ),
     "stability --masses 0.2 0.5 0.3 --omega 2.3": (
         0,
-        "b17012f671535cf5ed8bf7f50b17c223889fa486e01b4510b0c5c84415a9a57f",
+        "0fa56757834db7df29546b6a969843c8031b9a5603a9c100dfc22212ae1eecc6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "b17012f671535cf5ed8bf7f50b17c223889fa486e01b4510b0c5c84415a9a57f",
+        "0fa56757834db7df29546b6a969843c8031b9a5603a9c100dfc22212ae1eecc6",
     ),
     # rates whose square dwarfs the ring's couplings: the splitting stays
     # finite, and the transverse spectrum purely imaginary
     "stability --masses 0.2 0.5 0.3 --omega 1e10": (
         0,
-        "f04a0c36d606a62b1c3f2c536ec8c38149cada03b2f17ccdbb34214b5bd01559",
+        "b88ecec7488a42591cb8bbbc89a70441b285df15814cd6eb2bf4b9fb6599cd59",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "f04a0c36d606a62b1c3f2c536ec8c38149cada03b2f17ccdbb34214b5bd01559",
+        "b88ecec7488a42591cb8bbbc89a70441b285df15814cd6eb2bf4b9fb6599cd59",
     ),
     "stability --masses 0.2 0.5 0.3 --omega 1e100": (
         0,
-        "28c6c64a0195349d672b03b1479e3f2bbe4152392fbf641a38e7ff264f9ed00e",
+        "187b0862c18d4643befcbfc27bef096e44a50a83efb8659dfa56b66330985740",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "28c6c64a0195349d672b03b1479e3f2bbe4152392fbf641a38e7ff264f9ed00e",
+        "187b0862c18d4643befcbfc27bef096e44a50a83efb8659dfa56b66330985740",
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 2.3 --mode re --horizon 1.0": (
         0,
@@ -1264,7 +1264,7 @@ PINNED = {
     ),
     "simulate --masses 0.2 0.5 0.3 --omega 0.77 --mode growth --horizon 200 --step 0.01": (
         0,
-        "739a5b1984d877651ef77cfb7ae24de2222451b1ff59086bc932302ac7622747",
+        "092bbc84029592518d7abd03deb237f6a57f953153ddb45acd8ea2bb848c9130",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3e9a7af91fe5f1b270c6c43f8e5238168c1b6296773518a4a1ad8cbfdd763da0",
     ),
@@ -1276,9 +1276,9 @@ PINNED = {
     ),
     "stability --config rates.json": (
         0,
-        "140ecfed4efa42a9db522e006ab99edbec88cd3d3db89e63be7ed8c336535fa5",
+        "d9c2b27974b0f10f26a445709ca94d25b61884a5e4e3da30fccf632b8890f76a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "140ecfed4efa42a9db522e006ab99edbec88cd3d3db89e63be7ed8c336535fa5",
+        "d9c2b27974b0f10f26a445709ca94d25b61884a5e4e3da30fccf632b8890f76a",
     ),
     # a grid whose mirrored values differ in bits in many cells
     "region-scan --resolution 333": (
@@ -1332,9 +1332,9 @@ PINNED = {
     ),
     "stability --config output.json": (
         0,
-        "fba96de3b0e13737864de05b2028c796210e82841e38d65f23b7238577f09213",
+        "6adbdf11042008ef3110c9e086de991b96c60976fdada7a5477731830814f8b6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "fba96de3b0e13737864de05b2028c796210e82841e38d65f23b7238577f09213",
+        "6adbdf11042008ef3110c9e086de991b96c60976fdada7a5477731830814f8b6",
     ),
     "stability": (
         2,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -796,11 +797,13 @@ class TestPinnedBits:
         assert again.rate == fit.rate
         assert again.times.tolist() == fit.times.tolist()
         assert again.deviations.tolist() == fit.deviations.tolist()
-        assert fit.rate == 0.8980074309245821
+        # the least-squares line on floats: 9.5e-18 from the exact fit of
+        # the same points (np.polyfit's 0.8980074309245821: 1.0e-16)
+        assert fit.rate == 0.8980074309245822
         assert fit.expected_rate == 0.8980113781961803
         assert fit.n_points == 51
         assert fit.window == (2.6, 7.6000000000000005)
-        assert fit.log_residual == 5.521604042257877e-05
+        assert fit.log_residual == 5.521604041813788e-05
         assert fit.max_deviation == 0.02064595940249747
         assert fit.deviations[-1] == fit.max_deviation
         assert fit.times.size == 86
@@ -839,3 +842,22 @@ class TestReducedPinnedBits:
             0.00139851620290117,
         ]
         assert run.energy_drift == 1.6930901125533637e-14
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_line_fit_is_the_exact_fit_within_rounding(seed):
+    # times on the growth run's grid, log deviations on a noisy line
+    rng = np.random.default_rng(seed)
+    xs = [0.1 * k for k in range(8 + 10 * seed, 60 + 10 * seed)]
+    ys = [1.3 * x - 13.0 + 1e-4 * e for x, e in zip(xs, rng.standard_normal(len(xs)))]
+    slope, intercept = dynamics._line_fit(xs, ys)
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    xbar, ybar = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxx = sum((x - xbar) ** 2 for x in fx)
+    exact = sum((x - xbar) * (y - ybar) for x, y in zip(fx, fy)) / sxx
+    # each centred product and difference rounds once, each sum once
+    spread = sum(abs(x - xbar) * abs(y - ybar) for x, y in zip(fx, fy))
+    eps = Fraction(2.0 ** -52)
+    assert abs(Fraction(slope) - exact) <= 4 * eps * (spread / sxx + abs(exact))
+    assert abs(Fraction(intercept) - (ybar - exact * xbar)) <= 4 * eps * (
+        abs(ybar) + abs(exact * xbar) + abs(xbar) * spread / sxx)

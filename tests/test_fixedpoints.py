@@ -250,3 +250,35 @@ class TestNewtonSolver:
         start = RingConfiguration((0.0, 1.8, 4.2))
         with pytest.raises(NoConvergence, match="after 0 iterations"):
             solve_fixed_point_numeric(mv, start)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0])
+def test_newton_tolerance_must_be_finite_and_positive(tol):
+    # inf returned the start without a step; nan, 0 and -1 ran every
+    # iteration to NoConvergence
+    mv = MassVector((0.2, 0.5, 0.3))
+    start = ring_from_shape(shape_from_masses((0.2, 0.5, 0.3)))
+    with pytest.raises(InvalidConfiguration, match="tolerance tol must be finite and positive"):
+        solve_fixed_point_numeric(mv, start, tol)
+
+
+def test_newton_takes_a_finite_positive_tolerance():
+    mv = MassVector((0.2, 0.5, 0.3))
+    ring = ring_from_shape(shape_from_masses((0.2, 0.5, 0.3)))
+    p1, p2, p3 = ring.longitudes
+    start = RingConfiguration((p1, p2 + 1e-3, p3 - 1e-3))
+    assert solve_fixed_point_numeric(mv, start, 1e300).longitudes == start.longitudes
+    landed = solve_fixed_point_numeric(mv, start, 1e-11)
+    assert np.max(np.abs(fixed_point_residual(mv, landed))) < 1e-11
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_checked_tolerance_rejects_what_bounds_no_defect(value):
+    with pytest.raises(InvalidConfiguration) as err:
+        fixedpoints.checked_tolerance("x", value)
+    assert str(err.value) == "tolerance x must be finite and positive, not %r" % value
+    if value == math.inf:
+        assert fixedpoints.checked_tolerance("x", value, gateless=True) == math.inf
+    else:
+        with pytest.raises(InvalidConfiguration, match="tolerance x must be positive, not"):
+            fixedpoints.checked_tolerance("x", value, gateless=True)

@@ -25,9 +25,15 @@ triples, and at rates from zero to 1e100:
 Where numpy's Frobenius norm of the flow matrix overflows (the rate 1e100),
 the oracle reads nan: there the bases are still held to the oracle's, which
 do not depend on the rate, and the spectrum to ``spectral_analysis``.
+
+The splitting builds its frames as float tuples; ``oracle_parity_bases``
+builds the same Householder bases as arrays, and the basis properties must
+match it byte for byte.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
 from collections import Counter
 
@@ -136,6 +142,45 @@ def eager_splitting(blocks, omega):
         square = out["symmetry_restriction"] @ out["symmetry_restriction"]
         out["nilpotent_residual"] = float(np.linalg.norm(square)) / max(norm, 1.0)
     return out
+
+
+def oracle_normal_frame(v):
+    """(v / |v| as a column, an orthonormal basis of the plane normal to v):
+    the columns but k of the Householder reflection that maps e_k to
+    -+v / |v|, where v's entry k is its largest."""
+    n = math.hypot(*v)
+    u = [x / n for x in v]
+    k = max(range(3), key=lambda i: abs(u[i]))
+    h = [x + math.copysign(i == k, u[k]) for i, x in enumerate(u)]
+    plane = [[(i == j) - h[i] * h[j] / abs(h[k]) for j in range(3) if j != k]
+             for i in range(3)]
+    return np.array(u)[:, None], np.array(plane)
+
+
+def oracle_embed(*columns):
+    out = np.zeros((12, sum(cols.shape[1] for cols in columns)))
+    start = 0
+    for cols, row in zip(columns, (0, 6, 3, 9)):
+        out[row : row + 3, start : start + cols.shape[1]] = cols
+        start += cols.shape[1]
+    return out
+
+
+def oracle_parity_bases(blocks):
+    """The transverse, symmetry and reduced bases as arrays, each column in
+    one parity, from Householder frames of w / m, w, m and (1, 1, 1)."""
+    m = blocks.masses.masses
+    p1, p2, p3 = blocks.ring.longitudes
+    w = [math.sin(p3 - p2), math.sin(p1 - p3), math.sin(p2 - p1)]
+    w_unit, w_plane = oracle_normal_frame(w)
+    wm_unit, wm_plane = oracle_normal_frame([x / mi for x, mi in zip(w, m)])
+    one_unit, one_plane = oracle_normal_frame([1.0, 1.0, 1.0])
+    m_unit, m_plane = oracle_normal_frame(list(m))
+    return {
+        "transverse_basis": oracle_embed(wm_unit, w_unit, m_plane, one_plane),
+        "symmetry_basis": oracle_embed(w_plane, wm_plane, one_unit, m_unit),
+        "reduced_basis": oracle_embed(np.eye(3), np.eye(3), m_plane, one_plane),
+    }
 
 
 def projector(basis):
@@ -276,6 +321,21 @@ def test_every_part_matches_the_eager_splitting(masses, rate):
     matches_eager(masses, rate)
 
 
+@PROPERTY
+@given(st.one_of(interior_triples(), edge_triples()))
+@example((1.0, 1.0, 1.0))
+def test_bases_are_the_householder_bases_bit_for_bit(masses):
+    # the frames on floats give the bits of the array-built Householder bases
+    blocks = fresh_blocks(masses)
+    want = oracle_parity_bases(blocks)
+    want["rotation_basis"] = want["symmetry_basis"][:, 4:6]
+    split = invariant_subspaces(blocks, 0.7)
+    for name in BASES:
+        got = getattr(split, name)
+        assert got.shape == want[name].shape
+        assert got.tobytes() == want[name].tobytes(), name
+
+
 @pytest.mark.parametrize("rate", RATES, ids=repr)
 def test_every_part_matches_at_the_edge_triples(rate):
     # the atlas benchmark's edge triples, whose rings fail the residual gate
@@ -321,29 +381,45 @@ def test_no_read_makes_a_factorization_call(monkeypatch):
 
 def test_second_read_does_not_compute_again(monkeypatch):
     calls = Counter()
-    real_restriction, real_bases = stability._restriction, stability._parity_bases
 
-    def restriction(L, q, denom):
-        calls[q.shape[1]] += 1
-        return real_restriction(L, q, denom)
+    def spy(name):
+        real = getattr(stability, name)
 
-    def bases(blocks):
-        calls["bases"] += 1
-        return real_bases(blocks)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(stability, "_restriction", restriction)
-    monkeypatch.setattr(stability, "_parity_bases", bases)
+        monkeypatch.setattr(stability, name, counted)
+
+    for name in ("_plane", "_split_parts", "_pair_part", "_parity_bases"):
+        spy(name)
     blocks = fresh_blocks((0.2, 0.5, 0.3))
     split = invariant_subspaces(blocks, 0.0)
-    # the transverse part at the call
-    assert calls == Counter({"bases": 1, 6: 1})
+    # the frames and the rate-free numbers once per blocks, no basis array
+    assert calls == Counter({"_plane": 1, "_split_parts": 1, "_pair_part": 1})
+    assert "_bases" not in vars(blocks)
     first = {name: getattr(split, name) for name in PARTS}
     for name in reversed(PARTS):
         assert getattr(split, name) is first[name] or name == "rotation_basis"
-    # the symmetry and reduced parts on first read
-    assert calls == Counter({"bases": 1, 6: 2, 10: 1})
-    invariant_subspaces(blocks, 0.7)
-    assert calls == Counter({"bases": 1, 6: 3, 10: 1})
+    # the bases and the symmetry planes on first read, the symmetry part once
+    assert calls == Counter(
+        {"_plane": 3, "_split_parts": 1, "_pair_part": 2, "_parity_bases": 1})
+    other = invariant_subspaces(blocks, 0.7)
+    assert calls["_pair_part"] == 2
+    for name in PARTS:
+        getattr(other, name)
+    assert calls == Counter(
+        {"_plane": 3, "_split_parts": 1, "_pair_part": 3, "_parity_bases": 1})
+
+
+def test_stability_makes_no_matrix_product():
+    # the splitting and the spectra are on floats, so no BLAS kernel, whose
+    # choice depends on the CPU, can move a bit of what they report
+    tree = ast.parse(inspect.getsource(stability))
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("dot", "matmul", "linalg", "einsum"), node.attr
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 1e200])
@@ -391,7 +467,6 @@ def test_fields_are_the_transverse_part_and_the_inputs_of_the_rest():
         "transverse_residual",
         "transverse_spectrum",
         "_blocks",
-        "_flow",
         "_norm",
         "_omega",
     ]

@@ -10,7 +10,10 @@ digits computes what the package computes in closed form on floats:
 - the certificate's eigenvalues, trace, half determinant and reduced minimum
   eigenvalue, from the float gap Hessian it holds;
 - Newton's landing, as the 50-digit root of the fixed-point equations that
-  Newton continued in mpmath from the float landing reaches.
+  Newton continued in mpmath from the float landing reaches;
+- the invariant splitting's transverse spectrum at 0.5 and 1.5 omega_crit,
+  as +-sqrt(mu) for the eigenvalues mu of M^-1 (V - omega^2 M) and M^-1 T
+  that are not symmetry modes.
 
 Every tolerance is the distance, from the float input, of the problem that
 the closed form solves exactly, plus its rounding:
@@ -28,6 +31,18 @@ the closed form solves exactly, plus its rounding:
 - Newton stops once its computed residual is below NEWTON_TOL; the exact
   residual is within ROUND eps S of it, S the sum of the pair forces, and
   the landing is within ||J^-1||_inf times that of the root.
+- The splitting's vertical pair is x y, x = a^T M^-1 b and
+  y = b^T (V - omega^2 M) a for the unit vectors a of w / m and b of w.  In
+  exact arithmetic x y = w^T V M^-1 w / |w|^2 - omega^2, which for S0 is
+  tr(S) - omega^2; so it lies within delta (1 + kappa_w) of lambda1 -
+  omega^2, kappa_w = |sqrt(m) w| |w / sqrt(m)| / |w|^2 (Cauchy-Schwarz).
+  Its tangential pairs are the eigenvalues of P = C^T M^-1 D D^T T C, C and
+  D orthonormal bases of the planes normal to m and to (1, 1, 1).  With
+  T0 = A^T H A in place of T, P is the matrix of M^-1 T0 on the plane
+  normal to m, self-adjoint in the mass metric, so its eigenvalues are
+  S_T0's and move by at most sqrt(rho) times a change of P (Bauer-Fike),
+  rho = max m / min m; T - T0 moves P by at most rho delta_t.  The square
+  root of mu moves by at most |d mu| / |sqrt(mu)|.
 """
 
 import math
@@ -38,7 +53,12 @@ import pytest
 from curvednbody.fixedpoints import NEWTON_TOL, solve_fixed_point_numeric
 from curvednbody.geometry import RingConfiguration
 from curvednbody.reduction import JacobiConstants, lyapunov_certificate
-from curvednbody.stability import ring_pipeline, spectral_analysis, vertical_mode
+from curvednbody.stability import (
+    invariant_subspaces,
+    ring_pipeline,
+    spectral_analysis,
+    vertical_mode,
+)
 
 from conftest import CENTRE, EDGE_RAYS
 
@@ -196,3 +216,52 @@ def test_newton_landing_matches_50_digits(case):
     tol = reach * (NEWTON_TOL + ROUND * EPS * force)
     assert landed[0] == 0.0
     assert max(abs(x - y) for x, y in zip(landed, phis)) <= tol
+
+
+def frobenius(rows):
+    return mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for row in rows for x in row))
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_transverse_spectrum_matches_50_digits(case, factor):
+    _, _, ring, blocks, _ = case
+    m = blocks.masses.masses
+    rho = mpmath.mpf(max(m)) / min(m)
+    omega = factor * spectral_analysis(blocks).omega_critical
+    w2 = mpmath.mpf(omega) ** 2
+    got = invariant_subspaces(blocks, omega).transverse_spectrum
+    v, t = blocks.vertical.tolist(), blocks.tangential.tolist()
+
+    # the vertical pair: lambda1 - omega^2, lambda1 S's top eigenvalue; x and
+    # y round by ROUND eps over unit vectors, y = mu / x
+    sv = weighted(v, m)
+    w = ring_normal(ring.longitudes)
+    y = mpmath.matrix([wi / mpmath.sqrt(mpmath.mpf(mi)) for wi, mi in zip(w, m)])
+    y /= mpmath.norm(y)
+    delta = norm2(sv - sum(sv[i, i] for i in range(3)) * (y * y.T))
+    mu = max(mpmath.eigsy(sv, eigvals_only=True)) - w2
+    ww = sum(wi ** 2 for wi in w)
+    kappa_w = mpmath.sqrt(sum(mpmath.mpf(mi) * wi ** 2 for mi, wi in zip(m, w)) * sum(
+        wi ** 2 / mpmath.mpf(mi) for mi, wi in zip(m, w))) / ww
+    x = mpmath.sqrt(sum((wi / mpmath.mpf(mi)) ** 2 for mi, wi in zip(m, w)) / ww)
+    rounding = x * (frobenius(v) + w2 * max(m)) + abs(mu) / (x * min(m)) + abs(mu)
+    tol_mu = [delta * (1 + kappa_w) + ROUND * EPS * rounding]
+
+    # the tangential pairs: S_T's two negative eigenvalues; P rounds by
+    # ROUND eps ||T||_F / min m over unit frames, and its 2-norm is at most
+    # sqrt(rho) |big|, so the root rule rounds the larger root by ROUND eps
+    # sqrt(rho) |big| and the smaller, the determinant over the larger, by
+    # 2 ROUND eps rho |big|
+    st_ = weighted(t, m)
+    gaps = mp_matrix([[-1, 1, 0], [0, -1, 1]])
+    hess = mp_matrix([[t[0][0], -t[0][2]], [-t[0][2], t[2][2]]])
+    delta_t = norm2(st_ - weighted((gaps.T * hess * gaps).tolist(), m))
+    big, small = sorted(mpmath.eigsy(st_, eigvals_only=True))[:2]
+    moved = delta_t + mpmath.sqrt(rho) * (rho * delta_t + ROUND * EPS * frobenius(t) / min(m))
+    tol_mu += [moved + ROUND * EPS * mpmath.sqrt(rho) * abs(big),
+               moved + 2 * ROUND * EPS * rho * abs(big)]
+
+    for k, value in enumerate((mu, big, small)):
+        root = mpmath.sqrt(mpmath.mpc(value))
+        for z, exact in zip(got[2 * k : 2 * k + 2], (root, -root)):
+            assert abs(mpmath.mpc(z) - exact) <= tol_mu[k] / abs(root), (k, z, exact)

@@ -611,8 +611,8 @@ class TestBlockSpectraBookkeeping:
 
 
 def numpy_flow_matrix(blocks, omega):
-    """The flow matrix built whole for every rate, as before the rate-free
-    part was kept on the blocks."""
+    """The flow matrix built whole with numpy, the centrifugal shift as
+    V - omega^2 diag(m)."""
     n = 3
     m = blocks.mass_diagonal
     w2 = omega * omega
@@ -639,8 +639,8 @@ class TestFlowMatrixCache:
         blocks = equal_mass_blocks()
         first = assemble_L_from_blocks(blocks, 0.3)
         assert first.flags.writeable
-        assert not np.shares_memory(first, blocks._rate_free_L)
-        assert not blocks._rate_free_L.flags.writeable
+        assert not np.shares_memory(first, blocks.vertical)
+        assert not np.shares_memory(first, blocks.tangential)
         first[:] = 7.0
         again = assemble_L_from_blocks(blocks, 0.3)
         assert again.tobytes() == numpy_flow_matrix(blocks, 0.3).tobytes()
@@ -650,7 +650,7 @@ class TestFlowMatrixCache:
         blocks = equal_mass_blocks()
         with pytest.raises(InvalidConfiguration):
             assemble_L_from_blocks(blocks, omega)
-        assert "_rate_free_L" not in vars(blocks)
+        assert "_rows" not in vars(blocks)
 
 
 LAPACK = ("eigh", "eigvalsh", "eig", "eigvals", "solve", "det", "inv", "svd", "qr")
@@ -675,3 +675,27 @@ def test_the_ring_path_makes_no_lapack_call(monkeypatch):
     solve_fixed_point_numeric(triple.mass_vector(), start)
     invariant_subspaces(blocks, 0.5 * crit).transverse_spectrum
     assert calls == []
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+def test_residual_tolerance_must_be_positive(tol):
+    # -1 raised NotAFixedPoint for an exact ring, nan for every ring
+    triple = as_mass_triple((0.2, 0.5, 0.3))
+    ring = ring_from_shape(shape_from_masses(triple))
+    message = "tolerance residual_tol must be positive"
+    with pytest.raises(InvalidConfiguration, match=message):
+        assemble_blocks(triple.mass_vector(), ring, tol)
+    with pytest.raises(InvalidConfiguration, match=message):
+        ring_pipeline((0.2, 0.5, 0.3), tol)
+
+
+def test_infinite_residual_tolerance_builds_blocks_past_the_gate():
+    mv = MassVector((0.2, 0.5, 0.3))
+    off = RingConfiguration((0.0, 2.0, 4.0))
+    with pytest.raises(NotAFixedPoint):
+        assemble_blocks(mv, off)
+    blocks = assemble_blocks(mv, off, math.inf)
+    assert blocks.ring is off
+    gated = ring_pipeline((0.2, 0.5, 0.3))[3]
+    ungated = ring_pipeline((0.2, 0.5, 0.3), math.inf)[3]
+    assert ungated.vertical.tobytes() == gated.vertical.tobytes()
