@@ -15,10 +15,13 @@ it on construction, so the functions that take them check no count.
 
 ``_pair_table`` is the one place that enumerates the pairs of a
 configuration in Cartesian form, computes each separation's cosine and sine
-and applies that guard; every pairwise sum over such pairs reads it.  The
-only pair code outside it writes the three pairs out as straight-line code
-because it runs once per field evaluation, per recorded sample or per ring
-pass: the vector field ``dynamics._field_kernel``; ``_pair_sines``, the
+and applies that guard; every pairwise sum over such pairs reads it:
+``force_function``, the gradient's ``_angle_gradient`` and the Hessian's
+``_hessian_rows``, which sums on float lists with its dot products written
+out and serves ``force_hessian_blocks`` and ``stability.assemble_L_general``
+alike.  The only pair code outside it writes the three pairs out as
+straight-line code because it runs once per field evaluation, per recorded
+sample or per ring pass: the vector field ``dynamics._field_kernel``; ``_pair_sines``, the
 table of three bodies that the guard ``_pair_guard``, the frame energy
 ``dynamics.hamiltonian`` and the sample monitor of ``dynamics.integrate``
 read; and the ring's residual and coupling blocks ``fixedpoints._ring_pass``,
@@ -373,8 +376,55 @@ def force_gradient(masses: MassVector, config) -> np.ndarray:
     return np.array(dtheta + dphi)
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _hessian_rows(masses: MassVector, config) -> tuple:
+    """(V_tt, V_tp, V_pp) of ``force_hessian_blocks`` as lists of rows.
+
+    Each dot product of a tangent vector or a same-body second derivative
+    with a position or a tangent is written out with its zero terms, and
+    each diagonal sums onto 0.0, so every bit, a signed zero's too, is that
+    of the sum in order; a - b stands for a + (-b) and b - a for (-a) + b,
+    which IEEE arithmetic rounds alike.
+    """
+    _check_bodies(config.n)
+    m = masses.masses
+    n = config.n
+    st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)
+    zs = ct
+    # the tangent along theta of each body; along phi it is (-y, x, 0)
+    txs = list(map(mul, ct, cp))
+    tys = list(map(mul, ct, sp))
+    tzs = [-s for s in st]
+    vtt = [[0.0] * n for _ in range(n)]
+    vtp = [[0.0] * n for _ in range(n)]
+    vpp = [[0.0] * n for _ in range(n)]
+    for i, j, cosd, sind in _pair_table(xs, ys, zs):
+        s3 = sind * sind * sind
+        f3 = 1.0 / s3
+        f5 = 3.0 * cosd / (s3 * sind * sind)
+        mm = m[i] * m[j]
+        xi, yi, zi, txi, tyi, tzi = xs[i], ys[i], zs[i], txs[i], tys[i], tzs[i]
+        xj, yj, zj, txj, tyj, tzj = xs[j], ys[j], zs[j], txs[j], tys[j], tzs[j]
+
+        at_i = xj * txi + yj * tyi + zj * tzi
+        at_j = xi * txj + yi * tyj + zi * tzj
+        ap_i = yj * xi - xj * yi + zj * 0.0
+        ap_j = yi * xj - xi * yj + zi * 0.0
+
+        vtt[i][j] = vtt[j][i] = mm * (
+            f5 * at_i * at_j + f3 * (txj * txi + tyj * tyi + tzj * tzi))
+        vpp[i][j] = vpp[j][i] = mm * (f5 * ap_i * ap_j + f3 * (yj * yi + xj * xi + 0.0))
+        vtp[i][j] = mm * (f5 * at_i * ap_j + f3 * (xj * tyi - yj * txi + 0.0 * tzi))
+        vtp[j][i] = mm * (f5 * at_j * ap_i + f3 * (xi * tyj - yi * txj + 0.0 * tzj))
+
+        # same-body second derivatives accumulate on the diagonal: of q_i
+        # they are -q_i in theta, (-x_i, -y_i, 0) in phi, (-ty_i, tx_i, 0) mixed
+        vtt[i][i] += mm * (f5 * at_i * at_i + f3 * (xj * -xi - yj * yi - zj * zi))
+        vtt[j][j] += mm * (f5 * at_j * at_j + f3 * (xi * -xj - yi * yj - zi * zj))
+        vpp[i][i] += mm * (f5 * ap_i * ap_i + f3 * (xj * -xi - yj * yi + zj * 0.0))
+        vpp[j][j] += mm * (f5 * ap_j * ap_j + f3 * (xi * -xj - yi * yj + zi * 0.0))
+        vtp[i][i] += mm * (f5 * at_i * ap_i + f3 * (yj * txi - xj * tyi + zj * 0.0))
+        vtp[j][j] += mm * (f5 * at_j * ap_j + f3 * (yi * txj - xi * tyj + zi * 0.0))
+    return vtt, vtp, vpp
 
 
 def force_hessian_blocks(masses: MassVector, config):
@@ -383,52 +433,8 @@ def force_hessian_blocks(masses: MassVector, config):
     Returns the three 3-by-3 blocks (V_tt, V_tp, V_pp), where V_tt holds
     d2V/dtheta_i dtheta_j, V_tp holds d2V/dtheta_i dphi_j, and V_pp holds
     d2V/dphi_i dphi_j.  The theta-phi block for swapped index order is the
-    transpose of V_tp.  ``config`` may be duck-typed (``assemble_L_general``
-    hands on any state with ``n``, ``thetas`` and ``phis``), so its body
-    count meets the one rule here.
+    transpose of V_tp.  ``config`` may be duck-typed (any state with ``n``,
+    ``thetas`` and ``phis``), so ``_hessian_rows`` holds its body count to
+    the one rule.  The blocks are summed on floats and each made an array once.
     """
-    _check_bodies(config.n)
-    m = masses.masses
-    n = config.n
-    st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)
-    zs = ct
-    vtt = np.zeros((n, n))
-    vtp = np.zeros((n, n))
-    vpp = np.zeros((n, n))
-    # tangent vectors along theta and phi for each body
-    tth = [(ct[i] * cp[i], ct[i] * sp[i], -st[i]) for i in range(n)]
-    tph = [(-ys[i], xs[i], 0.0) for i in range(n)]
-    for i, j, cosd, sind in _pair_table(xs, ys, zs):
-        s3 = sind * sind * sind
-        f3 = 1.0 / s3
-        f5 = 3.0 * cosd / (s3 * sind * sind)
-        mm = m[i] * m[j]
-        qi = (xs[i], ys[i], zs[i])
-        qj = (xs[j], ys[j], zs[j])
-
-        at_i = _dot(qj, tth[i])
-        at_j = _dot(qi, tth[j])
-        ap_i = _dot(qj, tph[i])
-        ap_j = _dot(qi, tph[j])
-
-        vtt[i, j] = mm * (f5 * at_i * at_j + f3 * _dot(tth[j], tth[i]))
-        vtt[j, i] = vtt[i, j]
-        vpp[i, j] = mm * (f5 * ap_i * ap_j + f3 * _dot(tph[j], tph[i]))
-        vpp[j, i] = vpp[i, j]
-        vtp[i, j] = mm * (f5 * at_i * ap_j + f3 * _dot(tph[j], tth[i]))
-        vtp[j, i] = mm * (f5 * at_j * ap_i + f3 * _dot(tph[i], tth[j]))
-
-        # same-body second derivatives accumulate on the diagonal
-        qi2_tt = (-xs[i], -ys[i], -zs[i])
-        qj2_tt = (-xs[j], -ys[j], -zs[j])
-        qi2_pp = (-xs[i], -ys[i], 0.0)
-        qj2_pp = (-xs[j], -ys[j], 0.0)
-        qi2_tp = (-ct[i] * sp[i], ct[i] * cp[i], 0.0)
-        qj2_tp = (-ct[j] * sp[j], ct[j] * cp[j], 0.0)
-        vtt[i, i] += mm * (f5 * at_i * at_i + f3 * _dot(qj, qi2_tt))
-        vtt[j, j] += mm * (f5 * at_j * at_j + f3 * _dot(qi, qj2_tt))
-        vpp[i, i] += mm * (f5 * ap_i * ap_i + f3 * _dot(qj, qi2_pp))
-        vpp[j, j] += mm * (f5 * ap_j * ap_j + f3 * _dot(qi, qj2_pp))
-        vtp[i, i] += mm * (f5 * at_i * ap_i + f3 * _dot(qj, qi2_tp))
-        vtp[j, j] += mm * (f5 * at_j * ap_j + f3 * _dot(qi, qj2_tp))
-    return vtt, vtp, vpp
+    return tuple(map(np.array, _hessian_rows(masses, config)))

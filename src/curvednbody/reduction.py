@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InvalidConfiguration, SingularConfiguration
 from .fixedpoints import (
     CONSISTENCY_TOL,
+    AdmissibleMassTriple,
     TriangleShape,
     _roots,
     as_mass_triple,
@@ -48,7 +49,8 @@ from .integrators import (
 class JacobiConstants:
     """The three masses and the combinations of them entering the
     symmetry-adapted angle coordinates; ``from_masses`` checks the masses
-    through MassVector."""
+    through MassVector, apart from an AdmissibleMassTriple's, which its
+    construction checked."""
 
     masses: tuple
     mbar: float
@@ -59,13 +61,15 @@ class JacobiConstants:
 
     @classmethod
     def from_masses(cls, masses) -> "JacobiConstants":
-        masses = masses.as_tuple() if hasattr(masses, "as_tuple") else masses
-        masses = masses if isinstance(masses, MassVector) else MassVector(masses)
-        m1, m2, m3 = masses.masses
+        if isinstance(masses, AdmissibleMassTriple):
+            values = masses.as_tuple()
+        else:
+            values = (masses if isinstance(masses, MassVector) else MassVector(masses)).masses
+        m1, m2, m3 = values
         mbar = m1 + m2 + m3
         m12 = m1 + m2
         return cls(
-            masses=masses.masses,
+            masses=values,
             mbar=mbar,
             nu1=m1 / m12,
             nu2=m2 / m12,
@@ -241,6 +245,12 @@ def hessian_alpha_beta(
     given tolerance; at such points both eigenvalues are negative, making
     the ring shape a strict maximum of the force function on the level.
     """
+    a, c, d = _gap_hessian(shape, masses, tol)
+    return np.array([[a, c], [c, d]])
+
+
+def _gap_hessian(shape: TriangleShape, masses, tol: float) -> tuple:
+    """The entries (H11, H12, H22) of ``hessian_alpha_beta`` as floats."""
     check_shape_mass_pair(shape, masses, tol)
     m1, m2, m3 = as_mass_triple(masses).as_tuple()
     sa, ca = math.sin(shape.alpha), math.cos(shape.alpha)
@@ -250,7 +260,7 @@ def hessian_alpha_beta(
     cross = -m1 * m3 * cab / sab ** 3
     h11 = m1 * m2 * ca / sa ** 3 + cross
     h22 = m2 * m3 * cb / sb ** 3 + cross
-    return 2.0 * np.array([[h11, cross], [cross, h22]])
+    return 2.0 * h11, 2.0 * cross, 2.0 * h22
 
 
 def hessian_determinant_closed_form(shape: TriangleShape, masses) -> float:
@@ -288,8 +298,7 @@ def lyapunov_certificate(masses, tol: float = CONSISTENCY_TOL) -> LyapunovCertif
     its potential block's smaller one, 1/nu3 and 1/nu4."""
     triple = as_mass_triple(masses)
     shape = shape_from_masses(triple)
-    hess = hessian_alpha_beta(shape, triple, tol)
-    (a, c), (_, d) = hess.tolist()
+    a, c, d = _gap_hessian(shape, triple, tol)
     eigs = sorted(_roots(a, c, c, d))
     jc = JacobiConstants.from_masses(triple)
     # chain rule to the reduced angles: -(B^T H B) with B = [[1, 0], [-nu1, 1]]
@@ -299,7 +308,7 @@ def lyapunov_certificate(masses, tol: float = CONSISTENCY_TOL) -> LyapunovCertif
     min_eig = min(min(potential), 1.0 / jc.nu3, 1.0 / jc.nu4)
     return LyapunovCertificate(
         shape=shape,
-        hessian=hess,
+        hessian=np.array([[a, c], [c, d]]),
         eigenvalues=(eigs[0], eigs[1]),
         trace=a + d,
         determinant_half=(a * d - c * c) / 4,

@@ -48,8 +48,10 @@ from .geometry import (
     POLAR_TOL,
     MassVector,
     RingConfiguration,
+    _check_bodies,
+    _check_finite,
+    _hessian_rows,
     _polar_error,
-    force_hessian_blocks,
 )
 
 # A ring whose fixed-point residual max-norm reaches this is not a fixed point.
@@ -238,41 +240,60 @@ def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     """Linearized Hamiltonian flow at an arbitrary phase state.
 
     ``state`` needs ``n``, ``thetas``, ``phis``, ``pthetas`` and ``pphis``,
-    as a PhaseState has; ``force_hessian_blocks`` holds its body count to the
-    one rule, and a colatitude at the polar guard raises PolarSingularity.  The coordinate
+    as a PhaseState has.  As PhaseState's checks do, a nan or infinite entry
+    raises InvalidConfiguration and each block's length and ``n`` meet the
+    one body-count rule, before any pair is read; a colatitude at the polar
+    guard raises PolarSingularity.  The coordinate
     order of the output matches assemble_L_from_blocks.  A frame rotating at
     constant rate shifts the flow by a constant, so the same matrix is the
     Jacobian in every such frame.  At an equatorial fixed point with the
-    rigid-rotation momenta this reduces to the block form.
+    rigid-rotation momenta this reduces to the block form.  The matrix is
+    laid out from the Hessian's float rows as one list; an entry of V_tt off
+    the diagonal sums onto 0.0, as it did onto the zeros of an array.
     """
-    n = masses.n
-    m = masses.masses
+    for name in ("thetas", "phis", "pthetas", "pphis"):
+        values = getattr(state, name)
+        _check_finite(name, values)
+        _check_bodies(len(values))
+    (
+        ((t11, t12, t13), (t21, t22, t23), (t31, t32, t33)),
+        ((b11, b12, b13), (b21, b22, b23), (b31, b32, b33)),
+        ((p11, p12, p13), (p21, p22, p23), (p31, p32, p33)),
+    ) = _hessian_rows(masses, state)
     thetas = [float(t) for t in state.thetas]
-    pphis = [float(p) for p in state.pphis]
-    vtt, vtp, vpp = force_hessian_blocks(masses, state)
     sines = [math.sin(t) for t in thetas]
     if any(s <= POLAR_TOL for s in sines):
         raise _polar_error(sines)
-    L = np.zeros((4 * n, 4 * n))
-    for i in range(n):
-        st = sines[i]
-        ct = math.cos(thetas[i])
-        s2 = st * st
-        k = -2.0 * pphis[i] * ct / (m[i] * s2 * st)
-        ncent = -pphis[i] * pphis[i] * (1.0 + 2.0 * ct * ct) / (m[i] * s2 * s2)
-        L[i, 2 * n + i] = 1.0 / m[i]
-        L[n + i, i] = k
-        L[n + i, 3 * n + i] = 1.0 / (m[i] * s2)
-        L[2 * n + i, 3 * n + i] = -k
-        L[2 * n + i, i] = ncent
-    L[2 * n : 3 * n, 0:n] += vtt
-    L[2 * n : 3 * n, n : 2 * n] = vtp
-    L[3 * n : 4 * n, 0:n] = vtp.T
-    L[3 * n : 4 * n, n : 2 * n] = vpp
-    return L
+    m1, m2, m3 = m = masses.masses
+    pphis = [float(p) for p in state.pphis]
+    (k1, j1, c1), (k2, j2, c2), (k3, j3, c3) = map(_chart_terms, m, sines, thetas, pphis)
+    z = 0.0
+    return np.fromiter([
+        z, z, z, z, z, z, 1.0 / m1, z, z, z, z, z,
+        z, z, z, z, z, z, z, 1.0 / m2, z, z, z, z,
+        z, z, z, z, z, z, z, z, 1.0 / m3, z, z, z,
+        k1, z, z, z, z, z, z, z, z, j1, z, z,
+        z, k2, z, z, z, z, z, z, z, z, j2, z,
+        z, z, k3, z, z, z, z, z, z, z, z, j3,
+        c1 + t11, z + t12, z + t13, b11, b12, b13, z, z, z, -k1, z, z,
+        z + t21, c2 + t22, z + t23, b21, b22, b23, z, z, z, z, -k2, z,
+        z + t31, z + t32, c3 + t33, b31, b32, b33, z, z, z, z, z, -k3,
+        b11, b21, b31, p11, p12, p13, z, z, z, z, z, z,
+        b12, b22, b32, p21, p22, p23, z, z, z, z, z, z,
+        b13, b23, b33, p31, p32, p33, z, z, z, z, z, z,
+    ], float, 144).reshape(12, 12)
 
 
-@dataclass(frozen=True)
+def _chart_terms(m, st, theta, pphi) -> tuple:
+    """(d phidot / d theta, d phidot / d p_phi, d p_theta dot / d theta without
+    the force) of a body of mass m at colatitude theta, sin(theta) = st."""
+    ct = math.cos(theta)
+    s2 = st * st
+    k = -2.0 * pphi * ct / (m * s2 * st)
+    return k, 1.0 / (m * s2), -pphi * pphi * (1.0 + 2.0 * ct * ct) / (m * s2 * s2)
+
+
+@dataclass(frozen=True, init=False)
 class StabilityReport:
     """Spectral classification of a rigid ring rotation.
 
@@ -281,6 +302,10 @@ class StabilityReport:
     the single positive vertical eigenvalue whose square root separates the
     unstable and stable rotation rates.  ``spectrum`` holds the six
     eigenvalues of the linearized flow transverse to the symmetry modes.
+
+    ``__init__`` takes the nine fields as the generated one would and fills
+    the instance dict in one update; ``spectral_analysis`` and
+    ``dataclasses.replace`` build every report through it.
     """
 
     masses: MassVector
@@ -293,6 +318,14 @@ class StabilityReport:
     spectrum: tuple
     unstable_exponent: float
 
+    def __init__(self, masses, omega, vertical_eigenvalues, tangential_eigenvalues,
+                 lambda1, omega_critical, verdict, spectrum, unstable_exponent):
+        self.__dict__.update(
+            masses=masses, omega=omega, vertical_eigenvalues=vertical_eigenvalues,
+            tangential_eigenvalues=tangential_eigenvalues, lambda1=lambda1,
+            omega_critical=omega_critical, verdict=verdict, spectrum=spectrum,
+            unstable_exponent=unstable_exponent)
+
 
 VERDICT_FIXED_POINT = "fixed-point-unstable"
 VERDICT_UNSTABLE = "re-unstable"
@@ -304,12 +337,18 @@ BOUNDARY_TOL = 1e-9
 
 
 def rate_square(omega: float) -> float:
-    """omega^2, or InvalidConfiguration if the rate or its square is not finite."""
+    """omega^2, or InvalidConfiguration if the rate or its square is not finite.
+
+    The rate is taken as the float it converts to, in the square and in the
+    message, so a numpy scalar overflows to inf without a warning and an
+    np.float32 rate squares as a float.
+    """
     if not math.isfinite(omega):
-        raise InvalidConfiguration("rotation rate %r is not finite" % (omega,))
-    w2 = omega * omega
+        raise InvalidConfiguration("rotation rate %r is not finite" % (float(omega),))
+    w = float(omega)
+    w2 = w * w
     if not math.isfinite(w2):
-        raise InvalidConfiguration("square of rotation rate %r is not finite" % (omega,))
+        raise InvalidConfiguration("square of rotation rate %r is not finite" % (w,))
     return w2
 
 
@@ -387,9 +426,9 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
     omega^2) first, then the tangential pairs.
     """
     spectra = blocks._spectra
-    s = cmath.sqrt(complex(spectra.lambda1 - omega * omega))
-    omega = float(omega)
     verdict, exponent = rate_verdict(omega, spectra.lambda1)
+    omega = float(omega)
+    s = cmath.sqrt(complex(spectra.lambda1 - omega * omega))
     return StabilityReport(
         blocks.masses,
         omega,
@@ -661,4 +700,4 @@ def invariant_subspaces(
     norm = math.hypot(*minv, *minv, v11, v12, v13, v21, v22, v23, v31, v32, v33,
                       *t1, *t2, *t3)
     spectrum = tuple(_pairs([x * y] + tangential))
-    return InvariantSplitting(leak / norm, spectrum, blocks, norm, omega)
+    return InvariantSplitting(leak / norm, spectrum, blocks, norm, float(omega))

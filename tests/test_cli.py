@@ -114,7 +114,10 @@ def region_grids(draw):
         if kind == "signed zero":
             values[i, j], values[j, i] = 0.0, -0.0
         elif i != j:
-            values[j, i] = np.nextafter(values[i, j], np.inf if kind == "up" else -np.inf)
+            with np.errstate(over="ignore"):
+                step = np.nextafter(values[i, j], np.inf if kind == "up" else -np.inf)
+            # from the largest finite magnitude the outward step is infinite
+            values[j, i] = step if np.isfinite(step) else np.nextafter(values[i, j], 0.0)
     return centers, values, valid, valid & (values < 0.0)
 
 

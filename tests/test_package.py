@@ -1,7 +1,10 @@
 """The package root's public names and the README's library quick tour."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import curvednbody
@@ -95,3 +98,18 @@ def test_readme_quick_tour_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].split()[0] == curvednbody.classify((1.0, 1.0, 1.0), 1.3).verdict
+
+
+def test_import_leaves_scipy_and_the_cli_unloaded():
+    # set-up time is a benchmark metric: scipy loads only inside rk45_solve,
+    # and the CLI module only for the console script
+    code = (
+        "import sys, curvednbody; "
+        "print(sorted({'scipy', 'curvednbody.cli'} & set(sys.modules)))"
+    )
+    src = str(pathlib.Path(curvednbody.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"

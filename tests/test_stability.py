@@ -1,13 +1,20 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from curvednbody.dynamics import PhaseState, make_field, relative_equilibrium
+from curvednbody.dynamics import (
+    PhaseState,
+    growth_rate_experiment,
+    integrate,
+    make_field,
+    relative_equilibrium,
+)
 from curvednbody.errors import (
     DegenerateSpectrum,
     InvalidConfiguration,
@@ -29,6 +36,7 @@ from curvednbody.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     LinearizationBlocks,
+    StabilityReport,
     _block_spectra,
     assemble_L_from_blocks,
     assemble_L_general,
@@ -38,6 +46,7 @@ from curvednbody.stability import (
     lambda1_closed_form,
     null_structure_check,
     omega_critical,
+    rate_square,
     rate_verdict,
     ring_pipeline,
     spectral_analysis,
@@ -699,3 +708,95 @@ def test_infinite_residual_tolerance_builds_blocks_past_the_gate():
     gated = ring_pipeline((0.2, 0.5, 0.3))[3]
     ungated = ring_pipeline((0.2, 0.5, 0.3), math.inf)[3]
     assert ungated.vertical.tobytes() == gated.vertical.tobytes()
+
+
+def report_fields(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+class TestReportConstruction:
+    """Every StabilityReport is built by its one ``__init__``."""
+
+    def test_spectral_report_is_the_report_of_its_fields(self):
+        blocks = equal_mass_blocks()
+        for omega in (0.0, 0.7, 1.5):
+            report = spectral_analysis(blocks, omega)
+            rebuilt = StabilityReport(**report_fields(report))
+            assert rebuilt == report
+            assert hash(rebuilt) == hash(report)
+            assert repr(rebuilt) == repr(report)
+            assert list(report_fields(rebuilt)) == [
+                "masses", "omega", "vertical_eigenvalues", "tangential_eigenvalues",
+                "lambda1", "omega_critical", "verdict", "spectrum", "unstable_exponent",
+            ]
+            assert vars(rebuilt) == report_fields(report)
+
+    def test_replace_returns_a_report_with_the_change(self):
+        report = spectral_analysis(equal_mass_blocks(), 0.7)
+        changed = dataclasses.replace(report, verdict="changed", omega=2.0)
+        assert type(changed) is StabilityReport
+        assert (changed.verdict, changed.omega) == ("changed", 2.0)
+        assert report_fields(changed) == dict(report_fields(report), verdict="changed", omega=2.0)
+        assert changed != report
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(StabilityReport)])
+    def test_fields_are_frozen(self, name):
+        report = spectral_analysis(equal_mass_blocks(), 0.7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(report, name)
+        assert report == spectral_analysis(equal_mass_blocks(), 0.7)
+
+
+RATE_SITES = {
+    "rate_square": rate_square,
+    "spectral_analysis": lambda omega: spectral_analysis(equal_mass_blocks(), omega),
+    "invariant_subspaces": lambda omega: invariant_subspaces(equal_mass_blocks(), omega),
+    "make_field": lambda omega: make_field(EQUAL.mass_vector(), omega),
+    "integrate": lambda omega: integrate(
+        EQUAL.mass_vector(), relative_equilibrium(EQUAL.mass_vector(), RING_EQUAL, 1.0),
+        horizon=0.01, omega=omega,
+    ),
+    "growth_rate_experiment": lambda omega: growth_rate_experiment(EQUAL, omega, horizon=1.0),
+}
+
+
+@pytest.mark.parametrize("site", RATE_SITES)
+@pytest.mark.parametrize("kind", [float, np.float64, np.float32], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("value", [1e200, -1e200, math.nan, math.inf, -math.inf], ids=repr)
+def test_rate_of_any_float_type_is_rejected_without_a_warning(site, kind, value):
+    with np.errstate(over="ignore"):
+        omega = kind(value)  # a float32 of 1e200 is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfiguration) as want:
+            rate_square(omega)
+        with pytest.raises(InvalidConfiguration) as got:
+            RATE_SITES[site](omega)
+    assert str(got.value) == str(want.value)
+
+
+def test_float32_rate_is_the_float_it_converts_to():
+    # the square of np.float32(1e20) overflows as a float32, not as a float
+    omega = np.float32(1e20)
+    wide = float(omega)
+    blocks = equal_mass_blocks()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rate_square(omega) == wide * wide
+        report = spectral_analysis(blocks, omega)
+        split = invariant_subspaces(blocks, omega)
+        reduced = split.reduced_spectrum
+    assert type(report.omega) is float and report.omega == wide
+    assert report == spectral_analysis(blocks, wide)
+    assert split.transverse_spectrum == invariant_subspaces(blocks, wide).transverse_spectrum
+    assert type(split._omega) is float
+    assert reduced == invariant_subspaces(blocks, wide).reduced_spectrum
+
+
+@pytest.mark.parametrize("site", ["rate_square", "spectral_analysis", "invariant_subspaces"])
+def test_rate_that_is_not_a_number_is_a_type_error(site):
+    # a rate is converted to float only after math.isfinite accepted it
+    with pytest.raises(TypeError):
+        RATE_SITES[site]("0.5")
