@@ -6,13 +6,14 @@ Runge-Kutta route for cross-checks.  Pair contributions to the longitude
 momenta cancel in exactly opposite floating-point pairs, so the total
 angular momentum about the polar axis is conserved to the iteration floor.
 The vector field and the frame energy are straight-line code over the
-three bodies' floats.
+three bodies' floats.  ``relative_equilibrium`` takes a RingConfiguration's
+angles as its construction converted, finite-checked and pair-guarded them
+on the equator, past the polar guard, and checks only the momenta m * omega.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .geometry import (
     _pair_sines,
     _polar_error,
     _recheck_sine,
+    frozen_value,
+    instance_fill,
 )
 from .integrators import (
     SEPARATION_FLOOR,
@@ -54,7 +57,7 @@ GROWTH_CEILING = 1e-2
 GROWTH_MIN_POINTS = 8
 
 
-@dataclass(frozen=True)
+@frozen_value
 class PhaseState:
     """Phase point of the three bodies in the spherical chart.
 
@@ -78,8 +81,7 @@ class PhaseState:
         st = [math.sin(t) for t in fields["thetas"]]
         if min(st) <= POLAR_TOL:
             raise _polar_error(st)
-        for name, vals in fields.items():
-            object.__setattr__(self, name, vals)
+        self.__dict__.update(fields)
         _pair_guard(fields["thetas"], fields["phis"])
 
     @property
@@ -106,13 +108,16 @@ class PhaseState:
 def relative_equilibrium(
     masses: MassVector, ring: RingConfiguration, omega: float
 ) -> PhaseState:
-    """Phase state of the ring rotating rigidly at the given rate."""
-    return PhaseState(
-        thetas=ring.thetas,
-        phis=ring.phis,
-        pthetas=tuple(0.0 for _ in range(ring.n)),
-        pphis=tuple(m * omega for m in masses.masses),
-    )
+    """Phase state of the ring rotating rigidly at the given rate; a ring that
+    is not a RingConfiguration gets PhaseState's full check."""
+    pphis = tuple(float(m * omega) for m in masses.masses)
+    values = dict(thetas=ring.thetas, phis=ring.phis, pthetas=(0.0,) * BODIES, pphis=pphis)
+    if not isinstance(ring, RingConfiguration):
+        return PhaseState(**values)
+    _check_finite("pphis", pphis)
+    state = object.__new__(PhaseState)
+    instance_fill(PhaseState)(state, values)
+    return state
 
 
 def _field_kernel(masses: MassVector, omega: float):
@@ -221,7 +226,11 @@ def _state_values(state) -> list:
 def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     """Energy in a frame rotating at rate omega: kinetic + potential - omega J,
     written out over the three bodies and the pairs of ``_pair_sines``.  A
-    body at the polar guard raises before any pair is read."""
+    rate that ``rate_square`` rejects raises InvalidConfiguration, and the
+    rate is taken as the float it converts to.  A body at the polar guard
+    raises before any pair is read."""
+    rate_square(omega)
+    omega = float(omega)
     vals = _state_values(state)
     sin = math.sin
     s1, s2, s3 = sin(vals[0]), sin(vals[1]), sin(vals[2])
@@ -279,7 +288,7 @@ def _midpoint_run(masses, omega, x0, step, nsteps, record_stride):
     return fixed_steps(advance, x0, step, nsteps, record_stride)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class TrajectoryRecord:
     """Sampled trajectory with its conservation and proximity monitors.
 
@@ -371,7 +380,7 @@ def integrate(
     )
 
 
-@dataclass(frozen=True)
+@frozen_value
 class GrowthFit:
     """Outcome of the deviation-growth experiment at a rotating ring.
 

@@ -6,7 +6,6 @@ A ring's residual and both coupling blocks come from one pass over its pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +25,7 @@ from .geometry import (
     RingConfiguration,
     _check_bodies,
     _pair_sine,
+    frozen_value,
 )
 
 # Clamp arccos arguments only this close to +-1; anything further out is a
@@ -50,7 +50,7 @@ def checked_tolerance(name: str, value: float, gateless: bool = False) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@frozen_value
 class TriangleShape:
     """Ring shape of three bodies given by consecutive gaps alpha and beta.
 
@@ -63,10 +63,8 @@ class TriangleShape:
     beta: float
 
     def __post_init__(self):
-        a = float(self.alpha)
-        b = float(self.beta)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        a, b = float(self.alpha), float(self.beta)
+        self.__dict__.update(alpha=a, beta=b)
         if not (0.0 < a < math.pi and 0.0 < b < math.pi):
             raise DegenerateShape("gaps must lie strictly inside (0, pi)")
         if not (math.pi < a + b < TWO_PI):
@@ -116,7 +114,7 @@ def is_admissible(m1: float, m2: float, m3: float) -> AdmissibilityCheck:
     return AdmissibilityCheck(value < 0.0, value)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class AdmissibleMassTriple:
     """Unit-sum positive mass triple strictly inside the admissible region.
 
@@ -136,9 +134,7 @@ class AdmissibleMassTriple:
                 "inequality value %.17g is not negative for (%.17g, %.17g, %.17g)"
                 % (value, m1, m2, m3)
             )
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "m3", m3)
+        self.__dict__.update(m1=m1, m2=m2, m3=m3)
 
     def as_tuple(self) -> tuple:
         return (self.m1, self.m2, self.m3)
@@ -313,7 +309,7 @@ def check_shape_mass_pair(shape: TriangleShape, masses, tol: float = CONSISTENCY
         )
 
 
-@dataclass(frozen=True)
+@frozen_value
 class IsoscelesVerdict:
     """Outcome of the isosceles admissibility test for a raw triple."""
 

@@ -31,12 +31,15 @@ All of them compute sin d as sqrt(1 - cos^2 d) and hand a small one to
 from the field, they take that rule from ``_pair_sine``.  These inner loops
 spell builtin ``min`` and ``max`` out as comparisons, which keep the
 builtins' first-of-equal and nan behaviour and cost no call.
+
+Every frozen value type is built by one rule, ``frozen_value``: ``__init__``
+fills the instance dict in one step, then ``__post_init__`` checks and normalizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from operator import mul
 
 import numpy as np
@@ -89,7 +92,29 @@ def _check_bodies(count):
         raise InvalidConfiguration("need exactly three bodies, got %d" % count)
 
 
-@dataclass(frozen=True)
+def frozen_value(cls):
+    """``cls`` as a frozen dataclass built by the construction rule of the
+    module docstring; equality, hash, repr, ``dataclasses.replace``, pickling
+    and FrozenInstanceError are the dataclass's own."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    params = [n + ("=_defaults[%r]" % n if n in defaults else "") for n in names]
+    body = "_fill(self, {%s})" % ", ".join("%r: %s" % (n, n) for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "; self.__post_init__()"
+    space = {"_fill": instance_fill(cls), "_defaults": defaults}
+    exec("def __init__(self, %s): %s" % (", ".join(params), body), space)
+    cls.__init__ = space["__init__"]
+    return cls
+
+
+def instance_fill(cls):
+    """The rule's one step: makes a dict of the fields the instance dict."""
+    return cls.__dict__["__dict__"].__set__
+
+
+@frozen_value
 class MassVector:
     """Positive finite masses of the three bodies."""
 
@@ -97,7 +122,7 @@ class MassVector:
 
     def __post_init__(self):
         values = tuple(float(m) for m in self.masses)
-        object.__setattr__(self, "masses", values)
+        self.__dict__["masses"] = values
         _check_bodies(len(values))
         for m in values:
             if not (m > 0.0) or not math.isfinite(m):
@@ -118,7 +143,7 @@ def _reduce_longitude(phi: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@frozen_value
 class SphereConfiguration:
     """Positions of the three bodies on the unit sphere in spherical angles.
 
@@ -141,8 +166,7 @@ class SphereConfiguration:
         for t in thetas:
             if not (0.0 < t < math.pi):
                 raise PolarSingularity("colatitude %.17g outside (0, pi)" % t)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
+        self.__dict__.update(thetas=thetas, phis=phis)
         _pair_guard(thetas, phis)
 
     @property
@@ -150,7 +174,7 @@ class SphereConfiguration:
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class RingConfiguration:
     """The three bodies on the equator in canonical ring order.
 
@@ -178,7 +202,7 @@ class RingConfiguration:
             raise InvalidConfiguration(
                 "total spread %.17g does not exceed pi" % (phis[-1] - phis[0])
             )
-        object.__setattr__(self, "longitudes", phis)
+        self.__dict__["longitudes"] = phis
         _pair_guard(self.thetas, phis)
 
     @property

@@ -19,7 +19,6 @@ again), the singular-gap guard ``_gap_sine`` and the reduced energy
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .fixedpoints import (
     check_shape_mass_pair,
     shape_from_masses,
 )
-from .geometry import SINGULAR_TOL, MassVector, _check_finite
+from .geometry import SINGULAR_TOL, MassVector, _check_finite, frozen_value
 from .integrators import (
     _YOSHIDA_DRIFTS,
     _YOSHIDA_KICKS,
@@ -45,7 +44,7 @@ from .integrators import (
 )
 
 
-@dataclass(frozen=True)
+@frozen_value
 class JacobiConstants:
     """The three masses and the combinations of them entering the
     symmetry-adapted angle coordinates; ``from_masses`` checks the masses
@@ -111,7 +110,7 @@ def _momentum_matrix(jc: JacobiConstants) -> np.ndarray:
     return dprime @ a @ dinv
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ReducedState:
     """Point of the reduced phase space on a fixed momentum level.
 
@@ -271,7 +270,7 @@ def hessian_determinant_closed_form(shape: TriangleShape, masses) -> float:
     return m1 * m3 * m2 ** 2 / (sa ** 2 * sb ** 2)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class LyapunovCertificate:
     """Certificate that a ring rest point minimizes the reduced energy.
 
@@ -318,7 +317,7 @@ def lyapunov_certificate(masses, tol: float = CONSISTENCY_TOL) -> LyapunovCertif
     )
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ReducedTrajectory:
     """Sampled reduced trajectory with its energy drift."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +52,8 @@ from .geometry import (
     _check_finite,
     _hessian_rows,
     _polar_error,
+    frozen_value,
+    instance_fill,
 )
 
 # A ring whose fixed-point residual max-norm reaches this is not a fixed point.
@@ -66,7 +68,7 @@ FIXED_POINT_TOL = 1e-10
 NULL_BOUND = math.sqrt(3) * FIXED_POINT_TOL
 
 
-@dataclass(frozen=True)
+@frozen_value
 class LinearizationBlocks:
     """Coupling matrices of the linearized flow at an equatorial fixed point.
 
@@ -74,9 +76,10 @@ class LinearizationBlocks:
     longitude perturbations; both are symmetric 3-by-3.  ``mass_diagonal``
     holds the masses, the diagonal of the kinetic metric on the equator.
     The arrays are read-only float copies, so what does not depend on the
-    rotation rate (block spectra, lambda1, the splitting's frames as float
-    tuples, its rate-free numbers and its 12-row bases) is computed once per
-    instance on first use, read-only, and shared by every rate.
+    rotation rate (block spectra, lambda1, the reports' five rate-free
+    fields, the splitting's frames as float tuples, its rate-free numbers and
+    its 12-row bases) is computed once per instance on first use, read-only,
+    and shared by every rate.
     """
 
     masses: MassVector
@@ -86,8 +89,7 @@ class LinearizationBlocks:
 
     def __post_init__(self):
         for name in ("vertical", "tangential"):
-            copy = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, _frozen(copy))
+            self.__dict__[name] = _frozen(np.array(getattr(self, name), dtype=float))
 
     @property
     def n(self) -> int:
@@ -108,6 +110,16 @@ class LinearizationBlocks:
     @cached_property
     def _spectra(self) -> _BlockSpectra:
         return _block_spectra(self)
+
+    @cached_property
+    def _report_fields(self) -> dict:
+        """A StabilityReport's fields in order: the five no rate changes, None for four."""
+        s = self._spectra
+        return dict(masses=self.masses, omega=None,
+                    vertical_eigenvalues=(0.0, 0.0, s.lambda1),
+                    tangential_eigenvalues=s.tangential_eigenvalues, lambda1=s.lambda1,
+                    omega_critical=s.omega_critical, verdict=None, spectrum=None,
+                    unstable_exponent=None)
 
     @cached_property
     def _frames(self) -> tuple:
@@ -293,7 +305,7 @@ def _chart_terms(m, st, theta, pphi) -> tuple:
     return k, 1.0 / (m * s2), -pphi * pphi * (1.0 + 2.0 * ct * ct) / (m * s2 * s2)
 
 
-@dataclass(frozen=True, init=False)
+@frozen_value
 class StabilityReport:
     """Spectral classification of a rigid ring rotation.
 
@@ -302,10 +314,6 @@ class StabilityReport:
     the single positive vertical eigenvalue whose square root separates the
     unstable and stable rotation rates.  ``spectrum`` holds the six
     eigenvalues of the linearized flow transverse to the symmetry modes.
-
-    ``__init__`` takes the nine fields as the generated one would and fills
-    the instance dict in one update; ``spectral_analysis`` and
-    ``dataclasses.replace`` build every report through it.
     """
 
     masses: MassVector
@@ -318,13 +326,8 @@ class StabilityReport:
     spectrum: tuple
     unstable_exponent: float
 
-    def __init__(self, masses, omega, vertical_eigenvalues, tangential_eigenvalues,
-                 lambda1, omega_critical, verdict, spectrum, unstable_exponent):
-        self.__dict__.update(
-            masses=masses, omega=omega, vertical_eigenvalues=vertical_eigenvalues,
-            tangential_eigenvalues=tangential_eigenvalues, lambda1=lambda1,
-            omega_critical=omega_critical, verdict=verdict, spectrum=spectrum,
-            unstable_exponent=unstable_exponent)
+
+_fill_report = instance_fill(StabilityReport)
 
 
 VERDICT_FIXED_POINT = "fixed-point-unstable"
@@ -366,7 +369,7 @@ def rate_verdict(omega: float, lam1: float) -> tuple:
     return (VERDICT_UNSTABLE if w2 < lam1 else VERDICT_STABLE), exponent
 
 
-@dataclass(frozen=True)
+@frozen_value
 class _BlockSpectra:
     """The rate-independent part of a StabilityReport and lambda1's eigenvector."""
 
@@ -423,23 +426,18 @@ def spectral_analysis(blocks: LinearizationBlocks, omega: float = 0.0) -> Stabil
     The block spectra come from ``_block_spectra`` on the first call for
     ``blocks`` and are reused; blocks it rejects raise DegenerateSpectrum.
     The transverse spectrum lists the vertical pair +-sqrt(lambda1 -
-    omega^2) first, then the tangential pairs.
+    omega^2) first, then the tangential pairs.  The report is filled as
+    ``__init__`` would fill it, from the blocks' shared fields and four more.
     """
     spectra = blocks._spectra
     verdict, exponent = rate_verdict(omega, spectra.lambda1)
     omega = float(omega)
     s = cmath.sqrt(complex(spectra.lambda1 - omega * omega))
-    return StabilityReport(
-        blocks.masses,
-        omega,
-        (0.0, 0.0, spectra.lambda1),
-        spectra.tangential_eigenvalues,
-        spectra.lambda1,
-        spectra.omega_critical,
-        verdict,
-        (s, -s) + spectra.tangential_pairs,
-        exponent,
-    )
+    report = object.__new__(StabilityReport)
+    _fill_report(report, dict(blocks._report_fields, omega=omega, verdict=verdict,
+                              spectrum=(s, -s) + spectra.tangential_pairs,
+                              unstable_exponent=exponent))
+    return report
 
 
 def vertical_mode(blocks: LinearizationBlocks):
@@ -493,7 +491,7 @@ def omega_critical(masses) -> float:
     return classify(masses, 0.0).omega_critical
 
 
-@dataclass(frozen=True)
+@frozen_value
 class InvariantSplitting:
     """Symmetry subspaces of the linearized flow and the transverse spectra.
 

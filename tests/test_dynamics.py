@@ -43,7 +43,7 @@ from curvednbody.stability import (
     vertical_mode,
 )
 
-from conftest import singular_pair, unchecked
+from conftest import draw_admissible_triples, singular_pair, unchecked
 
 EQUAL = as_mass_triple((1.0, 1.0, 1.0))
 MV = EQUAL.mass_vector()
@@ -104,6 +104,50 @@ class TestPhaseState:
             PhaseState((1.0, math.inf, 2.0), (0.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3)
         with pytest.raises(InvalidConfiguration):
             PhaseState.from_vector(np.zeros(10))
+
+
+def drawn_rings():
+    """(masses, ring, omega_crit) of 16 drawn triples."""
+    out = []
+    for raw in draw_admissible_triples(np.random.default_rng(36), 16):
+        triple, _, ring, blocks = ring_pipeline(raw)
+        out.append((triple.mass_vector(), ring, spectral_analysis(blocks).omega_critical))
+    return out
+
+
+class TestRelativeEquilibrium:
+    """A RingConfiguration's angles are taken as its construction checked
+    them; only the momenta m * omega are checked again."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 1.5, np.float64(0.7), -0.8], ids=repr)
+    def test_bits_of_the_full_check(self, rate):
+        for mv, ring, wc in drawn_rings():
+            omega = rate * wc
+            state = relative_equilibrium(mv, ring, omega)
+            full = PhaseState(ring.thetas, ring.phis, (0.0,) * 3,
+                              tuple(m * omega for m in mv.masses))
+            assert type(state) is PhaseState
+            assert list(vars(state)) == list(vars(full))
+            for name, want in vars(full).items():
+                got = getattr(state, name)
+                assert [type(v) for v in got] == [float] * 3
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert state == full and hash(state) == hash(full)
+            assert repr(state) == repr(full)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 1e308], ids=repr)
+    def test_non_finite_momenta_still_raise(self, omega):
+        heavy = MassVector((2.0, 3.0, 4.0))  # 1e308 overflows on its masses
+        with pytest.raises(InvalidConfiguration) as info:
+            relative_equilibrium(heavy, RING, omega)
+        assert str(info.value) == "pphis contains a non-finite entry"
+
+    def test_any_other_configuration_gets_the_full_check(self):
+        sphere = SphereConfiguration(RING.thetas, RING.phis)
+        assert relative_equilibrium(MV, sphere, 0.4) == relative_equilibrium(MV, RING, 0.4)
+        polar = SphereConfiguration((1e-12, 1.0, 2.0), (0.0, 1.0, 2.0))
+        with pytest.raises(PolarSingularity):
+            relative_equilibrium(MV, polar, 0.4)
 
 
 # equatorial bodies 1 and 2 at one point, and at opposite points
@@ -209,6 +253,19 @@ class TestHamiltonian:
     def test_polar_guard(self):
         with pytest.raises(PolarSingularity, match="body 1 at the polar guard"):
             hamiltonian(MV, [1e-12, 1.0, 2.0, 0.0, 2.0, 4.0] + [0.0] * 6)
+
+    def test_rate_is_checked_and_taken_as_its_float(self):
+        # the energy once returned nan for a nan rate, -inf for +inf and
+        # -5e199 for 1e200, and an np.float64 for an np.float64 rate
+        triple = as_mass_triple((0.25, 0.45, 0.3))
+        mv = triple.mass_vector()
+        state = relative_equilibrium(mv, ring_from_shape(shape_from_masses(triple)), 0.5)
+        for omega in (math.nan, math.inf, -math.inf, 1e200):
+            with pytest.raises(InvalidConfiguration, match="rotation rate"):
+                hamiltonian(mv, state, omega)
+        value = hamiltonian(mv, state, np.float64(0.5))
+        assert type(value) is float
+        assert value.hex() == hamiltonian(mv, state, 0.5).hex()
 
     def test_rotating_frame_subtracts_momentum(self, rng):
         state = random_state(rng)
@@ -469,6 +526,7 @@ RATE_RUNS = {
     ),
     "growth": lambda omega: growth_rate_experiment(UNEQUAL, omega, horizon=1.0),
     "make_field": lambda omega: make_field(UNEQUAL_MV, omega),
+    "hamiltonian": lambda omega: hamiltonian(UNEQUAL_MV, UNEQUAL_START, omega),
 }
 
 

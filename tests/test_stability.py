@@ -715,11 +715,18 @@ def report_fields(report):
 
 
 class TestReportConstruction:
-    """Every StabilityReport is built by its one ``__init__``."""
+    """Every StabilityReport holds what the package's one construction rule
+    builds from its fields: ``spectral_analysis`` fills the five fields its
+    blocks share and its rate's four in one step."""
 
     def test_spectral_report_is_the_report_of_its_fields(self):
-        blocks = equal_mass_blocks()
-        for omega in (0.0, 0.7, 1.5):
+        drawn = draw_admissible_triples(np.random.default_rng(36), 12)
+        cases = [(equal_mass_blocks(), omega) for omega in (0.0, 0.7, 1.5)]
+        for blocks in map(fresh_blocks, drawn):
+            wc = spectral_analysis(blocks).omega_critical
+            cases += [(blocks, f * wc) for f in (0.0, 0.5, 1.5, -0.8)]
+            cases.append((blocks, np.float64(0.7 * wc)))
+        for blocks, omega in cases:
             report = spectral_analysis(blocks, omega)
             rebuilt = StabilityReport(**report_fields(report))
             assert rebuilt == report
@@ -730,6 +737,8 @@ class TestReportConstruction:
                 "lambda1", "omega_critical", "verdict", "spectrum", "unstable_exponent",
             ]
             assert vars(rebuilt) == report_fields(report)
+            assert list(vars(report)) == list(vars(rebuilt))
+            assert type(report.omega) is float
 
     def test_replace_returns_a_report_with_the_change(self):
         report = spectral_analysis(equal_mass_blocks(), 0.7)
