@@ -39,14 +39,9 @@ from .geometry import (
     frozen_value,
     instance_fill,
 )
-from .integrators import (
-    SEPARATION_FLOOR,
-    fixed_steps,
-    midpoint_step,
-    rk45_solve,
-    seeded_advance,
-    step_count,
-)
+from .fixedpoints import AdmissibleMassTriple
+from .integrators import SEPARATION_FLOOR, midpoint_run, rk45_solve, step_count
+from .integrators import midpoint_step  # noqa: F401  perfbench's tracer test wraps it here
 from .stability import LinearizationBlocks, ring_pipeline, vertical_mode
 from .stability import rate_square, rate_verdict
 from .stability import assemble_blocks  # noqa: F401  perfbench's tracer test wraps it here
@@ -105,12 +100,25 @@ class PhaseState:
         )
 
 
-def relative_equilibrium(
-    masses: MassVector, ring: RingConfiguration, omega: float
-) -> PhaseState:
+def _mass_vector(masses) -> MassVector:
+    """``masses`` as a MassVector: a MassVector as it is, an AdmissibleMassTriple
+    as its ``mass_vector()``; anything else raises InvalidConfiguration."""
+    if isinstance(masses, MassVector):
+        return masses
+    if isinstance(masses, AdmissibleMassTriple):
+        return masses.mass_vector()
+    raise InvalidConfiguration(
+        "masses must be a MassVector or an AdmissibleMassTriple, got %s"
+        % type(masses).__name__
+    )
+
+
+def relative_equilibrium(masses, ring: RingConfiguration, omega: float) -> PhaseState:
     """Phase state of the ring rotating rigidly at the given rate; a ring that
-    is not a RingConfiguration gets PhaseState's full check."""
-    pphis = tuple(float(m * omega) for m in masses.masses)
+    is not a RingConfiguration gets PhaseState's full check.  ``masses``, here
+    and in ``make_field``, ``hamiltonian`` and ``integrate``, is a MassVector
+    or an AdmissibleMassTriple, taken as its mass vector."""
+    pphis = tuple(float(m * omega) for m in _mass_vector(masses).masses)
     values = dict(thetas=ring.thetas, phis=ring.phis, pthetas=(0.0,) * BODIES, pphis=pphis)
     if not isinstance(ring, RingConfiguration):
         return PhaseState(**values)
@@ -195,7 +203,7 @@ def _field_kernel(masses: MassVector, omega: float):
     return field
 
 
-def make_field(masses: MassVector, omega: float = 0.0):
+def make_field(masses, omega: float = 0.0):
     """Right-hand side of the equations of motion on flat 12-vectors.
 
     ``omega`` is the rotation rate of the observing frame; it shifts the
@@ -204,7 +212,7 @@ def make_field(masses: MassVector, omega: float = 0.0):
     that ``rate_square`` rejects, or a state that ``_state_values`` rejects,
     raises InvalidConfiguration.
     """
-    kernel = _field_kernel(masses, omega)
+    kernel = _field_kernel(_mass_vector(masses), omega)
     return lambda x: np.array(kernel(_state_values(x)))
 
 
@@ -223,12 +231,13 @@ def _state_values(state) -> list:
     return state
 
 
-def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
+def hamiltonian(masses, state, omega: float = 0.0) -> float:
     """Energy in a frame rotating at rate omega: kinetic + potential - omega J,
     written out over the three bodies and the pairs of ``_pair_sines``.  A
     rate that ``rate_square`` rejects raises InvalidConfiguration, and the
     rate is taken as the float it converts to.  A body at the polar guard
     raises before any pair is read."""
+    m = _mass_vector(masses).masses
     rate_square(omega)
     omega = float(omega)
     vals = _state_values(state)
@@ -236,7 +245,7 @@ def hamiltonian(masses: MassVector, state, omega: float = 0.0) -> float:
     s1, s2, s3 = sin(vals[0]), sin(vals[1]), sin(vals[2])
     if s1 <= POLAR_TOL or s2 <= POLAR_TOL or s3 <= POLAR_TOL:
         raise _polar_error((s1, s2, s3))
-    total = _rest_energy(masses.masses, vals, *_pair_sines(vals[0:3], vals[3:6]))
+    total = _rest_energy(m, vals, *_pair_sines(vals[0:3], vals[3:6]))
     if omega != 0.0:
         total -= omega * sum(vals[9:])
     return total
@@ -281,11 +290,9 @@ def _sample_monitor(m, vals, omega):
 
 
 def _midpoint_run(masses, omega, x0, step, nsteps, record_stride):
-    """Samples of the seeded midpoint run of the full system from the list ``x0``;
-    each step reads this module's ``midpoint_step``, so a wrapper there sees it."""
-    field = _field_kernel(masses, omega)
-    advance = seeded_advance(lambda x, guess: midpoint_step(field, x, step, guess))
-    return fixed_steps(advance, x0, step, nsteps, record_stride)
+    """Samples of the seeded midpoint run of the full system from the list ``x0``:
+    ``integrators.midpoint_run``, one loop whose only call is the field."""
+    return midpoint_run(_field_kernel(masses, omega), x0, step, nsteps, record_stride)
 
 
 @frozen_value
@@ -309,7 +316,7 @@ class TrajectoryRecord:
 
 
 def integrate(
-    masses: MassVector,
+    masses,
     initial,
     horizon: float,
     step: float = 1e-3,
@@ -327,6 +334,7 @@ def integrate(
     also aborts, carrying the time, when its pace needs more field
     evaluations than ``RK45_MAX_EVALS``.
     """
+    masses = _mass_vector(masses)
     x0 = [float(v) for v in _state_values(initial)]
     if method not in ("midpoint", "rk45"):
         raise InvalidConfiguration("unknown integration method %r" % method)

@@ -34,6 +34,8 @@ builtins' first-of-equal and nan behaviour and cost no call.
 
 Every frozen value type is built by one rule, ``frozen_value``: ``__init__``
 fills the instance dict in one step, then ``__post_init__`` checks and normalizes.
+Two values are equal when their fields are, an array field compared by
+``np.array_equal``; a value with an array field has no hash.
 """
 
 from __future__ import annotations
@@ -94,9 +96,11 @@ def _check_bodies(count):
 
 def frozen_value(cls):
     """``cls`` as a frozen dataclass built by the construction rule of the
-    module docstring; equality, hash, repr, ``dataclasses.replace``, pickling
-    and FrozenInstanceError are the dataclass's own."""
+    module docstring; hash, repr, ``dataclasses.replace``, pickling and
+    FrozenInstanceError are the dataclass's own, and ``==`` is
+    ``_fields_equal``."""
     cls = dataclass(frozen=True, init=False)(cls)
+    cls.__eq__ = _fields_equal([f.name for f in fields(cls) if f.compare])
     names = [f.name for f in fields(cls)]
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
     params = [n + ("=_defaults[%r]" % n if n in defaults else "") for n in names]
@@ -107,6 +111,29 @@ def frozen_value(cls):
     exec("def __init__(self, %s): %s" % (", ".join(params), body), space)
     cls.__init__ = space["__init__"]
     return cls
+
+
+def _fields_equal(names):
+    """The dataclass's ``==`` over the fields ``names``, with an array field
+    compared by ``np.array_equal`` where the dataclass's tuple of fields
+    would ask an array for its truth value; a field that is the other
+    value's field itself is equal, as in a tuple."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in names:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is b:
+                continue
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not np.array_equal(a, b):
+                    return False
+            elif not a == b:
+                return False
+        return True
+
+    return __eq__
 
 
 def instance_fill(cls):

@@ -381,8 +381,17 @@ class TestIntegrate:
             midpoint_step(lambda v: [0.0, math.nan], [0.0, 1.0], 1e-3)
 
     def test_one_midpoint_step_for_every_flow(self):
-        assert dynamics.midpoint_step is integrators.midpoint_step
+        # the full system runs the one loop, which gives the samples of the
+        # reduced chart's route, fixed_steps over seeded_advance and
+        # midpoint_step, on the same field
+        assert dynamics.midpoint_run is integrators.midpoint_run
         assert reduction.midpoint_step is integrators.midpoint_step
+        x0 = relative_equilibrium(MV, RING, 1.3).as_vector()
+        x0 += 1e-3 * np.linspace(-1.0, 1.0, 12)
+        record = integrate(MV, x0, horizon=0.2, step=1e-3, omega=1.3)
+        samples = list(seeded_run(MV, 1.3, x0.tolist(), 1e-3, 200, 10))
+        assert record.times.tolist() == [t for t, _ in samples]
+        assert record.states.tolist() == [x for _, x in samples]
 
     def test_overflowing_iterate_is_a_step_failure(self):
         # the momenta overflow inside the first step; sin(inf) is not a traceback
@@ -582,6 +591,37 @@ def test_rate_is_checked_as_rate_square_checks_it(run, omega):
     assert str(got.value) == str(want.value)
 
 
+# a triple whose masses its mass vector normalizes
+SCALED = as_mass_triple((1.0, 2.0, 1.0))
+MASS_RUNS = {
+    "relative_equilibrium": lambda masses: relative_equilibrium(masses, RING, 1.3),
+    "hamiltonian": lambda masses: hamiltonian(masses, UNEQUAL_START, 1.3),
+    "make_field": lambda masses: make_field(masses, 1.3)(UNEQUAL_START),
+    "integrate": lambda masses: integrate(masses, UNEQUAL_START, horizon=0.02, omega=1.3),
+}
+
+
+def bits(value):
+    """A float, array, tuple or value type as comparable bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return [bits(v) for v in value]
+    return {name: bits(v) for name, v in vars(value).items()}
+
+
+@pytest.mark.parametrize("run", MASS_RUNS)
+def test_masses_are_a_mass_vector_or_a_triple(run):
+    # a raw tuple once ended in AttributeError: 'tuple' object has no
+    # attribute 'masses'
+    message = "masses must be a MassVector or an AdmissibleMassTriple, got tuple"
+    with pytest.raises(InvalidConfiguration, match="^%s$" % message):
+        MASS_RUNS[run]((0.25, 0.5, 0.25))
+    assert bits(MASS_RUNS[run](SCALED)) == bits(MASS_RUNS[run](SCALED.mass_vector()))
+
+
 class TestGrowthExperiment:
     def test_unstable_rate_at_rest(self):
         fit = growth_rate_experiment(EQUAL, 0.0, horizon=30.0)
@@ -673,6 +713,22 @@ def flow_run(masses):
     return blocks.masses, omega, x0
 
 
+def counting_kernel(counts):
+    """``dynamics._field_kernel`` whose fields count their evaluations."""
+    real = dynamics._field_kernel
+
+    def kernel(masses, omega):
+        field = real(masses, omega)
+
+        def counted(v):
+            counts["evals"] += 1
+            return field(v)
+
+        return counted
+
+    return kernel
+
+
 def counting_step(counts):
     """``midpoint_step`` that counts its steps and field evaluations."""
 
@@ -687,9 +743,20 @@ def counting_step(counts):
     return step
 
 
-def euler_step(field, x, h, guess=None):
-    """``midpoint_step`` from the Euler predictor whatever the guess."""
-    return midpoint_step(field, x, h)
+def seeded_run(masses, omega, x0, step, nsteps, record_stride, solve=midpoint_step):
+    """``dynamics._midpoint_run`` as the loop it replaces: ``fixed_steps`` over
+    ``seeded_advance`` and ``solve``, which ``midpoint_step`` is by default."""
+    field = dynamics._field_kernel(masses, omega)
+    advance = integrators.seeded_advance(lambda x, guess: solve(field, x, step, guess))
+    return integrators.fixed_steps(advance, x0, step, nsteps, record_stride)
+
+
+def euler_run(masses, omega, x0, step, nsteps, record_stride):
+    """``seeded_run`` with every solve from the Euler predictor."""
+    return seeded_run(
+        masses, omega, x0, step, nsteps, record_stride,
+        lambda field, x, h, guess: midpoint_step(field, x, h),
+    )
 
 
 def failing_step(masses, omega, h):
@@ -716,13 +783,12 @@ class TestSeededMidpoint:
         # h = 1e-3 and 1.016-1.304 on the growth runs, where the quadratic
         # seed took 2.004 and 2.9-3.6
         counts = {"steps": 0, "evals": 0}
-        monkeypatch.setattr(dynamics, "midpoint_step", counting_step(counts))
+        monkeypatch.setattr(dynamics, "_field_kernel", counting_kernel(counts))
         monkeypatch.setattr(reduction, "midpoint_step", counting_step(counts))
         for masses in INTERIOR:
             counts.update(steps=0, evals=0)
             mv, omega, x0 = flow_run(masses)
             integrate(mv, x0, horizon=1.0, step=1e-3, omega=omega)
-            assert counts["steps"] == 1000
             assert counts["evals"] <= 1.1 * 1000
             counts.update(steps=0, evals=0)
             triple = as_mass_triple(masses)
@@ -731,25 +797,25 @@ class TestSeededMidpoint:
             integrate_reduced(triple, start, horizon=1.0, step=1e-3, method="midpoint")
             assert counts["steps"] == 1000
             assert counts["evals"] <= 1.1 * 1000
-            # the flow benchmark's growth run: h = 0.01 at half the critical rate
+            # the flow benchmark's growth run: h = 0.01 at half the critical
+            # rate, up to the last sample it records
             counts.update(steps=0, evals=0)
             blocks = ring_pipeline(triple)[3]
-            growth_rate_experiment(blocks, 0.5 * math.sqrt(vertical_mode(blocks)[0]))
-            assert counts["evals"] <= 1.4 * counts["steps"]
+            fit = growth_rate_experiment(blocks, 0.5 * math.sqrt(vertical_mode(blocks)[0]))
+            assert counts["evals"] <= 1.4 * round(fit.times[-1] / 0.01)
 
     def test_winding_longitudes_keep_the_seed(self, monkeypatch):
         # the extrapolation sums offsets from the state, so its rounding
         # follows the motion, not |phi| ~ 100; summed as
         # 6x - 15x[-1] + ... it read 1.90 evaluations per step, here 1.26
-        counts = {"steps": 0, "evals": 0}
-        monkeypatch.setattr(dynamics, "midpoint_step", counting_step(counts))
+        counts = {"evals": 0}
+        monkeypatch.setattr(dynamics, "_field_kernel", counting_kernel(counts))
         triple = as_mass_triple((0.2, 0.5, 0.3))
         blocks = ring_pipeline(triple)[3]
         x0 = relative_equilibrium(blocks.masses, blocks.ring, 0.0).as_vector()
         x0[0:3] += 1e-3 * np.array([1.0, -0.5, 0.25])
         x0[3:6] += 100.0
         integrate(blocks.masses, x0, horizon=1.0, step=1e-3, omega=0.0)
-        assert counts["steps"] == 1000
         assert counts["evals"] <= 1.5 * 1000
 
     @pytest.mark.parametrize("omega", [0.0, 1.3, 3.0])
@@ -758,15 +824,17 @@ class TestSeededMidpoint:
         # a seeded solve that fails ends the run; where the step outruns the
         # extrapolation, the seeded run fails at the very step where a run
         # that starts every solve from the predictor fails, or completes
-        # with it
+        # with it; the loop that the one-loop run replaces fails there too
         for h in (0.01, 0.03, 0.05, 0.1, 0.2, 0.3):
             seeded = failing_step(masses, omega, h)
             with monkeypatch.context() as m:
-                m.setattr(dynamics, "midpoint_step", euler_step)
+                m.setattr(dynamics, "_midpoint_run", euler_run)
                 euler = failing_step(masses, omega, h)
+                m.setattr(dynamics, "_midpoint_run", seeded_run)
+                assert failing_step(masses, omega, h) == seeded
             assert seeded == euler
 
-    def test_solve_whose_updates_fall_in_pairs_converges(self, monkeypatch):
+    def test_solve_whose_updates_fall_in_pairs_converges(self):
         # from its quintic guess the solve at step 73 of this run updates by
         # 4.4e-3, 4.7e-3, 7.7e-4, 7.2e-4, ...: not smaller at every update,
         # but about six times smaller over every two.  A damping that halved
@@ -781,8 +849,12 @@ class TestSeededMidpoint:
         blocks = ring_pipeline(triple)[3]
         x0 = relative_equilibrium(blocks.masses, blocks.ring, 0.0).as_vector()
         x0 += 1e-3 * np.linspace(-1.0, 1.0, 12)
-        monkeypatch.setattr(dynamics, "midpoint_step", recording_step)
-        integrate(blocks.masses, x0, horizon=7.3, step=0.1, omega=0.0)
+        record = integrate(blocks.masses, x0, horizon=7.3, step=0.1, omega=0.0)
+        # the solves of the run, from the loop it replaces
+        samples = list(
+            seeded_run(blocks.masses, 0.0, x0.tolist(), 0.1, 73, 10, recording_step)
+        )
+        assert record.states.tolist() == [x for _, x in samples]
         field, x, guess = solves[72]
         assert len(solves) == 73 and guess is not None
         # each solve stops at an update of at most MIDPOINT_TOL.  With no
@@ -791,10 +863,10 @@ class TestSeededMidpoint:
         # most (2 + 1/4) MIDPOINT_TOL / (1 - 1/4) = 3 MIDPOINT_TOL: each
         # result lies that close to the solution, and the two within 6
         tol = integrators.MIDPOINT_TOL
-        for solve in (integrators._midpoint_twelve, integrators._midpoint_loop):
-            seeded = solve(field, x, 0.1, tol, integrators.MIDPOINT_MAX_INNER, guess)
-            euler = solve(field, x, 0.1, tol, integrators.MIDPOINT_MAX_INNER)
-            assert max(abs(a - b) for a, b in zip(seeded, euler)) <= 6.0 * tol
+        solve = integrators._midpoint_loop
+        seeded = solve(field, x, 0.1, tol, integrators.MIDPOINT_MAX_INNER, guess)
+        euler = solve(field, x, 0.1, tol, integrators.MIDPOINT_MAX_INNER)
+        assert max(abs(a - b) for a, b in zip(seeded, euler)) <= 6.0 * tol
 
     @pytest.mark.parametrize("masses", INTERIOR)
     def test_stays_at_the_tight_tolerance_reference(self, masses):

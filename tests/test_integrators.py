@@ -1,16 +1,20 @@
-"""The straight-line steppers against the loops they replace.
+"""The full system's one-loop midpoint run, and the straight-line steppers,
+against the loops they replace.
 
-``integrators._midpoint_twelve`` must give ``integrators._midpoint_loop``'s
-result bit for bit and raise what the loop raises, with the same message:
-on ordinary and near-polar three-body states, on fields whose iteration
-diverges, on stalls, on non-finite iterates, on updates with a nan in one entry and
-for ``max_inner`` at or below zero, from the Euler predictor and from a
-given first iterate.
+``integrators.midpoint_run`` must yield the samples of its oracle bit for
+bit: ``fixed_steps`` over ``seeded_advance`` and ``midpoint_step``, whose
+solve is the list loop ``_midpoint_loop``.  Where the oracle raises, the
+run must raise the same type with the same message, and a StepFailure with
+the same ``time`` and ``step``.  The starts are perturbed rings, random and
+near-polar states and arbitrary floats; the fields include the three-body
+field and stiff ones whose iteration diverges at long steps, some with a
+nan or an infinity in one output entry; runs are long enough for the
+quintic seed to start solves, and a caller may stop early, as the growth
+experiment does.
 The reduced flow's Yoshida-4 step must do the same against the loop form of
-the composition kept here as the reference.  The quintic seed of 12 floats,
-``integrators._quintic_twelve``, must give ``integrators._quintic``'s bits,
-and the reduced separation check must accept and reject what its loop form,
-kept here, accepts and rejects.
+the composition kept here as the reference, and the reduced separation
+check must accept and reject what its loop form, kept here, accepts and
+rejects.
 """
 
 import math
@@ -29,25 +33,44 @@ from test_field_three import MASSES, OMEGAS, states
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 steps = st.sampled_from((1e-3, 1e-2, 0.1, 1.0))
-tols = st.sampled_from((integrators.MIDPOINT_TOL, 0.0, 1e-6))
-inner = st.sampled_from((-1, 0, 1, 2, 3, integrators.MIDPOINT_MAX_INNER))
+# runs of up to 12 steps: from the sixth step on each solve starts from the
+# quintic seed
+lengths = st.integers(1, 12)
+strides = st.integers(1, 4)
+# the number of samples after which the caller stops, or None
+stops = st.one_of(st.none(), st.integers(1, 4))
 
 
-def outcome(call):
-    """The result as float.hex strings, or the type and message raised."""
+def oracle(field, x, h, nsteps, record_stride=1):
+    """The run that ``midpoint_run`` replaces: ``fixed_steps`` over
+    ``seeded_advance`` and ``midpoint_step``."""
+    advance = integrators.seeded_advance(
+        lambda y, guess: integrators.midpoint_step(field, y, h, guess)
+    )
+    return integrators.fixed_steps(advance, x, h, nsteps, record_stride)
+
+
+def run_outcome(samples, stop=None):
+    """The samples as float.hex strings, up to the ``stop``-th when the caller
+    stops there, and what the run raised: None, or the type, message, time
+    and step."""
+    seen = []
     try:
-        return [v.hex() for v in call()]
+        for t, x in samples:
+            seen.append((t.hex(), [v.hex() for v in x]))
+            if len(seen) == stop:
+                break
     except Exception as exc:  # every exception type must match
-        return type(exc), str(exc)
+        raised = type(exc), str(exc), getattr(exc, "time", None), getattr(exc, "step", None)
+        return seen, raised
+    return seen, None
 
 
-def assert_same_step(field, x, h, tol=integrators.MIDPOINT_TOL, max_inner=50, guess=None):
-    def run(step):
-        first = None if guess is None else list(guess)
-        return outcome(lambda: step(field, list(x), h, tol, max_inner, first))
-
-    got = run(integrators._midpoint_twelve)
-    assert got == run(integrators._midpoint_loop)
+def assert_same_run(field, x, h, nsteps, record_stride=1, stop=None):
+    got = run_outcome(
+        integrators.midpoint_run(field, list(x), h, nsteps, record_stride), stop
+    )
+    assert got == run_outcome(oracle(field, list(x), h, nsteps, record_stride), stop)
     return got
 
 
@@ -104,34 +127,33 @@ cases = st.one_of(
 
 
 @PROPERTY
-@given(cases, steps, tols, inner)
-def test_midpoint_matches_loop(case, h, tol, max_inner):
+@given(cases, steps, lengths, strides, stops)
+def test_midpoint_matches_loop(case, h, nsteps, stride, stop):
     field, x = case
-    assert_same_step(field, x, h, tol, max_inner)
+    assert_same_run(field, x, h, nsteps, stride, stop)
 
 
 @PROPERTY
-@given(rest_states())
-def test_midpoint_matches_loop_on_long_steps_near_rings(case):
+@given(rest_states(), lengths)
+def test_midpoint_matches_loop_on_long_steps_near_rings(case, nsteps):
     # with h = 1 the iteration from a perturbed ring often diverges, and
-    # the step stalls or meets the polar guard
+    # the run stalls or meets the polar guard
     field, x = case
-    assert_same_step(field, x, 1.0)
+    assert_same_run(field, x, 1.0, nsteps)
 
 
 @PROPERTY
-@given(st.sampled_from(MASSES), OMEGAS, states(), steps)
-def test_midpoint_matches_loop_on_random_and_polar_states(mv, omega, x, h):
-    assert_same_step(dynamics._field_kernel(mv, omega), x, h)
+@given(st.sampled_from(MASSES), OMEGAS, states(), steps, lengths)
+def test_midpoint_matches_loop_on_random_and_polar_states(mv, omega, x, h, nsteps):
+    assert_same_run(dynamics._field_kernel(mv, omega), x, h, nsteps)
 
 
-@st.composite
-def guesses(draw, x):
-    """A first iterate for a step from ``x``: ``x`` moved by up to 1, or ``x``
-    with a nan or an infinity in one entry."""
-    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
-    scale = draw(st.sampled_from((0.0, 1e-12, 1e-6, 1e-3, 1.0)))
-    return [a + scale * d for a, d in zip(x, offsets)]
+@PROPERTY
+@given(cases, st.sampled_from((1e-3, 1e-2, 0.1)), st.integers(6, 40), strides, stops)
+def test_midpoint_matches_loop_from_a_guess(case, h, nsteps, stride, stop):
+    # every solve after the fifth starts from the quintic seed
+    field, x = case
+    assert_same_run(field, x, h, nsteps, stride, stop)
 
 
 @st.composite
@@ -142,21 +164,13 @@ def non_finite(draw, x):
 
 
 @PROPERTY
-@given(cases, steps, tols, inner, st.data())
-def test_midpoint_matches_loop_from_a_guess(case, h, tol, max_inner, data):
-    field, x = case
-    guess = data.draw(st.one_of(guesses(x), non_finite(x)))
-    assert_same_step(field, x, h, tol, max_inner, guess)
-
-
-@PROPERTY
 @given(st.one_of(rest_states(), stiff_cases()), st.sampled_from((1e-3, 1e-2)), st.data())
 def test_non_finite_guess_is_a_step_failure(case, h, data):
     # the fields here carry a nan or an infinity in any entry of their input
     # into their output, so no iterate from such a guess becomes finite
     field, x = case
-    got = assert_same_step(field, x, h, guess=data.draw(non_finite(x)))
-    assert got[0] is StepFailure
+    with pytest.raises(StepFailure, match="^implicit midpoint "):
+        integrators.midpoint_step(field, x, h, data.draw(non_finite(x)))
 
 
 def test_seeded_advance_extrapolates_from_the_sixth_step():
@@ -180,14 +194,20 @@ def test_seeded_advance_extrapolates_from_the_sixth_step():
     ]
 
 
-def test_seeded_advance_extrapolates_twelve_floats_from_the_sixth_step():
-    # the written-out seed held to the formula itself, not only to the list
-    # form: integer values keep every sum exact
-    guesses_seen = []
+def polynomials(t):
+    """Twelve polynomials in t, of degrees zero to six."""
+    return [t, 1.0, t, t**2, t**3, t**4, t**5, -2.0 * t**5 + t**3 - 7.0,
+            t**5 - 3.0 * t**2 + 1.0, 1e3 + 0.5 * t**4, t**6, 3.0 * t**6]
 
-    def polynomials(t):
-        return [t, 1.0, t, t**2, t**3, t**4, t**5, -2.0 * t**5 + t**3 - 7.0,
-                t**5 - 3.0 * t**2 + 1.0, 1e3 + 0.5 * t**4, t**6, 3.0 * t**6]
+
+# the quintic seed one step on is 6! short for t^6
+SHORT = [0.0] * 10 + [720.0, 2160.0]
+
+
+def test_seeded_advance_extrapolates_twelve_floats_from_the_sixth_step():
+    # the oracle's seed on 12 floats held to the formula itself: integer
+    # values keep every sum exact
+    guesses_seen = []
 
     def step(x, guess):
         guesses_seen.append(guess)
@@ -198,112 +218,167 @@ def test_seeded_advance_extrapolates_twelve_floats_from_the_sixth_step():
     for _ in range(8):
         x = advance(x)
     assert guesses_seen[:5] == [None] * 5
-    short = [0.0] * 10 + [720.0, 2160.0]
     assert guesses_seen[5:] == [
-        [v - d for v, d in zip(polynomials(t), short)] for t in (6.0, 7.0, 8.0)
+        [v - d for v, d in zip(polynomials(t), SHORT)] for t in (6.0, 7.0, 8.0)
     ]
 
 
-def shifted(state, turns):
-    """``state`` with its longitudes moved by ``turns``."""
-    return state[:3] + [v + turns for v in state[3:6]] + state[6:]
+def test_midpoint_run_extrapolates_from_the_sixth_step():
+    # the run's written-out seed held to the formula itself.  With h = 1 the
+    # field below steps t to t + 1 exactly: it reads t off the first entry,
+    # which is t at the predictor's call and t + 1/2 at every midpoint, and
+    # integer values keep every sum exact, so each solve's first midpoint
+    # gives its first iterate back as 2 mid - x
+    calls = []
 
+    def field(v):
+        calls.append(v)
+        t = math.floor(v[0])
+        return [b - a for a, b in zip(polynomials(t), polynomials(t + 1.0))]
 
-@st.composite
-def windows(draw):
-    """Six states of 12 floats: field-test states, longitudes shifted by
-    +-1e3, and entries set to signed zeros, nan or infinities."""
-    past = []
-    for _ in range(6):
-        state = shifted(draw(states()), draw(st.sampled_from((0.0, 1e3, -1e3))))
-        for _ in range(draw(st.integers(0, 3))):
-            special = (0.0, -0.0, math.nan, math.inf, -math.inf)
-            state[draw(st.integers(0, 11))] = draw(st.sampled_from(special))
-        past.append(state)
-    return past
-
-
-@PROPERTY
-@given(windows())
-def test_quintic_twelve_matches_the_list_form(past):
-    got = integrators._quintic_twelve(past)
-    assert [v.hex() for v in got] == [v.hex() for v in integrators._quintic(past)]
+    samples = list(integrators.midpoint_run(field, polynomials(0.0), 1.0, 8))
+    assert samples == [(float(t), polynomials(float(t))) for t in range(9)]
+    # five solves from the predictor, a call at the state and one at the
+    # midpoint each, then three from the seed, which misses t^6 and takes
+    # one more update
+    assert len(calls) == 10 + 3 * 2
+    assert calls[0:10:2] == [polynomials(float(t)) for t in range(5)]
+    guesses = [
+        [2.0 * m - a for m, a in zip(calls[10 + 2 * i], polynomials(float(t)))]
+        for i, t in enumerate(range(5, 8))
+    ]
+    assert guesses == [
+        [v - d for v, d in zip(polynomials(float(t)), SHORT)] for t in (6, 7, 8)
+    ]
 
 
 def test_twelve_float_runs_take_the_straight_line_seed(monkeypatch):
+    # the full system's run writes its seed out; the reduced chart's
+    # midpoint run takes the list form through ``seeded_advance``
     taken = []
-    for name in ("_quintic_twelve", "_quintic"):
-        real = getattr(integrators, name)
-        monkeypatch.setattr(
-            integrators,
-            name,
-            lambda past, name=name, real=real: taken.append(name) or real(past),
-        )
+    real = integrators._quintic
+    monkeypatch.setattr(
+        integrators, "_quintic", lambda past: taken.append(len(past[0])) or real(past)
+    )
     mv = MASSES[1]
     ring = ring_from_shape(shape_from_masses(as_mass_triple(mv.masses)))
     start = dynamics.relative_equilibrium(mv, ring, 1.3)
     dynamics.integrate(mv, start, horizon=8e-3, step=1e-3, omega=1.3)
-    assert taken == ["_quintic_twelve"] * 3
-    taken.clear()
+    assert taken == []
     start = reduction.ReducedState(2.0, 3.0, 0.1, -0.2)
     reduction.integrate_reduced(mv.masses, start, 8e-3, method="midpoint")
-    assert taken == ["_quintic"] * 3
+    assert taken == [4] * 3
 
 
 def test_strategies_reach_every_branch():
     # the property tests above are only as good as the inputs they draw
     seen = set()
 
-    def record(case, h, tol, max_inner):
+    def record(case, h, nsteps, stride, stop):
         field, x = case
-        got = outcome(lambda: integrators._midpoint_loop(field, x, h, tol, max_inner))
-        kind = "ok" if isinstance(got, list) else got[1].split(" (")[0]
-        seen.add(kind)
-        if max_inner <= 0:
-            seen.add("no iterations: " + kind)
+        samples, raised = run_outcome(
+            integrators.midpoint_run(field, list(x), h, nsteps, stride), stop
+        )
+        last = round(float.fromhex(samples[-1][0]) / h)
+        if raised is None:
+            seen.add("completed" if last == nsteps else "stopped early")
+        else:
+            seen.add(raised[1].split(" (")[0])
+            last = raised[3]
+        if last >= 6:
+            seen.add("seeded")
 
-    PROPERTY(given(cases, steps, tols, inner)(record))()
+    PROPERTY(given(cases, steps, lengths, strides, stops)(record))()
     assert {
-        "ok",
+        "completed",
+        "stopped early",
+        "seeded",
         "implicit midpoint solve stalled",
         "implicit midpoint iterate is not finite",
-        "no iterations: implicit midpoint solve stalled",
     } <= seen
 
 
 def test_twelve_floats_take_the_straight_line_step(monkeypatch):
-    taken = []
+    # every full-system run is the one loop; ``midpoint_step`` takes the
+    # list loop for 12 floats as for 4 and for numpy vectors
+    runs = []
+    real = integrators.midpoint_run
     monkeypatch.setattr(
-        integrators, "_midpoint_twelve", lambda *args: taken.append(args) or [0.0]
+        dynamics, "midpoint_run", lambda *args: runs.append(args[3]) or real(*args)
+    )
+    mv = MASSES[1]
+    ring = ring_from_shape(shape_from_masses(as_mass_triple(mv.masses)))
+    start = dynamics.relative_equilibrium(mv, ring, 1.3)
+    dynamics.integrate(mv, start, horizon=8e-3, step=1e-3, omega=1.3)
+    assert runs == [8]
+    loops = []
+    monkeypatch.setattr(
+        integrators, "_midpoint_loop", lambda field, x, *args: loops.append(len(x)) or x
     )
     integrators.midpoint_step(lambda v: v, [0.0] * 12, 1e-3)
     integrators.midpoint_step(lambda v: v, [0.0] * 4, 1e-3)
     integrators.midpoint_step(lambda v: v, np.zeros(12), 1e-3)
-    assert len(taken) == 1
+    assert loops == [12, 4, 12]
+
+
+def nan_then_ones(slot):
+    """A field whose first output, the predictor's, has a nan in ``slot`` and
+    zeros elsewhere, whose second is all zeros and whose later ones are all
+    ones; it ignores its input."""
+    calls = []
+
+    def field(v):
+        calls.append(v)
+        if len(calls) == 1:
+            out = [0.0] * 12
+            out[slot] = math.nan
+            return out
+        return [0.0] * 12 if len(calls) == 2 else [1.0] * 12
+
+    return field
 
 
 @pytest.mark.parametrize("slot", range(12))
 def test_a_nan_update_is_read_as_max_reads_it(slot):
-    # a first iterate with a nan in one entry and a field that ignores it:
-    # builtin max keeps a nan first entry and passes over a later one, so
-    # one iteration stalls on the first slot and ends the step on the others
-    x = [0.5] * 12
-    guess = list(x)
-    guess[slot] = math.nan
-    got = assert_same_step(lambda v: [0.0] * 12, x, 1e-3, max_inner=1, guess=guess)
-    if slot == 0:
-        message = "implicit midpoint solve stalled (last update nan, tol 1e-13)"
-        assert got == (StepFailure, message)
-    else:
-        assert got == [v.hex() for v in x]
+    # the first update is nan in one entry and zero elsewhere: builtin max
+    # keeps a nan first entry and passes over a later one, so the first
+    # solve goes on to the field's ones on the first slot and ends at the
+    # start on the others
+    x, h = [0.5] * 12, 1e-3
+    got = run_outcome(integrators.midpoint_run(nan_then_ones(slot), x, h, 2))
+    assert got == run_outcome(oracle(nan_then_ones(slot), x, h, 2))
+    first = [v + h * 1.0 for v in x] if slot == 0 else x
+    assert got == ([(t.hex(), [v.hex() for v in y]) for t, y in (
+        (0.0, x), (h, first), (2 * h, [v + h * 1.0 for v in first]))], None)
 
 
 @pytest.mark.parametrize("k, h", [(40.0, 1.0), (1e7, 1e-3), (5.0, 1.0)])
 def test_a_stall_gives_the_loop_message(k, h):
-    # a diverging iteration ends with the last update the loop reports
-    got = assert_same_step(stiff_field(k, None), [0.3, -1.2, 2.5] * 4, h)
-    assert got[0] is StepFailure
-    assert got[1].startswith("implicit midpoint solve stalled (last update ")
+    # a diverging iteration ends the run at its first step with the last
+    # update the loop reports
+    samples, raised = assert_same_run(stiff_field(k, None), [0.3, -1.2, 2.5] * 4, h, 3)
+    assert len(samples) == 1 and raised[0] is StepFailure
+    assert raised[1].startswith("implicit midpoint solve stalled (last update ")
+    assert raised[2:] == (h, 1)
+
+
+@pytest.mark.parametrize("slot, last", [(0, "nan"), (5, "0")])
+def test_a_stall_reads_a_nan_update_as_max_reads_it(slot, last):
+    # a field with a nan in one output entry never converges: the stall
+    # reports the last update as builtin max reads it, nan when the nan
+    # entry comes first and the largest of the others when it comes later
+    def field(v):
+        out = [0.0] * 12
+        out[slot] = math.nan
+        return out
+
+    samples, raised = assert_same_run(field, [0.5] * 12, 1e-3, 2)
+    assert raised == (
+        StepFailure,
+        "implicit midpoint solve stalled (last update %s, tol 1e-13)" % last,
+        1e-3,
+        1,
+    )
 
 
 def test_value_error_on_a_finite_iterate_propagates():
@@ -313,6 +388,19 @@ def test_value_error_on_a_finite_iterate_propagates():
     for x in ([0.5] * 12, [0.5] * 4):
         with pytest.raises(ValueError, match="not a midpoint failure"):
             integrators.midpoint_step(field, x, 1e-3)
+    for run in (integrators.midpoint_run, oracle):
+        samples = run(field, [0.5] * 12, 1e-3, 3)
+        assert next(samples) == (0.0, [0.5] * 12)
+        with pytest.raises(ValueError, match="not a midpoint failure"):
+            next(samples)
+
+
+def outcome(call):
+    """The result as float.hex strings, or the type and message raised."""
+    try:
+        return [v.hex() for v in call()]
+    except Exception as exc:  # every exception type must match
+        return type(exc), str(exc)
 
 
 def yoshida4_reference(force, inv_mass, x, h):

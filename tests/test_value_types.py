@@ -120,9 +120,7 @@ class TestConstructionRule:
     def test_equality_and_hash_follow_the_fields(self, cls):
         kw = SAMPLES[cls]
         a, b = cls(*kw.values()), cls(**kw)
-        if cls is LinearizationBlocks:
-            return  # its read-only array copies compare elementwise
-        assert a == b
+        assert a == b and not a != b
         try:
             hashes = hash(a), hash(b)
         except TypeError:  # an array field, or the splitting's blocks
@@ -176,3 +174,59 @@ def test_post_init_still_normalizes():
     assert blocks.vertical.tobytes() == BLOCKS.vertical.tobytes()
     assert not blocks.vertical.flags.writeable
     assert ReducedState(2.0, 3.0, 0.1, -0.2).momentum_level == 0.0
+
+
+ARRAY_TYPES = [cls for cls in VALUE_TYPES if has_array(cls(**SAMPLES[cls]))]
+
+
+def copied(kw):
+    """The sample's fields with every array a new copy."""
+    return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in kw.items()}
+
+
+def test_array_types_are_the_five_and_their_spectra():
+    assert {cls.__name__ for cls in ARRAY_TYPES} == {
+        "TrajectoryRecord", "GrowthFit", "LinearizationBlocks", "LyapunovCertificate",
+        "ReducedTrajectory", "_BlockSpectra",
+    }
+
+
+@pytest.mark.parametrize("cls", ARRAY_TYPES, ids=lambda cls: cls.__qualname__)
+class TestArrayFields:
+    """Values that hold arrays compare them by ``np.array_equal``, where the
+    dataclass's ``==`` raised ValueError, and still have no hash."""
+
+    def test_equal_inputs_compare_equal(self, cls):
+        a, b = cls(**copied(SAMPLES[cls])), cls(**copied(SAMPLES[cls]))
+        assert a == b and not a != b
+        assert a == a
+
+    def test_one_changed_entry_compares_unequal(self, cls):
+        kw = SAMPLES[cls]
+        value = cls(**copied(kw))
+        for name in kw:
+            if isinstance(getattr(value, name), np.ndarray):
+                changed = np.array(getattr(value, name), dtype=float)
+                changed.flat[-1] += 1.0
+                other = cls(**{**copied(kw), name: changed})
+                assert value != other and not value == other, name
+                shaped = cls(**{**copied(kw), name: changed.ravel()[:-1]})
+                assert value != shaped, name
+        for name in [k for k in kw if isinstance(getattr(value, k), float)][:1]:
+            other = dataclasses.replace(value, **{name: getattr(value, name) + 1.0})
+            assert value != other, name
+
+    def test_hash_is_a_type_error(self, cls):
+        with pytest.raises(TypeError):
+            hash(cls(**SAMPLES[cls]))
+
+
+def test_equality_reads_nested_values_with_arrays():
+    # the splitting holds its blocks, the certificate its shape
+    a = invariant_subspaces(BLOCKS, 0.7)
+    b = invariant_subspaces(LinearizationBlocks(MV, RING, BLOCKS.vertical.copy(),
+                                                BLOCKS.tangential.copy()), 0.7)
+    assert a == b
+    assert a != invariant_subspaces(BLOCKS, 0.8)
+    assert lyapunov_certificate(TRIPLE) == lyapunov_certificate(TRIPLE)
+    assert TrajectoryRecord(**SAMPLES[TrajectoryRecord]) != MV
