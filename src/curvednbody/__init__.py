@@ -25,8 +25,6 @@ from .geometry import (
     force_function,
     force_gradient,
     force_hessian_blocks,
-    geodesic_distance,
-    to_cartesian,
 )
 from .fixedpoints import (
     AdmissibleMassTriple,
@@ -57,7 +55,6 @@ from .reduction import (
 from .stability import (
     LinearizationBlocks,
     StabilityReport,
-    assemble_L_from_blocks,
     assemble_L_general,
     assemble_blocks,
     classify,

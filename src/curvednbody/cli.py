@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailure,
     StepFailure,
 )
-from .geometry import RingConfiguration
+from .geometry import BODIES, RingConfiguration
 from .report import FLOAT_FMT, ChunkedText, ReportDocument, atomic_write_text, write_csv
 
 DEG_PER_RAD = 180.0 / math.pi
@@ -85,18 +85,30 @@ def _coerce(name, value, kind, nargs=None):
     try:
         if nargs is not None:
             if isinstance(value, list):
-                return [kind(v) for v in value]
+                return [_number(kind, v) for v in value]
         elif kind in (bool, str):
             if isinstance(value, kind):
                 return value
         elif isinstance(kind, tuple):
             if value in kind:
                 return value
+        elif kind in (int, float):
+            return _number(kind, value)
         else:
             return kind(value)
     except (TypeError, ValueError):
         pass
     raise InvalidConfiguration("invalid value %r for option %s" % (value, name))
+
+
+def _number(kind, value):
+    """``kind(value)``; a bool, or a fraction for an integer option, raises
+    ValueError, as no flag's text converts to either."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(value)
+    return kind(value)
 
 
 def _tolerances(raw) -> dict:
@@ -569,7 +581,7 @@ def _simulate(opts) -> int:
     doc.line("momentum_drift", record.momentum_drift)
     doc.line("max_equator_deviation", record.max_equator_deviation)
     doc.line("min_separation_sine", record.min_separation_sine)
-    _emit(opts, doc, _trajectory_header(mv.n), _trajectory_rows(record))
+    _emit(opts, doc, _trajectory_header(BODIES), _trajectory_rows(record))
     return 0
 
 

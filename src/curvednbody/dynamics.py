@@ -79,10 +79,6 @@ class PhaseState:
         self.__dict__.update(fields)
         _pair_guard(fields["thetas"], fields["phis"])
 
-    @property
-    def n(self) -> int:
-        return len(self.thetas)
-
     def as_vector(self) -> np.ndarray:
         return np.array(self.thetas + self.phis + self.pthetas + self.pphis)
 
@@ -458,7 +454,7 @@ def growth_rate_experiment(
     lam1, u = vertical_mode(blocks)
     verdict, exponent = rate_verdict(omega, lam1)
     scale = exponent or math.sqrt(lam1)
-    n = mv.n
+    n = BODIES
     m = mv.array()
     w = np.zeros(4 * n)
     w[0:n] = u / (m * scale)

@@ -301,7 +301,9 @@ def shape_mass_defect(shape: TriangleShape, masses) -> float:
 
 
 def check_shape_mass_pair(shape: TriangleShape, masses, tol: float = CONSISTENCY_TOL):
-    """Raise InconsistentPair unless masses and shape satisfy the criterion relations."""
+    """Raise InconsistentPair unless masses and shape satisfy the criterion
+    relations to ``tol``, which ``checked_tolerance`` checks first."""
+    checked_tolerance("tol", tol)
     defect = shape_mass_defect(shape, masses)
     if defect > tol:
         raise InconsistentPair(

@@ -5,13 +5,13 @@ Three bodies live on the unit sphere, parametrized by colatitude theta in
 the cotangent of its geodesic separation, which blows up at collision and at
 antipodal alignment; both ends are guarded by a shared tolerance.  A ring's
 ``thetas`` are all ``EQUATOR`` and its ``phis`` are its longitudes, so
-``to_cartesian``, ``force_function``, ``force_gradient`` and
-``force_hessian_blocks`` take a ring, a ``SphereConfiguration`` or a
-``PhaseState`` directly.
+``force_function``, ``force_gradient`` and ``force_hessian_blocks`` take a
+ring, a ``SphereConfiguration`` or a ``PhaseState`` directly.
 
 The package solves the three-body problem only.  ``_check_bodies`` is the
 one body-count rule: every mass vector, configuration and phase state meets
-it on construction, so the functions that take them check no count.
+it on construction, so the functions that take them check no count, and
+none of them carries its count: it is ``BODIES``.
 
 ``_pair_table`` is the one place that enumerates the pairs of a
 configuration in Cartesian form, computes each separation's cosine and sine
@@ -155,10 +155,6 @@ class MassVector:
             if not (m > 0.0) or not math.isfinite(m):
                 raise NonpositiveMass("masses must be positive, got %r" % (m,))
 
-    @property
-    def n(self) -> int:
-        return len(self.masses)
-
     def array(self) -> np.ndarray:
         return np.array(self.masses, dtype=float)
 
@@ -196,10 +192,6 @@ class SphereConfiguration:
         self.__dict__.update(thetas=thetas, phis=phis)
         _pair_guard(thetas, phis)
 
-    @property
-    def n(self) -> int:
-        return len(self.thetas)
-
 
 @frozen_value
 class RingConfiguration:
@@ -233,49 +225,12 @@ class RingConfiguration:
         _pair_guard(self.thetas, phis)
 
     @property
-    def n(self) -> int:
-        return len(self.longitudes)
-
-    @property
     def thetas(self) -> tuple:
         return (EQUATOR,) * len(self.longitudes)
 
     @property
     def phis(self) -> tuple:
         return self.longitudes
-
-
-def to_cartesian(config) -> np.ndarray:
-    """Unit-sphere embedding of a configuration as a (3, 3) array, one row a body."""
-    out = np.empty((config.n, 3))
-    for i, (t, p) in enumerate(zip(config.thetas, config.phis)):
-        st = math.sin(t)
-        out[i] = (st * math.cos(p), st * math.sin(p), math.cos(t))
-    return out
-
-
-def geodesic_distance(qi, qj) -> float:
-    """Great-circle distance between two unit vectors.
-
-    Parameters
-    ----------
-    qi, qj : array_like
-        Cartesian points with unit norm (checked to 1e-12).
-
-    Returns
-    -------
-    float
-        arccos of the clamped inner product, a value in [0, pi].
-    """
-    qi = np.asarray(qi, dtype=float)
-    qj = np.asarray(qj, dtype=float)
-    if qi.shape != (3,) or qj.shape != (3,):
-        raise InvalidConfiguration("geodesic_distance expects 3-vectors")
-    for q in (qi, qj):
-        if abs(float(q @ q) - 1.0) > 1e-12:
-            raise InvalidConfiguration("input vector is not unit length")
-    dot = float(qi @ qj)
-    return math.acos(min(1.0, max(-1.0, dot)))
 
 
 def _sphere_tables(thetas, phis):
@@ -436,9 +391,10 @@ def _hessian_rows(masses: MassVector, config) -> tuple:
     of the sum in order; a - b stands for a + (-b) and b - a for (-a) + b,
     which IEEE arithmetic rounds alike.
     """
-    _check_bodies(config.n)
+    for values in (config.thetas, config.phis):
+        _check_bodies(len(values))
     m = masses.masses
-    n = config.n
+    n = BODIES
     st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)
     zs = ct
     # the tangent along theta of each body; along phi it is (-y, x, 0)
@@ -484,8 +440,9 @@ def force_hessian_blocks(masses: MassVector, config):
     Returns the three 3-by-3 blocks (V_tt, V_tp, V_pp), where V_tt holds
     d2V/dtheta_i dtheta_j, V_tp holds d2V/dtheta_i dphi_j, and V_pp holds
     d2V/dphi_i dphi_j.  The theta-phi block for swapped index order is the
-    transpose of V_tp.  ``config`` may be duck-typed (any state with ``n``,
-    ``thetas`` and ``phis``), so ``_hessian_rows`` holds its body count to
-    the one rule.  The blocks are summed on floats and each made an array once.
+    transpose of V_tp.  ``config`` may be duck-typed (any state with
+    ``thetas`` and ``phis``), so ``_hessian_rows`` holds their lengths to
+    the one body-count rule.  The blocks are summed on floats and each made
+    an array once.
     """
     return tuple(map(np.array, _hessian_rows(masses, config)))

@@ -2,19 +2,16 @@
 
 The full Hamiltonian is not separable, so its reference step is the
 implicit midpoint rule, ``midpoint_step``, which iterates on a list of
-floats (or a numpy vector).  A run seeds each solve from its sixth step on
-with the quintic extrapolation of its last six states, which costs no
-field evaluation and lands O(h^6) from the solution: at the steps this
-library takes that is inside the solve's tolerance, so one field evaluation
-usually ends the solve.  ``fixed_steps``, which advances a state and yields
-the recorded samples, over ``seeded_advance`` and ``midpoint_step`` is that
-run for a state of any length, and serves the reduced chart's midpoint
-cross-check.  The three-body run, 12 floats, is ``midpoint_run``: one loop
-with the step, the seed and the convergence test written out, whose only
-call is the vector field, giving the same samples and errors bit for bit.
-The reduced Hamiltonian is separable, and its flow defaults to an explicit
+floats (or a numpy vector).  The three-body run, 12 floats, is
+``midpoint_run``: one loop that seeds each solve from its sixth step on with
+the quintic extrapolation of its last six states, which costs no field
+evaluation and lands O(h^6) from the solution, so one field evaluation
+usually ends the solve.  The step, the seed and the convergence test are
+written out in it, and its only call is the vector field.
+The reduced Hamiltonian is separable, and its flow is an explicit
 fourth-order composition of leapfrog (Yoshida 1990), whose coefficients are
-kept here and whose step ``reduction`` writes out.
+kept here and whose step ``reduction`` writes out; ``fixed_steps`` advances
+it and yields the recorded samples.
 An adaptive embedded Runge-Kutta 5(4) pair wraps scipy and serves as an
 independent cross-check route for the full system; a run whose pace needs
 more than ``RK45_MAX_EVALS`` field evaluations ends early.
@@ -23,7 +20,7 @@ more than ``RK45_MAX_EVALS`` field evaluations ends early.
 from __future__ import annotations
 
 import math
-from operator import sub
+from operator import index, sub
 
 import numpy as np
 
@@ -55,7 +52,8 @@ def step_count(horizon, step, record_stride=1) -> int:
 
     The step must be finite and positive, the horizon must come to a finite
     number of at least one step, and every ``record_stride``-th step is
-    recorded, so the stride must be at least one.  Anything else raises
+    recorded, so the stride must be an integer (``operator.index`` takes
+    it, a numpy integer too) of at least one.  Anything else raises
     InvalidConfiguration.
     """
     if not (math.isfinite(step) and step > 0.0):
@@ -68,7 +66,13 @@ def step_count(horizon, step, record_stride=1) -> int:
     nsteps = int(round(count))
     if nsteps <= 0:
         raise InvalidConfiguration("horizon must cover at least one step")
-    if record_stride < 1:
+    try:
+        stride = index(record_stride)
+    except TypeError:
+        raise InvalidConfiguration(
+            "record stride must be an integer, got %r" % (record_stride,)
+        ) from None
+    if stride < 1:
         raise InvalidConfiguration("record stride must be positive")
     return nsteps
 
@@ -96,39 +100,6 @@ def fixed_steps(advance, x0, h, nsteps, record_stride=1, check=None):
             raise StepFailure(str(exc), time=k * h, step=k) from None
         if k % record_stride == 0 or k == nsteps:
             yield k * h, x
-
-
-def seeded_advance(step):
-    """An ``advance`` for one run of ``fixed_steps`` from ``step(x, guess)``.
-
-    The guess is None (the Euler predictor) on the first five steps, then the
-    quintic through the last six states one step on,
-    6x - 15x[-1] + 20x[-2] - 15x[-3] + 6x[-4] - x[-5], which costs no field
-    evaluation and lies O(h^6) from the next state.  It is summed as offsets
-    from x, so its rounding scales with the motion over the last five steps
-    and not with |x| (longitudes wind).  A solve that fails from its guess
-    ends the run.  The function keeps the last five states it was handed, so
-    it serves one run.
-    """
-    past = []
-
-    def advance(x):
-        past.append(x)
-        if len(past) < 6:
-            return step(x, None)
-        guess = _quintic(past)
-        del past[0]
-        return step(x, guess)
-
-    return advance
-
-
-def _quintic(past):
-    """The quintic guess from six states of any length, oldest first."""
-    return [
-        c + (20.0 * (b2 - c) + 6.0 * (b4 - c) - 15.0 * ((b1 - c) + (b3 - c)) - (b5 - c))
-        for b5, b4, b3, b2, b1, c in zip(*past)
-    ]
 
 
 def midpoint_step(field, x, h, guess=None):
@@ -193,14 +164,18 @@ def _midpoint_loop(field, x, h, tol, max_inner, guess=None):
 
 
 def midpoint_run(field, start, h, nsteps, record_stride=1):
-    """``fixed_steps`` over ``seeded_advance`` and ``midpoint_step`` from the
-    list of 12 floats ``start`` as one loop: the same samples bit for bit and
-    the same errors, a StepFailure with the failing step's time and index or
-    a ValueError that ``field`` raises at a finite iterate.  The step, the
-    quintic seed and the convergence test, which reads the updates as builtin
-    ``max`` does, are written out over the 12 floats, so ``field`` is the
-    loop's only call; the last five states are the lists already yielded or
-    passed over, under five names that rotate each step.
+    """Take ``nsteps`` midpoint steps of size ``h`` from the list of 12 floats
+    ``start`` and yield the samples as ``fixed_steps`` does.
+
+    From the sixth step on each solve starts from the quintic through the
+    last six states one step on, 6x - 15x[-1] + 20x[-2] - 15x[-3] + 6x[-4] -
+    x[-5], summed as offsets from x, so its rounding follows the motion and
+    not |x| (longitudes wind).  A failed step ends the run as a StepFailure
+    of ``fixed_steps``; a ValueError that ``field`` raises at a finite
+    iterate propagates.  The step, the seed and the convergence test, which
+    reads the updates as builtin ``max`` does, are written out over the 12
+    floats, so ``field`` is the loop's only call; the last five states are
+    the lists already yielded or passed over, under five names that rotate.
     """
     tol = MIDPOINT_TOL
     lo = -tol

@@ -21,7 +21,8 @@ apart, so ``invariant_subspaces`` splits each parity on its own, from
 Householder frames in closed form: the transverse spectrum comes from a
 1-by-1 and a 2-by-2 product.  The splitting is written out on Python floats
 from the blocks' 3-by-3 entries, with no matrix product, so no BLAS kernel
-moves a bit of it.
+moves a bit of it.  The 12-by-12 flow matrix is built only at a general
+phase state, by ``assemble_L_general``; at a ring the blocks stand for it.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class LinearizationBlocks:
     def __post_init__(self):
         for name in ("vertical", "tangential"):
             self.__dict__[name] = _frozen(np.array(getattr(self, name), dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.masses.n
 
     @cached_property
     def mass_diagonal(self) -> np.ndarray:
@@ -233,35 +230,20 @@ def null_structure_check(blocks: LinearizationBlocks) -> dict:
     return dict(zip(keys, _null_residuals(blocks.ring, v, t)))
 
 
-def assemble_L_from_blocks(blocks: LinearizationBlocks, omega: float) -> np.ndarray:
-    """Full 12-by-12 linearized flow matrix at the rotating ring, a new array.
-
-    Coordinate order is (theta, phi, p_theta, p_phi).  The rotation enters
-    only through the centrifugal shift of the vertical block's diagonal.  A
-    rate that ``rate_square`` rejects raises InvalidConfiguration.
-    """
-    w2 = rate_square(omega)
-    L = np.zeros((12, 12))
-    L[0:3, 6:9] = L[3:6, 9:12] = np.diag(1.0 / blocks.mass_diagonal)
-    L[6:9, 0:3] = _shifted(blocks, w2)
-    L[9:12, 3:6] = blocks.tangential
-    return L
-
-
 def assemble_L_general(masses: MassVector, state) -> np.ndarray:
     """Linearized Hamiltonian flow at an arbitrary phase state.
 
-    ``state`` needs ``n``, ``thetas``, ``phis``, ``pthetas`` and ``pphis``,
-    as a PhaseState has.  As PhaseState's checks do, a nan or infinite entry
-    raises InvalidConfiguration and each block's length and ``n`` meet the
-    one body-count rule, before any pair is read; a colatitude at the polar
-    guard raises PolarSingularity.  The coordinate
-    order of the output matches assemble_L_from_blocks.  A frame rotating at
-    constant rate shifts the flow by a constant, so the same matrix is the
-    Jacobian in every such frame.  At an equatorial fixed point with the
-    rigid-rotation momenta this reduces to the block form.  The matrix is
-    laid out from the Hessian's float rows as one list; an entry of V_tt off
-    the diagonal sums onto 0.0, as it did onto the zeros of an array.
+    ``state`` needs ``thetas``, ``phis``, ``pthetas`` and ``pphis``, as a
+    PhaseState has.  As PhaseState's checks do, a nan or infinite entry
+    raises InvalidConfiguration and each block's length meets the one
+    body-count rule, before any pair is read; a colatitude at the polar
+    guard raises PolarSingularity.  Coordinate order is (theta, phi,
+    p_theta, p_phi).  A frame rotating at constant rate shifts the flow by a
+    constant, so the same matrix is the Jacobian in every such frame.  At an
+    equatorial fixed point with the rigid-rotation momenta its blocks are
+    1/M, V - omega^2 M and T.  The matrix is laid out from the Hessian's
+    float rows as one list; an entry of V_tt off the diagonal sums onto 0.0,
+    as it did onto the zeros of an array.
     """
     for name in ("thetas", "phis", "pthetas", "pphis"):
         values = getattr(state, name)

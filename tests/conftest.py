@@ -5,8 +5,10 @@ import pytest
 from hypothesis.internal.cache import LRUCache
 from hypothesis.internal.conjecture import providers
 
+from curvednbody import reduction, stability
 from curvednbody.fixedpoints import admissibility_value
 from curvednbody.geometry import SINE_RECHECK, SINGULAR_TOL, _recheck_sine, _singular_pair
+from curvednbody.integrators import fixed_steps, midpoint_step, step_count
 
 SAMPLE_SEED = 20240817
 
@@ -89,7 +91,7 @@ def null_vectors(ring):
     """(radial, transverse, uniform): the ring's x and y coordinates, killed by
     the vertical block, and the all-ones vector, killed by the tangential one."""
     phis = np.array(ring.longitudes)
-    return np.cos(phis), np.sin(phis), np.ones(ring.n)
+    return np.cos(phis), np.sin(phis), np.ones(len(ring.longitudes))
 
 
 CENTRE = 1.0 / 3.0
@@ -126,3 +128,99 @@ SKEW = _canonical_skew()
 
 # the rays of the atlas benchmark's four edge triples
 EDGE_RAYS = tuple(boundary_reach(0.1 + (k + 0.5) * math.pi / 2.0) for k in range(4))
+
+
+def assemble_L_from_blocks(blocks, omega):
+    """Full 12-by-12 linearized flow matrix at the rotating ring, a new array.
+
+    Coordinate order is (theta, phi, p_theta, p_phi).  The rotation enters
+    only through the centrifugal shift of the vertical block's diagonal.  A
+    rate that ``rate_square`` rejects raises InvalidConfiguration.
+    """
+    w2 = stability.rate_square(omega)
+    L = np.zeros((12, 12))
+    L[0:3, 6:9] = L[3:6, 9:12] = np.diag(1.0 / blocks.mass_diagonal)
+    L[6:9, 0:3] = stability._shifted(blocks, w2)
+    L[9:12, 3:6] = blocks.tangential
+    return L
+
+
+def seeded_advance(step):
+    """An ``advance`` for one run of ``fixed_steps`` from ``step(x, guess)``.
+
+    The guess is None (the Euler predictor) on the first five steps, then the
+    quintic through the last six states one step on,
+    6x - 15x[-1] + 20x[-2] - 15x[-3] + 6x[-4] - x[-5], which costs no field
+    evaluation and lies O(h^6) from the next state.  It is summed as offsets
+    from x, so its rounding scales with the motion over the last five steps
+    and not with |x| (longitudes wind).  A solve that fails from its guess
+    ends the run.  The function keeps the last five states it was handed, so
+    it serves one run.
+    """
+    past = []
+
+    def advance(x):
+        past.append(x)
+        if len(past) < 6:
+            return step(x, None)
+        guess = _quintic(past)
+        del past[0]
+        return step(x, guess)
+
+    return advance
+
+
+def _quintic(past):
+    """The quintic guess from six states of any length, oldest first."""
+    return [
+        c + (20.0 * (b2 - c) + 6.0 * (b4 - c) - 15.0 * ((b1 - c) + (b3 - c)) - (b5 - c))
+        for b5, b4, b3, b2, b1, c in zip(*past)
+    ]
+
+
+def gap_gradient(m1, m2, m3, nu1, nu2, phi1, phi2):
+    """Partials of the reduced force function with respect to (phi1, phi2); the
+    cotangent of a gap d has derivative -sign(sin d) / sin^2 d."""
+    sines = map(reduction._gap_sine, reduction._gaps(nu1, nu2, phi1, phi2))
+    ga, gb, gc = (-math.copysign(1.0, s) / (s * s) for s in sines)
+    dv_dphi1 = m1 * m2 * ga - nu1 * m2 * m3 * gb + nu2 * m1 * m3 * gc
+    dv_dphi2 = m2 * m3 * gb + m1 * m3 * gc
+    return dv_dphi1, dv_dphi2
+
+
+def reduced_midpoint(masses, initial, horizon, step=1e-3, record_stride=10,
+                     solve=midpoint_step):
+    """``reduction.integrate_reduced`` with the implicit midpoint rule of the
+    full system in place of Yoshida-4: ``fixed_steps`` over ``seeded_advance``
+    over ``solve`` (``midpoint_step`` by default) on the reduced field, with
+    the same checks, samples and energy drift.  It is the reduced chart's
+    cross-check against the full flow and against Yoshida-4."""
+    jc = reduction.JacobiConstants.from_masses(masses)
+    m1, m2, m3 = jc.masses
+    nu1, nu2 = jc.nu1, jc.nu2
+    inv_nu3, inv_nu4 = 1.0 / jc.nu3, 1.0 / jc.nu4
+
+    def field(x):
+        g1, g2 = gap_gradient(m1, m2, m3, nu1, nu2, x[0], x[1])
+        return [x[2] * inv_nu3, x[3] * inv_nu4, g1, g2]
+
+    advance = seeded_advance(lambda x, guess: solve(field, x, step, guess))
+    nsteps = step_count(horizon, step, record_stride)
+    x0 = initial.as_vector().tolist()
+    check = reduction._separation_check(nu1, nu2, x0)
+    times = []
+    states = []
+    drift = 0.0
+    for t, x in fixed_steps(advance, x0, step, nsteps, record_stride, check):
+        energy = reduction._reduced_energy(jc, *x)
+        if not states:
+            e0 = energy
+        drift = max(drift, abs(energy - e0))
+        times.append(t)
+        states.append(x)
+    return reduction.ReducedTrajectory(
+        times=np.array(times),
+        states=np.array(states),
+        energy_drift=drift,
+        momentum_level=initial.momentum_level,
+    )

@@ -1001,6 +1001,12 @@ class TestConfigAndErrors:
             ("simulate", {"masses": [1, 1, 1], "mode": "bogus"}, "mode"),
             ("fixed-point", {"masses": [1, 1, 1], "degrees": "no"}, "degrees"),
             ("stability", {"masses": [1, 1, 1], "output": 7}, "output"),
+            # no flag's text converts to a bool or, for an integer, a fraction
+            ("region-scan", {"resolution": 8.9}, "resolution"),
+            ("stability", {"masses": [1, 1, 1], "omega": True}, "omega"),
+            ("stability", {"masses": [1, 1, True]}, "masses"),
+            ("omega-sweep", {"masses": [1, 1, 1], "count": 1e400}, "count"),
+            ("simulate", {"masses": [1, 1, 1], "record_stride": False}, "record_stride"),
         ],
     )
     def test_config_values_are_type_checked(
@@ -1061,6 +1067,16 @@ class TestConfigAndErrors:
             from_flag = cli._resolve_options(parser.parse_args(base + flag))
             assert repr(from_config) == repr(from_flag), option.name
             assert from_flag[option.name] != option.default, option.name
+
+    def test_config_integer_with_no_fraction_converts_like_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 8.0}))
+        parser = cli.build_parser()
+        from_config = cli._resolve_options(
+            parser.parse_args(["region-scan", "--config", str(cfg)])
+        )
+        from_flag = cli._resolve_options(parser.parse_args(["region-scan", "--resolution", "8"]))
+        assert repr(from_config) == repr(from_flag)
 
     def test_tolerance_override_value_is_type_checked(self, capsys):
         code, _, err = run_cli(

@@ -43,7 +43,13 @@ from curvednbody.stability import (
     vertical_mode,
 )
 
-from conftest import draw_admissible_triples, singular_pair, unchecked
+from conftest import (
+    draw_admissible_triples,
+    reduced_midpoint,
+    seeded_advance,
+    singular_pair,
+    unchecked,
+)
 
 EQUAL = as_mass_triple((1.0, 1.0, 1.0))
 MV = EQUAL.mass_vector()
@@ -382,8 +388,8 @@ class TestIntegrate:
 
     def test_one_midpoint_step_for_every_flow(self):
         # the full system runs the one loop, which gives the samples of the
-        # reduced chart's route, fixed_steps over seeded_advance and
-        # midpoint_step, on the same field
+        # reduced chart's cross-check route, fixed_steps over seeded_advance
+        # and midpoint_step, on the same field
         assert dynamics.midpoint_run is integrators.midpoint_run
         assert reduction.midpoint_step is integrators.midpoint_step
         x0 = relative_equilibrium(MV, RING, 1.3).as_vector()
@@ -511,6 +517,11 @@ BAD_STEPPING = [
     {"horizon": -1.0},
     {"horizon": 1e-4, "step": 1e-2},
     {"record_stride": 0},
+    # a fractional stride would record off the step grid, a nan one only
+    # the endpoints
+    {"record_stride": 2.5},
+    {"record_stride": math.nan},
+    {"record_stride": "2"},
 ]
 
 
@@ -519,6 +530,14 @@ BAD_STEPPING = [
 def test_bad_step_parameters_rejected(run, bad):
     with pytest.raises(InvalidConfiguration):
         STEPPED_RUNS[run](**bad)
+
+
+@pytest.mark.parametrize("run", ["integrate", "reduced"])
+def test_record_stride_may_be_a_numpy_integer(run):
+    want = STEPPED_RUNS[run](horizon=0.05, record_stride=2)
+    got = STEPPED_RUNS[run](horizon=0.05, record_stride=np.int64(2))
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
 
 
 UNEQUAL = as_mass_triple((0.2, 0.5, 0.3))
@@ -747,7 +766,7 @@ def seeded_run(masses, omega, x0, step, nsteps, record_stride, solve=midpoint_st
     """``dynamics._midpoint_run`` as the loop it replaces: ``fixed_steps`` over
     ``seeded_advance`` and ``solve``, which ``midpoint_step`` is by default."""
     field = dynamics._field_kernel(masses, omega)
-    advance = integrators.seeded_advance(lambda x, guess: solve(field, x, step, guess))
+    advance = seeded_advance(lambda x, guess: solve(field, x, step, guess))
     return integrators.fixed_steps(advance, x0, step, nsteps, record_stride)
 
 
@@ -784,7 +803,6 @@ class TestSeededMidpoint:
         # seed took 2.004 and 2.9-3.6
         counts = {"steps": 0, "evals": 0}
         monkeypatch.setattr(dynamics, "_field_kernel", counting_kernel(counts))
-        monkeypatch.setattr(reduction, "midpoint_step", counting_step(counts))
         for masses in INTERIOR:
             counts.update(steps=0, evals=0)
             mv, omega, x0 = flow_run(masses)
@@ -794,7 +812,7 @@ class TestSeededMidpoint:
             triple = as_mass_triple(masses)
             rest = rest_point_from_shape(shape_from_masses(triple), triple)
             start = ReducedState(rest.phi1 + 1e-2, rest.phi2, 0.0, 0.0)
-            integrate_reduced(triple, start, horizon=1.0, step=1e-3, method="midpoint")
+            reduced_midpoint(triple, start, 1.0, 1e-3, solve=counting_step(counts))
             assert counts["steps"] == 1000
             assert counts["evals"] <= 1.1 * 1000
             # the flow benchmark's growth run: h = 0.01 at half the critical
@@ -943,18 +961,18 @@ class TestReducedPinnedBits:
     """Reduced-flow results pinned bit for bit: the straight-line Yoshida-4
     step and the midpoint cross-check must reproduce their loop forms."""
 
-    def run(self, method):
+    def run(self, integrator):
         triple = as_mass_triple((0.25, 0.45, 0.30))
         rest = rest_point_from_shape(shape_from_masses(triple), triple, 0.7)
         start = ReducedState(
             rest.phi1 + 1e-2, rest.phi2 - 5e-3, 2e-3, -1e-3, rest.momentum_level
         )
-        run = integrate_reduced(triple, start, horizon=2.0, step=1e-3, method=method)
+        run = integrator(triple, start, horizon=2.0, step=1e-3)
         assert run.states.shape == (201, 4)
         return run
 
     def test_yoshida4(self):
-        run = self.run("yoshida4")
+        run = self.run(integrate_reduced)
         assert run.states[-1].tolist() == [
             2.079157641028234,
             2.595359432578949,
@@ -964,7 +982,7 @@ class TestReducedPinnedBits:
         assert run.energy_drift == 1.1102230246251565e-16
 
     def test_midpoint(self):
-        run = self.run("midpoint")
+        run = self.run(reduced_midpoint)
         assert run.states[-1].tolist() == [
             2.0791576441578434,
             2.595359432275246,

@@ -84,7 +84,7 @@ def _field_loop(masses: MassVector, omega: float):
     It is the reference that ``dynamics._field_kernel`` matches bit for bit.
     """
     m = masses.masses
-    n = masses.n
+    n = len(masses.masses)
     om = float(omega)
 
     def field(vals):
@@ -218,7 +218,7 @@ def test_polar_guard_reads_a_nan_sine_as_min_does(slot, polar):
 def hamiltonian_loop(masses: MassVector, state, omega: float = 0.0) -> float:
     """The frame energy as the loop over the bodies and the pair table that
     ``dynamics.hamiltonian`` was written from."""
-    n = masses.n
+    n = len(masses.masses)
     vals = dynamics._state_values(state)
     m = masses.masses
     th, ph = vals[0:n], vals[n : 2 * n]

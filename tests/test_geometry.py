@@ -25,8 +25,6 @@ from curvednbody.geometry import (
     force_function,
     force_gradient,
     force_hessian_blocks,
-    geodesic_distance,
-    to_cartesian,
 )
 from curvednbody.dynamics import (
     PhaseState,
@@ -48,6 +46,12 @@ from conftest import singular_pair, unchecked
 EQUILATERAL = RingConfiguration((0.0, 2 * math.pi / 3, 4 * math.pi / 3))
 
 
+def unit_vectors(config):
+    """The bodies of a configuration as rows of Cartesian unit vectors."""
+    t, p = np.array(config.thetas), np.array(config.phis)
+    return np.column_stack((np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)))
+
+
 def random_config(rng, min_sep=0.2):
     """A sphere configuration with all separations bounded away from 0 and pi."""
     while True:
@@ -57,7 +61,7 @@ def random_config(rng, min_sep=0.2):
             config = SphereConfiguration(tuple(thetas), tuple(phis))
         except SingularConfiguration:
             continue
-        q = to_cartesian(config)
+        q = unit_vectors(config)
         seps = [
             math.sqrt(max(1.0 - float(q[i] @ q[j]) ** 2, 0.0))
             for i in range(3)
@@ -82,7 +86,7 @@ class TestMassVector:
 
     def test_array_and_n(self):
         mv = MassVector((1.0, 2.0, 3.0))
-        assert mv.n == 3
+        assert len(mv.masses) == geometry.BODIES
         assert np.array_equal(mv.array(), [1.0, 2.0, 3.0])
 
 
@@ -206,24 +210,6 @@ class TestRingConfiguration:
             ring.phis = (0.0, 1.0, 2.0)
 
 
-class TestCartesianAndDistance:
-    def test_unit_norms(self, rng):
-        q = to_cartesian(random_config(rng))
-        assert np.linalg.norm(q, axis=1) == pytest.approx(1.0, abs=1e-14)
-
-    def test_equilateral_distances(self):
-        q = to_cartesian(EQUILATERAL)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert geodesic_distance(q[i], q[j]) == pytest.approx(
-                    2 * math.pi / 3, abs=1e-14
-                )
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(InvalidConfiguration):
-            geodesic_distance((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))
-
-
 class TestForceFunction:
     def test_equilateral_value(self):
         mv = MassVector((1 / 3, 1 / 3, 1 / 3))
@@ -236,11 +222,11 @@ class TestForceFunction:
         mv = MassVector((0.7, 1.3, 0.5))
         for _ in range(20):
             config = random_config(rng)
-            q = to_cartesian(config)
+            q = unit_vectors(config)
             expected = 0.0
             for i in range(3):
                 for j in range(i + 1, 3):
-                    d = geodesic_distance(q[i], q[j])
+                    d = math.acos(min(1.0, max(-1.0, float(q[i] @ q[j]))))
                     expected += mv.masses[i] * mv.masses[j] / math.tan(d)
             assert force_function(mv, config) == pytest.approx(expected, abs=1e-12)
 
@@ -362,7 +348,7 @@ def guard_state():
     """A state whose body 2 sits at the polar guard, duck-typed as a PhaseState
     (which cannot hold it), and its flat vector."""
     blocks = [(1.0, 1e-9, 1.2), (0.0, 2.0, 4.0), (0.1, 0.2, 0.3), (0.3, -0.1, 0.2)]
-    state = types.SimpleNamespace(n=3, thetas=blocks[0], phis=blocks[1],
+    state = types.SimpleNamespace(thetas=blocks[0], phis=blocks[1],
                                   pthetas=blocks[2], pphis=blocks[3])
     return state, [v for b in blocks for v in b]
 
@@ -414,7 +400,7 @@ COUNT_SITES = {
     "JacobiConstants.from_masses": lambda n: JacobiConstants.from_masses(masses_of(n)),
     # a duck-typed state reaches force_hessian_blocks with its own count
     "assemble_L_general": lambda n: assemble_L_general(
-        MV3, types.SimpleNamespace(n=n, **dict(zip(
+        MV3, types.SimpleNamespace(**dict(zip(
             ("thetas", "phis", "pthetas", "pphis"), state_of(n))))
     ),
     "force_function": lambda n: force_function(MassVector(masses_of(n)), EQUILATERAL),
@@ -445,7 +431,6 @@ GAPS = st.one_of(
     st.floats(0.1, math.pi - 0.1), NEAR_ZERO, NEAR_ZERO.map(lambda x: math.pi - x)
 )
 RING_CALLS = {
-    "to_cartesian": lambda mv, config: to_cartesian(config),
     "force_function": lambda mv, config: np.float64(force_function(mv, config)),
     "force_gradient": force_gradient,
     "force_hessian_blocks": lambda mv, config: np.array(force_hessian_blocks(mv, config)),
@@ -485,4 +470,4 @@ def test_ring_calls_walk_the_pairs_at_most_once(name, monkeypatch):
 
     monkeypatch.setattr(geometry, "_pair_table", counted)
     RING_CALLS[name](MassVector((0.2, 0.5, 0.3)), EQUILATERAL)
-    assert len(passes) == (0 if name == "to_cartesian" else 1)
+    assert len(passes) == 1

@@ -2,10 +2,10 @@
 against the loops they replace.
 
 ``integrators.midpoint_run`` must yield the samples of its oracle bit for
-bit: ``fixed_steps`` over ``seeded_advance`` and ``midpoint_step``, whose
-solve is the list loop ``_midpoint_loop``.  Where the oracle raises, the
-run must raise the same type with the same message, and a StepFailure with
-the same ``time`` and ``step``.  The starts are perturbed rings, random and
+bit: ``fixed_steps`` over ``seeded_advance`` (kept in ``conftest``) and
+``midpoint_step``, whose solve is the list loop ``_midpoint_loop``.  Where
+the oracle raises, the run must raise the same type with the same message,
+and a StepFailure with the same ``time`` and ``step``.  The starts are perturbed rings, random and
 near-polar states and arbitrary floats; the fields include the three-body
 field and stiff ones whose iteration diverges at long steps, some with a
 nan or an infinity in one output entry; runs are long enough for the
@@ -28,6 +28,7 @@ from curvednbody import dynamics, integrators, reduction
 from curvednbody.errors import SingularConfiguration, StepFailure
 from curvednbody.fixedpoints import as_mass_triple, ring_from_shape, shape_from_masses
 
+from conftest import gap_gradient, seeded_advance
 from test_field_three import MASSES, OMEGAS, states
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -44,9 +45,7 @@ stops = st.one_of(st.none(), st.integers(1, 4))
 def oracle(field, x, h, nsteps, record_stride=1):
     """The run that ``midpoint_run`` replaces: ``fixed_steps`` over
     ``seeded_advance`` and ``midpoint_step``."""
-    advance = integrators.seeded_advance(
-        lambda y, guess: integrators.midpoint_step(field, y, h, guess)
-    )
+    advance = seeded_advance(lambda y, guess: integrators.midpoint_step(field, y, h, guess))
     return integrators.fixed_steps(advance, x, h, nsteps, record_stride)
 
 
@@ -181,7 +180,7 @@ def test_seeded_advance_extrapolates_from_the_sixth_step():
         t = x[0] + 1.0
         return [t, t**5 - 3.0 * t**2 + 1.0, t**6]
 
-    advance = integrators.seeded_advance(step)
+    advance = seeded_advance(step)
     x = [0.0, 1.0, 0.0]
     for _ in range(8):
         x = advance(x)
@@ -213,7 +212,7 @@ def test_seeded_advance_extrapolates_twelve_floats_from_the_sixth_step():
         guesses_seen.append(guess)
         return polynomials(x[0] + 1.0)
 
-    advance = integrators.seeded_advance(step)
+    advance = seeded_advance(step)
     x = polynomials(0.0)
     for _ in range(8):
         x = advance(x)
@@ -250,24 +249,6 @@ def test_midpoint_run_extrapolates_from_the_sixth_step():
     assert guesses == [
         [v - d for v, d in zip(polynomials(float(t)), SHORT)] for t in (6, 7, 8)
     ]
-
-
-def test_twelve_float_runs_take_the_straight_line_seed(monkeypatch):
-    # the full system's run writes its seed out; the reduced chart's
-    # midpoint run takes the list form through ``seeded_advance``
-    taken = []
-    real = integrators._quintic
-    monkeypatch.setattr(
-        integrators, "_quintic", lambda past: taken.append(len(past[0])) or real(past)
-    )
-    mv = MASSES[1]
-    ring = ring_from_shape(shape_from_masses(as_mass_triple(mv.masses)))
-    start = dynamics.relative_equilibrium(mv, ring, 1.3)
-    dynamics.integrate(mv, start, horizon=8e-3, step=1e-3, omega=1.3)
-    assert taken == []
-    start = reduction.ReducedState(2.0, 3.0, 0.1, -0.2)
-    reduction.integrate_reduced(mv.masses, start, 8e-3, method="midpoint")
-    assert taken == [4] * 3
 
 
 def test_strategies_reach_every_branch():
@@ -431,7 +412,7 @@ def reduced_steps(masses, h):
     fast = reduction._yoshida4_advance(m1, m2, m3, jc.nu1, jc.nu2, *inv, h)
 
     def force(q):
-        return reduction._gap_gradient(m1, m2, m3, jc.nu1, jc.nu2, q[0], q[1])
+        return gap_gradient(m1, m2, m3, jc.nu1, jc.nu2, q[0], q[1])
 
     return fast, lambda x: yoshida4_reference(force, inv, x, h)
 

@@ -48,13 +48,19 @@ from curvednbody.geometry import MassVector
 from curvednbody.stability import (
     InvariantSplitting,
     LinearizationBlocks,
-    assemble_L_from_blocks,
     invariant_subspaces,
     ring_pipeline,
     spectral_analysis,
 )
 
-from conftest import CENTRE, EDGE_RAYS, SKEW, boundary_reach, null_vectors
+from conftest import (
+    CENTRE,
+    EDGE_RAYS,
+    SKEW,
+    assemble_L_from_blocks,
+    boundary_reach,
+    null_vectors,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 

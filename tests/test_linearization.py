@@ -44,9 +44,9 @@ def _dot(a, b):
 
 def oracle_force_hessian_blocks(masses, config):
     """(V_tt, V_tp, V_pp) filled entry by entry into zero arrays."""
-    _check_bodies(config.n)
+    _check_bodies(len(config.thetas))
     m = masses.masses
-    n = config.n
+    n = len(config.thetas)
     st, ct, sp, cp, xs, ys = _sphere_tables(config.thetas, config.phis)
     zs = ct
     vtt = np.zeros((n, n))
@@ -91,8 +91,8 @@ def oracle_force_hessian_blocks(masses, config):
 
 def oracle_assemble_L_general(masses, state):
     """The 12-by-12 flow matrix filled into a zero array, V_tt added onto it."""
-    n = masses.n
     m = masses.masses
+    n = len(m)
     thetas = [float(t) for t in state.thetas]
     pphis = [float(p) for p in state.pphis]
     vtt, vtp, vpp = oracle_force_hessian_blocks(masses, state)
@@ -204,7 +204,7 @@ def test_general_linearization_rejects_a_non_finite_state(block, value, monkeypa
         pphis=(0.2, 0.3, 0.1),
     )
     blocks[block] = blocks[block][:1] + (value,) + blocks[block][2:]
-    state = types.SimpleNamespace(n=3, **blocks)
+    state = types.SimpleNamespace(**blocks)
 
     def no_pairs(*args, **kwargs):
         raise AssertionError("a pair was read")
@@ -217,10 +217,10 @@ def test_general_linearization_rejects_a_non_finite_state(block, value, monkeypa
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_general_linearization_counts_each_block(count):
-    # the state's n says three bodies, its blocks hold another count
+    # each block holds a count other than three
     values = (1.4, 1.6, 1.5, 1.3)[:count], (0.0, 2.1, 4.2, 5.0)[:count], (0.0,) * count
     state = types.SimpleNamespace(
-        n=3, thetas=values[0], phis=values[1], pthetas=values[2], pphis=values[2]
+        thetas=values[0], phis=values[1], pthetas=values[2], pphis=values[2]
     )
     with pytest.raises(InvalidConfiguration) as info:
         assemble_L_general(MassVector((1.0, 2.0, 3.0)), state)

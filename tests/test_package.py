@@ -1,5 +1,7 @@
-"""The package root's public names and the README's library quick tour."""
+"""The package root's public names, the README's library quick tour and the
+package's reachable code."""
 
+import ast
 import os
 import pathlib
 import re
@@ -9,7 +11,8 @@ import types
 
 import curvednbody
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # Every public name of the package root that is not a submodule.  Adding or
 # removing one is a change to the documented API and updates this set.
@@ -45,7 +48,6 @@ ROOT_NAMES = {
     "TriangleShape",
     "admissibility_value",
     "as_mass_triple",
-    "assemble_L_from_blocks",
     "assemble_L_general",
     "assemble_blocks",
     "classify",
@@ -53,7 +55,6 @@ ROOT_NAMES = {
     "force_function",
     "force_gradient",
     "force_hessian_blocks",
-    "geodesic_distance",
     "growth_rate_experiment",
     "hamiltonian",
     "hessian_alpha_beta",
@@ -77,7 +78,6 @@ ROOT_NAMES = {
     "shape_mass_defect",
     "solve_fixed_point_numeric",
     "spectral_analysis",
-    "to_cartesian",
     "to_jacobi",
 }
 
@@ -113,3 +113,33 @@ def test_import_leaves_scipy_and_the_cli_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_every_module_level_name_is_reached():
+    # a function or class that only tests call is dead code: each one must
+    # be named somewhere in the package or the benchmark other than in its
+    # own definition (as a name, an attribute or an identifier string, which
+    # the benchmark's tracer looks functions up by), or be a root name
+    package = ROOT / "src" / "curvednbody"
+    sources = sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    defined = {}
+    used = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent == package:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unreached = {
+        "%s.%s" % (module, name)
+        for name, module in defined.items()
+        if name not in used and name not in ROOT_NAMES
+    }
+    assert unreached == set()

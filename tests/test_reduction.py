@@ -19,14 +19,13 @@ from curvednbody.integrators import MIDPOINT_TOL
 from curvednbody.reduction import (
     JacobiConstants,
     ReducedState,
-    _gap_gradient,
+    _angle_matrix,
+    _momentum_matrix,
     _yoshida4_advance,
-    angle_transform_matrix,
     hessian_alpha_beta,
     hessian_determinant_closed_form,
     integrate_reduced,
     lyapunov_certificate,
-    momentum_transform_matrix,
     reduced_force_function,
     reduced_hamiltonian,
     rest_point_from_shape,
@@ -34,7 +33,8 @@ from curvednbody.reduction import (
 )
 from curvednbody.stability import ring_pipeline, vertical_mode
 
-from conftest import draw_admissible_triples
+from conftest import draw_admissible_triples, reduced_midpoint
+from conftest import gap_gradient as gap_partials
 
 TRIPLE = as_mass_triple((0.3, 0.4, 0.3))
 MV = TRIPLE.mass_vector()
@@ -43,20 +43,21 @@ MV = TRIPLE.mass_vector()
 def gap_gradient(state, masses):
     """The partials of the reduced force function in (phi1, phi2)."""
     jc = JacobiConstants.from_masses(masses)
-    return _gap_gradient(*masses.masses, jc.nu1, jc.nu2, state.phi1, state.phi2)
+    return gap_partials(*masses.masses, jc.nu1, jc.nu2, state.phi1, state.phi2)
 
 
 class TestTransforms:
     def test_pairing_identity(self, rng):
         for triple in draw_admissible_triples(rng, 20):
-            a = angle_transform_matrix(triple)
-            b = momentum_transform_matrix(triple)
+            jc = JacobiConstants.from_masses(triple)
+            a = _angle_matrix(jc)
+            b = _momentum_matrix(jc)
             assert np.max(np.abs(a.T @ b - np.eye(3))) < 1e-13
 
     def test_kinetic_diagonalization(self, rng):
         for triple in draw_admissible_triples(rng, 20):
             jc = JacobiConstants.from_masses(triple)
-            a = angle_transform_matrix(triple)
+            a = _angle_matrix(jc)
             target = np.diag([1.0 / jc.mbar, 1.0 / jc.nu3, 1.0 / jc.nu4])
             minv = np.diag([1.0 / m for m in triple])
             assert np.max(np.abs(a @ minv @ a.T - target)) < 1e-12
@@ -66,7 +67,7 @@ class TestTransforms:
             phis = rng.uniform(0.0, 2 * math.pi, 3)
             ps = rng.normal(size=3)
             mean, state, ptot = to_jacobi(phis, ps, MV)
-            a = angle_transform_matrix(MV)
+            a = _angle_matrix(JacobiConstants.from_masses(MV))
             back_phis = np.linalg.solve(a, [mean, state.phi1, state.phi2])
             back_ps = a.T @ [state.momentum_level, state.p1, state.p2]
             assert np.max(np.abs(back_phis - phis)) < 1e-12
@@ -118,7 +119,7 @@ def test_singular_gap_has_one_message():
     calls = {
         "reduced_force_function": lambda: reduced_force_function(state, MV),
         "reduced_hamiltonian": lambda: reduced_hamiltonian(state, MV),
-        "_gap_gradient": lambda: gap_gradient(state, MV),
+        "gap_gradient": lambda: gap_gradient(state, MV),
         # a zero step leaves the first gap at pi for the first kick
         "_yoshida4_advance": lambda: _yoshida4_advance(*MV.masses, jc.nu1, jc.nu2, *inv, 0.0)(
             [math.pi, 2.0, 0.0, 0.0]
@@ -146,11 +147,9 @@ def spy_from_masses(monkeypatch):
 def test_integrate_reduced_reads_the_masses_once(monkeypatch):
     start = flow_start(TRIPLE)
     calls = spy_from_masses(monkeypatch)
-    for method in ("yoshida4", "midpoint"):
-        calls.clear()
-        run = integrate_reduced(MV, start, horizon=1.0, method=method)
-        assert len(run.times) == 101
-        assert len(calls) == 1
+    run = integrate_reduced(MV, start, horizon=1.0)
+    assert len(run.times) == 101
+    assert len(calls) == 1
 
 
 def test_to_jacobi_reads_the_masses_once(monkeypatch):
@@ -163,9 +162,7 @@ OVERFLOWING = ReducedState(2.0, 3.0, 1e200, 0.0)
 OVERFLOW_SITES = {
     "reduced_hamiltonian": lambda: reduced_hamiltonian(OVERFLOWING, (1, 1, 1)),
     "integrate_reduced": lambda: integrate_reduced((1, 1, 1), OVERFLOWING, 0.01),
-    "integrate_reduced midpoint": lambda: integrate_reduced(
-        (1, 1, 1), OVERFLOWING, 0.01, method="midpoint"
-    ),
+    "integrate_reduced midpoint": lambda: reduced_midpoint((1, 1, 1), OVERFLOWING, 0.01),
 }
 
 
@@ -305,6 +302,19 @@ class TestHessian:
         with pytest.raises(InconsistentPair):
             hessian_alpha_beta(shape, TRIPLE)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # the pair is mismatched: a nan or infinite tolerance must not let it
+        # through, and a zero or negative one must not blame the pair
+        shape = shape_from_masses(as_mass_triple((1.0, 1.0, 1.0)))
+        calls = (
+            lambda: hessian_alpha_beta(shape, (0.2, 0.5, 0.3), tol=tol),
+            lambda: lyapunov_certificate((0.2, 0.5, 0.3), tol=tol),
+        )
+        for call in calls:
+            with pytest.raises(InvalidConfiguration, match="^tolerance tol must be"):
+                call()
+
 
 class TestCertificate:
     def test_certified_on_samples(self, rng):
@@ -322,12 +332,12 @@ class TestCertificate:
         )
 
 
-def energy_drift_over_twenty(**kw):
+def energy_drift_over_twenty(integrator=integrate_reduced):
     rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
     start = ReducedState(
         rest.phi1 + 1e-2, rest.phi2 - 5e-3, 1e-3, -2e-3, rest.momentum_level
     )
-    return integrate_reduced(MV, start, horizon=20.0, step=1e-3, **kw).energy_drift
+    return integrator(MV, start, horizon=20.0, step=1e-3).energy_drift
 
 
 class TestReducedIntegration:
@@ -335,7 +345,7 @@ class TestReducedIntegration:
         assert energy_drift_over_twenty() < 1e-12
 
     def test_energy_conserved_by_midpoint(self):
-        assert energy_drift_over_twenty(method="midpoint") < 1e-12
+        assert energy_drift_over_twenty(reduced_midpoint) < 1e-12
 
     def test_small_perturbations_stay_near_rest(self):
         shape = shape_from_masses(TRIPLE)
@@ -362,13 +372,11 @@ def flow_start(triple):
     )
 
 
-class TestYoshida4:
-    def test_default_is_yoshida4(self):
-        start = flow_start(TRIPLE)
-        default = integrate_reduced(MV, start, horizon=0.1)
-        explicit = integrate_reduced(MV, start, horizon=0.1, method="yoshida4")
-        assert np.array_equal(default.states, explicit.states)
+# the reduced chart's integrator and its midpoint cross-check
+INTEGRATORS = {"yoshida4": integrate_reduced, "midpoint": reduced_midpoint}
 
+
+class TestYoshida4:
     @pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (0.25, 0.45, 0.30)])
     def test_fourth_order(self, masses):
         triple = as_mass_triple(masses)
@@ -394,14 +402,10 @@ class TestYoshida4:
         triple = as_mass_triple(masses)
         start = flow_start(triple)
         explicit = integrate_reduced(triple, start, horizon=1.0)
-        implicit = integrate_reduced(triple, start, horizon=1.0, method="midpoint")
+        implicit = reduced_midpoint(triple, start, horizon=1.0)
         assert np.array_equal(explicit.times, implicit.times)
         assert np.max(np.abs(explicit.states - implicit.states)) < 1e-7
         assert explicit.energy_drift < 1e-14
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidConfiguration):
-            integrate_reduced(MV, flow_start(TRIPLE), horizon=1.0, method="euler")
 
     @pytest.mark.parametrize("method", ["yoshida4", "midpoint"])
     @pytest.mark.parametrize("gap", [0.0, 1e-7], ids=["singular", "below-floor"])
@@ -409,7 +413,7 @@ class TestYoshida4:
         rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
         start = ReducedState(gap, rest.phi2, 0.0, 0.0, rest.momentum_level)
         with pytest.raises(StepFailure, match="singular") as info:
-            integrate_reduced(MV, start, horizon=0.1, method=method)
+            INTEGRATORS[method](MV, start, horizon=0.1)
         assert (info.value.time, info.value.step) == (0.0, 0)
 
     @pytest.mark.parametrize("method", ["yoshida4", "midpoint"])
@@ -420,7 +424,7 @@ class TestYoshida4:
         rest = rest_point_from_shape(shape_from_masses(equal), equal)
         start = ReducedState(0.01, rest.phi2, -0.5, 0.0, rest.momentum_level)
         with pytest.raises(StepFailure) as info:
-            integrate_reduced(equal, start, horizon=0.1, step=1e-3, method=method)
+            INTEGRATORS[method](equal, start, horizon=0.1, step=1e-3)
         assert info.value.step >= 1
         assert info.value.time == info.value.step * 1e-3
 
@@ -436,7 +440,7 @@ class TestYoshida4:
         rest = rest_point_from_shape(shape_from_masses(TRIPLE), MV)
         start = ReducedState(0.01, rest.phi2, -2.0, 0.0, rest.momentum_level)
         with pytest.raises(StepFailure) as info:
-            integrate_reduced(MV, start, horizon=0.1, method="midpoint")
+            reduced_midpoint(MV, start, horizon=0.1)
         assert info.value.step >= 1
         assert info.value.time == info.value.step * 1e-3
 
@@ -456,7 +460,8 @@ class TestOneFlowInTwoCharts:
     """The implicit midpoint rule commutes with linear changes of
     coordinates, and the mean angle is cyclic.  So the full 12-float midpoint
     run, started on the equator and mapped through ``to_jacobi``, is the
-    reduced midpoint run up to the solver tolerance.  It is run above the
+    reduced midpoint run, ``conftest.reduced_midpoint``, up to the solver
+    tolerance.  It is run above the
     critical rate, where the equator is stable and the run stays on it."""
 
     def check(self, masses):
@@ -470,7 +475,7 @@ class TestOneFlowInTwoCharts:
             blocks.masses, x0, horizon=nsteps * h, step=h, omega=omega, record_stride=100
         )
         start = to_jacobi(x0[3:6], x0[9:12], triple)[1]
-        reduced = integrate_reduced(triple, start, nsteps * h, h, 100, method="midpoint")
+        reduced = reduced_midpoint(triple, start, nsteps * h, h, 100)
         mapped = [to_jacobi(x[3:6], x[9:12], triple)[1].as_vector() for x in full.states]
 
         # The linearized reduced flow, and its midpoint step, keep the

@@ -38,7 +38,6 @@ from curvednbody.stability import (
     LinearizationBlocks,
     StabilityReport,
     _block_spectra,
-    assemble_L_from_blocks,
     assemble_L_general,
     assemble_blocks,
     classify,
@@ -53,7 +52,13 @@ from curvednbody.stability import (
     vertical_mode,
 )
 
-from conftest import CENTRE, EDGE_RAYS, SKEW, draw_admissible_triples
+from conftest import (
+    CENTRE,
+    EDGE_RAYS,
+    SKEW,
+    assemble_L_from_blocks,
+    draw_admissible_triples,
+)
 
 LAMBDA1_EQUAL = 8.0 * math.sqrt(3.0) / 9.0
 
@@ -312,7 +317,6 @@ class TestFlowMatrix:
     def test_general_polar_guard(self):
         # a PhaseState cannot hold this colatitude, so the state is duck-typed
         state = types.SimpleNamespace(
-            n=3,
             thetas=(1e-12, 1.5, 1.6),
             phis=(0.0, 2.1, 4.2),
             pthetas=(0.0, 0.0, 0.0),
